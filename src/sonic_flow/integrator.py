@@ -23,11 +23,14 @@ be continued through them within one chart run.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (
     DegenerateLaunch,
@@ -90,11 +93,6 @@ class IntegratorConfig:
 
 class EventSpec:
     """Base for stop-event requests passed to integrate()."""
-
-
-@dataclass(frozen=True)
-class SonicArrival(EventSpec):
-    pass
 
 
 @dataclass(frozen=True)
@@ -175,24 +173,6 @@ class TrajectorySegment:
     def last(self) -> State:
         return State(float(self.xs[-1]), float(self.rhos[-1]), float(self.es[-1]))
 
-    @property
-    def states(self) -> list[State]:
-        return [
-            State(float(x), float(r), float(e))
-            for x, r, e in zip(self.xs, self.rhos, self.es)
-        ]
-
-    def critical_events(self, merge_tol: float = 1e-9) -> list[Event]:
-        """Recorded critical-point events, deduplicated by abscissa."""
-        out: list[Event] = []
-        for ev in self.events:
-            if ev.kind != CRITICAL_POINT:
-                continue
-            if out and abs(ev.state.x - out[-1].state.x) <= merge_tol:
-                continue
-            out.append(ev)
-        return out
-
     def midpoint_defect(self, p: ModelParams) -> float:
         """Worst midpoint-rule consistency defect over x-chart intervals.
 
@@ -213,7 +193,7 @@ class TrajectorySegment:
             if abs(rm - 1.0) < 1.5e-2 or abs(rm * em - p.inv_tau) < 1e-3:
                 continue
             xm = 0.5 * (self.xs[k] + self.xs[k + 1])
-            fr, fe = rhs(xm, (rm, em))
+            fr, fe = rhs(xm, rm, em)
             dr = (self.rhos[k + 1] - self.rhos[k]) / dx
             de = (self.es[k + 1] - self.es[k]) / dx
             defect = max(
@@ -221,6 +201,11 @@ class TrajectorySegment:
             )
             worst = max(worst, defect)
         return worst
+
+
+# Both charts' right-hand sides take and return plain floats: (t, a, b) in,
+# (da/dt, db/dt) out.  Powers go through math.pow, which raises (and the
+# kernel turns into NaN) where ** would return a complex number.
 
 
 def _make_rhs_x(p: ModelParams):
@@ -240,16 +225,14 @@ def _make_rhs_x(p: ModelParams):
 
     if gamma == 1.0:
 
-        def rhs(x, y):
-            r, e = y
+        def rhs(x, r, e):
             r2 = r * r
             return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - bfun(x))
 
     else:
 
-        def rhs(x, y):
-            r, e = y
-            coef = r ** (gamma - 1.0) - r ** (-2.0)
+        def rhs(x, r, e):
+            coef = math.pow(r, gamma - 1.0) - math.pow(r, -2.0)
             return ((r * e - inv_tau) / coef, r - bfun(x))
 
     return rhs
@@ -272,25 +255,341 @@ def _make_rhs_rho(p: ModelParams):
 
     if gamma == 1.0:
 
-        def rhs(r, y):
-            e, x = y
+        def rhs(r, e, x):
             dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
             return ((r - bfun(x)) * dxdr, dxdr)
 
     else:
 
-        def rhs(r, y):
-            e, x = y
-            dxdr = (r ** (gamma - 1.0) - r ** (-2.0)) / (r * e - inv_tau)
+        def rhs(r, e, x):
+            dxdr = (math.pow(r, gamma - 1.0) - math.pow(r, -2.0)) / (r * e - inv_tau)
             return ((r - bfun(x)) * dxdr, dxdr)
 
     return rhs
 
 
-def _mark(fn, terminal, direction):
-    fn.terminal = terminal
-    fn.direction = direction
-    return fn
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) kernel
+#
+# Tableau, error estimate, initial step, step controller, event rules and
+# t_eval sampling follow scipy's RK45 / solve_ivp step for step (Dormand &
+# Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6;
+# events located on the dense interpolant as in Shampine & Thompson 2000).
+# The two-component state is held in plain floats, which removes the array
+# allocation, dot products and event bookkeeping that dominated the cost of
+# the many short arcs a shooting solve integrates.
+
+_EPS = sys.float_info.epsilon
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
+_SQRT_N = 2**0.5  # RMS norm over the two components
+
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+)
+# the fifth-order weights and the error weights vanish on stage 2, and so does
+# its row of the dense-output matrix; stage 2 is left out of all three
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+)
+# quartic dense output: per stage 1, 3..7, the weights of theta^1..theta^4
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+class _Watch(NamedTuple):
+    """An event function g(t, a, b) with its stop rule and its meaning."""
+
+    g: Callable[[float, float, float], float]
+    terminal: bool
+    direction: int  # +1 rising crossings only, -1 falling only, 0 both
+    kind: str
+    value: float | None = None
+
+
+def _rms(u, v):
+    return math.sqrt(u * u + v * v) / _SQRT_N
+
+
+def _eval_rhs(fun, t, a, b):
+    """fun(t, a, b), or NaNs where float arithmetic raises."""
+    try:
+        return fun(t, a, b)
+    except (ArithmeticError, ValueError):
+        return math.nan, math.nan
+
+
+class _Step:
+    """Quartic interpolant over one accepted step."""
+
+    __slots__ = ("t_old", "h", "ya", "yb", "k", "_q")
+
+    def __init__(self, t_old, h, ya, yb, k):
+        self.t_old, self.h, self.ya, self.yb = t_old, h, ya, yb
+        self.k = k  # ((ka, kb) of stages 1, 3, 4, 5, 6, 7)
+        self._q = None
+
+    def __call__(self, t):
+        if self._q is None:
+            self._q = tuple(
+                tuple(sum(k[c] * row[j] for k, row in zip(self.k, _P)) for j in range(4))
+                for c in (0, 1)
+            )
+        (qa0, qa1, qa2, qa3), (qb0, qb1, qb2, qb3) = self._q
+        h = self.h
+        x = (t - self.t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return (
+            h * (qa0 * x + qa1 * x2 + qa2 * x3 + qa3 * x4) + self.ya,
+            h * (qb0 * x + qb1 * x2 + qb2 * x3 + qb3 * x4) + self.yb,
+        )
+
+
+class OdeResult:
+    """Outcome of one `solve_ivp` run.
+
+    `t`, `ya` and `yb` are the samples. `status` is 0 when `t_bound` was
+    reached, 1 when a terminal event stopped the run, and -1 when the step
+    size fell below 10 ulp of t. `roots` holds `(event index, t, a, b)` for
+    every event root located before the stop, in traversal order; after a
+    terminal stop its root comes last and `terminal` is its event index,
+    otherwise `terminal` is None. `nfev` counts right-hand-side evaluations.
+    """
+
+    __slots__ = ("t", "ya", "yb", "status", "nfev", "roots", "terminal", "steps")
+
+    def __init__(self, t, ya, yb, status, nfev, roots, terminal, steps):
+        self.t, self.ya, self.yb = t, ya, yb
+        self.status, self.nfev = status, nfev
+        self.roots, self.terminal = roots, terminal
+        self.steps = steps
+
+    def sol(self, ts):
+        """Interpolated states (a, b) at each of ts; needs ``dense_output=True``.
+
+        A t on a step boundary is read from the earlier step, a t beyond
+        either end of the run from the end step.
+        """
+        steps = self.steps
+        d = math.copysign(1.0, steps[0].h)
+        starts = [d * s.t_old for s in steps]
+        return [steps[max(bisect.bisect_left(starts, d * t) - 1, 0)](t) for t in ts]
+
+
+def solve_ivp(
+    fun, t0, t_bound, y0, rtol, atol, max_step, events=(), t_eval=None,
+    dense_output=False,
+):
+    """Integrate a two-component ODE from t0 toward t_bound (Dormand-Prince 5(4)).
+
+    ``fun(t, a, b)`` returns the derivatives of the state ``(a, b)``. Each
+    of `events` provides ``g(t, a, b)``, ``terminal`` and ``direction``. An
+    event fires where g changes sign over a step, in the given direction
+    (+1 rising, -1 falling, 0 either). Its root is found by brentq
+    (xtol = rtol = 4 eps) on the step's quartic interpolant. The run stops
+    at the first terminal root in traversal order; the roots before it are
+    kept. Without `t_eval` every accepted step is sampled, the stopping root
+    included. With `t_eval`, which must run monotonically along the span,
+    only those points are sampled, up to and including the end point.
+
+    The tableau, the RMS error norm over ``atol + rtol*max(|y|, |y_new|)``,
+    the initial step, the step controller and the event and sampling rules
+    are those of ``scipy.integrate.solve_ivp(method="RK45")``, so both take
+    the same steps up to roundoff.
+
+    The benchmark's trace wraps the ODE layer under this module-level name
+    and reads ``nfev`` from the result, so both chart legs call the kernel
+    through this global.
+    """
+    t = float(t0)
+    t_bound = float(t_bound)
+    ya, yb = float(y0[0]), float(y0[1])
+    rtol = max(rtol, 100 * _EPS)
+    d = 1.0 if t_bound >= t else -1.0
+    span = abs(t_bound - t)
+
+    if t_eval is None:
+        ts, yas, ybs = [t], [ya], [yb]
+    else:
+        t_eval = [float(v) for v in t_eval]
+        if any(not min(t, t_bound) <= v <= max(t, t_bound) for v in t_eval):
+            raise ValueError("t_eval points lie outside the integration span")
+        if any(d * (v1 - v0) <= 0 for v0, v1 in zip(t_eval, t_eval[1:])):
+            raise ValueError("t_eval is not strictly monotone along the span")
+        ts, yas, ybs = [], [], []
+    n_eval = 0
+    steps = [] if dense_output else None
+    gs = [ev.g for ev in events]
+    g = [gi(t, ya, yb) for gi in gs]
+    roots = []
+    terminal = None
+
+    fa, fb = _eval_rhs(fun, t, ya, yb)
+    nfev = 1
+    if span == 0.0:
+        if t_eval is not None:
+            ts, yas, ybs = t_eval, [ya] * len(t_eval), [yb] * len(t_eval)
+        return OdeResult(ts, yas, ybs, 0, nfev, roots, None, steps)
+
+    # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
+    sa = atol + abs(ya) * rtol
+    sb = atol + abs(yb) * rtol
+    d0 = _rms(ya / sa, yb / sb)
+    d1 = _rms(fa / sa, fb / sb)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    ga, gb = _eval_rhs(fun, t + h0 * d, ya + h0 * d * fa, yb + h0 * d * fb)
+    nfev += 1
+    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span, max_step)
+
+    status = None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * d
+            if d * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            nfev += 6
+            try:
+                k2a, k2b = fun(t + _C2 * h, ya + _A21 * fa * h, yb + _A21 * fb * h)
+                k3a, k3b = fun(
+                    t + _C3 * h,
+                    ya + (_A31 * fa + _A32 * k2a) * h,
+                    yb + (_A31 * fb + _A32 * k2b) * h,
+                )
+                k4a, k4b = fun(
+                    t + _C4 * h,
+                    ya + (_A41 * fa + _A42 * k2a + _A43 * k3a) * h,
+                    yb + (_A41 * fb + _A42 * k2b + _A43 * k3b) * h,
+                )
+                k5a, k5b = fun(
+                    t + _C5 * h,
+                    ya + (_A51 * fa + _A52 * k2a + _A53 * k3a + _A54 * k4a) * h,
+                    yb + (_A51 * fb + _A52 * k2b + _A53 * k3b + _A54 * k4b) * h,
+                )
+                k6a, k6b = fun(
+                    t + h,
+                    ya + (_A61 * fa + _A62 * k2a + _A63 * k3a + _A64 * k4a
+                          + _A65 * k5a) * h,
+                    yb + (_A61 * fb + _A62 * k2b + _A63 * k3b + _A64 * k4b
+                          + _A65 * k5b) * h,
+                )
+                na = ya + h * (_B1 * fa + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
+                nb = yb + h * (_B1 * fb + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
+                k7a, k7b = fun(t + h, na, nb)
+                # max(|y|, |y_new|) that, like np.maximum, passes a NaN y_new on
+                ma, mb = abs(ya), abs(yb)
+                ma = ma if ma >= abs(na) else abs(na)
+                mb = mb if mb >= abs(nb) else abs(nb)
+                error_norm = _rms(
+                    (_E1 * fa + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
+                     + _E7 * k7a) * h / (atol + ma * rtol),
+                    (_E1 * fb + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
+                     + _E7 * k7b) * h / (atol + mb * rtol),
+                )
+            except (ArithmeticError, ValueError):
+                error_norm = math.nan  # rejected like an overflowing step
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        if status is not None:
+            break
+
+        step = _Step(
+            t, h, ya, yb,
+            ((fa, fb), (k3a, k3b), (k4a, k4b), (k5a, k5b), (k6a, k6b), (k7a, k7b)),
+        )
+        t_old = t
+        t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
+        if d * (t - t_bound) >= 0:
+            status = 0
+        if steps is not None:
+            steps.append(step)
+
+        if gs:
+            g_new = [gi(t, ya, yb) for gi in gs]
+            found = []
+            for i, (ev, g0, g1) in enumerate(zip(events, g, g_new)):
+                up = g0 <= 0 and g1 >= 0
+                down = g0 >= 0 and g1 <= 0
+                if up if ev.direction > 0 else down if ev.direction < 0 else up or down:
+                    root = brentq(
+                        lambda s, gi=gs[i]: gi(s, *step(s)),
+                        t_old, t, xtol=4 * _EPS, rtol=4 * _EPS,
+                    )
+                    found.append((d * root, i, root))
+            g = g_new
+            if found:
+                found.sort(key=lambda f: f[0])  # stable: ties keep event order
+            for _, i, root in found:
+                roots.append((i, root, *step(root)))
+                if events[i].terminal:
+                    terminal = i
+                    status = 1
+                    t = root
+                    ya, yb = step(root)
+                    break
+
+        if t_eval is None:
+            ts.append(t)
+            yas.append(ya)
+            ybs.append(yb)
+        else:
+            while n_eval < len(t_eval) and d * (t_eval[n_eval] - t) <= 0:
+                a, b = step(t_eval[n_eval])
+                ts.append(t_eval[n_eval])
+                yas.append(a)
+                ybs.append(b)
+                n_eval += 1
+
+    return OdeResult(ts, yas, ybs, status, nfev, roots, terminal, steps)
+
+
+# ---------------------------------------------------------------------------
+# chart legs
 
 
 @dataclass
@@ -308,37 +607,52 @@ def _point_leg(x, rho, e, terminator):
     )
 
 
+def _leg_events(res, watches, state):
+    """Recorded non-terminal events and the terminal one of a kernel run.
+
+    `state(t, a, b)` maps a kernel point to its primal State.
+    """
+    recorded = [
+        Event(watches[i].kind, state(t, a, b), watches[i].value)
+        for i, t, a, b in res.roots
+        if not watches[i].terminal
+    ]
+    terminator = None
+    if res.terminal is not None:
+        _, t, a, b = res.roots[-1]
+        w = watches[res.terminal]
+        terminator = Event(w.kind, state(t, a, b), w.value)
+    return recorded, terminator
+
+
 def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg):
     inv_tau = p.inv_tau
     band_in = cfg.sonic_band * _BAND_INSET
-    rhs = _make_rhs_x(p)
-
-    events = []
-    meta = []  # (kind, value) per event function
-
-    def add(fn, terminal, direction, kind, value=None):
-        events.append(_mark(fn, terminal, direction))
-        meta.append((kind, value))
+    blow_r, blow_e = cfg.blow_up_density, cfg.blow_up_field
 
     # band entry means |rho - 1| shrinking along the traversal, an x-order
     # agnostic notion: the upper threshold is always crossed downward and the
     # lower one upward in integration order
     hi, lo = 1.0 + band_in, 1.0 - band_in
-    add(lambda t, y: y[0] - hi, True, -1, "_band")
-    add(lambda t, y: y[0] - lo, True, 1, "_band")
+    watches = [
+        _Watch(lambda t, r, e: r - hi, True, -1, "_band"),
+        _Watch(lambda t, r, e: r - lo, True, 1, "_band"),
+    ]
     for tg in targets:
-        add(
-            (lambda v: lambda t, y: y[0] - v)(tg.value),
+        watches.append(_Watch(
+            (lambda v: lambda t, r, e: r - v)(tg.value),
             tg.terminal,
-            tg.direction * dsign,
+            tg.direction * int(dsign),
             TARGET_DENSITY,
             tg.value,
-        )
-    add(lambda t, y: y[0] * y[1] - inv_tau, want_critical, 0, CRITICAL_POINT)
-    add(lambda t, y: y[0] - cfg.blow_up_density, True, 0, BLOW_UP)
-    add(lambda t, y: y[0] - 1.0 / cfg.blow_up_density, True, 0, BLOW_UP)
-    add(lambda t, y: y[1] - cfg.blow_up_field, True, 0, BLOW_UP)
-    add(lambda t, y: y[1] + cfg.blow_up_field, True, 0, BLOW_UP)
+        ))
+    watches += [
+        _Watch(lambda t, r, e: r * e - inv_tau, want_critical, 0, CRITICAL_POINT),
+        _Watch(lambda t, r, e: r - blow_r, True, 0, BLOW_UP),
+        _Watch(lambda t, r, e: r - 1.0 / blow_r, True, 0, BLOW_UP),
+        _Watch(lambda t, r, e: e - blow_e, True, 0, BLOW_UP),
+        _Watch(lambda t, r, e: e + blow_e, True, 0, BLOW_UP),
+    ]
 
     x_end = x + dsign * span_limit
     ends_at_domain = False
@@ -350,51 +664,24 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
             x_end = domain.x
             ends_at_domain = True
 
-    sol = solve_ivp(
-        rhs,
-        (x, x_end),
-        [rho, e],
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        events=events,
+    res = solve_ivp(
+        _make_rhs_x(p), x, x_end, (rho, e),
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
     )
-
-    xs, rs, es = sol.t, sol.y[0], sol.y[1]
-    recorded = []
-    for i, (kind, value) in enumerate(meta):
-        if kind in (CRITICAL_POINT, TARGET_DENSITY) and not events[i].terminal:
-            for t_ev, y_ev in zip(sol.t_events[i], sol.y_events[i]):
-                recorded.append(
-                    Event(kind, State(float(t_ev), float(y_ev[0]), float(y_ev[1])), value)
-                )
-    recorded.sort(key=lambda ev: dsign * ev.state.x)
-
-    if sol.status == -1:
-        term = Event(STEP_FAILURE, State(float(xs[-1]), float(rs[-1]), float(es[-1])))
-        return _LegResult(xs, rs, es, term, recorded)
-    if sol.status == 0:
-        end = State(float(xs[-1]), float(rs[-1]), float(es[-1]))
-        if ends_at_domain:
-            return _LegResult(xs, rs, es, Event(DOMAIN_END, end, x_end), recorded)
-        raise IntegrationFailure(
-            "arc length budget exhausted before any stop event",
-            diagnostics={"x": end.x, "rho": end.rho, "e": end.e},
-        )
-
-    # a terminal event fired; identify the chronologically first one
-    fired = None
-    for i, fn in enumerate(events):
-        if fn.terminal and len(sol.t_events[i]):
-            te = sol.t_events[i][0]
-            key = dsign * (te - x)
-            if fired is None or key < fired[0]:
-                fired = (key, i, te, sol.y_events[i][0])
-    _, idx, te, ye = fired
-    kind, value = meta[idx]
-    end = State(float(te), float(ye[0]), float(ye[1]))
-    term = None if kind == "_band" else Event(kind, end, value)
+    xs, rs, es = np.array(res.t), np.array(res.ya), np.array(res.yb)
+    recorded, term = _leg_events(res, watches, State)
+    if res.status == -1:
+        term = Event(STEP_FAILURE, State(res.t[-1], res.ya[-1], res.yb[-1]))
+    elif res.status == 0:
+        end = State(res.t[-1], res.ya[-1], res.yb[-1])
+        if not ends_at_domain:
+            raise IntegrationFailure(
+                "arc length budget exhausted before any stop event",
+                diagnostics={"x": end.x, "rho": end.rho, "e": end.e},
+            )
+        term = Event(DOMAIN_END, end, x_end)
+    elif term.kind == "_band":
+        term = None  # band entry: the caller continues in the rho-chart
     return _LegResult(xs, rs, es, term, recorded)
 
 
@@ -461,68 +748,42 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         live = [tg for tg in live if (r_b - tg.value) * s_rho > 0 and not tg.terminal]
     record_values = [tg.value for tg in live if not tg.terminal]
 
-    rhs = _make_rhs_rho(p)
-    events = []
-    meta = []
+    guard2 = CRITICAL_GUARD * CRITICAL_GUARD
+    blow_e = cfg.blow_up_field
 
-    def add(fn, terminal, direction, kind, value=None):
-        events.append(_mark(fn, terminal, direction))
-        meta.append((kind, value))
+    def near_critical(r, e, x):
+        q = r * e - inv_tau
+        return q * q - guard2
 
-    add(
-        lambda r, y: (r * y[0] - inv_tau) ** 2 - CRITICAL_GUARD**2,
-        True,
-        -1,
-        STEP_FAILURE,
-    )
-    add(lambda r, y: y[0] - cfg.blow_up_field, True, 0, BLOW_UP)
-    add(lambda r, y: y[0] + cfg.blow_up_field, True, 0, BLOW_UP)
+    watches = [
+        _Watch(near_critical, True, -1, STEP_FAILURE),
+        _Watch(lambda r, e, x: e - blow_e, True, 0, BLOW_UP),
+        _Watch(lambda r, e, x: e + blow_e, True, 0, BLOW_UP),
+    ]
     if domain is not None and dsign * (domain.x - x) > 0:
-        add(
-            (lambda xd: lambda r, y: y[1] - xd)(domain.x),
-            True,
-            dsign,
-            DOMAIN_END,
-            domain.x,
+        xd = domain.x
+        watches.append(
+            _Watch(lambda r, e, x: x - xd, True, int(dsign), DOMAIN_END, xd)
         )
 
-    t_eval = _rho_grid(rho, r_b, inserts=record_values)
-    sol = solve_ivp(
-        rhs,
-        (rho, r_b),
-        [e, x],
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        events=events,
-        t_eval=t_eval,
+    res = solve_ivp(
+        _make_rhs_rho(p), rho, r_b, (e, x),
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
+        t_eval=_rho_grid(rho, r_b, inserts=record_values),
         dense_output=True,
     )
-
-    rs, es, xs = sol.t, sol.y[0], sol.y[1]
-
-    terminator = None
-    if sol.status == -1:
+    rs, es, xs = np.array(res.t), np.array(res.ya), np.array(res.yb)
+    _, terminator = _leg_events(res, watches, lambda r, e, x: State(x, r, e))
+    if res.status == -1:
         terminator = Event(
             STEP_FAILURE, State(float(xs[-1]), float(rs[-1]), float(es[-1]))
         )
-    elif sol.status == 1:
-        fired = None
-        for i, fn in enumerate(events):
-            if fn.terminal and len(sol.t_events[i]):
-                te = sol.t_events[i][0]
-                key = s_rho * (te - rho)
-                if fired is None or key < fired[0]:
-                    fired = (key, i, te, sol.y_events[i][0])
-        _, idx, te, ye = fired
-        kind, value = meta[idx]
-        end = State(float(ye[1]), float(te), float(ye[0]))
-        terminator = Event(kind, end, value)
-        if len(rs) == 0 or rs[-1] != te:
-            rs = np.append(rs, te)
-            es = np.append(es, ye[0])
-            xs = np.append(xs, ye[1])
+    elif res.status == 1:
+        end = terminator.state
+        if len(rs) == 0 or rs[-1] != end.rho:
+            rs = np.append(rs, end.rho)
+            es = np.append(es, end.e)
+            xs = np.append(xs, end.x)
     else:
         end = State(float(xs[-1]), float(rs[-1]), float(es[-1]))
         if r_b == 1.0:
@@ -545,10 +806,10 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
             for i in wide
         ]
         extra = np.concatenate(fill)
-        ye = sol.sol(extra)
+        ye = np.array(res.sol(extra.tolist())).reshape(-1, 2)
         rs = np.concatenate([rs, extra])
-        es = np.concatenate([es, ye[0]])
-        xs = np.concatenate([xs, ye[1]])
+        es = np.concatenate([es, ye[:, 0]])
+        xs = np.concatenate([xs, ye[:, 1]])
         order = np.argsort(s_rho * rs)
         rs, es, xs = rs[order], es[order], xs[order]
         keep = np.concatenate([[True], np.diff(xs) != 0.0])

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.integrate
 
+import sonic_flow
+from sonic_flow import integrator
 from sonic_flow import (
     CriticalPoint,
     DegenerateLaunch,
@@ -254,3 +262,214 @@ class TestSegmentContracts:
             State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], p, cfg
         )
         assert np.abs(np.diff(seg.xs)).max() <= cfg.max_step * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince kernel against scipy's RK45, which stays a test-only oracle
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every kernel run the chart legs make: (args, kwargs, result)."""
+    calls = []
+    kernel = integrator.solve_ivp
+
+    def spy(*args, **kwargs):
+        res = kernel(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(integrator, "solve_ivp", spy)
+    return calls
+
+
+def _rk45(args, kwargs):
+    """The same run through scipy.integrate.solve_ivp(method="RK45")."""
+    fun, t0, t_bound, y0, rtol, atol, max_step, watches = args
+    events = []
+    for w in watches:
+        ev = (lambda g: lambda t, y: g(t, y[0], y[1]))(w.g)
+        ev.terminal, ev.direction = w.terminal, w.direction
+        events.append(ev)
+    return scipy.integrate.solve_ivp(
+        lambda t, y: fun(t, y[0], y[1]),
+        (t0, t_bound),
+        list(y0),
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        max_step=max_step,
+        events=events,
+        t_eval=kwargs.get("t_eval"),
+        dense_output=kwargs.get("dense_output", False),
+    )
+
+
+def _assert_matches_rk45(call):
+    args, kwargs, res = call
+    ref = _rk45(args, kwargs)
+    assert res.status == ref.status
+    assert res.nfev == ref.nfev
+    assert len(res.t) == len(ref.t)
+    assert res.t[-1] == pytest.approx(ref.t[-1], abs=1e-12)
+    assert res.ya[-1] == pytest.approx(ref.y[0, -1], abs=1e-12)
+    assert res.yb[-1] == pytest.approx(ref.y[1, -1], abs=1e-12)
+    d = math.copysign(1.0, args[2] - args[1])
+    ref_roots = sorted(
+        ((i, float(t)) for i, ts in enumerate(ref.t_events) for t in ts),
+        key=lambda r: d * r[1],
+    )
+    assert [i for i, *_ in res.roots] == [i for i, _ in ref_roots]
+    for (_, t, *_), (_, t_ref) in zip(res.roots, ref_roots):
+        assert t == pytest.approx(t_ref, abs=1e-12)
+    return ref
+
+
+class TestKernelMatchesRK45:
+    # a loose step cap leaves the step sizes to the error controller
+    loose_cap = IntegratorConfig(max_step=0.5)
+
+    def test_x_chart_arc_to_domain_end(self, kernel_calls):
+        p = params(15.0, 1.5)
+        seg = integrate(
+            State(0.0, 1.5, p.inv_tau / 1.5 + 0.05), "forward", [DomainEnd(1.0)], p,
+            self.loose_cap,
+        )
+        assert seg.terminator.kind == "domain_end"
+        assert len(kernel_calls) == 1
+        _assert_matches_rk45(kernel_calls[0])
+        assert kernel_calls[0][2].status == 0
+
+    def test_rho_chart_arc_with_t_eval(self, kernel_calls):
+        p = params(15.0, 1.5)
+        integrate_from_sonic(
+            0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
+            self.loose_cap,
+        )
+        args, kwargs, res = kernel_calls[0]
+        assert kwargs["t_eval"] is not None and kwargs["dense_output"]
+        assert args[1] == 1.0  # the rho-chart leg leaving the sonic line
+        _assert_matches_rk45(kernel_calls[0])
+        assert len(res.t) == len(kwargs["t_eval"])
+
+    def test_arc_ending_on_terminal_target(self, kernel_calls):
+        p = params(15.0, 1.5)
+        seg = integrate(
+            State(0.0, 1.5, p.inv_tau / 1.5 + 0.05), "forward",
+            [TargetDensity(1.52)], p, self.loose_cap,
+        )
+        assert seg.terminator.kind == "target_density"
+        args, _, res = kernel_calls[-1]
+        assert res.status == 1
+        assert args[7][res.terminal].kind == "target_density"
+        ref = _assert_matches_rk45(kernel_calls[-1])
+        assert res.roots[-1][1] == pytest.approx(
+            float(ref.t_events[res.terminal][0]), abs=1e-12
+        )
+
+
+    def test_controller_after_rejections(self):
+        # a steep tanh front makes the controller reject trial steps on the
+        # way in and hold back growth right after each rejection
+        def fun(t, a, b):
+            return 50.0 / math.cosh(50.0 * (t - 1.0)) ** 2, a
+
+        args = (fun, 0.0, 2.0, (math.tanh(-50.0), 0.0), 1e-9, 1e-11, 1.0, [])
+        res = integrator.solve_ivp(*args)
+        accepted = len(res.t) - 1
+        assert res.nfev > 2 + 6 * accepted  # some trial steps were rejected
+        _assert_matches_rk45((args, {}, res))
+        assert res.ya[-1] == pytest.approx(math.tanh(50.0), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# kernel event semantics on closed-form flows
+
+
+def _unit_drift(t, a, b):
+    return 1.0, 0.0  # a(t) = a(t0) + (t - t0)
+
+
+def _watch(level, terminal=True, direction=0):
+    return integrator._Watch(lambda t, a, b: a - level, terminal, direction, "level")
+
+
+def _step_of(res, t):
+    """Index of the accepted step whose span holds t."""
+    return next(
+        k for k, s in enumerate(res.steps)
+        if min(s.t_old, s.t_old + s.h) <= t <= max(s.t_old, s.t_old + s.h)
+    )
+
+
+class TestKernelEvents:
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_two_terminal_roots_in_one_step_stop_at_earlier(self, forward):
+        # the later root in traversal order gets the lower event index
+        t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
+        first, second = (0.5, 0.5 + 1e-6) if forward else (0.5 + 1e-6, 0.5)
+        watches = [_watch(second), _watch(first)]
+        res = integrator.solve_ivp(
+            _unit_drift, t0, t1, (t0, 0.0), 1e-9, 1e-11, 1.0, watches,
+            dense_output=True,
+        )
+        assert _step_of(res, first) is _step_of(res, second)
+        assert res.status == 1 and res.terminal == 1
+        assert [i for i, *_ in res.roots] == [1]
+        assert res.t[-1] == pytest.approx(first, abs=1e-12)
+        assert res.ya[-1] == pytest.approx(first, abs=1e-12)
+
+    def test_direction_filters(self):
+        # a = sin t falls through 0 at pi and rises through it at 2 pi
+        def fun(t, a, b):
+            return math.cos(t), 0.0
+
+        watches = [_watch(0.0, False, 1), _watch(0.0, False, -1), _watch(0.0, False, 0)]
+        res = integrator.solve_ivp(
+            fun, 0.5, 7.0, (math.sin(0.5), 0.0), 1e-10, 1e-12, 0.1, watches
+        )
+        assert res.status == 0 and res.terminal is None
+        got = [(i, round(t / math.pi, 6)) for i, t, *_ in res.roots]
+        assert sorted(got) == [(0, 2.0), (1, 1.0), (2, 1.0), (2, 2.0)]
+
+    def test_non_terminal_root_before_terminal_is_recorded(self):
+        watches = [
+            _watch(0.3, terminal=False),
+            _watch(0.6),
+            _watch(0.6 + 1e-9, terminal=False),  # past the stop: dropped
+        ]
+        res = integrator.solve_ivp(
+            _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 1.0, watches,
+            dense_output=True,
+        )
+        assert _step_of(res, 0.6) is _step_of(res, 0.6 + 1e-9)
+        assert res.status == 1 and res.terminal == 1
+        assert [i for i, *_ in res.roots] == [0, 1]
+        assert res.roots[0][1] == pytest.approx(0.3, abs=1e-12)
+        assert res.t[-1] == pytest.approx(0.6, abs=1e-12)
+
+    def test_t_eval_sampling_includes_terminal_point(self):
+        def run(t_eval):
+            return integrator.solve_ivp(
+                _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 1.0,
+                [_watch(0.5)], t_eval=t_eval,
+            )
+
+        root = run(None).t[-1]
+        res = run([0.0, 0.25, root, 0.75])
+        assert res.status == 1
+        assert res.t == [0.0, 0.25, root]
+        assert res.ya == pytest.approx([0.0, 0.25, 0.5], abs=1e-12)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(sonic_flow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sonic_flow; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
