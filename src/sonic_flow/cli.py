@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .model_core import (
     ShockData,
     State,
     critical_point_analysis,
+    regime,
 )
 from .solution import Solution, TransitionData
 from .solvers import (
@@ -170,16 +170,10 @@ def _dispatch_solve(p: ModelParams, solver: dict, icfg: IntegratorConfig) -> Sol
 # artifact writers
 
 
-def _row_regime(rho: float, tol: float = 1e-9) -> str:
-    if abs(rho - 1.0) <= tol:
-        return "sonic"
-    return "subsonic" if rho > 1.0 else "supersonic"
-
-
 def write_solution_csv(sol: Solution, path: Path) -> None:
     lines = ["x,rho,e,regime"]
     for x, rho, e in zip(sol.x.tolist(), sol.rho.tolist(), sol.e.tolist()):
-        lines.append(f"{x!r},{rho!r},{e!r},{_row_regime(rho)}")
+        lines.append(f"{x!r},{rho!r},{e!r},{regime(rho)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -424,9 +418,8 @@ def run_sweep(cfg: dict, out_dir: Path) -> int:
     if variable not in SWEEP_VARIABLES:
         raise UsageError(f"sweep variable must be one of {SWEEP_VARIABLES}")
     values = _sweep_values(spec)
-    workers = min(8, max(1, len(values)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_one(cfg, variable, v), values))
+    # serial: the solves are pure Python, so threads only contend for the GIL
+    rows = [_sweep_one(cfg, variable, v) for v in values]
 
     header = (
         "index,variable,value,success,kind,x0,rho_l,rho_r,e_jump,slope,"

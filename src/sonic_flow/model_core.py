@@ -205,6 +205,13 @@ class ModelParams:
         return 1.0 / self.tau
 
 
+def regime(rho: float, tol: float = 1e-9) -> str:
+    """Flow regime at density rho: sonic within tol of 1, else sub- or supersonic."""
+    if abs(rho - 1.0) <= tol:
+        return "sonic"
+    return "subsonic" if rho > 1.0 else "supersonic"
+
+
 @dataclass(frozen=True)
 class State:
     """Point on a trajectory in the primal chart: position, density, field."""
@@ -218,9 +225,7 @@ class State:
             raise ValueError("density must be positive")
 
     def regime(self, tol: float = 1e-9) -> str:
-        if abs(self.rho - 1.0) <= tol:
-            return "sonic"
-        return "subsonic" if self.rho > 1.0 else "supersonic"
+        return regime(self.rho, tol)
 
 
 @dataclass(frozen=True)
@@ -468,15 +473,3 @@ def supersonic_min_density_bracket(length: float, b_lower: float) -> tuple[float
     beta = 1.0 / (2.0 + s)
     gamma_up = 1.0 - length ** 2 / (16.0 * (2.0 + s) ** 3)
     return beta, gamma_up
-
-
-def launch_energy_lower_bound(length: float, b_lower: float) -> float:
-    """Lower bound on E(0) for a frictionless supersonic arc of span ``length``.
-
-    Evaluates f(s) = 1 + ((2-b)(s-1)^2 + (2-2b)(s-1))/(2 s^2) - s + b log(s)
-    at the upper density bound gamma(length).
-    """
-    _, s = supersonic_min_density_bracket(length, b_lower)
-    f = 1.0 + ((2.0 - b_lower) * (s - 1.0) ** 2 + (2.0 - 2.0 * b_lower) * (s - 1.0)) / (2.0 * s * s) \
-        - s + b_lower * math.log(s)
-    return math.sqrt(max(f, 0.0))

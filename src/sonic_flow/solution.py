@@ -103,11 +103,6 @@ class Solution:
             return None
         return int(np.nonzero(np.diff(self.x) == 0.0)[0][0])
 
-    def regimes(self, tol: float = 1e-9) -> np.ndarray:
-        labels = np.where(self.rho > 1.0 + tol, "subsonic", "supersonic")
-        labels = np.where(np.abs(self.rho - 1.0) <= tol, "sonic", labels)
-        return labels
-
     def interp_rho(self, xq) -> np.ndarray:
         return np.interp(xq, self.x, self.rho)
 

@@ -69,6 +69,80 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     )
 
 
+def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol):
+    """Root of a shooting residual that rises through zero in the launch parameter.
+
+    ``shot(v)`` returns ``(residual, data)``.  While ``shot(lo)`` is not
+    negative, ``lo`` moves to ``widen_lo(lo)``; while ``shot(hi)`` is not
+    positive, ``hi`` moves to ``widen_hi(hi)`` and the old ``hi`` becomes
+    ``lo``.  A rule of None, or a rule returning None, pins its end; each end
+    moves at most 60 times.  brentq then closes the bracket.  Returns the root
+    and the number of shots made.
+    """
+    shots = 0
+
+    def residual(v: float) -> float:
+        nonlocal shots
+        shots += 1
+        return shot(v)[0]
+
+    def stuck(which: str) -> BracketFailure:
+        return BracketFailure(
+            f"no launch parameter moves the shooting residual {which} zero",
+            diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": shots},
+        )
+
+    r_lo, r_hi = residual(lo), residual(hi)
+    moves = 0
+    while r_lo >= 0.0:
+        nxt = widen_lo(lo) if widen_lo is not None and moves < 60 else None
+        if nxt is None:
+            raise stuck("below")
+        lo, r_lo, moves = nxt, residual(nxt), moves + 1
+    moves = 0
+    while r_hi <= 0.0:
+        nxt = widen_hi(hi) if widen_hi is not None and moves < 60 else None
+        if nxt is None:
+            raise stuck("above")
+        lo, r_lo = hi, r_hi
+        hi, r_hi, moves = nxt, residual(nxt), moves + 1
+    root, info = brentq(residual, lo, hi, xtol=xtol, rtol=8.9e-16, full_output=True, disp=False)
+    if not info.converged:
+        raise ShootingDivergence(
+            "brentq did not converge on the shooting bracket",
+            diagnostics={"bracket": [lo, hi], "shots": shots},
+        )
+    return root, shots
+
+
+def _polish(shot_fine, v, first):
+    """Re-shoot at output resolution, then take up to 6 secant steps.
+
+    The root was tuned against probe-resolution arcs, so the fine arc lands
+    offset by the probes' own integration error.  ``first`` is the second
+    secant point.  A fine shot whose data is None ends the polish.  Returns
+    ``(v, residual, data)`` of the last accepted shot.
+    """
+    residual, data = shot_fine(v)
+    v_old = r_old = None
+    for _ in range(6):
+        if data is None or abs(residual) <= 1e-10:
+            break
+        if v_old is None:
+            v_next = first
+        else:
+            denom = residual - r_old
+            if denom == 0.0:
+                break
+            v_next = v - residual * (v - v_old) / denom
+        r_next, data_next = shot_fine(v_next)
+        if data_next is None:
+            break
+        v_old, r_old = v, residual
+        v, residual, data = v_next, r_next, data_next
+    return v, residual, data
+
+
 def _require_subsonic_regime(p: ModelParams) -> None:
     if p.doping.b_lower <= 1.0:
         raise PreconditionViolation(
@@ -118,7 +192,7 @@ def _subsonic_shot(q: float, p: ModelParams, cfg: IntegratorConfig):
 def solve_subsonic_shooting(
     p: ModelParams, cfg: IntegratorConfig | None = None
 ) -> Solution:
-    """Subsonic solution by bisection on the launch field E(0).
+    """Subsonic solution by root finding on the launch field E(0).
 
     The arc length of the sonic-to-sonic excursion grows monotonically with
     the launch excess q = E(0) - 1/tau, so a sign change of (landing - 1)
@@ -127,76 +201,27 @@ def solve_subsonic_shooting(
     _require_subsonic_regime(p)
     cfg = cfg or IntegratorConfig()
 
-    q_lo, q_hi = 1e-4, 0.05
-    r_lo, _ = _subsonic_shot(q_lo, p, cfg)
-    while r_lo >= 0.0:
-        # the arc shrinks with the launch excess; probe smaller q, staying
-        # clear of the degenerate-launch guard at 1e-6
-        q_lo *= 0.5
-        if q_lo < 4e-6:
-            raise BracketFailure(
-                "arc length does not shrink below 1 at vanishing launch excess",
-                diagnostics={"q_lo": q_lo, "residual": r_lo},
-            )
-        r_lo, _ = _subsonic_shot(q_lo, p, cfg)
-    r_hi, _ = _subsonic_shot(q_hi, p, cfg)
-    grow = 0
-    while r_hi < 0.0:
-        q_lo, r_lo = q_hi, r_hi
-        q_hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise BracketFailure(
-                "no launch field produces an arc reaching x = 1",
-                diagnostics={"q_hi": q_hi, "residual": r_hi},
-            )
-        r_hi, _ = _subsonic_shot(q_hi, p, cfg)
-
-    best = None
-    iterations = 0
-    while q_hi - q_lo > 1e-15 * max(1.0, q_hi):
-        q_mid = 0.5 * (q_lo + q_hi)
-        r_mid, seg = _subsonic_shot(q_mid, p, cfg)
-        iterations += 1
-        if seg is not None:
-            if best is None or abs(r_mid) < abs(best[0]):
-                best = (r_mid, q_mid, seg)
-        if r_mid < 0.0:
-            q_lo = q_mid
-        else:
-            q_hi = q_mid
-        if best is not None and abs(best[0]) < 1e-11:
-            break
-        if iterations > 200:
-            break
-    if best is None or abs(best[0]) > 1e-7:
-        raise ShootingDivergence(
-            "bisection on the launch field failed to land at x = 1",
-            diagnostics={"bracket": (q_lo, q_hi), "iterations": iterations},
-        )
-    residual, q_star, _ = best
+    # the lower end halves toward, but stays clear of, the degenerate-launch
+    # guard at 1e-6
+    q_star, shots = _shoot(
+        lambda q: _subsonic_shot(q, p, cfg),
+        1e-4,
+        0.05,
+        lambda q: 0.5 * q if 0.5 * q >= 4e-6 else None,
+        lambda q: 2.0 * q,
+        xtol=1e-15,
+    )
+    # the square-root endpoint amplifies an abscissa miss eps into a
+    # sqrt(q*eps) density gap, hence the polish at output resolution
     fine = _fine(cfg)
-    residual, seg = _subsonic_shot(q_star, p, fine)
-    # the bisection tuned q against probe-resolution arcs, so the fine arc
-    # lands offset by the probes' own integration error, and the square-root
-    # endpoint amplifies an abscissa miss eps into a sqrt(q*eps) density gap.
-    # Polish at output resolution with secant steps.
-    q_old = r_old = None
-    for _ in range(6):
-        if seg is None or abs(residual) <= 1e-10:
-            break
-        if q_old is None:
-            q_next = q_star * (1.0 + 1e-4)
-        else:
-            denom = residual - r_old
-            if denom == 0.0:
-                break
-            q_next = q_star - residual * (q_star - q_old) / denom
-        r_next, seg_next = _subsonic_shot(q_next, p, fine)
-        if seg_next is None:
-            break
-        q_old, r_old = q_star, residual
-        q_star, residual, seg = q_next, r_next, seg_next
+    q_star, residual, seg = _polish(
+        lambda q: _subsonic_shot(q, p, fine), q_star, q_star * (1.0 + 1e-4)
+    )
+    if seg is None or abs(residual) > 1e-7:
+        raise ShootingDivergence(
+            "shooting on the launch field failed to land at x = 1",
+            diagnostics={"launch_excess": q_star, "residual": residual, "shots": shots},
+        )
     return Solution(
         kind="subsonic",
         x=seg.xs,
@@ -207,7 +232,7 @@ def solve_subsonic_shooting(
             "g0": p.inv_tau + q_star,
             "launch_excess": q_star,
             "boundary_residual": abs(residual),
-            "shooting_iterations": iterations,
+            "shooting_iterations": shots,
             "rho_max": float(seg.rhos.max()),
         },
     )
@@ -380,6 +405,21 @@ def _supersonic_arcs(x_min: float, rho_min: float, p: ModelParams, cfg: Integrat
     return ok, fwd, bwd
 
 
+def _supersonic_shot(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
+    """Arcs from a minimum at x = 0; the residual 1 - total length rises with rho_min."""
+    ok, fwd, bwd = _supersonic_arcs(0.0, rho_min, p, cfg)
+    if not ok:
+        raise ShootingDivergence(
+            "supersonic half-arc failed to land on the sonic line",
+            diagnostics={
+                "rho_min": rho_min,
+                "forward": fwd.terminator.kind if fwd.terminator else None,
+                "backward": bwd.terminator.kind if bwd.terminator else None,
+            },
+        )
+    return 1.0 - (fwd.last.x - bwd.last.x), (fwd, bwd)
+
+
 def _compose_supersonic(fwd: TrajectorySegment, bwd: TrajectorySegment, shift: float):
     xs = np.concatenate([bwd.xs[::-1] + shift, fwd.xs[1:] + shift])
     rhos = np.concatenate([bwd.rhos[::-1], fwd.rhos[1:]])
@@ -428,62 +468,30 @@ def solve_supersonic(
         beta, gam = supersonic_min_density_bracket(1.0, b_ref)
         bracket = (beta, min(gam, 1.0 - 2.0 * cfg.sonic_band))
     lo, hi = bracket
-
-    def length_residual(rho_min: float) -> float:
-        ok, fwd, bwd = _supersonic_arcs(0.0, rho_min, p, cfg)
-        if not ok:
-            raise ShootingDivergence(
-                "supersonic half-arc failed to land on the sonic line",
-                diagnostics={
-                    "rho_min": rho_min,
-                    "forward": fwd.terminator.kind if fwd.terminator else None,
-                    "backward": bwd.terminator.kind if bwd.terminator else None,
-                },
-            )
-        return (fwd.last.x - bwd.last.x) - 1.0
-
-    r_lo, r_hi = length_residual(lo), length_residual(hi)
-    if r_lo * r_hi > 0.0:
-        raise BracketFailure(
-            "total arc length does not change sign over the minimum-density bracket",
-            diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi]},
-        )
-    rho_min = brentq(length_residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    # neither end moves: the bracket bounds the admissible minimum densities
+    rho_min, _ = _shoot(
+        lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14
+    )
 
     if p.doping.is_constant:
         # constant doping is translation invariant: slide the composite so
         # the backward landing sits at x = 0
         fine = _fine(cfg)
-        ok, fwd, bwd = _supersonic_arcs(0.0, rho_min, p, fine)
-        if not ok:
+
+        def fine_shot(rho_min: float):
+            try:
+                return _supersonic_shot(rho_min, p, fine)
+            except ShootingDivergence:
+                return math.nan, None
+
+        rho_min, _, arcs = _polish(fine_shot, rho_min, rho_min * (1.0 - 1e-5))
+        if arcs is None:
             raise ShootingDivergence("supersonic reconstruction lost its landing")
-        resid = (fwd.last.x - bwd.last.x) - 1.0
-        # brentq matched the probe-resolution arcs; polish the minimum density
-        # against the fine arcs so the sonic landings sit one unit apart to
-        # well inside the boundary tolerance
-        rm_old = r_old = None
-        for _ in range(6):
-            if abs(resid) <= 1e-10:
-                break
-            if rm_old is None:
-                rm_next = rho_min * (1.0 - 1e-5)
-            else:
-                denom = resid - r_old
-                if denom == 0.0:
-                    break
-                rm_next = rho_min - resid * (rho_min - rm_old) / denom
-            ok2, fwd2, bwd2 = _supersonic_arcs(0.0, rm_next, p, fine)
-            if not ok2:
-                break
-            rm_old, r_old = rho_min, resid
-            rho_min, fwd, bwd = rm_next, fwd2, bwd2
-            resid = (fwd.last.x - bwd.last.x) - 1.0
+        fwd, bwd = arcs
         xs, rhos, es = _compose_supersonic(fwd, bwd, -bwd.last.x)
     else:
-        ok, fwd, bwd = _supersonic_arcs(0.0, rho_min, p, cfg)
-        if not ok:
-            raise ShootingDivergence("supersonic reconstruction lost its landing")
-        rho_min, x_min, fwd, bwd = _variable_doping_supersonic(
+        _, (_, bwd) = _supersonic_shot(rho_min, p, cfg)
+        rho_min, x_min = _variable_doping_supersonic(
             p, cfg, rho_min, -bwd.last.x
         )
         ok, fwd, bwd = _supersonic_arcs(x_min, rho_min, p, _fine(cfg))
@@ -518,12 +526,10 @@ def _variable_doping_supersonic(p, cfg, rho_min0, shift0):
     def residuals(v):
         rho_min, x_min = v
         ok, fwd, bwd = _supersonic_arcs(x_min, rho_min, p, cfg)
-        if not ok:
-            return None, fwd, bwd
-        return np.array([bwd.last.x, fwd.last.x - 1.0]), fwd, bwd
+        return np.array([bwd.last.x, fwd.last.x - 1.0]) if ok else None
 
     v = np.array([rho_min0, shift0])
-    r, fwd, bwd = residuals(v)
+    r = residuals(v)
     if r is None:
         raise ShootingDivergence("supersonic arcs invalid at the Newton start")
     for _ in range(40):
@@ -533,7 +539,7 @@ def _variable_doping_supersonic(p, cfg, rho_min0, shift0):
         for k in range(2):
             dv = np.zeros(2)
             dv[k] = 1e-7 * max(1.0, abs(v[k]))
-            r2, _, _ = residuals(v + dv)
+            r2 = residuals(v + dv)
             if r2 is None:
                 raise ShootingDivergence(
                     "finite-difference probe left the admissible region",
@@ -546,10 +552,9 @@ def _variable_doping_supersonic(p, cfg, rho_min0, shift0):
             raise ShootingDivergence("singular shooting Jacobian") from exc
         lam = 1.0
         while lam > 2.0**-20:
-            r_new, fwd_new, bwd_new = residuals(v + lam * step)
+            r_new = residuals(v + lam * step)
             if r_new is not None and np.abs(r_new).max() < np.abs(r).max():
-                v = v + lam * step
-                r, fwd, bwd = r_new, fwd_new, bwd_new
+                v, r = v + lam * step, r_new
                 break
             lam *= 0.5
         else:
@@ -562,32 +567,7 @@ def _variable_doping_supersonic(p, cfg, rho_min0, shift0):
             "two-parameter supersonic Newton did not converge",
             diagnostics={"residual": list(map(float, r))},
         )
-    return v[0], v[1], fwd, bwd
-
-
-def solve_supersonic_all(
-    p: ModelParams, cfg: IntegratorConfig | None = None, scan_points: int = 40
-) -> list[Solution]:
-    """All supersonic solutions found by a sign-change scan in rho_min."""
-    _check_regime_for_supersonic(p, "supersonic")
-    cfg = cfg or IntegratorConfig()
-    lo, hi = 0.05, 1.0 - 2.0 * cfg.sonic_band
-    grid = np.linspace(lo, hi, scan_points)
-
-    def residual_or_nan(rho_min: float) -> float:
-        ok, fwd, bwd = _supersonic_arcs(0.0, rho_min, p, cfg)
-        if not ok:
-            return math.nan
-        return (fwd.last.x - bwd.last.x) - 1.0
-
-    vals = np.array([residual_or_nan(r) for r in grid])
-    out = []
-    for a, b, ra, rb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if math.isnan(ra) or math.isnan(rb) or ra * rb > 0.0:
-            continue
-        out.append(solve_supersonic(p, cfg, bracket=(float(a), float(b))))
-    out.sort(key=lambda s: s.diagnostics["rho_min"])
-    return out
+    return v[0], v[1]
 
 
 @dataclass(frozen=True)
@@ -744,35 +724,15 @@ def solve_transonic_shock(
     runs = []
     for delta in deltas:
         e_lo, e_hi = _shock_bracket(delta, rho_l, p)
-        r_lo, _ = _shock_shot(e_lo, delta, rho_l, p, cfg)
-        grow = 0
-        while r_lo >= 0.0:
-            # seed sits past the solution: pull toward the touching energy
-            e_lo = 0.5 * (e_lo + p.inv_tau)
-            grow += 1
-            if grow > 60:
-                raise BracketFailure(
-                    "no launch field keeps the shock construction short of x = 1",
-                    diagnostics={"delta": delta, "e_lo": e_lo},
-                )
-            r_lo, _ = _shock_shot(e_lo, delta, rho_l, p, cfg)
-        r_hi, _ = _shock_shot(e_hi, delta, rho_l, p, cfg)
-        grow = 0
-        while r_hi <= 0.0:
-            e_hi *= 1.5
-            grow += 1
-            if grow > 60:
-                raise BracketFailure(
-                    "no launch field pushes the shock construction past x = 1",
-                    diagnostics={"delta": delta, "e_hi": e_hi},
-                )
-            r_hi, _ = _shock_shot(e_hi, delta, rho_l, p, cfg)
-
-        def residual(e0: float) -> float:
-            r, _ = _shock_shot(e0, delta, rho_l, p, cfg)
-            return r
-
-        e_star = brentq(residual, e_lo, e_hi, xtol=1e-13, rtol=8.9e-16)
+        # a lower seed past the solution is pulled toward the touching energy
+        e_star, _ = _shoot(
+            lambda e0: _shock_shot(e0, delta, rho_l, p, cfg),
+            e_lo,
+            e_hi,
+            lambda e0: 0.5 * (e0 + p.inv_tau),
+            lambda e0: 1.5 * e0,
+            xtol=1e-13,
+        )
         r_star, parts = _shock_shot(e_star, delta, rho_l, p, _fine(cfg))
         if parts is None or abs(r_star) > 1e-7:
             raise ShootingDivergence(
@@ -980,56 +940,15 @@ def solve_c1_transonic(
             fit = _landing_fit(seg, side, p, n_stop)
             if fit is None:
                 return -_OVERSHOOT, None  # excursion too shallow to fit a tail
-            x_hat, slope, e_hat = fit
+            x_hat = fit[0]
             # both residuals grow with the launch magnitude: longer arcs land
             # farther from their launch wall
-            r = (x_hat - x0) if side == "supersonic" else (x0 - x_hat)
-            return r, (seg, x_hat, slope, e_hat)
+            return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg
 
-        # bracket: landing distance from the launch wall grows with |q|
-        q_lo, q_hi = 1e-4, 0.05
-        r_lo, _ = residual(q_lo)
-        grow = 0
-        while r_lo >= 0.0:
-            q_lo *= 0.5
-            grow += 1
-            if grow > 60:
-                raise BracketFailure(
-                    "no launch excess lands short of the transition point",
-                    diagnostics={"side": side, "x0": x0},
-                )
-            r_lo, _ = residual(q_lo)
-        r_hi, _ = residual(q_hi)
-        grow = 0
-        while r_hi <= 0.0:
-            q_hi *= 2.0
-            grow += 1
-            if grow > 60:
-                raise BracketFailure(
-                    "no launch excess lands beyond the transition point",
-                    diagnostics={"side": side, "x0": x0},
-                )
-            r_hi, _ = residual(q_hi)
-
-        best = None
-        for _ in range(200):
-            q_mid = 0.5 * (q_lo + q_hi)
-            r_mid, data = residual(q_mid)
-            if data is not None:
-                if best is None or abs(r_mid) < abs(best[0]):
-                    best = (r_mid, q_mid, data)
-            if r_mid < 0.0:
-                q_lo = q_mid
-            else:
-                q_hi = q_mid
-            if (best is not None and abs(best[0]) < 1e-11) or q_hi - q_lo < 1e-16:
-                break
-        if best is None or abs(best[0]) > 1e-7:
-            raise ShootingDivergence(
-                "branch shooting failed to place the tangential landing",
-                diagnostics={"side": side, "x0": x0},
-            )
-        _, q_best, _ = best
+        # landing distance from the launch wall grows with |q|
+        q_best, _ = _shoot(
+            residual, 1e-4, 0.05, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16
+        )
         seg, fail = _tangential_landing_shot(side, sign * q_best, p, _fine(cfg), n_stop)
         if seg is None:
             raise ShootingDivergence(

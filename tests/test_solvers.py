@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import sonic_flow.solvers
 from sonic_flow import (
+    BracketFailure,
     DopingProfile,
     ModelParams,
     NoSolutionInRegime,
@@ -32,6 +34,7 @@ from sonic_flow import (
     supersonic_residual_sweep,
     tau0_bound,
 )
+from sonic_flow.solvers import _shoot
 
 from conftest import params
 
@@ -96,6 +99,27 @@ class TestSubsonicShooting:
         with pytest.raises(PreconditionViolation) as err:
             solve_subsonic_shooting(params(15.0, 0.9))
         assert err.value.theorem_ref == "Theorem 3.1"
+
+    def test_low_tau_bracket_failure(self):
+        # every launch excess down to the degenerate-launch guard overshoots
+        with pytest.raises(BracketFailure) as err:
+            solve_subsonic_shooting(params(0.6, 1.2))
+        lo, hi = err.value.diagnostics["bracket"]
+        assert 4e-6 <= lo < hi
+        assert min(err.value.diagnostics["residuals"]) >= 0.0
+
+    def test_shot_budget(self, p_main, monkeypatch):
+        calls = []
+        launch = sonic_flow.solvers.integrate_from_sonic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return launch(*args, **kwargs)
+
+        monkeypatch.setattr(sonic_flow.solvers, "integrate_from_sonic", counted)
+        sol = solve_subsonic_shooting(p_main)
+        assert len(calls) <= 20
+        assert sol.diagnostics["shooting_iterations"] < len(calls)
 
 
 class TestSubsonicElliptic:
@@ -307,3 +331,53 @@ class TestBracketSeed:
             1.0 - 1.0 / (2.0 ** 4 * (2.0 + root) ** 3), rel=1e-12
         )
         assert 0.0 < beta < gamma < 1.0
+
+
+# ---------------------------------------------------------------------------
+# shooting driver
+
+
+class TestShootDriver:
+    @staticmethod
+    def recorded(residual):
+        calls = []
+
+        def shot(v):
+            calls.append(v)
+            return residual(v), None
+
+        return shot, calls
+
+    def test_widens_both_ends(self):
+        shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
+        root, shots = _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        assert root == pytest.approx(3.0, abs=1e-12)
+        assert shots == len(calls)
+        # the lower end moves past the zero residual at 3.0 to 2.5; the upper
+        # end moves to 3.8 and hands 2.8 to the lower end
+        assert calls[:5] == [3.5, 2.8, 3.0, 2.5, 3.8]
+        assert all(2.8 <= v <= 3.8 for v in calls[5:])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gives_up_after_60_moves(self, sign):
+        shot, calls = self.recorded(lambda v: sign)
+        with pytest.raises(BracketFailure) as err:
+            _shoot(shot, 1.0, 2.0, lambda v: 0.5 * v, lambda v: 2.0 * v, 1e-12)
+        assert len(calls) == 62
+        moved = [2.0**-60, 2.0] if sign > 0 else [2.0**60, 2.0**61]
+        assert err.value.diagnostics["bracket"] == moved
+        assert err.value.diagnostics["residuals"] == [sign, sign]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pinned_end_fails_at_once(self, sign):
+        shot, calls = self.recorded(lambda v: sign)
+        with pytest.raises(BracketFailure) as err:
+            _shoot(shot, 1.0, 2.0, None, None, 1e-12)
+        assert calls == [1.0, 2.0]
+        assert err.value.diagnostics["bracket"] == [1.0, 2.0]
+
+    def test_root_beside_sentinel_region(self):
+        # shots below 0.999 leave the admissible region and report a sentinel
+        shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
+        root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14)
+        assert root == pytest.approx(1.0, abs=1e-12)
