@@ -3,7 +3,6 @@
 from .errors import (
     BracketFailure,
     ComplexSlope,
-    CriticalLocus,
     DegenerateLaunch,
     EntropyViolation,
     GlueMismatch,
@@ -30,18 +29,15 @@ from .model_core import (
     ModelParams,
     ShockData,
     State,
-    TransformedState,
     c1_trajectory_slope,
     c1_transition_slope,
     critical_point_analysis,
     rh_jump,
-    rhs_primal,
-    rhs_rho_independent,
-    rhs_transformed,
     sonic_coefficient,
     supersonic_min_density_bracket,
     tau0_bound,
     undamped_energy_potential,
+    vector_field,
     xi_curve,
 )
 from .integrator import (

@@ -269,6 +269,11 @@ def classify_regime(p: ModelParams) -> RegimeReport:
 # residual measurement
 
 
+# The residual probe evaluates the x-chart over whole arrays, so it keeps its
+# own copy rather than calling model_core.vector_field: that one works on
+# plain floats through math.pow, which rejects arrays; serving both from one
+# definition would make it branch on its caller, and a per-sample loop would
+# make residual_norm about ten times slower.
 def _rhs_arrays(x, rho, e, p: ModelParams):
     coef = sonic_coefficient(rho, p.gamma)
     d_rho = (rho * e - p.inv_tau) / coef

@@ -2,9 +2,9 @@
 
 Three families matter to callers:
 
-* chart guards (``SonicSingularity``, ``CriticalLocus``, ...) -- raised by the
-  right-hand-side evaluators when a formulation is asked to step through its
-  own singular set;
+* chart and formula guards (``SonicSingularity``, ``NotConstantDoping``,
+  ...) -- raised by the integrator when a run is asked to start where no
+  chart applies, and by closed-form formulas outside their stated domain;
 * regime rejections (``RegimeError`` subclasses) -- the requested solution
   kind provably does not exist for the supplied parameters, carrying the
   theorem reference used by the classifier;
@@ -27,11 +27,7 @@ class SonicFlowError(Exception):
 
 
 class SonicSingularity(SonicFlowError):
-    """The x-parametrised chart was evaluated too close to the sonic line."""
-
-
-class CriticalLocus(SonicFlowError):
-    """The density-parametrised chart was evaluated too close to rho*E = 1/tau."""
+    """An integration was asked to start on the sonic line without a branch."""
 
 
 class NotConstantDoping(SonicFlowError):

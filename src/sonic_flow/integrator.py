@@ -44,6 +44,7 @@ from .model_core import (
     State,
     c1_transition_slope,
     tau0_bound,
+    vector_field,
 )
 
 # event kind labels
@@ -84,7 +85,7 @@ class IntegratorConfig:
             "blow_up_field",
             "max_arc_length",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # the x-chart must stay clear of the degenerate coefficient
         if self.sonic_band <= SONIC_COEF_GUARD:
@@ -182,7 +183,7 @@ class TrajectorySegment:
         critical locus are skipped; there the comparison is ill-conditioned
         by construction and the rho-chart owns the accuracy story.
         """
-        rhs = _make_rhs_x(p)
+        rhs, _ = vector_field(p)
         worst = 0.0
         for k in range(len(self.xs) - 1):
             dx = self.xs[k + 1] - self.xs[k]
@@ -201,71 +202,6 @@ class TrajectorySegment:
             )
             worst = max(worst, defect)
         return worst
-
-
-# Both charts' right-hand sides take and return plain floats: (t, a, b) in,
-# (da/dt, db/dt) out.  Powers go through math.pow, which raises (and the
-# kernel turns into NaN) where ** would return a complex number.
-
-
-def _make_rhs_x(p: ModelParams):
-    inv_tau = p.inv_tau
-    gamma = p.gamma
-    if p.doping.is_constant:
-        bc = p.doping.constant_value
-
-        def bfun(x):
-            return bc
-
-    else:
-        prof = p.doping
-
-        def bfun(x):
-            return float(prof(x))
-
-    if gamma == 1.0:
-
-        def rhs(x, r, e):
-            r2 = r * r
-            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - bfun(x))
-
-    else:
-
-        def rhs(x, r, e):
-            coef = math.pow(r, gamma - 1.0) - math.pow(r, -2.0)
-            return ((r * e - inv_tau) / coef, r - bfun(x))
-
-    return rhs
-
-
-def _make_rhs_rho(p: ModelParams):
-    inv_tau = p.inv_tau
-    gamma = p.gamma
-    if p.doping.is_constant:
-        bc = p.doping.constant_value
-
-        def bfun(x):
-            return bc
-
-    else:
-        prof = p.doping
-
-        def bfun(x):
-            return float(prof(x))
-
-    if gamma == 1.0:
-
-        def rhs(r, e, x):
-            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
-            return ((r - bfun(x)) * dxdr, dxdr)
-
-    else:
-
-        def rhs(r, e, x):
-            dxdr = (math.pow(r, gamma - 1.0) - math.pow(r, -2.0)) / (r * e - inv_tau)
-            return ((r - bfun(x)) * dxdr, dxdr)
-
-    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +601,7 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
             ends_at_domain = True
 
     res = solve_ivp(
-        _make_rhs_x(p), x, x_end, (rho, e),
+        vector_field(p)[0], x, x_end, (rho, e),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
     )
     xs, rs, es = np.array(res.t), np.array(res.ya), np.array(res.yb)
@@ -767,7 +703,7 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         )
 
     res = solve_ivp(
-        _make_rhs_rho(p), rho, r_b, (e, x),
+        vector_field(p)[1], rho, r_b, (e, x),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
         t_eval=_rho_grid(rho, r_b, inserts=record_values),
         dense_output=True,

@@ -7,10 +7,13 @@ form (momentum J = 1, temperature such that the sonic density is 1):
     E_x = rho - b(x),            x in [0, 1],
 
 with sonic boundary conditions rho(0) = rho(1) = 1.  ``gamma = 1`` is the
-isothermal case.  The density chart, the transformed (n, F) chart with
-n = rho - 1 and F = E - 1/(tau*rho), and the rho-parametrised chart used near
-the sonic line are all provided here as plain right-hand-side evaluators;
-integration lives in :mod:`sonic_flow.integrator`.
+isothermal case.  :func:`vector_field` is the one definition of this field,
+read in the x-chart away from the sonic line and in the density chart across
+it; integration lives in :mod:`sonic_flow.integrator`.  The rest are doping
+profiles, parameter and state types, and the closed-form quantities of the
+theory: the critical point, the Xi nullcline of the (n, F) chart with
+n = rho - 1 and F = E - 1/(tau*rho), the shock jump and the C^1 transition
+slope.
 """
 
 from __future__ import annotations
@@ -22,16 +25,13 @@ import numpy as np
 
 from .errors import (
     ComplexSlope,
-    CriticalLocus,
     EntropyViolation,
     NotConstantDoping,
     SonicDoping,
-    SonicSingularity,
 )
 
 # Guard half-widths for the singular sets of each chart.
 SONIC_COEF_GUARD = 1e-3     # on |rho^(gamma-1) - rho^-2| in the x-chart
-TRANSFORMED_GUARD = 1e-9    # on |n| in the (n, F) chart
 CRITICAL_GUARD = 1e-6       # on |rho*E - 1/tau| in the rho-chart
 SONIC_DOPING_TOL = 1e-12
 
@@ -40,13 +40,21 @@ SONIC_DOPING_TOL = 1e-12
 # doping profiles
 
 
+def _finite(values) -> list[float]:
+    values = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("doping parameters must be finite")
+    return values
+
+
 class DopingProfile:
     """Background charge density b(x) on [0, 1].
 
     Construct through one of the factory methods: :meth:`constant`,
     :meth:`sine_perturbed`, :meth:`piecewise_constant`, :meth:`tabulated`.
-    Profiles are callable and vectorised; ``b_lower``/``b_upper`` cache the
-    essential bounds used by the regime classifier.
+    Profiles are callable and vectorised: a scalar x gives a Python float,
+    an array x an array.  Every stored number is finite.  ``b_lower`` and
+    ``b_upper`` cache the essential bounds used by the regime classifier.
     """
 
     def __init__(self, kind: str, params: dict, b_lower: float, b_upper: float):
@@ -63,13 +71,13 @@ class DopingProfile:
 
     @classmethod
     def constant(cls, value: float) -> "DopingProfile":
-        value = float(value)
+        (value,) = _finite([value])
         return cls("constant", {"value": value}, value, value)
 
     @classmethod
     def sine_perturbed(cls, base: float, amplitude: float, frequency: float = 1.0) -> "DopingProfile":
         """b(x) = base + amplitude * sin(2*pi*frequency*x)."""
-        base, amplitude, frequency = float(base), float(amplitude), float(frequency)
+        base, amplitude, frequency = _finite([base, amplitude, frequency])
         xs = np.linspace(0.0, 1.0, 4097)
         vals = base + amplitude * np.sin(2.0 * math.pi * frequency * xs)
         return cls(
@@ -81,8 +89,8 @@ class DopingProfile:
 
     @classmethod
     def piecewise_constant(cls, breakpoints, values) -> "DopingProfile":
-        breakpoints = [float(p) for p in breakpoints]
-        values = [float(v) for v in values]
+        breakpoints = _finite(breakpoints)
+        values = _finite(values)
         if len(values) != len(breakpoints) + 1:
             raise ValueError("need exactly one more value than breakpoints")
         if any(not 0.0 < p < 1.0 for p in breakpoints):
@@ -99,8 +107,8 @@ class DopingProfile:
     @classmethod
     def tabulated(cls, knots, values) -> "DopingProfile":
         """Piecewise-linear interpolation of (knots, values); knots span [0, 1]."""
-        knots = [float(k) for k in knots]
-        values = [float(v) for v in values]
+        knots = _finite(knots)
+        values = _finite(values)
         if len(knots) != len(values) or len(knots) < 2:
             raise ValueError("knots and values must match and have length >= 2")
         if sorted(knots) != knots:
@@ -124,6 +132,8 @@ class DopingProfile:
             return np.full_like(np.asarray(x, dtype=float), v)
         if self.kind == "sine":
             p = self.params
+            if np.isscalar(x):
+                return p["base"] + p["amplitude"] * math.sin(2.0 * math.pi * p["frequency"] * x)
             return p["base"] + p["amplitude"] * np.sin(2.0 * math.pi * p["frequency"] * np.asarray(x, dtype=float))
         if self.kind == "piecewise":
             p = self.params
@@ -229,26 +239,6 @@ class State:
 
 
 @dataclass(frozen=True)
-class TransformedState:
-    """Point in the (n, F) chart: n = rho - 1, F = E - 1/(tau*rho)."""
-
-    n: float
-    f: float
-
-    def __post_init__(self):
-        if not self.n > -1.0:
-            raise ValueError("n must exceed -1 (density positive)")
-
-    @classmethod
-    def from_state(cls, state: State, p: ModelParams) -> "TransformedState":
-        return cls(state.rho - 1.0, state.e - 1.0 / (p.tau * state.rho))
-
-    def to_state(self, x: float, p: ModelParams) -> State:
-        rho = 1.0 + self.n
-        return State(x, rho, self.f + 1.0 / (p.tau * rho))
-
-
-@dataclass(frozen=True)
 class ShockData:
     """Entropy jump data: rho_l < 1 < rho_r with rho_l*rho_r = 1, E continuous."""
 
@@ -281,61 +271,48 @@ def sonic_coefficient(rho: float, gamma: float = 1.0):
     return rho ** (gamma - 1.0) - rho ** -2
 
 
-def rhs_primal(state: State, p: ModelParams, guard: float = SONIC_COEF_GUARD) -> tuple[float, float]:
-    """(d rho/dx, d E/dx) in the x-parametrised chart.
+def vector_field(p: ModelParams):
+    """The field in its two charts, as ``(rhs_x, rhs_rho)`` on plain floats.
 
-    Raises :class:`SonicSingularity` when the sonic coefficient is within
-    ``guard`` of zero; step through that band with the rho-chart instead.
+    ``rhs_x(x, rho, E)`` gives ``(d rho/dx, dE/dx)`` and is singular on the
+    sonic line; ``rhs_rho(rho, E, x)`` gives ``(dE/d rho, dx/d rho)`` and is
+    singular on the critical locus rho*E = 1/tau instead.  Neither guards its
+    singular set: there, float arithmetic raises (division by zero, or
+    ``math.pow`` where ``**`` would return a complex number), and the
+    integrator's kernel treats the raise as a failed trial step.
     """
-    coef = sonic_coefficient(state.rho, p.gamma)
-    if abs(coef) < guard:
-        raise SonicSingularity(
-            f"sonic coefficient {coef:.3e} below guard {guard:.1e} at rho={state.rho}"
-        )
-    d_rho = (state.rho * state.e - p.inv_tau) / coef
-    d_e = state.rho - p.b(state.x)
-    return d_rho, d_e
+    inv_tau = p.inv_tau
+    gamma = p.gamma
+    if p.doping.is_constant:
+        bc = p.doping.constant_value
 
+        def b(x):
+            return bc
 
-def rhs_transformed(ts: TransformedState, x: float, p: ModelParams, guard: float = TRANSFORMED_GUARD) -> tuple[float, float]:
-    """(dn/dx, dF/dx) in the transformed chart; isothermal only.
-
-    n_x = (1+n)^3 F / ((2+n) n),
-    F_x = n + 1 - b(x) + (1+n) F / (tau (2+n) n).
-    """
-    if p.gamma != 1.0:
-        raise ValueError("transformed chart is defined for gamma = 1 only")
-    n, f = ts.n, ts.f
-    if abs(n) < guard:
-        raise SonicSingularity(f"|n| = {abs(n):.3e} below guard {guard:.1e}")
-    d_n = (1.0 + n) ** 3 * f / ((2.0 + n) * n)
-    d_f = n + 1.0 - p.b(x) + (1.0 + n) * f / (p.tau * (2.0 + n) * n)
-    return d_n, d_f
-
-
-def rhs_rho_independent(rho: float, e: float, p: ModelParams, x: float | None = None,
-                        guard: float = CRITICAL_GUARD) -> tuple[float, float]:
-    """(dE/d rho, dx/d rho) with density as the independent variable.
-
-    dx/d rho = (rho^(gamma-1) - rho^-2) / (rho E - 1/tau) tends to zero at the
-    sonic line, which is what makes this chart regular there.  The chart is
-    singular on the critical locus rho*E = 1/tau (guarded).  For variable
-    doping the current position ``x`` must be supplied.
-    """
-    denom = rho * e - p.inv_tau
-    if abs(denom) < guard:
-        raise CriticalLocus(
-            f"|rho*E - 1/tau| = {abs(denom):.3e} below guard {guard:.1e}"
-        )
-    if x is None:
-        if not p.doping.is_constant:
-            raise NotConstantDoping("supply x for variable doping in the rho-chart")
-        b = p.doping.constant_value
     else:
-        b = p.b(x)
-    dxdrho = sonic_coefficient(rho, p.gamma) / denom
-    dedrho = (rho - b) * dxdrho
-    return dedrho, dxdrho
+        b = p.doping
+
+    if gamma == 1.0:
+
+        def rhs_x(x, r, e):
+            r2 = r * r
+            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - b(x))
+
+        def rhs_rho(r, e, x):
+            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
+            return ((r - b(x)) * dxdr, dxdr)
+
+    else:
+
+        def rhs_x(x, r, e):
+            coef = math.pow(r, gamma - 1.0) - math.pow(r, -2.0)
+            return ((r * e - inv_tau) / coef, r - b(x))
+
+        def rhs_rho(r, e, x):
+            dxdr = (math.pow(r, gamma - 1.0) - math.pow(r, -2.0)) / (r * e - inv_tau)
+            return ((r - b(x)) * dxdr, dxdr)
+
+    return rhs_x, rhs_rho
 
 
 # ---------------------------------------------------------------------------

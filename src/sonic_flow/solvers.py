@@ -469,7 +469,7 @@ def solve_supersonic(
         bracket = (beta, min(gam, 1.0 - 2.0 * cfg.sonic_band))
     lo, hi = bracket
     # neither end moves: the bracket bounds the admissible minimum densities
-    rho_min, _ = _shoot(
+    rho_min, shots = _shoot(
         lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14
     )
 
@@ -516,6 +516,7 @@ def solve_supersonic(
             "boundary_residual": abs(total - 1.0),
             "e_left": float(es[0]),
             "e_right": float(es[-1]),
+            "shooting_iterations": shots,
         },
     )
 
@@ -722,10 +723,11 @@ def solve_transonic_shock(
         raise PreconditionViolation("rho_l must sit below the largest launch offset")
 
     runs = []
+    total_shots = 0
     for delta in deltas:
         e_lo, e_hi = _shock_bracket(delta, rho_l, p)
         # a lower seed past the solution is pulled toward the touching energy
-        e_star, _ = _shoot(
+        e_star, shots = _shoot(
             lambda e0: _shock_shot(e0, delta, rho_l, p, cfg),
             e_lo,
             e_hi,
@@ -733,6 +735,7 @@ def solve_transonic_shock(
             lambda e0: 1.5 * e0,
             xtol=1e-13,
         )
+        total_shots += shots
         r_star, parts = _shock_shot(e_star, delta, rho_l, p, _fine(cfg))
         if parts is None or abs(r_star) > 1e-7:
             raise ShootingDivergence(
@@ -832,6 +835,7 @@ def solve_transonic_shock(
             "x0_extrapolation_gap": float(extrap_gap),
             "boundary_residual": float(abs(x5 - 1.0)),
             "rho_l": rho_l,
+            "shooting_iterations": total_shots,
         },
     )
 
@@ -946,7 +950,7 @@ def solve_c1_transonic(
             return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg
 
         # landing distance from the launch wall grows with |q|
-        q_best, _ = _shoot(
+        q_best, shots = _shoot(
             residual, 1e-4, 0.05, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16
         )
         seg, fail = _tangential_landing_shot(side, sign * q_best, p, _fine(cfg), n_stop)
@@ -967,10 +971,10 @@ def solve_c1_transonic(
                 "re-integrated landing moved away from the transition point",
                 diagnostics={"side": side, "x0": x0, "x_hat": x_hat},
             )
-        return seg, sign * q_best, x_hat, slope, e_hat
+        return seg, sign * q_best, x_hat, slope, e_hat, shots
 
-    sup_seg, q_sup, x_sup, m_sup, e_sup = solve_branch("supersonic")
-    sub_seg, q_sub, x_sub, m_sub, e_sub = solve_branch("subsonic")
+    sup_seg, q_sup, x_sup, m_sup, e_sup, sup_shots = solve_branch("supersonic")
+    sub_seg, q_sub, x_sub, m_sub, e_sub, sub_shots = solve_branch("subsonic")
 
     slope_gap = max(abs(m_sup - slope_ref), abs(m_sub - slope_ref)) / slope_ref
     e_gap = abs(e_sup - e_sub)
@@ -1007,5 +1011,6 @@ def solve_c1_transonic(
             "transition_field_gap": float(e_gap),
             "boundary_residual": float(max(abs(x_sup - x0), abs(x_sub - x0))),
             "n_stop": n_stop,
+            "shooting_iterations": sup_shots + sub_shots,
         },
     )

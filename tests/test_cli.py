@@ -109,6 +109,14 @@ class TestSolve:
         assert cli.main(["solve", "--config", cfg]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_doping_is_usage_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"model": model(15.0, value),
+                                      "solver": {"kind": "subsonic"}})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["transmogrify"]) == 1
 

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**{field: -1.0})
 
+    def test_rejects_nan(self):
+        for field in ("rel_tol", "abs_tol", "max_step", "sonic_band",
+                      "blow_up_density", "blow_up_field", "max_arc_length"):
+            with pytest.raises(ValueError):
+                IntegratorConfig(**{field: float("nan")})
+
     def test_band_must_exceed_coefficient_guard(self):
         with pytest.raises(ValueError):
             IntegratorConfig(sonic_band=1e-9)

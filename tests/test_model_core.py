@@ -14,31 +14,36 @@ from hypothesis import strategies as st
 
 from sonic_flow import (
     ComplexSlope,
-    CriticalLocus,
     DopingProfile,
     EntropyViolation,
     ModelParams,
     NotConstantDoping,
     SonicDoping,
-    SonicSingularity,
     State,
-    TransformedState,
     c1_trajectory_slope,
     c1_transition_slope,
     critical_point_analysis,
     rh_jump,
-    rhs_primal,
-    rhs_rho_independent,
-    rhs_transformed,
     supersonic_min_density_bracket,
     tau0_bound,
     undamped_energy_potential,
+    vector_field,
     xi_curve,
 )
 
 
 def _params(tau, b, gamma=1.0):
     return ModelParams(tau=tau, doping=DopingProfile.constant(b), gamma=gamma)
+
+
+def rhs_x(x, rho, e, p):
+    """(d rho/dx, dE/dx) from the x-chart of the model's vector field."""
+    return vector_field(p)[0](x, rho, e)
+
+
+def rhs_rho(rho, e, x, p):
+    """(dE/d rho, dx/d rho) from the density chart of the model's vector field."""
+    return vector_field(p)[1](rho, e, x)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,31 @@ class TestDopingProfile:
         d2 = DopingProfile.from_dict(d.to_dict())
         assert d2(0.37) == pytest.approx(d(0.37), abs=0)
 
+    @pytest.mark.parametrize("d", [
+        DopingProfile.sine_perturbed(1.6, 0.3, 1.0),
+        DopingProfile.sine_perturbed(1.2, -0.1, 2.5),
+        DopingProfile.piecewise_constant([0.3, 0.7], [1.5, 0.8, 2.0]),
+    ], ids=["sine", "sine_f2.5", "piecewise"])
+    def test_scalar_call_is_float_matching_array_call(self, d):
+        for x in np.linspace(-0.05, 1.05, 221).tolist():
+            v = d(x)
+            assert type(v) is float
+            assert v == d(np.array([x]))[0]
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "constant", "value": float("nan")},
+        {"type": "constant", "value": float("inf")},
+        {"type": "sine", "base": 1.5, "amplitude": float("nan")},
+        {"type": "sine", "base": 1.5, "amplitude": 0.1, "frequency": float("inf")},
+        {"type": "piecewise", "breakpoints": [float("nan")], "values": [1.5, 2.0]},
+        {"type": "piecewise", "breakpoints": [0.5], "values": [1.5, float("inf")]},
+        {"type": "tabulated", "knots": [0.0, 1.0], "values": [1.5, float("nan")]},
+        {"type": "tabulated", "knots": [0.0, float("nan"), 1.0], "values": [1.5, 1.6, 1.7]},
+    ])
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            DopingProfile.from_dict(spec)
+
 
 # ---------------------------------------------------------------------------
 # states
@@ -100,61 +130,61 @@ class TestStates:
         with pytest.raises(ValueError):
             State(0.0, -0.1, 0.0)
 
-    def test_transform_round_trip(self):
-        p = _params(2.0, 1.2)
-        s = State(0.3, 1.3, 0.2)
-        t = TransformedState.from_state(s, p)
-        back = t.to_state(0.3, p)
-        assert back.rho == pytest.approx(s.rho, abs=1e-15)
-        assert back.e == pytest.approx(s.e, abs=1e-15)
-
-    def test_transform_values(self):
-        p = _params(2.0, 1.2)
-        t = TransformedState.from_state(State(0.0, 1.25, 0.9), p)
-        assert t.n == pytest.approx(0.25)
-        assert t.f == pytest.approx(0.9 - 1.0 / (2.0 * 1.25))
-
 
 # ---------------------------------------------------------------------------
-# primal chart
+# the vector field: x-chart (primal) and density chart
 
 
 class TestRhsPrimal:
     def test_zero_at_equilibrium(self):
         p = _params(2.0, 1.5)
-        d_rho, d_e = rhs_primal(State(0.0, 1.5, 1.0 / (2.0 * 1.5)), p)
+        d_rho, d_e = rhs_x(0.0, 1.5, 1.0 / (2.0 * 1.5), p)
         assert d_rho == pytest.approx(0.0, abs=1e-15)
         assert d_e == pytest.approx(0.0, abs=1e-15)
 
     def test_critical_locus_zero_slope(self):
         # rho*E = 1/tau with rho != b: density stationary, field not
         p = _params(1.0, 1.5)
-        d_rho, d_e = rhs_primal(State(0.3, 2.0, 0.5), p)
+        d_rho, d_e = rhs_x(0.3, 2.0, 0.5, p)
         assert d_rho == pytest.approx(0.0, abs=1e-15)
         assert d_e == pytest.approx(0.5)
 
     def test_sonic_guard(self):
+        # the x-chart is singular on the sonic line; the raise is what the
+        # integrator's kernel turns into a rejected trial step
         p = _params(1.0, 1.5)
-        with pytest.raises(SonicSingularity):
-            rhs_primal(State(0.0, 1.0005, 0.3), p)
+        with pytest.raises(ArithmeticError):
+            rhs_x(0.0, 1.0, 0.3, p)
 
     @pytest.mark.parametrize("tau,b", [(0.5, 1.5), (2.0, 0.5), (15.0, 2.0)])
     def test_equilibrium_family(self, tau, b):
         p = _params(tau, b)
-        d_rho, d_e = rhs_primal(State(0.1, b, 1.0 / (tau * b)), p)
+        d_rho, d_e = rhs_x(0.1, b, 1.0 / (tau * b), p)
         assert abs(d_rho) < 1e-14 and abs(d_e) < 1e-14
 
     def test_isentropic_coefficient(self):
         # gamma = 2: coefficient rho - rho^-2
         p = _params(1.0, 1.5, gamma=2.0)
-        d_rho, _ = rhs_primal(State(0.0, 2.0, 1.0), p)
+        d_rho, _ = rhs_x(0.0, 2.0, 1.0, p)
         assert d_rho == pytest.approx((2.0 - 1.0) / (2.0 - 0.25))
 
 
 class TestRhsTransformed:
+    """The (n, F) chart, n = rho - 1 and F = E - 1/(tau rho), read off the x-chart.
+
+    n_x = rho_x and F_x = E_x + rho_x/(tau rho^2); the hand-derived chart is
+    n_x = (1+n)^3 F / ((2+n) n), F_x = n + 1 - b + (1+n) F / (tau (2+n) n).
+    """
+
+    @staticmethod
+    def _nf_rates(n, f, p):
+        rho = 1.0 + n
+        d_rho, d_e = rhs_x(0.0, rho, f + 1.0 / (p.tau * rho), p)
+        return d_rho, d_e + d_rho / (p.tau * rho ** 2)
+
     def test_zero_at_saddle(self):
         p = _params(0.5, 1.5)
-        d_n, d_f = rhs_transformed(TransformedState(0.5, 0.0), 0.0, p)
+        d_n, d_f = self._nf_rates(0.5, 0.0, p)
         assert d_n == pytest.approx(0.0, abs=1e-15)
         assert d_f == pytest.approx(0.0, abs=1e-15)
 
@@ -162,55 +192,56 @@ class TestRhsTransformed:
         p = _params(0.1, 1.5)
         f = xi_curve(0.25, p)
         assert f == pytest.approx(0.01125, abs=1e-15)
-        _, d_f = rhs_transformed(TransformedState(0.25, f), 0.0, p)
+        _, d_f = self._nf_rates(0.25, f, p)
         assert d_f == pytest.approx(0.0, abs=1e-12)
 
     def test_chain_rule_against_primal(self):
         # same trajectory direction in either chart
-        p = _params(2.0, 1.2)
+        b = 1.2
+        p = _params(2.0, b)
         s = State(0.4, 1.3, 0.2)
-        t = TransformedState.from_state(s, p)
-        d_n, d_f = rhs_transformed(t, s.x, p)
-        d_rho, d_e = rhs_primal(s, p)
+        n, f = s.rho - 1.0, s.e - 1.0 / (p.tau * s.rho)
+        d_n = (1.0 + n) ** 3 * f / ((2.0 + n) * n)
+        d_f = n + 1.0 - b + (1.0 + n) * f / (p.tau * (2.0 + n) * n)
+        d_rho, d_e = rhs_x(s.x, s.rho, s.e, p)
         assert d_n == pytest.approx(d_rho, rel=1e-10)
         # F = E - 1/(tau rho) => F_x = E_x + rho_x/(tau rho^2)
         assert d_f == pytest.approx(d_e + d_rho / (p.tau * s.rho ** 2), rel=1e-10)
-
-    def test_guard_near_sonic(self):
-        p = _params(2.0, 1.2)
-        with pytest.raises(SonicSingularity):
-            rhs_transformed(TransformedState(1e-12, 0.1), 0.0, p)
-
-    def test_gamma_rejected(self):
-        p = _params(2.0, 1.2, gamma=1.4)
-        with pytest.raises(ValueError):
-            rhs_transformed(TransformedState(0.2, 0.1), 0.0, p)
 
 
 class TestRhsRhoIndependent:
     def test_flat_at_sonic_line(self):
         p = _params(15.0, 1.5)
-        dedr, dxdr = rhs_rho_independent(1.0, -0.5, p)
+        dedr, dxdr = rhs_rho(1.0, -0.5, 0.0, p)
         assert dedr == pytest.approx(0.0, abs=1e-15)
         assert dxdr == pytest.approx(0.0, abs=1e-15)
 
     def test_golden_value(self):
         p = _params(15.0, 1.5)
-        dedr, dxdr = rhs_rho_independent(0.8, -1.0, p)
+        dedr, dxdr = rhs_rho(0.8, -1.0, 0.0, p)
         assert dedr == pytest.approx(-0.45432692307692285, rel=1e-12)
         assert dxdr == pytest.approx(0.6490384615384612, rel=1e-12)
 
-    def test_critical_guard(self):
-        p = _params(2.0, 1.5)
-        with pytest.raises(CriticalLocus):
-            rhs_rho_independent(2.0, 0.25, p)  # rho*E = 0.5 = 1/tau
+    def test_isentropic_golden_value(self):
+        # gamma = 2: dx/drho = (rho - rho^-2)/(rho E - 1/tau) = 183/208
+        p = _params(15.0, 1.5, gamma=2.0)
+        dedr, dxdr = rhs_rho(0.8, -1.0, 0.0, p)
+        assert dedr == pytest.approx(-1281.0 / 2080.0, rel=1e-12)
+        assert dxdr == pytest.approx(183.0 / 208.0, rel=1e-12)
 
-    def test_variable_doping_needs_x(self):
-        p = ModelParams(tau=2.0, doping=DopingProfile.sine_perturbed(1.5, 0.1))
-        with pytest.raises(NotConstantDoping):
-            rhs_rho_independent(0.8, -1.0, p)
-        dedr, _ = rhs_rho_independent(0.8, -1.0, p, x=0.25)
-        assert np.isfinite(dedr)
+    def test_critical_guard(self):
+        # the density chart is singular on the critical locus instead
+        p = _params(2.0, 1.5)
+        with pytest.raises(ArithmeticError):
+            rhs_rho(2.0, 0.25, 0.0, p)  # rho*E = 0.5 = 1/tau
+
+    def test_variable_doping_reads_x(self):
+        d = DopingProfile.sine_perturbed(1.5, 0.1)
+        p = ModelParams(tau=2.0, doping=d)
+        for x in (0.0, 0.25, 0.6):
+            dedr, dxdr = rhs_rho(0.8, -1.0, x, p)
+            assert dedr == (0.8 - d(x)) * dxdr
+            assert rhs_x(x, 0.8, -1.0, p)[1] == 0.8 - d(x)
 
     @pytest.mark.parametrize(
         "rho,e", [(0.7, -0.8), (1.4, 0.6), (2.2, 0.4), (0.5, 1.2)]
@@ -220,8 +251,8 @@ class TestRhsRhoIndependent:
         p = _params(2.0, 1.3)
         if abs(rho * e - p.inv_tau) < 1e-2 or abs(rho - 1.0) < 1e-2:
             pytest.skip("too close to a singular set for the comparison")
-        d_rho, d_e = rhs_primal(State(0.0, rho, e), p)
-        dedr, dxdr = rhs_rho_independent(rho, e, p)
+        d_rho, d_e = rhs_x(0.0, rho, e, p)
+        dedr, dxdr = rhs_rho(rho, e, 0.0, p)
         assert dxdr * d_rho == pytest.approx(1.0, rel=1e-10)
         assert dedr * d_rho == pytest.approx(d_e, rel=1e-10)
 

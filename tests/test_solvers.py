@@ -376,6 +376,11 @@ class TestShootDriver:
         assert calls == [1.0, 2.0]
         assert err.value.diagnostics["bracket"] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("fixture", ["subsonic_sol", "supersonic_sol", "shock_sol", "c1_sol"])
+    def test_every_family_records_its_shots(self, fixture, request):
+        shots = request.getfixturevalue(fixture).diagnostics["shooting_iterations"]
+        assert type(shots) is int and shots > 0
+
     def test_root_beside_sentinel_region(self):
         # shots below 0.999 leave the admissible region and report a sentinel
         shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
