@@ -249,6 +249,7 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_P_COLUMNS = tuple(zip(*_P))  # per power of theta, the weights of the six stages
 
 
 class _Watch(NamedTuple):
@@ -285,9 +286,13 @@ class _Step:
 
     def __call__(self, t):
         if self._q is None:
-            self._q = tuple(
-                tuple(sum(k[c] * row[j] for k, row in zip(self.k, _P)) for j in range(4))
-                for c in (0, 1)
+            # the sums, order and int 0 start of sum() over the stages, bit for bit
+            (a1, b1), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7) = self.k
+            self._q = (
+                tuple(0 + a1 * p1 + a3 * p3 + a4 * p4 + a5 * p5 + a6 * p6 + a7 * p7
+                      for p1, p3, p4, p5, p6, p7 in _P_COLUMNS),
+                tuple(0 + b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6 + b7 * p7
+                      for p1, p3, p4, p5, p6, p7 in _P_COLUMNS),
             )
         (qa0, qa1, qa2, qa3), (qb0, qb1, qb2, qb3) = self._q
         h = self.h
@@ -823,10 +828,13 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
     xs = np.concatenate(xs_parts)
     rs = np.concatenate(r_parts)
     es = np.concatenate(e_parts)
+    if np.all(dsign * np.diff(xs) > 0):
+        return TrajectorySegment(xs, rs, es, terminator, recorded)
 
     # enforce strictly monotone abscissae; x can stall by roundoff only in
     # the last few rho-chart samples hugging the sonic line, where dropping
-    # the earlier of two coincident points loses nothing
+    # the earlier of two coincident points loses nothing.  An arc that turns
+    # back behind the sample before has no single-valued profile.
     keep_x = [xs[0]]
     keep_r = [rs[0]]
     keep_e = [es[0]]
@@ -835,6 +843,14 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
             keep_x.append(xs[k])
             keep_r.append(rs[k])
             keep_e.append(es[k])
+        elif len(keep_x) > 1 and dsign * (xs[k] - keep_x[-2]) <= 0:
+            raise IntegrationFailure(
+                "the arc turned back in x",
+                diagnostics={
+                    "x": float(xs[k]), "rho": float(rs[k]), "e": float(es[k]),
+                    "x_reached": float(keep_x[-1]),
+                },
+            )
         else:
             keep_x[-1], keep_r[-1], keep_e[-1] = xs[k], rs[k], es[k]
 

@@ -76,15 +76,27 @@ class DopingProfile:
 
     @classmethod
     def sine_perturbed(cls, base: float, amplitude: float, frequency: float = 1.0) -> "DopingProfile":
-        """b(x) = base + amplitude * sin(2*pi*frequency*x)."""
+        """b(x) = base + amplitude * sin(2*pi*frequency*x).
+
+        The bounds are exact: b at both ends of [0, 1] and at the extrema
+        sin = +-1 that the phase 2*pi*frequency*x passes strictly inside.
+        """
         base, amplitude, frequency = _finite([base, amplitude, frequency])
-        xs = np.linspace(0.0, 1.0, 4097)
-        vals = base + amplitude * np.sin(2.0 * math.pi * frequency * xs)
+        end = 2.0 * math.pi * frequency
+        if not math.isfinite(end):
+            raise ValueError("the sine phase 2*pi*frequency must be finite")
+        lo, hi = min(0.0, end), max(0.0, end)
+        # sin peaks at pi/2 + k*pi with sign (-1)^k; the first two such k
+        # inside (lo, hi) give every peak value the phase reaches
+        ks = range(math.floor((lo - 0.5 * math.pi) / math.pi) + 1,
+                   math.ceil((hi - 0.5 * math.pi) / math.pi))
+        vals = [base, base + amplitude * math.sin(end)]
+        vals += [base + amplitude * (-1.0 if k % 2 else 1.0) for k in ks[:2]]
         return cls(
             "sine",
             {"base": base, "amplitude": amplitude, "frequency": frequency},
-            float(vals.min()),
-            float(vals.max()),
+            min(vals),
+            max(vals),
         )
 
     @classmethod
@@ -283,16 +295,21 @@ def vector_field(p: ModelParams):
     """
     inv_tau = p.inv_tau
     gamma = p.gamma
-    if p.doping.is_constant:
-        bc = p.doping.constant_value
+    b = p.doping
+    # constant doping is read as a number, which saves a call per evaluation
+    bc = b.constant_value if b.is_constant else None
 
-        def b(x):
-            return bc
+    if gamma == 1.0 and bc is not None:
 
-    else:
-        b = p.doping
+        def rhs_x(x, r, e):
+            r2 = r * r
+            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - bc)
 
-    if gamma == 1.0:
+        def rhs_rho(r, e, x):
+            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
+            return ((r - bc) * dxdr, dxdr)
+
+    elif gamma == 1.0:
 
         def rhs_x(x, r, e):
             r2 = r * r
@@ -301,6 +318,16 @@ def vector_field(p: ModelParams):
         def rhs_rho(r, e, x):
             dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
             return ((r - b(x)) * dxdr, dxdr)
+
+    elif bc is not None:
+
+        def rhs_x(x, r, e):
+            coef = math.pow(r, gamma - 1.0) - math.pow(r, -2.0)
+            return ((r * e - inv_tau) / coef, r - bc)
+
+        def rhs_rho(r, e, x):
+            dxdr = (math.pow(r, gamma - 1.0) - math.pow(r, -2.0)) / (r * e - inv_tau)
+            return ((r - bc) * dxdr, dxdr)
 
     else:
 

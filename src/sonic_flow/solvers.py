@@ -52,6 +52,11 @@ DEFAULT_DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4)
 # sentinel residual magnitude for shots that leave the admissible region
 _OVERSHOOT = 10.0
 
+# every shooting residual is an abscissa miss and every acceptance test is
+# 1e-7 or looser; a shot this close ends the root search, since further shots
+# would only move the root inside the residual's own noise
+_RESIDUAL_FLOOR = 1e-12
+
 
 def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     """Output-resolution variant of a config for final reconstructions.
@@ -69,27 +74,53 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     )
 
 
+class _Root(tuple):
+    """``(root, shots)`` from `_shoot`, with the residual's secant ``slope``."""
+
+    def __new__(cls, root: float, shots: int, slope: float | None):
+        found = super().__new__(cls, (root, shots))
+        found.slope = slope
+        return found
+
+
+class _Landed(Exception):
+    """Raised inside brentq's residual by a shot within the residual floor."""
+
+
 def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol):
     """Root of a shooting residual that rises through zero in the launch parameter.
 
-    ``shot(v)`` returns ``(residual, data)``.  While ``shot(lo)`` is not
-    negative, ``lo`` moves to ``widen_lo(lo)``; while ``shot(hi)`` is not
-    positive, ``hi`` moves to ``widen_hi(hi)`` and the old ``hi`` becomes
-    ``lo``.  A rule of None, or a rule returning None, pins its end; each end
-    moves at most 60 times.  brentq then closes the bracket.  Returns the root
-    and the number of shots made.
+    ``shot(v)`` returns ``(residual, data)``; each launch value is shot once
+    and its residual remembered.  While ``shot(lo)`` is not negative, ``lo``
+    moves to ``widen_lo(lo)``; while ``shot(hi)`` is not positive, ``hi``
+    moves to ``widen_hi(hi)`` and the old ``hi`` becomes ``lo``.  A rule of
+    None, or a rule returning None, pins its end; each end moves at most 60
+    times.  brentq then closes the bracket, and stops at the first shot whose
+    |residual| is at most ``_RESIDUAL_FLOOR``.
+
+    Returns ``(root, shots)`` as a `_Root`: ``shots`` counts distinct launch
+    values, and its ``slope`` is the secant of the residual through the root
+    and the nearest shot that is not a sentinel and whose residual differs
+    from the root's by at least 1e-8, or None where no shot qualifies.
     """
-    shots = 0
+    memo: dict[float, float] = {}
 
     def residual(v: float) -> float:
-        nonlocal shots
-        shots += 1
-        return shot(v)[0]
+        r = memo.get(v)
+        if r is None:
+            r = memo[v] = shot(v)[0]
+        return r
+
+    def closing(v: float) -> float:
+        r = residual(v)
+        if abs(r) <= _RESIDUAL_FLOOR:
+            raise _Landed(v)
+        return r
 
     def stuck(which: str) -> BracketFailure:
         return BracketFailure(
             f"no launch parameter moves the shooting residual {which} zero",
-            diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": shots},
+            diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": len(memo)},
         )
 
     r_lo, r_hi = residual(lo), residual(hi)
@@ -106,22 +137,38 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol):
             raise stuck("above")
         lo, r_lo = hi, r_hi
         hi, r_hi, moves = nxt, residual(nxt), moves + 1
-    root, info = brentq(residual, lo, hi, xtol=xtol, rtol=8.9e-16, full_output=True, disp=False)
-    if not info.converged:
-        raise ShootingDivergence(
-            "brentq did not converge on the shooting bracket",
-            diagnostics={"bracket": [lo, hi], "shots": shots},
-        )
-    return root, shots
+    try:
+        root, info = brentq(closing, lo, hi, xtol=xtol, rtol=8.9e-16, full_output=True, disp=False)
+    except _Landed as hit:
+        (root,) = hit.args
+    else:
+        if not info.converged:
+            raise ShootingDivergence(
+                "brentq did not converge on the shooting bracket",
+                diagnostics={"bracket": [lo, hi], "shots": len(memo)},
+            )
+    r_root = residual(root)
+    partners = [
+        (abs(v - root), v, r)
+        for v, r in memo.items()
+        if abs(r) < _OVERSHOOT and abs(r - r_root) >= 1e-8
+    ]
+    slope = None
+    if partners:
+        _, v, r = min(partners)
+        slope = (r - r_root) / (v - root)
+    return _Root(root, len(memo), slope)
 
 
-def _polish(shot_fine, v, first):
+def _polish(shot_fine, v, slope):
     """Re-shoot at output resolution, then take up to 6 secant steps.
 
     The root was tuned against probe-resolution arcs, so the fine arc lands
-    offset by the probes' own integration error.  ``first`` is the second
-    secant point.  A fine shot whose data is None ends the polish.  Returns
-    ``(v, residual, data)`` of the last accepted shot.
+    offset by the probes' own integration error.  The first step is a Newton
+    step with the probes' residual ``slope`` from `_shoot`; where that is
+    None, the second point is ``v * (1 + 1e-4)``.  A fine shot whose data is
+    None ends the polish.  Returns ``(v, residual, data)`` of the last
+    accepted shot.
     """
     residual, data = shot_fine(v)
     v_old = r_old = None
@@ -129,7 +176,7 @@ def _polish(shot_fine, v, first):
         if data is None or abs(residual) <= 1e-10:
             break
         if v_old is None:
-            v_next = first
+            v_next = v * (1.0 + 1e-4) if slope is None else v - residual / slope
         else:
             denom = residual - r_old
             if denom == 0.0:
@@ -203,7 +250,7 @@ def solve_subsonic_shooting(
 
     # the lower end halves toward, but stays clear of, the degenerate-launch
     # guard at 1e-6
-    q_star, shots = _shoot(
+    found = _shoot(
         lambda q: _subsonic_shot(q, p, cfg),
         1e-4,
         0.05,
@@ -211,11 +258,12 @@ def solve_subsonic_shooting(
         lambda q: 2.0 * q,
         xtol=1e-15,
     )
+    q_star, shots = found
     # the square-root endpoint amplifies an abscissa miss eps into a
     # sqrt(q*eps) density gap, hence the polish at output resolution
     fine = _fine(cfg)
     q_star, residual, seg = _polish(
-        lambda q: _subsonic_shot(q, p, fine), q_star, q_star * (1.0 + 1e-4)
+        lambda q: _subsonic_shot(q, p, fine), q_star, found.slope
     )
     if seg is None or abs(residual) > 1e-7:
         raise ShootingDivergence(
@@ -469,9 +517,8 @@ def solve_supersonic(
         bracket = (beta, min(gam, 1.0 - 2.0 * cfg.sonic_band))
     lo, hi = bracket
     # neither end moves: the bracket bounds the admissible minimum densities
-    rho_min, shots = _shoot(
-        lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14
-    )
+    found = _shoot(lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14)
+    rho_min, shots = found
 
     if p.doping.is_constant:
         # constant doping is translation invariant: slide the composite so
@@ -484,7 +531,7 @@ def solve_supersonic(
             except ShootingDivergence:
                 return math.nan, None
 
-        rho_min, _, arcs = _polish(fine_shot, rho_min, rho_min * (1.0 - 1e-5))
+        rho_min, _, arcs = _polish(fine_shot, rho_min, found.slope)
         if arcs is None:
             raise ShootingDivergence("supersonic reconstruction lost its landing")
         fwd, bwd = arcs
@@ -726,6 +773,14 @@ def solve_transonic_shock(
     total_shots = 0
     for delta in deltas:
         e_lo, e_hi = _shock_bracket(delta, rho_l, p)
+        if runs:
+            # the root moves little between offsets: start from the previous
+            # one +-1%, inside the energy bracket; widening recovers a miss
+            e_prev = runs[-1]["e0"]
+            e_lo, e_hi = (
+                min(max(0.99 * e_prev, e_lo), e_hi),
+                max(min(1.01 * e_prev, e_hi), e_lo),
+            )
         # a lower seed past the solution is pulled toward the touching energy
         e_star, shots = _shoot(
             lambda e0: _shock_shot(e0, delta, rho_l, p, cfg),

@@ -117,6 +117,16 @@ class TestSolve:
         assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    def test_arc_turning_back_is_a_typed_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": model(0.11102674876958835, 1.7835330259037656),
+            "solver": {"kind": "c1_transonic", "x0": 0.2206110104158862},
+        })
+        rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().out)
+        assert err["code"] == "IntegrationFailure"
+
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["transmogrify"]) == 1
 

@@ -17,7 +17,10 @@ from sonic_flow import (
     CriticalPoint,
     DegenerateLaunch,
     DomainEnd,
+    DopingProfile,
+    IntegrationFailure,
     IntegratorConfig,
+    ModelParams,
     SonicSingularity,
     State,
     TargetDensity,
@@ -268,6 +271,19 @@ class TestSegmentContracts:
             State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], p, cfg
         )
         assert np.abs(np.diff(seg.xs)).max() <= cfg.max_step * (1 + 1e-9)
+
+    def test_arc_turning_back_raises_typed_failure(self):
+        # a subsonic arc launched backward from x = 1 whose samples hugging
+        # the sonic line turn back in x
+        p = ModelParams(tau=0.11102674876958835, doping=DopingProfile.constant(1.7835330259037656))
+        with pytest.raises(IntegrationFailure) as err:
+            integrate_from_sonic(
+                1.0, "subsonic", p.inv_tau - 1e-4, "backward",
+                [TargetDensity(1.0001, direction=+1), DomainEnd(-2.0)], p,
+            )
+        diag = err.value.diagnostics
+        assert diag["x"] > diag["x_reached"]  # behind, on a backward run
+        assert diag["rho"] > 1.0
 
 
 # ---------------------------------------------------------------------------

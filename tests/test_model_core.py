@@ -69,6 +69,24 @@ class TestDopingProfile:
         assert d.b_lower == pytest.approx(0.8, abs=1e-6)
         assert not d.is_constant
 
+    def test_sine_bounds_exact_at_high_frequency(self):
+        # 4097 samples of 2048 periods alias to a nearly constant profile
+        d = DopingProfile.sine_perturbed(1.5, 0.4, 2048)
+        assert d.b_lower == 1.5 - 0.4 and d.b_upper == 1.5 + 0.4
+        assert d(1.0 / 8192) == pytest.approx(1.9, abs=1e-12)
+
+    @pytest.mark.parametrize("base,amplitude", [(1.0, -0.2), (1.6, 0.3), (1.5, 0.05)])
+    def test_sine_bounds_exact_at_frequency_one(self, base, amplitude):
+        d = DopingProfile.sine_perturbed(base, amplitude, 1.0)
+        assert (d.b_lower, d.b_upper) == (base - abs(amplitude), base + abs(amplitude))
+
+    @pytest.mark.parametrize("frequency", [0.1, 0.25, 0.6, -0.3, 2.5, 40.3, 1e200])
+    def test_sine_bounds_match_dense_sampling(self, frequency):
+        d = DopingProfile.sine_perturbed(1.5, 0.4, frequency)
+        vals = d(np.linspace(0.0, 1.0, 400001))
+        assert d.b_lower <= vals.min() <= d.b_lower + 1e-6
+        assert d.b_upper - 1e-6 <= vals.max() <= d.b_upper
+
     def test_piecewise(self):
         d = DopingProfile.piecewise_constant([0.5], [2.0, 0.5])
         assert d(0.2) == 2.0 and d(0.7) == 0.5
@@ -114,6 +132,10 @@ class TestDopingProfile:
     def test_non_finite_rejected(self, spec):
         with pytest.raises(ValueError, match="finite"):
             DopingProfile.from_dict(spec)
+
+    def test_sine_phase_overflow_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DopingProfile.sine_perturbed(1.5, 0.1, 1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sonic_flow import (
     NotSonicDoping,
     PreconditionViolation,
     RegimeRejection,
+    SonicFlowError,
     c1_transition_slope,
     residual_sign_change,
     solve_c1_transonic,
@@ -317,6 +318,13 @@ class TestC1Transonic:
         with pytest.raises(PreconditionViolation):
             solve_c1_transonic(params(0.1, 1.5), 1.5)
 
+    def test_arc_turning_back_is_a_typed_failure(self):
+        # an input on which a landing shot's arc turns back in x; it used to
+        # escape as a bare ValueError from the trajectory constructor
+        p = params(0.11102674876958835, 1.7835330259037656)
+        with pytest.raises(SonicFlowError):
+            solve_c1_transonic(p, 0.2206110104158862)
+
 
 # ---------------------------------------------------------------------------
 # bracket sanity used by the supersonic seed
@@ -386,3 +394,81 @@ class TestShootDriver:
         shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
         root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14)
         assert root == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_launch_value_is_shot_twice(self):
+        shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
+        found = _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        assert len(calls) == len(set(calls)) == found[1]
+
+    def test_residual_floor_ends_the_closing_phase(self):
+        calls = []
+
+        def shot(v):
+            calls.append(v)
+            # the first shot after the bracket ends lands inside the floor
+            return (1e-13 if len(calls) == 3 else math.atan(v - 1.0)), None
+
+        root, shots = _shoot(shot, 0.0, 3.0, None, None, 1e-16)
+        assert shots == len(calls) == 3
+        assert root == calls[-1]
+
+    def test_slope_is_the_secant_to_the_nearest_informative_shot(self):
+        # 0.1 lies in the sentinel region; the residual's slope is 1 at the
+        # root and 2 on the secant to the far end 2.0
+        shot, calls = self.recorded(lambda v: (v - 1.0) * v if v >= 0.999 else -10.0)
+        found = _shoot(shot, 0.1, 2.0, None, None, 1e-14)
+        nearest = min(
+            (v for v in calls if v >= 0.999 and abs((v - 1.0) * v) >= 1e-8),
+            key=lambda v: abs(v - found[0]),
+        )
+        assert found.slope == pytest.approx(nearest, rel=1e-6)  # secant of (v-1)v through 1
+        assert found.slope == pytest.approx(1.0, abs=0.1)
+
+    def test_slope_is_none_without_an_informative_shot(self):
+        shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
+        found = _shoot(shot, 0.1, 1.0 + 1e-9, None, None, 1e-14)
+        assert found.slope is None
+
+    @pytest.mark.parametrize("family", ["subsonic", "supersonic"])
+    def test_polish_makes_two_fine_shots(self, family, p_main, monkeypatch):
+        # the first fine shot misses by more than the polish accepts (1e-10)
+        # for both cases; the slope step then lands within it
+        fine_shots = []
+        polish = sonic_flow.solvers._polish
+
+        def counted(shot_fine, v, slope):
+            def shot(u):
+                fine_shots.append(u)
+                return shot_fine(u)
+
+            assert slope is not None
+            return polish(shot, v, slope)
+
+        monkeypatch.setattr(sonic_flow.solvers, "_polish", counted)
+        if family == "subsonic":
+            sine = ModelParams(tau=5.0, doping=DopingProfile.sine_perturbed(1.6, 0.3))
+            sol = solve_subsonic_shooting(sine)
+        else:
+            sol = solve_supersonic(p_main)
+        assert len(fine_shots) == 2
+        assert sol.diagnostics["boundary_residual"] <= 1e-12
+
+    def test_shock_offsets_start_from_the_previous_root(self, p_shock, monkeypatch):
+        counts = []
+        shoot = sonic_flow.solvers._shoot
+
+        def counted(*args, **kwargs):
+            found = shoot(*args, **kwargs)
+            counts.append(found[1])
+            return found
+
+        monkeypatch.setattr(sonic_flow.solvers, "_shoot", counted)
+        solve_transonic_shock(p_shock, 0.9)
+        assert len(counts) == 3
+        assert counts[1] <= 8 and counts[2] <= 8
+
+    @pytest.mark.parametrize("fixture,budget", [
+        ("subsonic_sol", 10), ("supersonic_sol", 7), ("shock_sol", 20), ("c1_sol", 16),
+    ])
+    def test_shot_budget_per_family(self, fixture, budget, request):
+        assert request.getfixturevalue(fixture).diagnostics["shooting_iterations"] <= budget
