@@ -828,8 +828,6 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
     xs = np.concatenate(xs_parts)
     rs = np.concatenate(r_parts)
     es = np.concatenate(e_parts)
-    if np.all(dsign * np.diff(xs) > 0):
-        return TrajectorySegment(xs, rs, es, terminator, recorded)
 
     # enforce strictly monotone abscissae; x can stall by roundoff only in
     # the last few rho-chart samples hugging the sonic line, where dropping

@@ -295,21 +295,16 @@ def vector_field(p: ModelParams):
     """
     inv_tau = p.inv_tau
     gamma = p.gamma
-    b = p.doping
-    # constant doping is read as a number, which saves a call per evaluation
-    bc = b.constant_value if b.is_constant else None
+    if p.doping.is_constant:
+        bc = p.doping.constant_value
 
-    if gamma == 1.0 and bc is not None:
+        def b(x):
+            return bc
 
-        def rhs_x(x, r, e):
-            r2 = r * r
-            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - bc)
+    else:
+        b = p.doping
 
-        def rhs_rho(r, e, x):
-            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
-            return ((r - bc) * dxdr, dxdr)
-
-    elif gamma == 1.0:
+    if gamma == 1.0:
 
         def rhs_x(x, r, e):
             r2 = r * r
@@ -318,16 +313,6 @@ def vector_field(p: ModelParams):
         def rhs_rho(r, e, x):
             dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
             return ((r - b(x)) * dxdr, dxdr)
-
-    elif bc is not None:
-
-        def rhs_x(x, r, e):
-            coef = math.pow(r, gamma - 1.0) - math.pow(r, -2.0)
-            return ((r * e - inv_tau) / coef, r - bc)
-
-        def rhs_rho(r, e, x):
-            dxdr = (math.pow(r, gamma - 1.0) - math.pow(r, -2.0)) / (r * e - inv_tau)
-            return ((r - bc) * dxdr, dxdr)
 
     else:
 

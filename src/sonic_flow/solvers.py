@@ -74,20 +74,11 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     )
 
 
-class _Root(tuple):
-    """``(root, shots)`` from `_shoot`, with the residual's secant ``slope``."""
-
-    def __new__(cls, root: float, shots: int, slope: float | None):
-        found = super().__new__(cls, (root, shots))
-        found.slope = slope
-        return found
-
-
 class _Landed(Exception):
     """Raised inside brentq's residual by a shot within the residual floor."""
 
 
-def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol):
+def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
     """Root of a shooting residual that rises through zero in the launch parameter.
 
     ``shot(v)`` returns ``(residual, data)``; each launch value is shot once
@@ -98,12 +89,11 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol):
     times.  brentq then closes the bracket, and stops at the first shot whose
     |residual| is at most ``_RESIDUAL_FLOOR``.
 
-    Returns ``(root, shots)`` as a `_Root`: ``shots`` counts distinct launch
-    values, and its ``slope`` is the secant of the residual through the root
-    and the nearest shot that is not a sentinel and whose residual differs
-    from the root's by at least 1e-8, or None where no shot qualifies.
+    Returns ``(root, shots)``, where ``shots`` counts distinct launch values.
+    Pass an empty dict as ``memo`` to keep the residual of every launch
+    value, the root's included, for `_slope`.
     """
-    memo: dict[float, float] = {}
+    memo = {} if memo is None else memo
 
     def residual(v: float) -> float:
         r = memo.get(v)
@@ -147,17 +137,27 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol):
                 "brentq did not converge on the shooting bracket",
                 diagnostics={"bracket": [lo, hi], "shots": len(memo)},
             )
-    r_root = residual(root)
+    residual(root)  # brentq's root is one of its shots; this makes sure
+    return root, len(memo)
+
+
+def _slope(memo, root):
+    """Secant of the shooting residual through ``root`` and its nearest shot.
+
+    ``memo`` is the one `_shoot` filled.  The partner is the shot nearest the
+    root that is not a sentinel and whose residual differs from the root's by
+    at least 1e-8; None where no shot qualifies.
+    """
+    r_root = memo[root]
     partners = [
         (abs(v - root), v, r)
         for v, r in memo.items()
         if abs(r) < _OVERSHOOT and abs(r - r_root) >= 1e-8
     ]
-    slope = None
-    if partners:
-        _, v, r = min(partners)
-        slope = (r - r_root) / (v - root)
-    return _Root(root, len(memo), slope)
+    if not partners:
+        return None
+    _, v, r = min(partners)
+    return (r - r_root) / (v - root)
 
 
 def _polish(shot_fine, v, slope):
@@ -165,7 +165,7 @@ def _polish(shot_fine, v, slope):
 
     The root was tuned against probe-resolution arcs, so the fine arc lands
     offset by the probes' own integration error.  The first step is a Newton
-    step with the probes' residual ``slope`` from `_shoot`; where that is
+    step with the probes' residual ``slope`` from `_slope`; where that is
     None, the second point is ``v * (1 + 1e-4)``.  A fine shot whose data is
     None ends the polish.  Returns ``(v, residual, data)`` of the last
     accepted shot.
@@ -250,20 +250,21 @@ def solve_subsonic_shooting(
 
     # the lower end halves toward, but stays clear of, the degenerate-launch
     # guard at 1e-6
-    found = _shoot(
+    memo = {}
+    q_star, shots = _shoot(
         lambda q: _subsonic_shot(q, p, cfg),
         1e-4,
         0.05,
         lambda q: 0.5 * q if 0.5 * q >= 4e-6 else None,
         lambda q: 2.0 * q,
         xtol=1e-15,
+        memo=memo,
     )
-    q_star, shots = found
     # the square-root endpoint amplifies an abscissa miss eps into a
     # sqrt(q*eps) density gap, hence the polish at output resolution
     fine = _fine(cfg)
     q_star, residual, seg = _polish(
-        lambda q: _subsonic_shot(q, p, fine), q_star, found.slope
+        lambda q: _subsonic_shot(q, p, fine), q_star, _slope(memo, q_star)
     )
     if seg is None or abs(residual) > 1e-7:
         raise ShootingDivergence(
@@ -517,8 +518,10 @@ def solve_supersonic(
         bracket = (beta, min(gam, 1.0 - 2.0 * cfg.sonic_band))
     lo, hi = bracket
     # neither end moves: the bracket bounds the admissible minimum densities
-    found = _shoot(lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14)
-    rho_min, shots = found
+    memo = {}
+    rho_min, shots = _shoot(
+        lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14, memo=memo
+    )
 
     if p.doping.is_constant:
         # constant doping is translation invariant: slide the composite so
@@ -531,7 +534,7 @@ def solve_supersonic(
             except ShootingDivergence:
                 return math.nan, None
 
-        rho_min, _, arcs = _polish(fine_shot, rho_min, found.slope)
+        rho_min, _, arcs = _polish(fine_shot, rho_min, _slope(memo, rho_min))
         if arcs is None:
             raise ShootingDivergence("supersonic reconstruction lost its landing")
         fwd, bwd = arcs

@@ -35,7 +35,7 @@ from sonic_flow import (
     supersonic_residual_sweep,
     tau0_bound,
 )
-from sonic_flow.solvers import _shoot
+from sonic_flow.solvers import _shoot, _slope
 
 from conftest import params
 
@@ -416,18 +416,21 @@ class TestShootDriver:
         # 0.1 lies in the sentinel region; the residual's slope is 1 at the
         # root and 2 on the secant to the far end 2.0
         shot, calls = self.recorded(lambda v: (v - 1.0) * v if v >= 0.999 else -10.0)
-        found = _shoot(shot, 0.1, 2.0, None, None, 1e-14)
+        memo = {}
+        root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14, memo=memo)
         nearest = min(
             (v for v in calls if v >= 0.999 and abs((v - 1.0) * v) >= 1e-8),
-            key=lambda v: abs(v - found[0]),
+            key=lambda v: abs(v - root),
         )
-        assert found.slope == pytest.approx(nearest, rel=1e-6)  # secant of (v-1)v through 1
-        assert found.slope == pytest.approx(1.0, abs=0.1)
+        slope = _slope(memo, root)
+        assert slope == pytest.approx(nearest, rel=1e-6)  # secant of (v-1)v through 1
+        assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_slope_is_none_without_an_informative_shot(self):
         shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
-        found = _shoot(shot, 0.1, 1.0 + 1e-9, None, None, 1e-14)
-        assert found.slope is None
+        memo = {}
+        root, _ = _shoot(shot, 0.1, 1.0 + 1e-9, None, None, 1e-14, memo=memo)
+        assert _slope(memo, root) is None
 
     @pytest.mark.parametrize("family", ["subsonic", "supersonic"])
     def test_polish_makes_two_fine_shots(self, family, p_main, monkeypatch):
