@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -112,18 +111,16 @@ def model_from_config(cfg: dict) -> ModelParams:
         raise UsageError(f"invalid model section: {exc}") from exc
 
 
+# the IntegratorConfig fields a config file may set, and solution.json echoes
+_INTEGRATOR_KEYS = (
+    "rel_tol", "abs_tol", "max_step", "sonic_band",
+    "blow_up_density", "blow_up_field", "max_arc_length",
+)
+
+
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
     spec = cfg.get("integrator", {})
-    known = {
-        "rel_tol",
-        "abs_tol",
-        "max_step",
-        "sonic_band",
-        "blow_up_density",
-        "blow_up_field",
-        "max_arc_length",
-    }
-    extra = set(spec) - known
+    extra = set(spec) - set(_INTEGRATOR_KEYS)
     if extra:
         raise UsageError(f"unknown integrator options: {sorted(extra)}")
     try:
@@ -217,7 +214,7 @@ def solution_json_payload(
             "gamma": p.gamma,
             "doping": p.doping.to_dict(),
         },
-        "integrator": asdict(icfg),
+        "integrator": {k: getattr(icfg, k) for k in _INTEGRATOR_KEYS},
         "solver": solver_echo,
         "shock": None,
         "transition": None,

@@ -65,11 +65,18 @@ _MIN_GRADED = 1e-6  # finest |rho - 1| resolved by the rho-leg sample grid
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and thresholds for the chart-switching driver."""
+    """Tolerances and thresholds for the chart-switching driver.
+
+    ``max_step`` caps the kernel's steps.  Stored samples lie at most
+    min(max_step, sample_spacing) apart in x: the x-chart reads samples off
+    each step's interpolant between its step ends, and the rho-chart fills
+    them in where its density grid is coarse in x.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_step: float = 1e-2
+    sample_spacing: float = math.inf
     sonic_band: float = 1e-2
     blow_up_density: float = 1e4
     blow_up_field: float = 1e4
@@ -80,6 +87,7 @@ class IntegratorConfig:
             "rel_tol",
             "abs_tol",
             "max_step",
+            "sample_spacing",
             "sonic_band",
             "blow_up_density",
             "blow_up_field",
@@ -173,35 +181,6 @@ class TrajectorySegment:
     @property
     def last(self) -> State:
         return State(float(self.xs[-1]), float(self.rhos[-1]), float(self.es[-1]))
-
-    def midpoint_defect(self, p: ModelParams) -> float:
-        """Worst midpoint-rule consistency defect over x-chart intervals.
-
-        For each consecutive sample pair the finite-difference slope is
-        compared against the ODE right-hand side at the interval midpoint,
-        normalized by 1 + |rhs|.  Pairs inside the sonic band or close to the
-        critical locus are skipped; there the comparison is ill-conditioned
-        by construction and the rho-chart owns the accuracy story.
-        """
-        rhs, _ = vector_field(p)
-        worst = 0.0
-        for k in range(len(self.xs) - 1):
-            dx = self.xs[k + 1] - self.xs[k]
-            if dx == 0.0:
-                continue
-            rm = 0.5 * (self.rhos[k] + self.rhos[k + 1])
-            em = 0.5 * (self.es[k] + self.es[k + 1])
-            if abs(rm - 1.0) < 1.5e-2 or abs(rm * em - p.inv_tau) < 1e-3:
-                continue
-            xm = 0.5 * (self.xs[k] + self.xs[k + 1])
-            fr, fe = rhs(xm, rm, em)
-            dr = (self.rhos[k + 1] - self.rhos[k]) / dx
-            de = (self.es[k + 1] - self.es[k]) / dx
-            defect = max(
-                abs(dr - fr) / (1.0 + abs(fr)), abs(de - fe) / (1.0 + abs(fe))
-            )
-            worst = max(worst, defect)
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +318,7 @@ class OdeResult:
 
 def solve_ivp(
     fun, t0, t_bound, y0, rtol, atol, max_step, events=(), t_eval=None,
-    dense_output=False,
+    dense_output=False, spacing=math.inf, breaks=(),
 ):
     """Integrate a two-component ODE from t0 toward t_bound (Dormand-Prince 5(4)).
 
@@ -349,9 +328,17 @@ def solve_ivp(
     (+1 rising, -1 falling, 0 either). Its root is found by brentq
     (xtol = rtol = 4 eps) on the step's quartic interpolant. The run stops
     at the first terminal root in traversal order; the roots before it are
-    kept. Without `t_eval` every accepted step is sampled, the stopping root
-    included. With `t_eval`, which must run monotonically along the span,
+    kept. Without `t_eval` every accepted step is sampled at its end, the
+    stopping root included, and a step longer than `spacing` is split into
+    ceil(|h|/spacing) equal parts whose inner ends are read off its
+    interpolant. With `t_eval`, which must run monotonically along the span,
     only those points are sampled, up to and including the end point.
+
+    ``fun`` may jump at each t of `breaks`, taking there the value of the
+    piece above it. No step spans a jump: a step that would reach one ends
+    on the last float of its piece, and the run restarts on the first float
+    of the next, with ``fun`` evaluated there afresh. The step end is
+    sampled at the jump itself, with the state it reached.
 
     The tableau, the RMS error norm over ``atol + rtol*max(|y|, |y_new|)``,
     the initial step, the step controller and the event and sampling rules
@@ -384,6 +371,16 @@ def solve_ivp(
     g = [gi(t, ya, yb) for gi in gs]
     roots = []
     terminal = None
+
+    # the jumps strictly inside the span, the next one last, each as the last
+    # float of the piece it leaves, the first of the one it enters, and itself
+    jumps = []
+    for x_b in sorted(breaks, key=lambda v: -d * v):
+        below = math.nextafter(x_b, -math.inf)
+        end, restart = (below, x_b) if d > 0 else (x_b, below)
+        if d * (end - t) > 0 and d * (t_bound - restart) > 0:
+            jumps.append((end, restart, x_b))
+    t_jump = jumps[-1][0] if jumps else None
 
     fa, fb = _eval_rhs(fun, t, ya, yb)
     nfev = 1
@@ -423,6 +420,8 @@ def solve_ivp(
             t_new = t + h_abs * d
             if d * (t_new - t_bound) > 0:
                 t_new = t_bound
+            if t_jump is not None and d * (t_new - t_jump) > 0:
+                t_new = t_jump
             h = t_new - t
             h_abs = abs(h)
             nfev += 6
@@ -515,6 +514,16 @@ def solve_ivp(
                     break
 
         if t_eval is None:
+            # the slack keeps a step that rounding left an ulp over `spacing` whole
+            n = math.ceil(abs(step.h) / spacing * (1.0 - 1e-12))
+            for k in range(1, n):
+                s = t_old + k * step.h / n
+                if d * (s - t) >= 0:
+                    break
+                a, b = step(s)
+                ts.append(s)
+                yas.append(a)
+                ybs.append(b)
             ts.append(t)
             yas.append(ya)
             ybs.append(yb)
@@ -525,6 +534,14 @@ def solve_ivp(
                 yas.append(a)
                 ybs.append(b)
                 n_eval += 1
+
+        if status is None and t == t_jump:
+            _, t, x_b = jumps.pop()
+            t_jump = jumps[-1][0] if jumps else None
+            if t_eval is None:
+                ts[-1] = x_b
+            fa, fb = _eval_rhs(fun, t, ya, yb)
+            nfev += 1
 
     return OdeResult(ts, yas, ybs, status, nfev, roots, terminal, steps)
 
@@ -608,6 +625,7 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
     res = solve_ivp(
         vector_field(p)[0], x, x_end, (rho, e),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
+        spacing=cfg.sample_spacing, breaks=p.doping.breakpoints,
     )
     xs, rs, es = np.array(res.t), np.array(res.ya), np.array(res.yb)
     recorded, term = _leg_events(res, watches, State)
@@ -734,16 +752,17 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         # otherwise: clean band exit, caller continues in the x-chart
 
     # the rho grid can be coarse in x near a tangential crossing; densify
-    # so the stored abscissas respect the step cap like every other leg
+    # so the stored abscissas respect the sample spacing like every other leg
+    spacing = min(cfg.max_step, cfg.sample_spacing)
     for _ in range(3):
         if len(rs) < 2:
             break
         gaps = np.abs(np.diff(xs))
-        wide = np.nonzero(gaps > cfg.max_step)[0]
+        wide = np.nonzero(gaps > spacing)[0]
         if not len(wide):
             break
         fill = [
-            np.linspace(rs[i], rs[i + 1], int(math.ceil(gaps[i] / cfg.max_step)) + 1)[1:-1]
+            np.linspace(rs[i], rs[i + 1], int(math.ceil(gaps[i] / spacing)) + 1)[1:-1]
             for i in wide
         ]
         extra = np.concatenate(fill)

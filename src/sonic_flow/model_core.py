@@ -158,6 +158,13 @@ class DopingProfile:
             return float(out) if np.isscalar(x) else out
         raise ValueError(f"unknown doping kind {self.kind!r}")
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """The x where b jumps; b there takes the value of the piece above."""
+        if self.kind == "piecewise":
+            return tuple(self.params["breakpoints"])
+        return ()
+
     # -- predicates ----------------------------------------------------------
 
     @property

@@ -61,16 +61,18 @@ _RESIDUAL_FLOOR = 1e-12
 def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     """Output-resolution variant of a config for final reconstructions.
 
-    Shooting probes run at the default step cap for speed; the accepted
-    trajectory is re-integrated with small steps and tight tolerances so
-    that the stored arrays support interpolation, and per-interval defect
-    checks, at the accuracy of the solve itself.
+    Shooting probes store only their step ends; the accepted trajectory is
+    re-integrated at tight tolerances (1e-12 relative, 1e-14 absolute) with
+    rows read off each step's interpolant at most 5e-4 apart in x, so that
+    the stored arrays support interpolation, and per-interval defect checks,
+    at the accuracy of the solve itself.  The step cap stays the probes':
+    the rows, not the steps, have to be dense.
     """
     return replace(
         cfg,
-        max_step=min(cfg.max_step, 5e-4),
-        rel_tol=min(cfg.rel_tol, 1e-11),
-        abs_tol=min(cfg.abs_tol, 1e-13),
+        sample_spacing=min(cfg.sample_spacing, 5e-4),
+        rel_tol=min(cfg.rel_tol, 1e-12),
+        abs_tol=min(cfg.abs_tol, 1e-14),
     )
 
 

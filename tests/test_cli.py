@@ -127,6 +127,19 @@ class TestSolve:
         err = json.loads(capsys.readouterr().out)
         assert err["code"] == "IntegrationFailure"
 
+    def test_sample_spacing_is_not_an_integrator_option(self, tmp_path, capsys):
+        payload = {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"}}
+        cfg = write_config(tmp_path, {**payload, "integrator": {"sample_spacing": 1e-3}})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+        assert "sample_spacing" in capsys.readouterr().err
+        cfg = write_config(tmp_path, {**payload, "integrator": {"max_step": 1e-2}})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        meta = json.loads((tmp_path / "b" / "solution.json").read_text())
+        assert sorted(meta["integrator"]) == [
+            "abs_tol", "blow_up_density", "blow_up_field", "max_arc_length",
+            "max_step", "rel_tol", "sonic_band",
+        ]
+
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["transmogrify"]) == 1
 

@@ -62,6 +62,11 @@ class TestConfig:
             with pytest.raises(ValueError):
                 IntegratorConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_sample_spacing_validated(self, value):
+        with pytest.raises(ValueError):
+            IntegratorConfig(sample_spacing=value)
+
     def test_band_must_exceed_coefficient_guard(self):
         with pytest.raises(ValueError):
             IntegratorConfig(sonic_band=1e-9)
@@ -206,13 +211,6 @@ class TestTrajectoryQuality:
         )
         assert a.last.x == pytest.approx(b.last.x, abs=100 * wide.rel_tol)
         assert a.last.e == pytest.approx(b.last.e, abs=100 * wide.rel_tol)
-
-    def test_midpoint_defect_small(self):
-        p = params(15.0, 1.5)
-        seg = integrate(
-            State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], p
-        )
-        assert seg.midpoint_defect(p) < 1e-4
 
     def test_supersonic_arc_single_critical_point(self):
         # between two sonic approaches a supersonic arc has one critical point
@@ -482,6 +480,95 @@ class TestKernelEvents:
         assert res.status == 1
         assert res.t == [0.0, 0.25, root]
         assert res.ya == pytest.approx([0.0, 0.25, 0.5], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# kernel sampling between step ends and restarts at jumps of the field
+
+
+def _oscillator(t, a, b):
+    return b, -a  # a = cos t, b = -sin t from (1, 0) at t = 0
+
+
+class TestKernelSampling:
+    spacing = 0.01
+
+    def run(self, forward, spacing=math.inf, watches=()):
+        t0, t1 = (0.0, 3.0) if forward else (3.0, 0.0)
+        return integrator.solve_ivp(
+            _oscillator, t0, t1, (math.cos(t0), -math.sin(t0)), 1e-9, 1e-11, 1.0,
+            list(watches), dense_output=True, spacing=spacing,
+        )
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_step_ends_stay_rows(self, forward):
+        uncapped = self.run(forward)
+        sampled = self.run(forward, self.spacing)
+        assert max(abs(s.h) for s in uncapped.steps) > 4 * self.spacing
+        assert sampled.nfev == uncapped.nfev
+        rows = dict(zip(sampled.t, zip(sampled.ya, sampled.yb)))
+        for t, a, b in zip(uncapped.t, uncapped.ya, uncapped.yb):
+            assert rows[t] == (a, b)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_inner_samples_come_from_the_interpolant(self, forward):
+        sampled = self.run(forward, self.spacing)
+        ends = {sampled.steps[0].t_old} | {s.t_old + s.h for s in sampled.steps}
+        inner = [k for k, t in enumerate(sampled.t) if t not in ends]
+        assert len(inner) > len(sampled.steps)
+        dense = sampled.sol([sampled.t[k] for k in inner])
+        assert [(sampled.ya[k], sampled.yb[k]) for k in inner] == dense
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("stop", [None, 0.2])
+    def test_rows_at_most_the_spacing_apart(self, forward, stop):
+        watches = [] if stop is None else [_watch(stop)]
+        res = self.run(forward, self.spacing, watches)
+        gaps = np.diff(res.t) * (1.0 if forward else -1.0)
+        assert np.all(gaps > 0)
+        assert gaps.max() <= self.spacing * (1 + 1e-9)
+        if stop is not None:
+            assert res.status == 1
+            assert res.ya[-1] == pytest.approx(stop, abs=1e-12)
+
+
+def _jump_at_half(t, a, b):
+    return (3.0 if t >= 0.5 else 1.0), 0.0  # right-continuous, like the doping
+
+
+class TestKernelJumps:
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_no_step_spans_a_jump(self, forward):
+        t0, t1, a0 = (0.0, 1.0, 0.0) if forward else (1.0, 0.0, 2.0)
+        res = integrator.solve_ivp(
+            _jump_at_half, t0, t1, (a0, 0.0), 1e-9, 1e-11, 1.0, [],
+            dense_output=True, breaks=(0.5, 2.0),
+        )
+        assert res.status == 0
+        for s in res.steps:
+            lo, hi = sorted((s.t_old, s.t_old + s.h))
+            assert hi < 0.5 or lo >= 0.5
+        below = math.nextafter(0.5, -math.inf)
+        after = next(s for s in res.steps if s.t_old == (0.5 if forward else below))
+        assert after.k[0][0] == (3.0 if forward else 1.0)  # derivative taken afresh
+        assert 0.5 in res.t and below not in res.t
+        assert np.all(np.diff(res.t) * (t1 - t0) > 0)
+        assert res.ya[-1] == pytest.approx(2.0 - a0, abs=1e-14)
+
+    def test_without_breaks_a_step_spans_the_jump(self):
+        res = integrator.solve_ivp(
+            _jump_at_half, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 1.0, [],
+            dense_output=True,
+        )
+        assert any(s.t_old < 0.5 < s.t_old + s.h for s in res.steps)
+
+    def test_x_leg_passes_the_doping_jumps(self, kernel_calls):
+        p = ModelParams(
+            tau=15.0, doping=DopingProfile.piecewise_constant([0.25], [1.5, 1.4])
+        )
+        seg = integrate(State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], p)
+        assert kernel_calls[0][1]["breaks"] == (0.25,)
+        assert 0.25 in seg.xs
 
 
 def test_import_leaves_scipy_integrate_unloaded():

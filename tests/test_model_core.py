@@ -7,6 +7,8 @@ implementation is wrong.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,14 @@ class TestDopingProfile:
         assert d(0.3) == 1.5
         assert d.b_lower == d.b_upper == 1.5
         assert d.is_constant and not d.is_sonic
+
+    def test_breakpoints_are_the_jumps(self):
+        d = DopingProfile.piecewise_constant([0.25, 0.5], [1.5, 1.2, 1.8])
+        assert d.breakpoints == (0.25, 0.5)
+        assert d(0.5) == 1.8 and d(math.nextafter(0.5, 0.0)) == 1.2
+        assert DopingProfile.constant(1.5).breakpoints == ()
+        assert DopingProfile.sine_perturbed(1.5, 0.2).breakpoints == ()
+        assert DopingProfile.tabulated([0.0, 0.5, 1.0], [1.5, 1.2, 1.8]).breakpoints == ()
 
     def test_sonic_detection(self):
         assert DopingProfile.constant(1.0).is_sonic

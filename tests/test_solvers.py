@@ -24,6 +24,7 @@ from sonic_flow import (
     RegimeRejection,
     SonicFlowError,
     c1_transition_slope,
+    residual_norm,
     residual_sign_change,
     solve_c1_transonic,
     solve_sonic,
@@ -270,6 +271,19 @@ class TestTransonicShock:
         assert 0.0 < shock_sol.diagnostics["x0_extrapolation_gap"] < 1e-5
 
 
+class TestShockRegressions:
+    # inputs whose right sonic end read 1.07e-3 and 1.15e-3 when the fine
+    # arcs took their rows from 5e-4 steps at tolerances 1e-11/1e-13
+    @pytest.mark.parametrize("tau,b,rho_l", [
+        (39.16486497462077, 1.2816648657015037, 0.9004022161395433),
+        (21.179389458013766, 1.5422197738568546, 0.8805664254260208),
+    ])
+    def test_residual_within_bound(self, tau, b, rho_l):
+        p = params(tau, b)
+        sol = solve_transonic_shock(p, rho_l)
+        assert residual_norm(sol, p)[0] < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # smooth transonic
 
@@ -475,3 +489,66 @@ class TestShootDriver:
     ])
     def test_shot_budget_per_family(self, fixture, budget, request):
         assert request.getfixturevalue(fixture).diagnostics["shooting_iterations"] <= budget
+
+
+# ---------------------------------------------------------------------------
+# output resolution and integration work
+
+
+def _gaps_ok(x, spacing):
+    # a shock's abscissa appears twice, once on each side of the jump
+    gaps = np.diff(x)
+    return bool(np.all(gaps >= 0) and gaps.max() <= spacing * (1 + 1e-9))
+
+
+class TestOutputResolution:
+    @pytest.mark.parametrize(
+        "fixture", ["subsonic_sol", "supersonic_sol", "shock_sol", "shock_sol_95"]
+    )
+    def test_rows_at_most_5e4_apart(self, fixture, request):
+        assert _gaps_ok(request.getfixturevalue(fixture).x, 5e-4)
+
+    def test_c1_branch_rows_at_most_5e4_apart(self, c1_sol):
+        # the glue point x0 sits n_stop/slope past each branch's last row;
+        # that gap is set by the landing window, not by the integrator
+        x0 = c1_sol.transition.x0
+        i = int(np.nonzero(c1_sol.x == x0)[0][0])
+        assert _gaps_ok(c1_sol.x[:i], 5e-4) and _gaps_ok(c1_sol.x[i + 1:], 5e-4)
+
+    @pytest.mark.parametrize("family,budget", [
+        ("subsonic", 14000), ("supersonic", 15000), ("transonic_shock", 32000),
+    ])
+    def test_rhs_evaluation_budget(self, family, budget, p_main, p_shock, monkeypatch):
+        nfev = []
+        kernel = sonic_flow.integrator.solve_ivp
+
+        def counted(*args, **kwargs):
+            res = kernel(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(sonic_flow.integrator, "solve_ivp", counted)
+        if family == "subsonic":
+            solve_subsonic_shooting(p_main)
+        elif family == "supersonic":
+            solve_supersonic(p_main)
+        else:
+            solve_transonic_shock(p_shock, 0.9)
+        assert sum(nfev) <= budget
+
+
+class TestPiecewiseDoping:
+    # a jump at 0.5 that the residual probe read as a 6.3e-7 defect there,
+    # after 29 probe shots, while steps ran across it
+    p = ModelParams(
+        tau=10.61367011339821,
+        doping=DopingProfile.piecewise_constant(
+            [0.5], [1.515614998344564, 1.0800736960449766]
+        ),
+    )
+
+    def test_subsonic_certifies_with_rows_on_the_jump(self):
+        sol = solve_subsonic_shooting(self.p)
+        assert residual_norm(sol, self.p)[0] < 1e-7
+        assert sol.diagnostics["shooting_iterations"] <= 16
+        assert 0.5 in sol.x
