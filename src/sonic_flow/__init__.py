@@ -41,7 +41,6 @@ from .model_core import (
     xi_curve,
 )
 from .integrator import (
-    CriticalPoint,
     DomainEnd,
     Event,
     EventSpec,
@@ -50,7 +49,6 @@ from .integrator import (
     TrajectorySegment,
     integrate,
     integrate_from_sonic,
-    launch_from_sonic,
 )
 from .solution import (
     BOUNDARY_TOL,

@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classify_regime, fit_holder_exponent, residual_norm
-from .errors import (
-    InsufficientWindow,
-    NumericalError,
-    PreconditionViolation,
-    RegimeError,
-    SonicFlowError,
-)
+from .errors import InsufficientWindow, PreconditionViolation, RegimeError, SonicFlowError
 from .integrator import DomainEnd, IntegratorConfig, integrate
 from .model_core import (
     DopingProfile,
@@ -63,6 +57,10 @@ SOLVE_KINDS = (
 
 class UsageError(Exception):
     """Bad command line or configuration content."""
+
+
+# what converting a malformed value read from a config or an artifact raises
+_MALFORMED = (TypeError, ValueError, KeyError, IndexError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +105,7 @@ def model_from_config(cfg: dict) -> ModelParams:
             doping=doping,
             gamma=float(model.get("gamma", 1.0)),
         )
-    except (ValueError, TypeError, KeyError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"invalid model section: {exc}") from exc
 
 
@@ -130,37 +128,47 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
 
 
 def _dispatch_solve(p: ModelParams, solver: dict, icfg: IntegratorConfig) -> Solution:
+    try:
+        solve, args, kwargs = _solve_call(solver, icfg)
+    except _MALFORMED as exc:
+        raise UsageError(f"invalid solver section: {exc}") from exc
+    # the solve runs outside the guard: its own errors are not usage errors
+    return solve(p, *args, **kwargs)
+
+
+def _solve_call(solver: dict, icfg: IntegratorConfig):
+    """The solver the section names, with the arguments it gives beyond the model."""
     kind = _require(solver, "kind", "solver")
     if kind not in SOLVE_KINDS:
         raise UsageError(f"unknown solver kind {kind!r}; expected one of {SOLVE_KINDS}")
     if kind == "sonic":
-        return solve_sonic(p)
+        return solve_sonic, (), {}
     if kind == "subsonic":
         method = solver.get("method", "shooting")
         if method == "shooting":
-            return solve_subsonic_shooting(p, cfg=icfg)
+            return solve_subsonic_shooting, (), {"cfg": icfg}
         if method == "elliptic":
             kwargs = {}
             if "j_schedule" in solver:
                 kwargs["j_schedule"] = tuple(float(j) for j in solver["j_schedule"])
-            return solve_subsonic_elliptic(p, **kwargs)
+            return solve_subsonic_elliptic, (), kwargs
         raise UsageError(f"unknown subsonic method {method!r}")
     if kind == "supersonic":
         bracket = solver.get("bracket")
         if bracket is not None:
             bracket = (float(bracket[0]), float(bracket[1]))
-        return solve_supersonic(p, cfg=icfg, bracket=bracket)
+        return solve_supersonic, (), {"cfg": icfg, "bracket": bracket}
     if kind == "transonic_shock":
         rho_l = float(_require(solver, "rho_l", "solver"))
-        kwargs = {}
+        kwargs = {"cfg": icfg}
         if "delta_schedule" in solver:
             kwargs["delta_schedule"] = tuple(float(d) for d in solver["delta_schedule"])
-        return solve_transonic_shock(p, rho_l, cfg=icfg, **kwargs)
+        return solve_transonic_shock, (rho_l,), kwargs
     rho_x0 = float(_require(solver, "x0", "solver"))
-    kwargs = {}
+    kwargs = {"cfg": icfg}
     if "n_stop" in solver:
         kwargs["n_stop"] = float(solver["n_stop"])
-    return solve_c1_transonic(p, rho_x0, cfg=icfg, **kwargs)
+    return solve_c1_transonic, (rho_x0,), kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +253,32 @@ def reconstruct_solution(out_dir: Path):
     csv_path = out_dir / "solution.csv"
     if not meta_path.exists() or not csv_path.exists():
         raise UsageError(f"no solution artifacts in {out_dir}")
-    meta = json.loads(meta_path.read_text())
-    x, rho, e = read_solution_csv(csv_path)
-    shock = None
-    if meta.get("shock"):
-        shock = ShockData(**meta["shock"])
-    transition = None
-    if meta.get("transition"):
-        transition = TransitionData(**meta["transition"])
-    sol = Solution(
-        kind=meta["kind"],
-        x=x,
-        rho=rho,
-        e=e,
-        shock=shock,
-        transition=transition,
-        diagnostics=meta.get("diagnostics", {}),
-    )
-    m = meta["model"]
-    p = ModelParams(
-        tau=float(m["tau"]),
-        doping=DopingProfile.from_dict(m["doping"]),
-        gamma=float(m.get("gamma", 1.0)),
-    )
+    try:
+        meta = json.loads(meta_path.read_text())
+        x, rho, e = read_solution_csv(csv_path)
+        shock = None
+        if meta.get("shock"):
+            shock = ShockData(**meta["shock"])
+        transition = None
+        if meta.get("transition"):
+            transition = TransitionData(**meta["transition"])
+        sol = Solution(
+            kind=meta["kind"],
+            x=x,
+            rho=rho,
+            e=e,
+            shock=shock,
+            transition=transition,
+            diagnostics=meta.get("diagnostics", {}),
+        )
+        m = meta["model"]
+        p = ModelParams(
+            tau=float(m["tau"]),
+            doping=DopingProfile.from_dict(m["doping"]),
+            gamma=float(m.get("gamma", 1.0)),
+        )
+    except (*_MALFORMED, AttributeError) as exc:  # a JSON root not an object has no .get
+        raise UsageError(f"malformed solution artifacts in {out_dir}: {exc}") from exc
     return sol, p, meta
 
 
@@ -302,12 +313,15 @@ def run_classify(cfg: dict, out_dir: Path) -> int:
 
 def _portrait_launches(p: ModelParams, spec: dict):
     """Deterministic fan around the critical point unless given explicitly."""
-    if "launches" in spec:
-        return [(float(r), float(e)) for r, e in spec["launches"]]
-    a_rho, a_e = critical_point_analysis(p).point
-    count = int(spec.get("count", 12))
-    radius_rho = float(spec.get("radius_rho", 0.4 * a_rho))
-    radius_e = float(spec.get("radius_e", max(0.5 * abs(a_e), 0.05)))
+    try:
+        if "launches" in spec:
+            return [(float(r), float(e)) for r, e in spec["launches"]]
+        a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
+        count = int(spec.get("count", 12))
+        radius_rho = float(spec.get("radius_rho", 0.4 * a_rho))
+        radius_e = float(spec.get("radius_e", max(0.5 * abs(a_e), 0.05)))
+    except _MALFORMED as exc:
+        raise UsageError(f"invalid portrait section: {exc}") from exc
     out = []
     for k in range(count):
         ang = 2.0 * math.pi * k / count
@@ -355,11 +369,14 @@ SWEEP_VARIABLES = ("rhoL", "x0", "tau", "bConstant")
 
 
 def _sweep_values(spec: dict) -> list[float]:
-    if "values" in spec:
-        return [float(v) for v in spec["values"]]
-    start = float(_require(spec, "start", "sweep"))
-    stop = float(_require(spec, "stop", "sweep"))
-    count = int(_require(spec, "count", "sweep"))
+    try:
+        if "values" in spec:
+            return [float(v) for v in spec["values"]]
+        start = float(_require(spec, "start", "sweep"))
+        stop = float(_require(spec, "stop", "sweep"))
+        count = int(_require(spec, "count", "sweep"))
+    except _MALFORMED as exc:
+        raise UsageError(f"invalid sweep section: {exc}") from exc
     if count < 1:
         raise UsageError("sweep count must be positive")
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -514,27 +531,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RegimeError as exc:
-        print(json.dumps({
-            "code": type(exc).__name__,
-            "message": str(exc),
-            "theoremRef": exc.theorem_ref,
-        }, sort_keys=True))
-        return EXIT_REGIME
-    except NumericalError as exc:
-        print(json.dumps({
-            "code": type(exc).__name__,
-            "message": str(exc),
-            "theoremRef": None,
-        }, sort_keys=True))
-        return EXIT_NUMERICAL
     except SonicFlowError as exc:
         print(json.dumps({
             "code": type(exc).__name__,
             "message": str(exc),
-            "theoremRef": None,
+            "theoremRef": getattr(exc, "theorem_ref", None),
         }, sort_keys=True))
-        return EXIT_NUMERICAL
+        return EXIT_REGIME if isinstance(exc, RegimeError) else EXIT_NUMERICAL
 
 
 def entry() -> None:

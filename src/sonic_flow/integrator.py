@@ -1,4 +1,4 @@
-"""Adaptive integration of the steady-flow ODE with event detection.
+"""Adaptive integration of the steady-flow ODE to terminal stop events.
 
 The system
 
@@ -15,10 +15,10 @@ charts:
   at the sonic line and the square-root behaviour of rho(x) becomes a
   perfectly regular initial value problem.
 
-Termination is reported through events (sonic arrival, target density,
-critical point rho*E = 1/tau, blow-up, domain end, step failure).  Sonic
-arrivals, blow-ups and step failures always terminate: the trajectory cannot
-be continued through them within one chart run.
+An arc ends at the first of its stop events: sonic arrival, target density,
+blow-up, domain end or step failure.  Sonic arrivals, blow-ups and step
+failures always stop it: the trajectory cannot be continued through them
+within one chart run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,20 +37,11 @@ from .errors import (
     IntegrationFailure,
     SonicSingularity,
 )
-from .model_core import (
-    CRITICAL_GUARD,
-    SONIC_COEF_GUARD,
-    ModelParams,
-    State,
-    c1_transition_slope,
-    tau0_bound,
-    vector_field,
-)
+from .model_core import CRITICAL_GUARD, SONIC_COEF_GUARD, ModelParams, State, vector_field
 
 # event kind labels
 SONIC_ARRIVAL = "sonic_arrival"
 TARGET_DENSITY = "target_density"
-CRITICAL_POINT = "critical_point"
 BLOW_UP = "blow_up"
 DOMAIN_END = "domain_end"
 STEP_FAILURE = "step_failure"
@@ -106,7 +97,7 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class TargetDensity(EventSpec):
-    """Stop (or record, if terminal=False) when rho crosses `value`.
+    """Stop when rho crosses `value`.
 
     `direction` is the sign of drho/dx at the crossing: +1 fires only on
     upward crossings, -1 only on downward ones, 0 on either.
@@ -114,18 +105,12 @@ class TargetDensity(EventSpec):
 
     value: float
     direction: int = 0
-    terminal: bool = True
 
     def __post_init__(self):
         if self.value <= 0:
             raise ValueError("target density must be positive")
         if self.direction not in (-1, 0, 1):
             raise ValueError("direction must be -1, 0 or 1")
-
-
-@dataclass(frozen=True)
-class CriticalPoint(EventSpec):
-    pass
 
 
 @dataclass(frozen=True)
@@ -137,7 +122,6 @@ class DomainEnd(EventSpec):
 class Event:
     kind: str
     state: State
-    value: float | None = None
 
 
 @dataclass
@@ -145,15 +129,13 @@ class TrajectorySegment:
     """One integrated arc: sample arrays plus the event that ended it.
 
     `xs` is strictly monotone (increasing for forward runs, decreasing for
-    backward ones); `events` collects non-terminal occurrences (recorded
-    critical points and non-terminal target crossings) in traversal order.
+    backward ones).
     """
 
     xs: np.ndarray
     rhos: np.ndarray
     es: np.ndarray
     terminator: Event
-    events: list[Event] = field(default_factory=list)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -173,10 +155,6 @@ class TrajectorySegment:
         if len(self.xs) < 2 or self.xs[-1] > self.xs[0]:
             return "forward"
         return "backward"
-
-    @property
-    def first(self) -> State:
-        return State(float(self.xs[0]), float(self.rhos[0]), float(self.es[0]))
 
     @property
     def last(self) -> State:
@@ -238,7 +216,6 @@ class _Watch(NamedTuple):
     terminal: bool
     direction: int  # +1 rising crossings only, -1 falling only, 0 both
     kind: str
-    value: float | None = None
 
 
 def _rms(u, v):
@@ -556,35 +533,24 @@ class _LegResult:
     rhos: np.ndarray
     es: np.ndarray
     terminator: Event | None
-    recorded: list[Event]
 
 
 def _point_leg(x, rho, e, terminator):
-    return _LegResult(
-        np.array([x]), np.array([rho]), np.array([e]), terminator, []
-    )
+    return _LegResult(np.array([x]), np.array([rho]), np.array([e]), terminator)
 
 
-def _leg_events(res, watches, state):
-    """Recorded non-terminal events and the terminal one of a kernel run.
+def _leg_terminator(res, watches, state):
+    """The event that stopped a kernel run, or None if none did.
 
     `state(t, a, b)` maps a kernel point to its primal State.
     """
-    recorded = [
-        Event(watches[i].kind, state(t, a, b), watches[i].value)
-        for i, t, a, b in res.roots
-        if not watches[i].terminal
-    ]
-    terminator = None
-    if res.terminal is not None:
-        _, t, a, b = res.roots[-1]
-        w = watches[res.terminal]
-        terminator = Event(w.kind, state(t, a, b), w.value)
-    return recorded, terminator
+    if res.terminal is None:
+        return None
+    _, t, a, b = res.roots[-1]
+    return Event(watches[res.terminal].kind, state(t, a, b))
 
 
-def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg):
-    inv_tau = p.inv_tau
+def _x_leg(x, rho, e, dsign, span_limit, targets, domain, p, cfg):
     band_in = cfg.sonic_band * _BAND_INSET
     blow_r, blow_e = cfg.blow_up_density, cfg.blow_up_field
 
@@ -599,13 +565,11 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
     for tg in targets:
         watches.append(_Watch(
             (lambda v: lambda t, r, e: r - v)(tg.value),
-            tg.terminal,
+            True,
             tg.direction * int(dsign),
             TARGET_DENSITY,
-            tg.value,
         ))
     watches += [
-        _Watch(lambda t, r, e: r * e - inv_tau, want_critical, 0, CRITICAL_POINT),
         _Watch(lambda t, r, e: r - blow_r, True, 0, BLOW_UP),
         _Watch(lambda t, r, e: r - 1.0 / blow_r, True, 0, BLOW_UP),
         _Watch(lambda t, r, e: e - blow_e, True, 0, BLOW_UP),
@@ -617,7 +581,7 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
     if domain is not None:
         ahead = dsign * (domain.x - x)
         if ahead == 0.0:
-            return _point_leg(x, rho, e, Event(DOMAIN_END, State(x, rho, e), domain.x))
+            return _point_leg(x, rho, e, Event(DOMAIN_END, State(x, rho, e)))
         if 0.0 < ahead < span_limit:
             x_end = domain.x
             ends_at_domain = True
@@ -628,7 +592,7 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
         spacing=cfg.sample_spacing, breaks=p.doping.breakpoints,
     )
     xs, rs, es = np.array(res.t), np.array(res.ya), np.array(res.yb)
-    recorded, term = _leg_events(res, watches, State)
+    term = _leg_terminator(res, watches, State)
     if res.status == -1:
         term = Event(STEP_FAILURE, State(res.t[-1], res.ya[-1], res.yb[-1]))
     elif res.status == 0:
@@ -638,13 +602,13 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, want_critical, p, cfg)
                 "arc length budget exhausted before any stop event",
                 diagnostics={"x": end.x, "rho": end.rho, "e": end.e},
             )
-        term = Event(DOMAIN_END, end, x_end)
+        term = Event(DOMAIN_END, end)
     elif term.kind == "_band":
         term = None  # band entry: the caller continues in the rho-chart
-    return _LegResult(xs, rs, es, term, recorded)
+    return _LegResult(xs, rs, es, term)
 
 
-def _rho_grid(r_a, r_b, inserts=()):
+def _rho_grid(r_a, r_b):
     """Sample densities from r_a to r_b, log-graded in |rho - 1|."""
     n_a, n_b = abs(r_a - 1.0), abs(r_b - 1.0)
     branch = math.copysign(1.0, (r_a - 1.0) if r_a != 1.0 else (r_b - 1.0))
@@ -655,7 +619,6 @@ def _rho_grid(r_a, r_b, inserts=()):
         num = min(400, max(24, int(40 * math.log10(hi / lo)) + 1))
         mags.update(np.geomspace(lo, hi, num).tolist())
     mags.update((n_a, n_b))
-    mags.update(abs(v - 1.0) for v in inserts)
     lo_lim, hi_lim = min(n_a, n_b), max(n_a, n_b)
     kept = sorted(m for m in mags if lo_lim <= m <= hi_lim)
     rhos = [1.0 + branch * m for m in kept]
@@ -695,17 +658,16 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
     r_b = 1.0 if s_rho == -branch else 1.0 + branch * cfg.sonic_band
     cross_dir = int(s_rho * dsign)  # sign of drho/dx while traversing
 
-    def matches(tg):
-        if tg.direction not in (0, cross_dir):
-            return False
-        return (tg.value - rho) * s_rho > 0 and (r_b - tg.value) * s_rho >= 0
-
-    live = sorted((tg for tg in targets if matches(tg)), key=lambda tg: s_rho * tg.value)
-    term_target = next((tg for tg in live if tg.terminal), None)
+    # the nearest target crossed in its direction before the leg's end
+    term_target = min(
+        (tg for tg in targets
+         if tg.direction in (0, cross_dir)
+         and (tg.value - rho) * s_rho > 0 and (r_b - tg.value) * s_rho >= 0),
+        key=lambda tg: s_rho * tg.value,
+        default=None,
+    )
     if term_target is not None:
         r_b = term_target.value
-        live = [tg for tg in live if (r_b - tg.value) * s_rho > 0 and not tg.terminal]
-    record_values = [tg.value for tg in live if not tg.terminal]
 
     guard2 = CRITICAL_GUARD * CRITICAL_GUARD
     blow_e = cfg.blow_up_field
@@ -721,18 +683,16 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
     ]
     if domain is not None and dsign * (domain.x - x) > 0:
         xd = domain.x
-        watches.append(
-            _Watch(lambda r, e, x: x - xd, True, int(dsign), DOMAIN_END, xd)
-        )
+        watches.append(_Watch(lambda r, e, x: x - xd, True, int(dsign), DOMAIN_END))
 
     res = solve_ivp(
         vector_field(p)[1], rho, r_b, (e, x),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
-        t_eval=_rho_grid(rho, r_b, inserts=record_values),
+        t_eval=_rho_grid(rho, r_b),
         dense_output=True,
     )
     rs, es, xs = np.array(res.t), np.array(res.ya), np.array(res.yb)
-    _, terminator = _leg_events(res, watches, lambda r, e, x: State(x, r, e))
+    terminator = _leg_terminator(res, watches, lambda r, e, x: State(x, r, e))
     if res.status == -1:
         terminator = Event(
             STEP_FAILURE, State(float(xs[-1]), float(rs[-1]), float(es[-1]))
@@ -748,7 +708,7 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         if r_b == 1.0:
             terminator = Event(SONIC_ARRIVAL, end)
         elif term_target is not None:
-            terminator = Event(TARGET_DENSITY, end, term_target.value)
+            terminator = Event(TARGET_DENSITY, end)
         # otherwise: clean band exit, caller continues in the x-chart
 
     # the rho grid can be coarse in x near a tangential crossing; densify
@@ -775,16 +735,7 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         keep = np.concatenate([[True], np.diff(xs) != 0.0])
         rs, es, xs = rs[keep], es[keep], xs[keep]
 
-    recorded = []
-    for v in record_values:
-        hit = np.nonzero(rs == v)[0]
-        if len(hit):
-            k = int(hit[0])
-            recorded.append(
-                Event(TARGET_DENSITY, State(float(xs[k]), float(rs[k]), float(es[k])), v)
-            )
-    recorded.sort(key=lambda ev: dsign * ev.state.x)
-    return _LegResult(xs, rs, es, terminator, recorded)
+    return _LegResult(xs, rs, es, terminator)
 
 
 def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
@@ -792,27 +743,21 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
         raise ValueError("direction must be 'forward' or 'backward'")
     dsign = 1.0 if direction == "forward" else -1.0
 
-    specs = []
-    for s in stop_events or ():
-        if isinstance(s, type):
-            s = s()
+    specs = list(stop_events or ())
+    for s in specs:
         if not isinstance(s, EventSpec):
             raise TypeError(f"not an event spec: {s!r}")
-        specs.append(s)
     targets = [s for s in specs if isinstance(s, TargetDensity)]
     domains = [s for s in specs if isinstance(s, DomainEnd)]
     if len(domains) > 1:
         raise ValueError("at most one DomainEnd stop is supported")
     domain = domains[0] if domains else None
-    want_critical = any(isinstance(s, CriticalPoint) for s in specs)
 
     xs_parts: list[np.ndarray] = []
     r_parts: list[np.ndarray] = []
     e_parts: list[np.ndarray] = []
-    recorded: list[Event] = []
     x_origin = x
     side = sonic_side
-    terminator = None
 
     for _ in range(_MAX_LEGS):
         in_band = rho == 1.0 or abs(rho - 1.0) < cfg.sonic_band * _CHART_INSET
@@ -820,18 +765,14 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
             leg = _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg)
         else:
             remaining = cfg.max_arc_length - abs(x - x_origin)
-            leg = _x_leg(
-                x, rho, e, dsign, remaining, targets, domain, want_critical, p, cfg
-            )
+            leg = _x_leg(x, rho, e, dsign, remaining, targets, domain, p, cfg)
         side = None
         skip = 1 if xs_parts and len(leg.xs) > 1 else 0
         if len(leg.xs) > skip:
             xs_parts.append(leg.xs[skip:])
             r_parts.append(leg.rhos[skip:])
             e_parts.append(leg.es[skip:])
-        recorded.extend(leg.recorded)
         if leg.terminator is not None:
-            terminator = leg.terminator
             break
         x = float(leg.xs[-1])
         rho = float(leg.rhos[-1])
@@ -872,7 +813,7 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
             keep_x[-1], keep_r[-1], keep_e[-1] = xs[k], rs[k], es[k]
 
     return TrajectorySegment(
-        np.array(keep_x), np.array(keep_r), np.array(keep_e), terminator, recorded
+        np.array(keep_x), np.array(keep_r), np.array(keep_e), leg.terminator
     )
 
 
@@ -886,10 +827,9 @@ def integrate(
     """Integrate from an off-sonic state until the first stop event.
 
     Sonic arrival, blow-up and step failure terminate whether or not they
-    were requested; `TargetDensity`, `CriticalPoint` and `DomainEnd` stops
-    come from `stop_events`.  Starts exactly on the sonic line are rejected:
-    the outgoing branch is ambiguous there, use `integrate_from_sonic` or
-    `launch_from_sonic` instead.
+    were requested; `TargetDensity` and `DomainEnd` stops come from
+    `stop_events`.  Starts exactly on the sonic line are rejected: the
+    outgoing branch is ambiguous there, use `integrate_from_sonic` instead.
     """
     cfg = cfg or IntegratorConfig()
     if abs(start.rho - 1.0) < 1e-12:
@@ -926,54 +866,3 @@ def integrate_from_sonic(
             "have no square-root branch"
         )
     return _run(x0, 1.0, e0, direction, stop_events, p, cfg, sonic_side=side)
-
-
-def launch_from_sonic(
-    x0: float,
-    side: str,
-    e0: float,
-    p: ModelParams,
-    cfg: IntegratorConfig | None = None,
-) -> State:
-    """Leading-order off-sonic state at |rho - 1| = sonic_band/2.
-
-    With q = e0 - 1/tau != 0, w = (rho-1)^2 grows linearly, w_x = 2q/(gamma+1)
-    at the sonic point, giving the square-root branches rho = 1 +- sqrt(w).
-    With q = 0 the only admissible departure is the smooth transition branch
-    rho - 1 = slope*(x - x0), available for constant doping b > 1 with tau
-    below tau0_bound(b); anything else is a degenerate launch.
-
-    The expansion is trusted only out to half the sonic band; integrate from
-    the returned state to go further.
-    """
-    cfg = cfg or IntegratorConfig()
-    if side not in ("supersonic", "subsonic"):
-        raise ValueError("side must be 'supersonic' or 'subsonic'")
-    q = e0 - p.inv_tau
-    offset = cfg.sonic_band / 2.0
-    sgn = -1.0 if side == "supersonic" else 1.0
-
-    if abs(q) > 1e-12:
-        w_off = offset * offset
-        dx = w_off * (p.gamma + 1.0) / (2.0 * q)
-        rho = 1.0 + sgn * offset
-        e = e0 + (1.0 - p.b(x0)) * dx
-        return State(x0 + dx, rho, e)
-
-    # tangential branch: E == 1/tau at the sonic point
-    if not (p.doping.is_constant and p.doping.constant_value > 1.0):
-        raise DegenerateLaunch(
-            "a tangential sonic departure exists only for constant doping "
-            "above the sonic level"
-        )
-    b = p.doping.constant_value
-    if p.tau >= tau0_bound(b):
-        raise DegenerateLaunch(
-            f"tangential departure needs tau < {tau0_bound(b):.6g}; got {p.tau}"
-        )
-    slope = c1_transition_slope(b, p.tau)
-    dx = sgn * offset / slope  # supersonic side lies before x0, subsonic after
-    rho = 1.0 + sgn * offset
-    # E - 1/(tau*rho) grows with rate 2*slope in (rho - 1) along this branch
-    e = 1.0 / (p.tau * rho) + 2.0 * slope * (rho - 1.0)
-    return State(x0 + dx, rho, e)

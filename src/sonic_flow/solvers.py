@@ -226,7 +226,7 @@ def _subsonic_shot(q: float, p: ModelParams, cfg: IntegratorConfig):
     seg = integrate_from_sonic(
         0.0, "subsonic", p.inv_tau + q, "forward", [DomainEnd(3.0)], p, cfg
     )
-    kind = seg.terminator.kind if seg.terminator is not None else None
+    kind = seg.terminator.kind
     if kind == "sonic_arrival":
         return seg.last.x - 1.0, seg
     if kind == "step_failure":
@@ -447,12 +447,7 @@ def _supersonic_arcs(x_min: float, rho_min: float, p: ModelParams, cfg: Integrat
     start = State(x_min, rho_min, 1.0 / (p.tau * rho_min))
     fwd = integrate(start, "forward", [DomainEnd(x_min + 8.0)], p, cfg)
     bwd = integrate(start, "backward", [DomainEnd(x_min - 8.0)], p, cfg)
-    ok = (
-        fwd.terminator is not None
-        and fwd.terminator.kind == "sonic_arrival"
-        and bwd.terminator is not None
-        and bwd.terminator.kind == "sonic_arrival"
-    )
+    ok = fwd.terminator.kind == bwd.terminator.kind == "sonic_arrival"
     return ok, fwd, bwd
 
 
@@ -464,8 +459,8 @@ def _supersonic_shot(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
             "supersonic half-arc failed to land on the sonic line",
             diagnostics={
                 "rho_min": rho_min,
-                "forward": fwd.terminator.kind if fwd.terminator else None,
-                "backward": bwd.terminator.kind if bwd.terminator else None,
+                "forward": fwd.terminator.kind,
+                "backward": bwd.terminator.kind,
             },
         )
     return 1.0 - (fwd.last.x - bwd.last.x), (fwd, bwd)
@@ -656,11 +651,8 @@ def supersonic_residual_sweep(
             res = (fwd.last.x - bwd.last.x) - 1.0
             out.append(SweepSample(float(rho_min), float(res), "ok"))
         else:
-            f_kind = fwd.terminator.kind if fwd.terminator else "exhausted"
-            b_kind = bwd.terminator.kind if bwd.terminator else "exhausted"
-            out.append(
-                SweepSample(float(rho_min), math.nan, f"{f_kind}/{b_kind}")
-            )
+            status = f"{fwd.terminator.kind}/{bwd.terminator.kind}"
+            out.append(SweepSample(float(rho_min), math.nan, status))
     return out
 
 
@@ -717,13 +709,10 @@ def _shock_shot(e0: float, delta: float, rho_l: float, p: ModelParams, cfg):
         p,
         cfg,
     )
-    if sup.terminator is None or sup.terminator.kind != "target_density":
+    if sup.terminator.kind != "target_density":
         # arc never rose back through rho_l: too shallow (returned to the
         # sonic band first) or blown up; both mean "not this launch field"
-        if sup.terminator is not None and sup.terminator.kind in (
-            "sonic_arrival",
-            "step_failure",
-        ):
+        if sup.terminator.kind in ("sonic_arrival", "step_failure"):
             return -_OVERSHOOT, None
         return _OVERSHOOT, None
     left = sup.last
@@ -735,7 +724,7 @@ def _shock_shot(e0: float, delta: float, rho_l: float, p: ModelParams, cfg):
         p,
         cfg,
     )
-    if sub.terminator is None or sub.terminator.kind != "target_density":
+    if sub.terminator.kind != "target_density":
         return _OVERSHOOT, None
     return sub.last.x - 1.0, (sup, sub)
 
@@ -926,7 +915,7 @@ def _tangential_landing_shot(
             1.0, "subsonic", p.inv_tau + q_launch, "backward",
             [target, DomainEnd(-2.0)], p, cfg,
         )
-    kind = seg.terminator.kind if seg.terminator is not None else None
+    kind = seg.terminator.kind
     if kind == "target_density":
         return seg, None
     if kind in ("step_failure", "sonic_arrival"):

@@ -325,3 +325,56 @@ class TestVerify:
     def test_missing_artifacts_usage_error(self, tmp_path, capsys):
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# malformed outside input
+
+
+_CSV = "x,rho,e,regime\n0.0,1.0,0.5,sonic\n1.0,1.0,0.5,sonic\n"
+_JSON = json.dumps({"kind": "sonic", "model": model(2.0, 1.0)})
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, content", [
+        ("solve", {"model": model(50.0, 1.5),
+                   "solver": {"kind": "transonic_shock", "rho_l": "abc"}}),
+        ("solve", {"model": model(15.0, 1.5),
+                   "solver": {"kind": "supersonic", "bracket": [0.5]}}),
+        ("solve", {"model": model(0.1, 1.5),
+                   "solver": {"kind": "c1_transonic", "x0": None}}),
+        ("solve", {"model": model(15.0, 1.5),
+                   "solver": {"kind": "subsonic", "method": "elliptic", "j_schedule": 5}}),
+        ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                   "sweep": {"variable": "tau", "values": ["x"]}}),
+        ("portrait", {"model": model(15.0, 1.5), "portrait": {"count": "x"}}),
+        ("verify", (_CSV.replace("1.0,0.5,sonic\n1.0", "abc,0.5,sonic\n1.0"), _JSON)),
+        ("verify", (_CSV + "2.0,1.0\n", _JSON)),
+        ("verify", (_CSV, "{not json")),
+        ("verify", (_CSV, _JSON.replace('"sonic"', '"warp"'))),
+    ], ids=[
+        "rho_l_not_a_number", "bracket_of_one", "x0_null", "j_schedule_not_a_list",
+        "sweep_value_not_a_number", "portrait_count_not_a_number",
+        "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
+    ])
+    def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):
+        if command == "verify":
+            (tmp_path / "solution.csv").write_text(content[0])
+            (tmp_path / "solution.json").write_text(content[1])
+            argv = ["verify", "--out", str(tmp_path)]
+        else:
+            argv = [command, "--config", write_config(tmp_path, content),
+                    "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_well_formed_artifacts_are_read(self, tmp_path):
+        # the base the verify cases above each break in one place
+        (tmp_path / "solution.csv").write_text(_CSV)
+        (tmp_path / "solution.json").write_text(_JSON)
+        sol, p, _ = cli.reconstruct_solution(tmp_path)
+        assert sol.kind == "sonic" and len(sol.x) == 2 and p.tau == 2.0

@@ -14,7 +14,6 @@ import scipy.integrate
 import sonic_flow
 from sonic_flow import integrator
 from sonic_flow import (
-    CriticalPoint,
     DegenerateLaunch,
     DomainEnd,
     DopingProfile,
@@ -24,10 +23,8 @@ from sonic_flow import (
     SonicSingularity,
     State,
     TargetDensity,
-    c1_transition_slope,
     integrate,
     integrate_from_sonic,
-    launch_from_sonic,
 )
 
 from conftest import params
@@ -139,41 +136,50 @@ class TestEvents:
 
 
 # ---------------------------------------------------------------------------
+# target selection
+
+
+class TestTargetSelection:
+    # each free arc crosses its target once: rising inside the sonic band,
+    # where the rho-chart runs, and falling outside it, in the x-chart
+    @pytest.mark.parametrize("direction", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "start, target, crossing",
+        [(State(0.0, 1.005, 0.5), 1.008, 1), (State(0.0, 1.2, 0.0), 1.1, -1)],
+        ids=["rho_chart", "x_chart"],
+    )
+    def test_target_stops_only_in_its_direction(self, start, target, crossing, direction):
+        p = params(15.0, 1.5)
+        free = integrate(start, "forward", [DomainEnd(0.5)], p)
+        seg = integrate(
+            start, "forward", [TargetDensity(target, direction), DomainEnd(0.5)], p
+        )
+        if direction in (0, crossing):
+            assert seg.terminator.kind == "target_density"
+            assert seg.last.rho == pytest.approx(target, abs=1e-12)
+            assert seg.last.x < free.last.x
+        else:
+            assert seg.terminator == free.terminator
+            assert np.array_equal(seg.xs, free.xs)
+            assert np.array_equal(seg.rhos, free.rhos)
+
+    @pytest.mark.parametrize("start", [State(0.0, 1.005, 0.5), State(0.0, 1.2, 0.6)],
+                             ids=["rho_chart", "x_chart"])
+    def test_nearest_target_ahead_stops(self, start):
+        # both arcs rise; the farther target is listed first
+        p = params(15.0, 1.5)
+        near = start.rho + 0.002
+        stops = [TargetDensity(start.rho + 0.004), TargetDensity(near), DomainEnd(0.5)]
+        seg = integrate(start, "forward", stops, p)
+        assert seg.terminator.kind == "target_density"
+        assert seg.last.rho == pytest.approx(near, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # sonic launches
 
 
 class TestSonicLaunch:
-    def test_square_root_profile_off_launch(self):
-        # leading order: (1 - rho)^2 grows linearly in x with slope |q|
-        p = params(2.0, 1.5)
-        q = -1.0
-        st = launch_from_sonic(0.0, "supersonic", p.inv_tau + q, p)
-        assert st.rho < 1.0
-        w_rate = (1.0 - st.rho) ** 2 / abs(st.x)
-        assert w_rate == pytest.approx(abs(q), rel=1e-2)
-
-    def test_launch_respects_band_offset(self):
-        p = params(2.0, 1.5)
-        cfg = IntegratorConfig()
-        st = launch_from_sonic(0.0, "subsonic", p.inv_tau + 0.5, p, cfg)
-        assert st.rho - 1.0 == pytest.approx(cfg.sonic_band / 2.0, abs=1e-15)
-
-    def test_tangential_launch_slope(self):
-        p = params(0.1, 1.5)
-        st = launch_from_sonic(0.0, "subsonic", p.inv_tau, p)
-        slope = (st.rho - 1.0) / st.x
-        assert slope == pytest.approx(c1_transition_slope(1.5, 0.1), rel=1e-12)
-
-    def test_tangential_launch_needs_supersonic_doping(self):
-        p = params(0.1, 0.9)
-        with pytest.raises(DegenerateLaunch):
-            launch_from_sonic(0.0, "subsonic", p.inv_tau, p)
-
-    def test_tangential_launch_needs_small_tau(self):
-        p = params(0.5, 1.5)  # tau above the smooth-transition threshold
-        with pytest.raises(DegenerateLaunch):
-            launch_from_sonic(0.0, "subsonic", p.inv_tau, p)
-
     def test_integrate_from_sonic_departure_sign(self):
         p = params(15.0, 1.5)
         with pytest.raises(DegenerateLaunch):
@@ -211,17 +217,6 @@ class TestTrajectoryQuality:
         )
         assert a.last.x == pytest.approx(b.last.x, abs=100 * wide.rel_tol)
         assert a.last.e == pytest.approx(b.last.e, abs=100 * wide.rel_tol)
-
-    def test_supersonic_arc_single_critical_point(self):
-        # between two sonic approaches a supersonic arc has one critical point
-        p = params(15.0, 1.5)
-        seg = integrate_from_sonic(
-            0.0, "supersonic", p.inv_tau + 0.3, "forward",
-            [CriticalPoint()], p,
-        )
-        assert seg.terminator.kind == "critical_point"
-        st = seg.last
-        assert st.rho * st.e == pytest.approx(p.inv_tau, abs=1e-9)
 
     def test_focus_spiral_alternating_extrema(self):
         # subsonic doping and weak damping: trajectories rotate around the
