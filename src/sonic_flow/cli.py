@@ -38,6 +38,7 @@ from .solvers import (
     solve_subsonic_shooting,
     solve_supersonic,
     solve_transonic_shock,
+    _j_schedule,
 )
 from .svg import render_portrait, render_profile
 
@@ -123,7 +124,7 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
         raise UsageError(f"unknown integrator options: {sorted(extra)}")
     try:
         return IntegratorConfig(**{k: float(v) for k, v in spec.items()})
-    except ValueError as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"invalid integrator section: {exc}") from exc
 
 
@@ -150,7 +151,7 @@ def _solve_call(solver: dict, icfg: IntegratorConfig):
         if method == "elliptic":
             kwargs = {}
             if "j_schedule" in solver:
-                kwargs["j_schedule"] = tuple(float(j) for j in solver["j_schedule"])
+                kwargs["j_schedule"] = _j_schedule(solver["j_schedule"])
             return solve_subsonic_elliptic, (), kwargs
         raise UsageError(f"unknown subsonic method {method!r}")
     if kind == "supersonic":
@@ -160,10 +161,7 @@ def _solve_call(solver: dict, icfg: IntegratorConfig):
         return solve_supersonic, (), {"cfg": icfg, "bracket": bracket}
     if kind == "transonic_shock":
         rho_l = float(_require(solver, "rho_l", "solver"))
-        kwargs = {"cfg": icfg}
-        if "delta_schedule" in solver:
-            kwargs["delta_schedule"] = tuple(float(d) for d in solver["delta_schedule"])
-        return solve_transonic_shock, (rho_l,), kwargs
+        return solve_transonic_shock, (rho_l,), {"cfg": icfg}
     rho_x0 = float(_require(solver, "x0", "solver"))
     kwargs = {"cfg": icfg}
     if "n_stop" in solver:
@@ -312,10 +310,11 @@ def run_classify(cfg: dict, out_dir: Path) -> int:
 
 
 def _portrait_launches(p: ModelParams, spec: dict):
-    """Deterministic fan around the critical point unless given explicitly."""
+    """Span and launches: a fan around the critical point unless given explicitly."""
     try:
+        span = float(spec.get("span", 4.0))
         if "launches" in spec:
-            return [(float(r), float(e)) for r, e in spec["launches"]]
+            return span, [(float(r), float(e)) for r, e in spec["launches"]]
         a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
         count = int(spec.get("count", 12))
         radius_rho = float(spec.get("radius_rho", 0.4 * a_rho))
@@ -329,7 +328,7 @@ def _portrait_launches(p: ModelParams, spec: dict):
         e0 = a_e + radius_e * math.sin(ang)
         if rho0 > 0.05:
             out.append((rho0, e0))
-    return out
+    return span, out
 
 
 def run_portrait(cfg: dict, out_dir: Path) -> int:
@@ -339,8 +338,7 @@ def run_portrait(cfg: dict, out_dir: Path) -> int:
     icfg = integrator_from_config(cfg)
     spec = cfg.get("portrait", {})
     mode = spec.get("mode", "primal")
-    span = float(spec.get("span", 4.0))
-    launches = _portrait_launches(p, spec)
+    span, launches = _portrait_launches(p, spec)
 
     segments = []
     for rho0, e0 in launches:

@@ -47,7 +47,6 @@ from .model_core import (
 from .solution import Solution, TransitionData, graded_grid, grid_derivative
 
 DEFAULT_J_SCHEDULE = (0.5, 0.9, 0.99, 0.999, 0.9999)
-DEFAULT_DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 # sentinel residual magnitude for shots that leave the admissible region
 _OVERSHOOT = 10.0
@@ -56,6 +55,10 @@ _OVERSHOOT = 10.0
 # 1e-7 or looser; a shot this close ends the root search, since further shots
 # would only move the root inside the residual's own noise
 _RESIDUAL_FLOOR = 1e-12
+
+# smallest launch excess E(0) - 1/tau a sonic launch is shot at: widening
+# stops here, clear of the degenerate-launch guard at 1e-6
+_LAUNCH_FLOOR = 4e-6
 
 
 def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
@@ -250,14 +253,12 @@ def solve_subsonic_shooting(
     _require_subsonic_regime(p)
     cfg = cfg or IntegratorConfig()
 
-    # the lower end halves toward, but stays clear of, the degenerate-launch
-    # guard at 1e-6
     memo = {}
     q_star, shots = _shoot(
         lambda q: _subsonic_shot(q, p, cfg),
         1e-4,
         0.05,
-        lambda q: 0.5 * q if 0.5 * q >= 4e-6 else None,
+        lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None,
         lambda q: 2.0 * q,
         xtol=1e-15,
         memo=memo,
@@ -327,6 +328,20 @@ def _elliptic_jacobian_bands(u, x, h, bx, j, p):
     return ab
 
 
+def _j_schedule(j_schedule) -> tuple[float, ...]:
+    """The relaxation currents as floats; ValueError unless they suit the solve."""
+    js = tuple(float(j) for j in j_schedule)
+    if len(js) < 3 or any(not 0.0 < j < 1.0 for j in js) or any(
+        b <= a for a, b in zip(js, js[1:])
+    ):
+        # three levels minimum: the extrapolation-gap diagnostic compares two
+        # consecutive Richardson pairs
+        raise ValueError("j_schedule must be strictly increasing inside (0, 1)")
+    if js[-1] < 1.0 - 1e-4:
+        raise ValueError("j_schedule must approach the sonic current: last j >= 0.9999")
+    return js
+
+
 def solve_subsonic_elliptic(
     p: ModelParams,
     j_schedule: tuple[float, ...] = DEFAULT_J_SCHEDULE,
@@ -342,15 +357,7 @@ def solve_subsonic_elliptic(
     first-order accurate in the relaxation parameter.
     """
     _require_subsonic_regime(p)
-    js = tuple(float(j) for j in j_schedule)
-    if len(js) < 3 or any(not 0.0 < j < 1.0 for j in js) or any(
-        b <= a for a, b in zip(js, js[1:])
-    ):
-        # three levels minimum: the extrapolation-gap diagnostic compares two
-        # consecutive Richardson pairs
-        raise ValueError("j_schedule must be strictly increasing inside (0, 1)")
-    if js[-1] < 1.0 - 1e-4:
-        raise ValueError("j_schedule must approach the sonic current: last j >= 0.9999")
+    js = _j_schedule(j_schedule)
 
     x = graded_grid()
     h = np.diff(x)
@@ -696,18 +703,15 @@ def _check_regime_for_shock(p: ModelParams) -> None:
             )
 
 
-def _shock_shot(e0: float, delta: float, rho_l: float, p: ModelParams, cfg):
+def _shock_shot(e0: float, rho_l: float, p: ModelParams, cfg):
     """One interior-layer shot: supersonic dive, jump, subsonic climb.
 
-    Returns (landing_x - 1, parts) where parts is None for invalid shots.
+    The dive leaves the sonic line at x = 0 exactly and the climb lands on
+    it.  Returns (landing_x - 1, parts) where parts is None for invalid shots.
     """
-    launch = State(0.0, 1.0 - delta, e0)
-    sup = integrate(
-        launch,
-        "forward",
-        [TargetDensity(rho_l, direction=+1), DomainEnd(4.0)],
-        p,
-        cfg,
+    sup = integrate_from_sonic(
+        0.0, "supersonic", e0, "forward",
+        [TargetDensity(rho_l, direction=+1), DomainEnd(4.0)], p, cfg,
     )
     if sup.terminator.kind != "target_density":
         # arc never rose back through rho_l: too shallow (returned to the
@@ -717,174 +721,94 @@ def _shock_shot(e0: float, delta: float, rho_l: float, p: ModelParams, cfg):
         return _OVERSHOOT, None
     left = sup.last
     rho_r, e_r = rh_jump(left.rho, left.e)
-    sub = integrate(
-        State(left.x, rho_r, e_r),
-        "forward",
-        [TargetDensity(1.0 + delta, direction=-1), DomainEnd(left.x + 4.0)],
-        p,
-        cfg,
-    )
-    if sub.terminator.kind != "target_density":
+    sub = integrate(State(left.x, rho_r, e_r), "forward", [DomainEnd(left.x + 4.0)], p, cfg)
+    if sub.terminator.kind != "sonic_arrival":
         return _OVERSHOOT, None
     return sub.last.x - 1.0, (sup, sub)
 
 
-def _shock_bracket(delta: float, rho_l: float, p: ModelParams):
+def _shock_bracket(rho_l: float, p: ModelParams):
     """Launch-field bracket seeded by the frictionless energy integral."""
     psi = lambda r: undamped_energy_potential(r, p.doping.b_upper)
     psi_lo = undamped_energy_potential(rho_l, p.doping.b_lower)
-    e_touch = math.sqrt(max(2.0 * (psi(1.0 - delta) - psi_lo), 0.0))
+    e_touch = math.sqrt(max(2.0 * (psi(1.0) - psi_lo), 0.0))
     beta_deep, _ = supersonic_min_density_bracket(1.0, max(p.doping.b_lower, 1.0 + 1e-9))
     e_deep = math.sqrt(max(2.0 * (psi(1.0) - psi(beta_deep)), 1e-6))
-    return max(e_touch * (1.0 + 1e-6), p.inv_tau / (1.0 - delta) + 1e-9), e_deep
+    return max(e_touch * (1.0 + 1e-6), p.inv_tau + _LAUNCH_FLOOR), e_deep
 
 
 def solve_transonic_shock(
-    p: ModelParams,
-    rho_l: float,
-    delta_schedule: tuple[float, ...] = DEFAULT_DELTA_SCHEDULE,
-    cfg: IntegratorConfig | None = None,
+    p: ModelParams, rho_l: float, cfg: IntegratorConfig | None = None
 ) -> Solution:
     """Transonic solution with one entropic jump at density rho_l.
 
-    Sonic endpoints are approached through a vanishing offset delta: each
-    member of the schedule launches at rho = 1 - delta, dives through the
-    supersonic branch, jumps at its last upward crossing of rho_l, climbs
-    the subsonic branch to rho = 1 + delta at x = 1, and the family is
-    extrapolated linearly in delta on shock-aligned grids.
+    The launch field E(0) is tuned until the arc that leaves the sonic line
+    at x = 0, dives through the supersonic branch, jumps at its upward
+    crossing of rho_l and climbs the subsonic branch lands on the sonic
+    line at x = 1.
     """
     if not 0.0 < rho_l < 1.0:
         raise PreconditionViolation("the pre-shock density must lie in (0, 1)")
     _check_regime_for_shock(p)
     cfg = cfg or IntegratorConfig()
-    deltas = tuple(sorted(set(float(d) for d in delta_schedule), reverse=True))
-    if len(deltas) < 2 or deltas[0] > cfg.sonic_band:
-        raise ValueError("delta schedule must contain >= 2 offsets inside the sonic band")
-    if rho_l >= 1.0 - deltas[0]:
-        raise PreconditionViolation("rho_l must sit below the largest launch offset")
+    if rho_l >= 1.0 - cfg.sonic_band:
+        raise PreconditionViolation("rho_l must sit below the sonic band")
 
-    runs = []
-    total_shots = 0
-    for delta in deltas:
-        e_lo, e_hi = _shock_bracket(delta, rho_l, p)
-        if runs:
-            # the root moves little between offsets: start from the previous
-            # one +-1%, inside the energy bracket; widening recovers a miss
-            e_prev = runs[-1]["e0"]
-            e_lo, e_hi = (
-                min(max(0.99 * e_prev, e_lo), e_hi),
-                max(min(1.01 * e_prev, e_hi), e_lo),
-            )
-        # a lower seed past the solution is pulled toward the touching energy
-        e_star, shots = _shoot(
-            lambda e0: _shock_shot(e0, delta, rho_l, p, cfg),
-            e_lo,
-            e_hi,
-            lambda e0: 0.5 * (e0 + p.inv_tau),
-            lambda e0: 1.5 * e0,
-            xtol=1e-13,
-        )
-        total_shots += shots
-        r_star, parts = _shock_shot(e_star, delta, rho_l, p, _fine(cfg))
-        if parts is None or abs(r_star) > 1e-7:
-            raise ShootingDivergence(
-                "shock shooting failed to land at x = 1",
-                diagnostics={"delta": delta, "residual": r_star},
-            )
-        sup, sub = parts
-        if abs(sup.last.rho - rho_l) > 1e-9:
-            raise LastCrossingMissing(
-                "supersonic branch did not terminate on the required crossing",
-                diagnostics={"delta": delta, "rho_end": sup.last.rho},
-            )
-        # the upward crossing is the last one only if the dive is unimodal;
-        # along rho E = 1/tau the excess decays, so exactly one interior
-        # minimum may occur.  Verify rather than assume.
-        q = sup.rhos * sup.es - p.inv_tau
-        crossings = int(np.count_nonzero(np.diff(np.sign(q)) != 0))
-        if crossings != 1:
-            raise LastCrossingMissing(
-                "supersonic branch is not unimodal; the jump point is ambiguous",
-                diagnostics={"delta": delta, "sign_changes": crossings},
-            )
-        runs.append({"delta": delta, "e0": e_star, "parts": parts})
-
-    # --- extrapolate the offset family to delta = 0 ------------------------
-    # Lagrange weights at delta = 0 over the last (up to) three runs remove
-    # the delta and delta^2 components of the offset error; shock-aligned
-    # normalized coordinates keep the branches aligned across runs.
-    use = runs[-3:]
-    ds = [r["delta"] for r in use]
-    weights = []
-    for i, di in enumerate(ds):
-        w = 1.0
-        for k, dk in enumerate(ds):
-            if k != i:
-                w *= dk / (dk - di)
-        weights.append(w)
-
-    sup_segs = [r["parts"][0] for r in use]
-    sub_segs = [r["parts"][1] for r in use]
-    x0s = [s.last.x for s in sup_segs]
-    x5s = [s.last.x for s in sub_segs]
-    x0 = sum(w * v for w, v in zip(weights, x0s))
-    x5 = sum(w * v for w, v in zip(weights, x5s))
-
-    def branch_extrapolate(segs, starts, ends):
-        """Combine runs on the finest run's normalized abscissa."""
-        fine = segs[-1]
-        xi = (fine.xs - starts[-1]) / (ends[-1] - starts[-1])
-        rho = np.zeros_like(xi)
-        e = np.zeros_like(xi)
-        for w, seg, a, b in zip(weights, segs, starts, ends):
-            xq = a + xi * (b - a)
-            rho += w * np.interp(xq, seg.xs, seg.rhos)
-            e += w * np.interp(xq, seg.xs, seg.es)
-        return xi, rho, e
-
-    xi_l, rho_l_arr, e_l_arr = branch_extrapolate(
-        sup_segs, [0.0] * len(use), x0s
+    e_lo, e_hi = _shock_bracket(rho_l, p)
+    # a lower seed past the solution is pulled toward the touching energy,
+    # never into the degenerate-launch guard
+    memo = {}
+    e_star, shots = _shoot(
+        lambda e0: _shock_shot(e0, rho_l, p, cfg),
+        e_lo,
+        e_hi,
+        lambda e0: 0.5 * (e0 + p.inv_tau) if 0.5 * (e0 - p.inv_tau) >= _LAUNCH_FLOOR else None,
+        lambda e0: 1.5 * e0,
+        xtol=1e-13,
+        memo=memo,
     )
-    xi_r, rho_r_arr, e_r_arr = branch_extrapolate(sub_segs, x0s, x5s)
+    fine = _fine(cfg)
+    e_star, residual, parts = _polish(
+        lambda e0: _shock_shot(e0, rho_l, p, fine), e_star, _slope(memo, e_star)
+    )
+    if parts is None or abs(residual) > 1e-7:
+        raise ShootingDivergence(
+            "shock shooting failed to land at x = 1",
+            diagnostics={"e0": e_star, "residual": residual, "shots": shots},
+        )
+    sup, sub = parts
+    if abs(sup.last.rho - rho_l) > 1e-9:
+        raise LastCrossingMissing(
+            "supersonic branch did not terminate on the required crossing",
+            diagnostics={"rho_end": sup.last.rho},
+        )
+    # the upward crossing is the last one only if the dive is unimodal;
+    # along rho E = 1/tau the excess decays, so exactly one interior
+    # minimum may occur.  Verify rather than assume.
+    q = sup.rhos * sup.es - p.inv_tau
+    crossings = int(np.count_nonzero(np.diff(np.sign(q)) != 0))
+    if crossings != 1:
+        raise LastCrossingMissing(
+            "supersonic branch is not unimodal; the jump point is ambiguous",
+            diagnostics={"sign_changes": crossings},
+        )
 
-    x_left = xi_l * x0
-    x_right = x0 + xi_r * (x5 - x0)
-    rho_l_arr[0] = 1.0  # launch offsets extrapolate to the exact sonic value
-    rho_r_arr[-1] = 1.0
-    rho_l_arr[-1] = rho_l
-    rho_r_arr[0] = 1.0 / rho_l
-
-    e_jump = e_l_arr[-1]
-    e_r_arr[0] = e_jump
-    shock = ShockData(x0=float(x0), rho_l=rho_l, rho_r=1.0 / rho_l, e_jump=float(e_jump))
-
-    xs = np.concatenate([x_left, x_right])
-    rhos = np.concatenate([rho_l_arr, rho_r_arr])
-    es = np.concatenate([e_l_arr, e_r_arr])
-
-    # the plain two-run linear extrapolation gauges the remaining delta error
-    if len(use) >= 3:
-        w2 = ds[-1] / (ds[-2] - ds[-1])
-        x0_alt = x0s[-1] + w2 * (x0s[-1] - x0s[-2])
-        extrap_gap = abs(x0 - x0_alt)
-    else:
-        extrap_gap = math.nan
-
+    e_jump = float(sup.last.e)
+    shock = ShockData(
+        x0=float(sup.last.x), rho_l=rho_l, rho_r=rh_jump(rho_l, e_jump)[0], e_jump=e_jump
+    )
     return Solution(
         kind="transonic_shock",
-        x=xs,
-        rho=rhos,
-        e=es,
+        x=np.concatenate([sup.xs, sub.xs]),
+        rho=np.concatenate([sup.rhos, sub.rhos]),
+        e=np.concatenate([sup.es, sub.es]),
         shock=shock,
         diagnostics={
-            "construction": "delta_extrapolated",
-            "delta_schedule": list(deltas),
-            "x0_per_delta": [float(r["parts"][0].last.x) for r in runs],
-            "e0_per_delta": [float(r["e0"]) for r in runs],
-            "x0_extrapolation_gap": float(extrap_gap),
-            "boundary_residual": float(abs(x5 - 1.0)),
+            "construction": "ode_trajectory",
+            "e0": e_star,
+            "boundary_residual": abs(residual),
             "rho_l": rho_l,
-            "shooting_iterations": total_shots,
+            "shooting_iterations": shots,
         },
     )
 

@@ -345,16 +345,24 @@ class TestMalformedInput:
                    "solver": {"kind": "c1_transonic", "x0": None}}),
         ("solve", {"model": model(15.0, 1.5),
                    "solver": {"kind": "subsonic", "method": "elliptic", "j_schedule": 5}}),
+        ("solve", {"model": model(15.0, 1.5),
+                   "solver": {"kind": "subsonic", "method": "elliptic",
+                              "j_schedule": [0.5, 0.4, 1.0]}}),
+        ("solve", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                   "integrator": {"max_step": None}}),
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "values": ["x"]}}),
         ("portrait", {"model": model(15.0, 1.5), "portrait": {"count": "x"}}),
+        ("portrait", {"model": model(15.0, 1.5), "portrait": {"span": "x"}}),
         ("verify", (_CSV.replace("1.0,0.5,sonic\n1.0", "abc,0.5,sonic\n1.0"), _JSON)),
         ("verify", (_CSV + "2.0,1.0\n", _JSON)),
         ("verify", (_CSV, "{not json")),
         ("verify", (_CSV, _JSON.replace('"sonic"', '"warp"'))),
     ], ids=[
         "rho_l_not_a_number", "bracket_of_one", "x0_null", "j_schedule_not_a_list",
+        "j_schedule_not_increasing", "integrator_value_null",
         "sweep_value_not_a_number", "portrait_count_not_a_number",
+        "portrait_span_not_a_number",
         "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):

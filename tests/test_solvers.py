@@ -18,6 +18,7 @@ from sonic_flow import (
     DopingProfile,
     ModelParams,
     NoSolutionInRegime,
+    NumericalError,
     NotConstantDoping,
     NotSonicDoping,
     PreconditionViolation,
@@ -267,8 +268,11 @@ class TestTransonicShock:
         with pytest.raises(PreconditionViolation):
             solve_transonic_shock(params(50.0, 1.5), 1.2)
 
-    def test_extrapolation_gap_recorded(self, shock_sol):
-        assert 0.0 < shock_sol.diagnostics["x0_extrapolation_gap"] < 1e-5
+    def test_failure_is_typed_numerical(self):
+        # no launch field lands this arc on x = 1; the widening stops at the
+        # launch floor, short of the degenerate-launch guard
+        with pytest.raises(NumericalError):
+            solve_transonic_shock(params(1.0, 1.2), 0.9)
 
 
 class TestShockRegressions:
@@ -281,7 +285,7 @@ class TestShockRegressions:
     def test_residual_within_bound(self, tau, b, rho_l):
         p = params(tau, b)
         sol = solve_transonic_shock(p, rho_l)
-        assert residual_norm(sol, p)[0] < 1e-3
+        assert residual_norm(sol, p)[0] < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +450,10 @@ class TestShootDriver:
         root, _ = _shoot(shot, 0.1, 1.0 + 1e-9, None, None, 1e-14, memo=memo)
         assert _slope(memo, root) is None
 
-    @pytest.mark.parametrize("family", ["subsonic", "supersonic"])
-    def test_polish_makes_two_fine_shots(self, family, p_main, monkeypatch):
+    @pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock"])
+    def test_polish_makes_two_fine_shots(self, family, p_main, p_shock, monkeypatch):
         # the first fine shot misses by more than the polish accepts (1e-10)
-        # for both cases; the slope step then lands within it
+        # in every case; the slope step then lands within it
         fine_shots = []
         polish = sonic_flow.solvers._polish
 
@@ -465,27 +469,15 @@ class TestShootDriver:
         if family == "subsonic":
             sine = ModelParams(tau=5.0, doping=DopingProfile.sine_perturbed(1.6, 0.3))
             sol = solve_subsonic_shooting(sine)
-        else:
+        elif family == "supersonic":
             sol = solve_supersonic(p_main)
+        else:
+            sol = solve_transonic_shock(p_shock, 0.9)
         assert len(fine_shots) == 2
         assert sol.diagnostics["boundary_residual"] <= 1e-12
 
-    def test_shock_offsets_start_from_the_previous_root(self, p_shock, monkeypatch):
-        counts = []
-        shoot = sonic_flow.solvers._shoot
-
-        def counted(*args, **kwargs):
-            found = shoot(*args, **kwargs)
-            counts.append(found[1])
-            return found
-
-        monkeypatch.setattr(sonic_flow.solvers, "_shoot", counted)
-        solve_transonic_shock(p_shock, 0.9)
-        assert len(counts) == 3
-        assert counts[1] <= 8 and counts[2] <= 8
-
     @pytest.mark.parametrize("fixture,budget", [
-        ("subsonic_sol", 10), ("supersonic_sol", 7), ("shock_sol", 20), ("c1_sol", 16),
+        ("subsonic_sol", 10), ("supersonic_sol", 7), ("shock_sol", 12), ("c1_sol", 16),
     ])
     def test_shot_budget_per_family(self, fixture, budget, request):
         assert request.getfixturevalue(fixture).diagnostics["shooting_iterations"] <= budget
@@ -516,7 +508,7 @@ class TestOutputResolution:
         assert _gaps_ok(c1_sol.x[:i], 5e-4) and _gaps_ok(c1_sol.x[i + 1:], 5e-4)
 
     @pytest.mark.parametrize("family,budget", [
-        ("subsonic", 14000), ("supersonic", 15000), ("transonic_shock", 32000),
+        ("subsonic", 14000), ("supersonic", 15000), ("transonic_shock", 20000),
     ])
     def test_rhs_evaluation_budget(self, family, budget, p_main, p_shock, monkeypatch):
         nfev = []
