@@ -155,10 +155,7 @@ def _solve_call(solver: dict, icfg: IntegratorConfig):
             return solve_subsonic_elliptic, (), kwargs
         raise UsageError(f"unknown subsonic method {method!r}")
     if kind == "supersonic":
-        bracket = solver.get("bracket")
-        if bracket is not None:
-            bracket = (float(bracket[0]), float(bracket[1]))
-        return solve_supersonic, (), {"cfg": icfg, "bracket": bracket}
+        return solve_supersonic, (), {"cfg": icfg}
     if kind == "transonic_shock":
         rho_l = float(_require(solver, "rho_l", "solver"))
         return solve_transonic_shock, (rho_l,), {"cfg": icfg}

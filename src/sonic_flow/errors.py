@@ -53,8 +53,6 @@ class ComplexSlope(SonicFlowError):
 class RegimeError(SonicFlowError):
     """The requested solution kind does not exist for these parameters."""
 
-    code = "regime-rejection"
-
     def __init__(self, message: str, theorem_ref: str | None = None):
         super().__init__(message)
         self.theorem_ref = theorem_ref
@@ -63,31 +61,21 @@ class RegimeError(SonicFlowError):
 class NotSonicDoping(RegimeError):
     """solve_sonic requires doping identically 1."""
 
-    code = "not-sonic-doping"
-
 
 class PreconditionViolation(RegimeError):
     """Solver precondition on the doping bounds fails."""
-
-    code = "precondition-violation"
 
 
 class NoSolutionInRegime(RegimeError):
     """Classifier proves non-existence before any iteration starts."""
 
-    code = "no-solution-in-regime"
-
 
 class RegimeRejection(RegimeError):
     """Transonic construction rejected for these parameters."""
 
-    code = "regime-rejection"
-
 
 class DegenerateLaunch(RegimeError):
     """Sonic launch data admits no local expansion of the requested type."""
-
-    code = "degenerate-launch"
 
 
 # ---------------------------------------------------------------------------
@@ -97,40 +85,38 @@ class DegenerateLaunch(RegimeError):
 class NumericalError(SonicFlowError):
     """An admissible construction failed to converge."""
 
-    code = "numerical-failure"
-
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
 
 
 class NewtonDivergence(NumericalError):
-    code = "newton-divergence"
+    """A damped Newton iteration stalled or ran out of iterations."""
 
 
 class BracketFailure(NumericalError):
-    code = "bracket-failure"
+    """No launch parameter moves a shooting residual across zero."""
 
 
 class ShootingDivergence(NumericalError):
-    code = "shooting-divergence"
+    """A shooting iteration did not converge, or its arc misses its landing."""
 
 
 class LastCrossingMissing(NumericalError):
-    code = "last-crossing-missing"
+    """A shock branch does not end on the one required crossing."""
 
 
 class GlueMismatch(NumericalError):
-    code = "glue-mismatch"
+    """Two branches disagree where they are glued together."""
 
 
 class IntegrationFailure(NumericalError):
-    code = "integration-failure"
+    """An arc could not be continued: budgets exhausted or turned back in x."""
 
 
 class InsufficientWindow(NumericalError):
-    code = "insufficient-window"
+    """Too few samples to fit a local exponent."""
 
 
 class LemmaViolation(NumericalError):
-    code = "lemma-violation"
+    """A computed quantity contradicts a lemma of the theory."""

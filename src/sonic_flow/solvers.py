@@ -195,6 +195,27 @@ def _polish(shot_fine, v, slope):
     return v, residual, data
 
 
+def _shoot_polish_land(shot, cfg, lo, hi, widen_lo, widen_hi, xtol, failure):
+    """Root of ``shot(v, cfg)`` by `_shoot`, polished at output resolution.
+
+    The probes run at ``cfg``; `_polish` then re-shoots at ``_fine(cfg)``,
+    seeded by the probes' `_slope`.  A polished shot without data, or one
+    that misses its landing by more than 1e-7, raises `ShootingDivergence`
+    with the message ``failure``.  Returns ``(v, residual, data, shots)``.
+    """
+    memo = {}
+    v, shots = _shoot(lambda u: shot(u, cfg), lo, hi, widen_lo, widen_hi, xtol, memo=memo)
+    # the square-root endpoint amplifies an abscissa miss eps into a
+    # sqrt(q*eps) density gap, hence the polish at output resolution
+    fine = _fine(cfg)
+    v, residual, data = _polish(lambda u: shot(u, fine), v, _slope(memo, v))
+    if data is None or abs(residual) > 1e-7:
+        raise ShootingDivergence(
+            failure, diagnostics={"launch": v, "residual": residual, "shots": shots}
+        )
+    return v, residual, data, shots
+
+
 def _require_subsonic_regime(p: ModelParams) -> None:
     if p.doping.b_lower <= 1.0:
         raise PreconditionViolation(
@@ -224,11 +245,9 @@ def solve_sonic(p: ModelParams) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def _subsonic_shot(q: float, p: ModelParams, cfg: IntegratorConfig):
-    """Launch from the left sonic boundary; residual is landing abscissa - 1."""
-    seg = integrate_from_sonic(
-        0.0, "subsonic", p.inv_tau + q, "forward", [DomainEnd(3.0)], p, cfg
-    )
+def _sonic_shot(side: str, q: float, p: ModelParams, cfg: IntegratorConfig):
+    """Launch on ``side`` from the sonic line at x = 0; residual is landing abscissa - 1."""
+    seg = integrate_from_sonic(0.0, side, p.inv_tau + q, "forward", [DomainEnd(3.0)], p, cfg)
     kind = seg.terminator.kind
     if kind == "sonic_arrival":
         return seg.last.x - 1.0, seg
@@ -241,6 +260,23 @@ def _subsonic_shot(q: float, p: ModelParams, cfg: IntegratorConfig):
     return _OVERSHOOT, None
 
 
+def _shoot_launch_excess(side: str, p: ModelParams, cfg: IntegratorConfig):
+    """The arc from x = 0 on ``side`` whose launch excess lands it at x = 1.
+
+    Returns ``(q, residual, segment, shots)``, q = E(0) - 1/tau.
+    """
+    return _shoot_polish_land(
+        lambda q, c: _sonic_shot(side, q, p, c),
+        cfg,
+        1e-4,
+        0.05,
+        lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None,
+        lambda q: 2.0 * q,
+        xtol=1e-15,
+        failure="shooting on the launch field failed to land at x = 1",
+    )
+
+
 def solve_subsonic_shooting(
     p: ModelParams, cfg: IntegratorConfig | None = None
 ) -> Solution:
@@ -251,29 +287,7 @@ def solve_subsonic_shooting(
     brackets the solution.
     """
     _require_subsonic_regime(p)
-    cfg = cfg or IntegratorConfig()
-
-    memo = {}
-    q_star, shots = _shoot(
-        lambda q: _subsonic_shot(q, p, cfg),
-        1e-4,
-        0.05,
-        lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None,
-        lambda q: 2.0 * q,
-        xtol=1e-15,
-        memo=memo,
-    )
-    # the square-root endpoint amplifies an abscissa miss eps into a
-    # sqrt(q*eps) density gap, hence the polish at output resolution
-    fine = _fine(cfg)
-    q_star, residual, seg = _polish(
-        lambda q: _subsonic_shot(q, p, fine), q_star, _slope(memo, q_star)
-    )
-    if seg is None or abs(residual) > 1e-7:
-        raise ShootingDivergence(
-            "shooting on the launch field failed to land at x = 1",
-            diagnostics={"launch_excess": q_star, "residual": residual, "shots": shots},
-        )
+    q_star, residual, seg, shots = _shoot_launch_excess("subsonic", p, cfg or IntegratorConfig())
     return Solution(
         kind="subsonic",
         x=seg.xs,
@@ -449,18 +463,18 @@ def solve_subsonic_elliptic(
 # ---------------------------------------------------------------------------
 
 
-def _supersonic_arcs(x_min: float, rho_min: float, p: ModelParams, cfg: IntegratorConfig):
-    """Both half-arcs from the interior minimum on the critical locus."""
-    start = State(x_min, rho_min, 1.0 / (p.tau * rho_min))
-    fwd = integrate(start, "forward", [DomainEnd(x_min + 8.0)], p, cfg)
-    bwd = integrate(start, "backward", [DomainEnd(x_min - 8.0)], p, cfg)
+def _supersonic_arcs(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
+    """Both half-arcs from a minimum at x = 0 on the critical locus."""
+    start = State(0.0, rho_min, 1.0 / (p.tau * rho_min))
+    fwd = integrate(start, "forward", [DomainEnd(8.0)], p, cfg)
+    bwd = integrate(start, "backward", [DomainEnd(-8.0)], p, cfg)
     ok = fwd.terminator.kind == bwd.terminator.kind == "sonic_arrival"
     return ok, fwd, bwd
 
 
 def _supersonic_shot(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
     """Arcs from a minimum at x = 0; the residual 1 - total length rises with rho_min."""
-    ok, fwd, bwd = _supersonic_arcs(0.0, rho_min, p, cfg)
+    ok, fwd, bwd = _supersonic_arcs(rho_min, p, cfg)
     if not ok:
         raise ShootingDivergence(
             "supersonic half-arc failed to land on the sonic line",
@@ -473,7 +487,12 @@ def _supersonic_shot(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
     return 1.0 - (fwd.last.x - bwd.last.x), (fwd, bwd)
 
 
-def _compose_supersonic(fwd: TrajectorySegment, bwd: TrajectorySegment, shift: float):
+def _compose_supersonic(fwd: TrajectorySegment, bwd: TrajectorySegment):
+    """Rows of both half-arcs, slid so the backward landing sits at x = 0.
+
+    Constant doping is translation invariant, so the slide keeps a solution.
+    """
+    shift = -bwd.last.x
     xs = np.concatenate([bwd.xs[::-1] + shift, fwd.xs[1:] + shift])
     rhos = np.concatenate([bwd.rhos[::-1], fwd.rhos[1:]])
     es = np.concatenate([bwd.es[::-1], fwd.es[1:]])
@@ -496,40 +515,31 @@ def _check_regime_for_supersonic(p: ModelParams, want: str) -> None:
             )
 
 
-def solve_supersonic(
-    p: ModelParams,
-    cfg: IntegratorConfig | None = None,
-    bracket: tuple[float, float] | None = None,
-) -> Solution:
-    """Supersonic solution shot from its interior density minimum.
+def solve_supersonic(p: ModelParams, cfg: IntegratorConfig | None = None) -> Solution:
+    """Supersonic solution by shooting.
 
-    The minimum sits on the critical locus rho E = 1/tau, where the profile
-    is regular; both half-arcs are integrated out to their sonic landings
-    and the minimum density is tuned until the landings are one unit apart.
+    Constant doping: both half-arcs leave the interior density minimum on
+    the critical locus rho E = 1/tau, where the profile is regular, out to
+    their sonic landings; the minimum density is tuned until the landings
+    are one unit apart, and translation invariance slides the composite onto
+    [0, 1].  The minimum is then a row of the solution.
+
+    Variable doping: the arc leaves the sonic line at x = 0 exactly, and its
+    launch excess E(0) - 1/tau is tuned until it lands on the sonic line at
+    x = 1, as in the subsonic family.  ``rho_min`` and ``x_min`` are then
+    read from the rows.
     """
     _check_regime_for_supersonic(p, "supersonic")
     cfg = cfg or IntegratorConfig()
 
-    if bracket is None:
-        # for x-dependent doping the mean value seeds the same bracket shape;
-        # the two-parameter polish below absorbs the difference
-        b_ref = (
-            p.doping.constant_value
-            if p.doping.is_constant
-            else 0.5 * (p.doping.b_lower + p.doping.b_upper)
-        )
-        beta, gam = supersonic_min_density_bracket(1.0, b_ref)
-        bracket = (beta, min(gam, 1.0 - 2.0 * cfg.sonic_band))
-    lo, hi = bracket
-    # neither end moves: the bracket bounds the admissible minimum densities
-    memo = {}
-    rho_min, shots = _shoot(
-        lambda r: _supersonic_shot(r, p, cfg), lo, hi, None, None, xtol=1e-14, memo=memo
-    )
-
     if p.doping.is_constant:
-        # constant doping is translation invariant: slide the composite so
-        # the backward landing sits at x = 0
+        beta, gam = supersonic_min_density_bracket(1.0, p.doping.constant_value)
+        # neither end moves: the bracket bounds the admissible minimum densities
+        memo = {}
+        rho_min, shots = _shoot(
+            lambda r: _supersonic_shot(r, p, cfg),
+            beta, min(gam, 1.0 - 2.0 * cfg.sonic_band), None, None, xtol=1e-14, memo=memo,
+        )
         fine = _fine(cfg)
 
         def fine_shot(rho_min: float):
@@ -542,22 +552,18 @@ def solve_supersonic(
         if arcs is None:
             raise ShootingDivergence("supersonic reconstruction lost its landing")
         fwd, bwd = arcs
-        xs, rhos, es = _compose_supersonic(fwd, bwd, -bwd.last.x)
+        xs, rhos, es = _compose_supersonic(fwd, bwd)
+        total = xs[-1] - xs[0]
+        miss = abs(total - 1.0)
+        if miss > 1e-6:
+            raise ShootingDivergence(
+                "supersonic landings are not one unit apart after tuning",
+                diagnostics={"total_length": total, "rho_min": rho_min},
+            )
     else:
-        _, (_, bwd) = _supersonic_shot(rho_min, p, cfg)
-        rho_min, x_min = _variable_doping_supersonic(
-            p, cfg, rho_min, -bwd.last.x
-        )
-        ok, fwd, bwd = _supersonic_arcs(x_min, rho_min, p, _fine(cfg))
-        if not ok:
-            raise ShootingDivergence("supersonic reconstruction lost its landing")
-        xs, rhos, es = _compose_supersonic(fwd, bwd, 0.0)
-    total = xs[-1] - xs[0]
-    if abs(total - 1.0) > 1e-6:
-        raise ShootingDivergence(
-            "supersonic landings are not one unit apart after tuning",
-            diagnostics={"total_length": total, "rho_min": rho_min},
-        )
+        _, residual, seg, shots = _shoot_launch_excess("supersonic", p, cfg)
+        xs, rhos, es = seg.xs, seg.rhos, seg.es
+        rho_min, miss = rhos.min(), abs(residual)
     return Solution(
         kind="supersonic",
         x=xs,
@@ -567,62 +573,12 @@ def solve_supersonic(
             "construction": "ode_trajectory",
             "rho_min": float(rho_min),
             "x_min": float(xs[int(np.argmin(rhos))]),
-            "boundary_residual": abs(total - 1.0),
+            "boundary_residual": miss,
             "e_left": float(es[0]),
             "e_right": float(es[-1]),
             "shooting_iterations": shots,
         },
     )
-
-
-def _variable_doping_supersonic(p, cfg, rho_min0, shift0):
-    """Newton polish in (rho_min, x_min) for x-dependent doping."""
-
-    def residuals(v):
-        rho_min, x_min = v
-        ok, fwd, bwd = _supersonic_arcs(x_min, rho_min, p, cfg)
-        return np.array([bwd.last.x, fwd.last.x - 1.0]) if ok else None
-
-    v = np.array([rho_min0, shift0])
-    r = residuals(v)
-    if r is None:
-        raise ShootingDivergence("supersonic arcs invalid at the Newton start")
-    for _ in range(40):
-        if np.abs(r).max() < 1e-11:
-            break
-        jac = np.empty((2, 2))
-        for k in range(2):
-            dv = np.zeros(2)
-            dv[k] = 1e-7 * max(1.0, abs(v[k]))
-            r2 = residuals(v + dv)
-            if r2 is None:
-                raise ShootingDivergence(
-                    "finite-difference probe left the admissible region",
-                    diagnostics={"point": list(v)},
-                )
-            jac[:, k] = (r2 - r) / dv[k]
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise ShootingDivergence("singular shooting Jacobian") from exc
-        lam = 1.0
-        while lam > 2.0**-20:
-            r_new = residuals(v + lam * step)
-            if r_new is not None and np.abs(r_new).max() < np.abs(r).max():
-                v, r = v + lam * step, r_new
-                break
-            lam *= 0.5
-        else:
-            raise ShootingDivergence(
-                "two-parameter supersonic Newton stalled",
-                diagnostics={"residual": list(map(float, r))},
-            )
-    else:
-        raise ShootingDivergence(
-            "two-parameter supersonic Newton did not converge",
-            diagnostics={"residual": list(map(float, r))},
-        )
-    return v[0], v[1]
 
 
 @dataclass(frozen=True)
@@ -653,7 +609,7 @@ def supersonic_residual_sweep(
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=2e-2)
     out = []
     for rho_min in np.linspace(bounds[0], bounds[1], samples):
-        ok, fwd, bwd = _supersonic_arcs(0.0, float(rho_min), p, cfg)
+        ok, fwd, bwd = _supersonic_arcs(float(rho_min), p, cfg)
         if ok:
             res = (fwd.last.x - bwd.last.x) - 1.0
             out.append(SweepSample(float(rho_min), float(res), "ok"))
@@ -749,6 +705,10 @@ def solve_transonic_shock(
     """
     if not 0.0 < rho_l < 1.0:
         raise PreconditionViolation("the pre-shock density must lie in (0, 1)")
+    if p.gamma != 1.0:
+        raise PreconditionViolation(
+            "the shock jump is the isothermal one, rho_l * rho_r = 1; it needs gamma = 1"
+        )
     _check_regime_for_shock(p)
     cfg = cfg or IntegratorConfig()
     if rho_l >= 1.0 - cfg.sonic_band:
@@ -757,25 +717,16 @@ def solve_transonic_shock(
     e_lo, e_hi = _shock_bracket(rho_l, p)
     # a lower seed past the solution is pulled toward the touching energy,
     # never into the degenerate-launch guard
-    memo = {}
-    e_star, shots = _shoot(
-        lambda e0: _shock_shot(e0, rho_l, p, cfg),
+    e_star, residual, parts, shots = _shoot_polish_land(
+        lambda e0, c: _shock_shot(e0, rho_l, p, c),
+        cfg,
         e_lo,
         e_hi,
         lambda e0: 0.5 * (e0 + p.inv_tau) if 0.5 * (e0 - p.inv_tau) >= _LAUNCH_FLOOR else None,
         lambda e0: 1.5 * e0,
         xtol=1e-13,
-        memo=memo,
+        failure="shock shooting failed to land at x = 1",
     )
-    fine = _fine(cfg)
-    e_star, residual, parts = _polish(
-        lambda e0: _shock_shot(e0, rho_l, p, fine), e_star, _slope(memo, e_star)
-    )
-    if parts is None or abs(residual) > 1e-7:
-        raise ShootingDivergence(
-            "shock shooting failed to land at x = 1",
-            diagnostics={"e0": e_star, "residual": residual, "shots": shots},
-        )
     sup, sub = parts
     if abs(sup.last.rho - rho_l) > 1e-9:
         raise LastCrossingMissing(

@@ -339,8 +339,6 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command, content", [
         ("solve", {"model": model(50.0, 1.5),
                    "solver": {"kind": "transonic_shock", "rho_l": "abc"}}),
-        ("solve", {"model": model(15.0, 1.5),
-                   "solver": {"kind": "supersonic", "bracket": [0.5]}}),
         ("solve", {"model": model(0.1, 1.5),
                    "solver": {"kind": "c1_transonic", "x0": None}}),
         ("solve", {"model": model(15.0, 1.5),
@@ -359,7 +357,7 @@ class TestMalformedInput:
         ("verify", (_CSV, "{not json")),
         ("verify", (_CSV, _JSON.replace('"sonic"', '"warp"'))),
     ], ids=[
-        "rho_l_not_a_number", "bracket_of_one", "x0_null", "j_schedule_not_a_list",
+        "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
         "sweep_value_not_a_number", "portrait_count_not_a_number",
         "portrait_span_not_a_number",

@@ -45,6 +45,8 @@ GOLDEN_G0 = 0.21909589350058623  # launch field E(0), b=1.5, tau=15
 GOLDEN_RHO_MIN = 0.7614433976961565  # supersonic minimum, b=1.5, tau=15
 GOLDEN_SHOCK_X0 = 0.9684341566884487  # shock abscissa, b=1.5, tau=50, rhoL=0.9
 
+P_SINE_SUPERSONIC = ModelParams(tau=15.0, doping=DopingProfile.sine_perturbed(1.5, 0.05))
+
 
 def interior_mask(x):
     return (x > 1e-6) & (x < 1.0 - 1e-6)
@@ -202,6 +204,7 @@ class TestSupersonic:
         assert sol.rho.max() <= 1.0 + 1e-8
         k = int(np.argmin(sol.rho))
         assert 0 < k < len(sol.rho) - 1
+        assert sol.diagnostics["boundary_residual"] <= 1e-10
 
 
 class TestSupersonicSweep:
@@ -267,6 +270,12 @@ class TestTransonicShock:
     def test_rejects_bad_pre_shock_density(self):
         with pytest.raises(PreconditionViolation):
             solve_transonic_shock(params(50.0, 1.5), 1.2)
+
+    def test_rejects_non_isothermal_gamma(self):
+        # the jump rho_l * rho_r = 1 conserves rho + 1/rho only; at gamma 2
+        # this input's right state missed rho^2/2 + 1/rho by 3.8e-4
+        with pytest.raises(PreconditionViolation, match="gamma = 1"):
+            solve_transonic_shock(params(20.0, 1.3, gamma=2.0), 0.93)
 
     def test_failure_is_typed_numerical(self):
         # no launch field lands this arc on x = 1; the widening stops at the
@@ -450,7 +459,9 @@ class TestShootDriver:
         root, _ = _shoot(shot, 0.1, 1.0 + 1e-9, None, None, 1e-14, memo=memo)
         assert _slope(memo, root) is None
 
-    @pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock"])
+    @pytest.mark.parametrize(
+        "family", ["subsonic", "supersonic", "sine_supersonic", "transonic_shock"]
+    )
     def test_polish_makes_two_fine_shots(self, family, p_main, p_shock, monkeypatch):
         # the first fine shot misses by more than the polish accepts (1e-10)
         # in every case; the slope step then lands within it
@@ -471,6 +482,8 @@ class TestShootDriver:
             sol = solve_subsonic_shooting(sine)
         elif family == "supersonic":
             sol = solve_supersonic(p_main)
+        elif family == "sine_supersonic":
+            sol = solve_supersonic(P_SINE_SUPERSONIC)
         else:
             sol = solve_transonic_shock(p_shock, 0.9)
         assert len(fine_shots) == 2
@@ -508,7 +521,8 @@ class TestOutputResolution:
         assert _gaps_ok(c1_sol.x[:i], 5e-4) and _gaps_ok(c1_sol.x[i + 1:], 5e-4)
 
     @pytest.mark.parametrize("family,budget", [
-        ("subsonic", 14000), ("supersonic", 15000), ("transonic_shock", 20000),
+        ("subsonic", 14000), ("supersonic", 15000), ("sine_supersonic", 15000),
+        ("transonic_shock", 20000),
     ])
     def test_rhs_evaluation_budget(self, family, budget, p_main, p_shock, monkeypatch):
         nfev = []
@@ -524,6 +538,8 @@ class TestOutputResolution:
             solve_subsonic_shooting(p_main)
         elif family == "supersonic":
             solve_supersonic(p_main)
+        elif family == "sine_supersonic":
+            solve_supersonic(P_SINE_SUPERSONIC)
         else:
             solve_transonic_shock(p_shock, 0.9)
         assert sum(nfev) <= budget
@@ -543,4 +559,17 @@ class TestPiecewiseDoping:
         sol = solve_subsonic_shooting(self.p)
         assert residual_norm(sol, self.p)[0] < 1e-7
         assert sol.diagnostics["shooting_iterations"] <= 16
+        assert 0.5 in sol.x
+
+    def test_supersonic_certifies_with_rows_on_the_jump(self):
+        # shooting on the interior minimum failed here: at its bracket end
+        # rho_min = 0.98 the forward half-arc stalled instead of landing
+        p = ModelParams(
+            tau=1.2286643843647187,
+            doping=DopingProfile.piecewise_constant(
+                [0.5], [1.0828340905445146, 1.6028020707984527]
+            ),
+        )
+        sol = solve_supersonic(p)
+        assert residual_norm(sol, p)[0] < 1e-6
         assert 0.5 in sol.x
