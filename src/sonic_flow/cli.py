@@ -137,23 +137,37 @@ def _dispatch_solve(p: ModelParams, solver: dict, icfg: IntegratorConfig) -> Sol
     return solve(p, *args, **kwargs)
 
 
+# the keys each solver section may set, by kind (and subsonic method)
+_SOLVER_KEYS = {
+    "sonic": {"kind"},
+    "shooting": {"kind", "method"},
+    "elliptic": {"kind", "method", "j_schedule"},
+    "supersonic": {"kind"},
+    "transonic_shock": {"kind", "rho_l"},
+    "c1_transonic": {"kind", "x0", "n_stop"},
+}
+
+
 def _solve_call(solver: dict, icfg: IntegratorConfig):
     """The solver the section names, with the arguments it gives beyond the model."""
     kind = _require(solver, "kind", "solver")
     if kind not in SOLVE_KINDS:
         raise UsageError(f"unknown solver kind {kind!r}; expected one of {SOLVE_KINDS}")
+    method = solver.get("method", "shooting") if kind == "subsonic" else None
+    if method not in (None, "shooting", "elliptic"):
+        raise UsageError(f"unknown subsonic method {method!r}")
+    extra = set(solver) - _SOLVER_KEYS[method or kind]
+    if extra:
+        raise UsageError(f"unknown solver options: {sorted(extra)}")
     if kind == "sonic":
         return solve_sonic, (), {}
-    if kind == "subsonic":
-        method = solver.get("method", "shooting")
-        if method == "shooting":
-            return solve_subsonic_shooting, (), {"cfg": icfg}
-        if method == "elliptic":
-            kwargs = {}
-            if "j_schedule" in solver:
-                kwargs["j_schedule"] = _j_schedule(solver["j_schedule"])
-            return solve_subsonic_elliptic, (), kwargs
-        raise UsageError(f"unknown subsonic method {method!r}")
+    if method == "shooting":
+        return solve_subsonic_shooting, (), {"cfg": icfg}
+    if method == "elliptic":
+        kwargs = {}
+        if "j_schedule" in solver:
+            kwargs["j_schedule"] = _j_schedule(solver["j_schedule"])
+        return solve_subsonic_elliptic, (), kwargs
     if kind == "supersonic":
         return solve_supersonic, (), {"cfg": icfg}
     if kind == "transonic_shock":

@@ -19,6 +19,12 @@ An arc ends at the first of its stop events: sonic arrival, target density,
 blow-up, domain end or step failure.  Sonic arrivals, blow-ups and step
 failures always stop it: the trajectory cannot be continued through them
 within one chart run.
+
+The kernel is an owned Dormand-Prince 5(4) that follows scipy's RK45 step
+for step.  Events are located with `_brentq`, a port of scipy's ``brentq.c``
+(Brent's method) that returns the same root, call count and iteration
+count; the shooting driver in `solvers` closes its brackets with it too, so
+neither loads scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateLaunch,
@@ -230,6 +235,78 @@ def _eval_rhs(fun, t, a, b):
         return math.nan, math.nan
 
 
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f on [xa, xb] by Brent's method; ``(root, calls, iterations, converged)``.
+
+    A port of scipy's ``brentq.c`` (Brent 1973, Algorithms for Minimization
+    without Derivatives, ch. 4) that follows it operation for operation, so
+    root, call count, iteration count and flag all match
+    ``scipy.optimize.brentq(f, xa, xb, xtol, rtol, maxiter=100)``.  Like
+    scipy, it raises ValueError on a NaN value of f or on ends of one sign,
+    and returns an end where f is exactly zero; that return counts 0
+    iterations, where scipy reports whatever its unset counter holds.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre, 2, 0, True
+    if fcur == 0:
+        return xcur, 2, 0, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    calls = 2
+    for iterations in range(1, _BRENT_MAXITER + 1):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, calls, iterations, True
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            # C's MIN(a, b), which differs from min() where b is NaN
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+        calls += 1
+    return xcur, calls, _BRENT_MAXITER, False
+
+
 class _Step:
     """Quartic interpolant over one accepted step."""
 
@@ -302,8 +379,9 @@ def solve_ivp(
     ``fun(t, a, b)`` returns the derivatives of the state ``(a, b)``. Each
     of `events` provides ``g(t, a, b)``, ``terminal`` and ``direction``. An
     event fires where g changes sign over a step, in the given direction
-    (+1 rising, -1 falling, 0 either). Its root is found by brentq
-    (xtol = rtol = 4 eps) on the step's quartic interpolant. The run stops
+    (+1 rising, -1 falling, 0 either). Its root is found by `_brentq`
+    (xtol = rtol = 4 eps) on the step's quartic interpolant; a search that
+    does not converge raises `IntegrationFailure`. The run stops
     at the first terminal root in traversal order; the roots before it are
     kept. Without `t_eval` every accepted step is sampled at its end, the
     stopping root included, and a step longer than `spacing` is split into
@@ -473,10 +551,14 @@ def solve_ivp(
                 up = g0 <= 0 and g1 >= 0
                 down = g0 >= 0 and g1 <= 0
                 if up if ev.direction > 0 else down if ev.direction < 0 else up or down:
-                    root = brentq(
-                        lambda s, gi=gs[i]: gi(s, *step(s)),
-                        t_old, t, xtol=4 * _EPS, rtol=4 * _EPS,
+                    root, _, _, converged = _brentq(
+                        lambda s, gi=gs[i]: gi(s, *step(s)), t_old, t, 4 * _EPS, 4 * _EPS
                     )
+                    if not converged:
+                        raise IntegrationFailure(
+                            "event location did not converge within the step",
+                            diagnostics={"event": i, "t": t_old, "h": step.h},
+                        )
                     found.append((d * root, i, root))
             g = g_new
             if found:

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .errors import (
     BracketFailure,
@@ -31,6 +29,7 @@ from .integrator import (
     IntegratorConfig,
     TargetDensity,
     TrajectorySegment,
+    _brentq,
     integrate,
     integrate_from_sonic,
 )
@@ -80,7 +79,12 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
 
 
 class _Landed(Exception):
-    """Raised inside brentq's residual by a shot within the residual floor."""
+    """Raised inside the Brent residual by a shot within the residual floor."""
+
+
+# consecutive sentinel residuals after which the bracket is taken to hold a
+# jump between sentinels, not a landing
+_MAX_SENTINELS = 8
 
 
 def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
@@ -91,14 +95,18 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
     moves to ``widen_lo(lo)``; while ``shot(hi)`` is not positive, ``hi``
     moves to ``widen_hi(hi)`` and the old ``hi`` becomes ``lo``.  A rule of
     None, or a rule returning None, pins its end; each end moves at most 60
-    times.  brentq then closes the bracket, and stops at the first shot whose
-    |residual| is at most ``_RESIDUAL_FLOOR``.
+    times.  Brent's method then closes the bracket, and stops at the first
+    shot whose |residual| is at most ``_RESIDUAL_FLOOR``.  Where
+    ``_MAX_SENTINELS`` of its shots in a row return a sentinel residual
+    (``|residual| >= _OVERSHOOT``), no launch value in the bracket lands and
+    `BracketFailure` is raised.
 
     Returns ``(root, shots)``, where ``shots`` counts distinct launch values.
     Pass an empty dict as ``memo`` to keep the residual of every launch
     value, the root's included, for `_slope`.
     """
     memo = {} if memo is None else memo
+    sentinels = 0
 
     def residual(v: float) -> float:
         r = memo.get(v)
@@ -106,43 +114,49 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
             r = memo[v] = shot(v)[0]
         return r
 
+    def failure(message: str) -> BracketFailure:
+        return BracketFailure(
+            message,
+            diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": len(memo)},
+        )
+
     def closing(v: float) -> float:
+        nonlocal sentinels
         r = residual(v)
         if abs(r) <= _RESIDUAL_FLOOR:
             raise _Landed(v)
+        sentinels = sentinels + 1 if abs(r) >= _OVERSHOOT else 0
+        if sentinels == _MAX_SENTINELS:
+            raise failure(
+                f"no launch value lands: {sentinels} shots in a row left the admissible region"
+            )
         return r
-
-    def stuck(which: str) -> BracketFailure:
-        return BracketFailure(
-            f"no launch parameter moves the shooting residual {which} zero",
-            diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": len(memo)},
-        )
 
     r_lo, r_hi = residual(lo), residual(hi)
     moves = 0
     while r_lo >= 0.0:
         nxt = widen_lo(lo) if widen_lo is not None and moves < 60 else None
         if nxt is None:
-            raise stuck("below")
+            raise failure("no launch parameter moves the shooting residual below zero")
         lo, r_lo, moves = nxt, residual(nxt), moves + 1
     moves = 0
     while r_hi <= 0.0:
         nxt = widen_hi(hi) if widen_hi is not None and moves < 60 else None
         if nxt is None:
-            raise stuck("above")
+            raise failure("no launch parameter moves the shooting residual above zero")
         lo, r_lo = hi, r_hi
         hi, r_hi, moves = nxt, residual(nxt), moves + 1
     try:
-        root, info = brentq(closing, lo, hi, xtol=xtol, rtol=8.9e-16, full_output=True, disp=False)
+        root, _, _, converged = _brentq(closing, lo, hi, xtol, 8.9e-16)
     except _Landed as hit:
         (root,) = hit.args
     else:
-        if not info.converged:
+        if not converged:
             raise ShootingDivergence(
-                "brentq did not converge on the shooting bracket",
+                "Brent's method did not converge on the shooting bracket",
                 diagnostics={"bracket": [lo, hi], "shots": len(memo)},
             )
-    residual(root)  # brentq's root is one of its shots; this makes sure
+    residual(root)  # the root is one of the Brent shots; this makes sure
     return root, len(memo)
 
 
@@ -370,6 +384,10 @@ def solve_subsonic_elliptic(
     limit is recovered by Richardson extrapolation in (1 - j), which is
     first-order accurate in the relaxation parameter.
     """
+    # the one scipy call left at run time; importing it here keeps scipy
+    # out of every other solve
+    from scipy.linalg import solve_banded
+
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
 

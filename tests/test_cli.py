@@ -348,6 +348,10 @@ class TestMalformedInput:
                               "j_schedule": [0.5, 0.4, 1.0]}}),
         ("solve", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "integrator": {"max_step": None}}),
+        ("solve", {"model": model(15.0, 1.5),
+                   "solver": {"kind": "subsonic", "methd": "elliptic"}}),
+        ("solve", {"model": model(15.0, 1.5),
+                   "solver": {"kind": "supersonic", "bracket": [0.3, 0.9]}}),
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "values": ["x"]}}),
         ("portrait", {"model": model(15.0, 1.5), "portrait": {"count": "x"}}),
@@ -359,6 +363,7 @@ class TestMalformedInput:
     ], ids=[
         "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
+        "solver_key_misspelt", "supersonic_bracket_removed",
         "sweep_value_not_a_number", "portrait_count_not_a_number",
         "portrait_span_not_a_number",
         "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
@@ -377,6 +382,19 @@ class TestMalformedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("solver, solve", [
+        ({"kind": "sonic"}, "solve_sonic"),
+        ({"kind": "subsonic", "method": "shooting"}, "solve_subsonic_shooting"),
+        ({"kind": "subsonic", "method": "elliptic", "j_schedule": [0.5, 0.9, 0.9999]},
+         "solve_subsonic_elliptic"),
+        ({"kind": "supersonic"}, "solve_supersonic"),
+        ({"kind": "transonic_shock", "rho_l": 0.9}, "solve_transonic_shock"),
+        ({"kind": "c1_transonic", "x0": 0.5, "n_stop": 1.5}, "solve_c1_transonic"),
+    ])
+    def test_every_solver_key_of_a_kind_is_accepted(self, solver, solve):
+        call, _, _ = cli._solve_call(solver, cli.IntegratorConfig())
+        assert call is getattr(cli, solve)
 
     def test_well_formed_artifacts_are_read(self, tmp_path):
         # the base the verify cases above each break in one place

@@ -10,6 +10,9 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sonic_flow
 from sonic_flow import integrator
@@ -398,6 +401,90 @@ class TestKernelMatchesRK45:
 
 
 # ---------------------------------------------------------------------------
+# the Brent port against scipy.optimize.brentq, a test-only oracle like RK45
+
+_EPS = sys.float_info.epsilon
+# (xtol, rtol) of the event location and of each shooting bracket
+_BRENT_TOLS = [(4 * _EPS, 4 * _EPS)] + [(x, 8.9e-16) for x in (1e-13, 1e-14, 1e-15, 1e-16)]
+
+
+def _scipy_brentq(f, a, b, xtol, rtol):
+    """scipy's (root, calls, iterations, converged), or "ValueError".
+
+    scipy leaves its iteration counter unset when f is zero at an end; the
+    port counts 0 iterations there.
+    """
+    try:
+        root, info = scipy.optimize.brentq(
+            f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False
+        )
+    except ValueError:
+        return "ValueError"
+    iterations = 0 if f(a) == 0 or f(b) == 0 else info.iterations
+    return root, info.function_calls, iterations, info.converged
+
+
+def _port_brentq(f, a, b, xtol, rtol):
+    try:
+        return integrator._brentq(f, a, b, xtol, rtol)
+    except ValueError:
+        return "ValueError"
+
+
+def _shape(kind, r, s, k):
+    """A function rising (s > 0) or falling through zero at r."""
+    if kind == "smooth":
+        return lambda x: s * (math.tanh(k * (x - r)) + 0.1 * (x - r) ** 3)
+    if kind == "kinked":
+        return lambda x: s * (x - r) * (k if x > r else 1.0)
+    return lambda x: s if x > r else -s  # step
+
+
+_units = st.floats(-3.0, 3.0, allow_nan=False)
+_scales = st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]), st.floats(-8.0, 3.0))
+
+
+class TestBrentMatchesScipy:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["smooth", "kinked", "step"]),
+        r=st.floats(-2.0, 2.0),
+        s=_scales,
+        k=st.floats(0.01, 100.0),
+        a=_units,
+        b=_units,
+        tols=st.sampled_from(_BRENT_TOLS),
+    )
+    def test_root_calls_iterations_and_flag(self, kind, r, s, k, a, b, tols):
+        f = _shape(kind, r, s, k)
+        # both orders of the bracket, and ends of one sign, which both reject
+        assert _port_brentq(f, a, b, *tols) == _scipy_brentq(f, a, b, *tols)
+        assert _port_brentq(f, b, a, *tols) == _scipy_brentq(f, b, a, *tols)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 1.0), (0.0, 1.0)])
+    def test_exact_zero_at_an_end_returns_that_end(self, a, b):
+        f = lambda x: x - a  # noqa: E731
+        assert integrator._brentq(f, a, b, 1e-15, 8.9e-16) == (a, 2, 0, True)
+        assert _scipy_brentq(f, a, b, 1e-15, 8.9e-16) == (a, 2, 0, True)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            integrator._brentq(lambda x: math.nan if x > 0.7 else x - 0.5, 0.0, 1.0, 1e-15, 8.9e-16)
+
+    def test_too_wide_a_bracket_reports_non_convergence(self):
+        # a step at 1e-20 in [0, 1e300] needs about 1000 bisections, not 100
+        f = lambda x: 1.0 if x > 1e-20 else -1.0  # noqa: E731
+        got = integrator._brentq(f, 0.0, 1e300, 1e-16, 8.9e-16)
+        assert got == _scipy_brentq(f, 0.0, 1e300, 1e-16, 8.9e-16)
+        assert got[1:] == (102, 100, False)
+
+    def test_unconverged_event_location_is_an_integration_failure(self, monkeypatch):
+        monkeypatch.setattr(integrator, "_BRENT_MAXITER", 1)
+        with pytest.raises(IntegrationFailure, match="event location"):
+            integrator.solve_ivp(_unit_drift, 0.0, 2.0, (0.0, 0.0), 1e-9, 1e-11, 1.0, [_watch(0.5)])
+
+
+# ---------------------------------------------------------------------------
 # kernel event semantics on closed-form flows
 
 
@@ -566,14 +653,40 @@ class TestKernelJumps:
         assert 0.25 in seg.xs
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def _run_isolated(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this source tree."""
     src = os.path.dirname(os.path.dirname(sonic_flow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sonic_flow; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
+def test_shooting_solves_load_no_scipy():
+    out = _run_isolated(
+        "import sys, sonic_flow.cli\n"
+        "from sonic_flow import (DopingProfile, ModelParams,\n"
+        "                        solve_subsonic_shooting, solve_supersonic)\n"
+        "p = ModelParams(tau=15.0, doping=DopingProfile.constant(1.5))\n"
+        "solve_subsonic_shooting(p)\n"
+        "solve_supersonic(p)\n" + _SCIPY_LOADED
+    )
+    assert out == "[]"
+
+
+def test_elliptic_solve_loads_scipy_linalg_only():
+    out = _run_isolated(
+        "import sys\n"
+        "from sonic_flow import DopingProfile, ModelParams, solve_subsonic_elliptic\n"
+        "solve_subsonic_elliptic(ModelParams(tau=15.0, doping=DopingProfile.constant(1.5)))\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules,"
+        " 'scipy.integrate' in sys.modules)"
+    )
+    assert out == "True False False"

@@ -278,10 +278,12 @@ class TestTransonicShock:
             solve_transonic_shock(params(20.0, 1.3, gamma=2.0), 0.93)
 
     def test_failure_is_typed_numerical(self):
-        # no launch field lands this arc on x = 1; the widening stops at the
-        # launch floor, short of the degenerate-launch guard
-        with pytest.raises(NumericalError):
+        # no launch field lands this arc on x = 1: every shot is too shallow
+        # or overshoots, so the bracket holds a jump between sentinels
+        with pytest.raises(BracketFailure, match="no launch value lands") as err:
             solve_transonic_shock(params(1.0, 1.2), 0.9)
+        assert isinstance(err.value, NumericalError)
+        assert err.value.diagnostics["shots"] <= 20
 
 
 class TestShockRegressions:
@@ -421,6 +423,16 @@ class TestShootDriver:
         shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
         root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14)
         assert root == pytest.approx(1.0, abs=1e-12)
+
+    def test_jump_between_sentinels_fails_after_eight_in_a_row(self):
+        shot, calls = self.recorded(lambda v: -10.0 if v < 1.3 else 10.0)
+        with pytest.raises(BracketFailure, match="no launch value lands") as err:
+            _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+        # the two ends, then six closing shots
+        assert len(calls) == 8
+        assert err.value.diagnostics == {
+            "bracket": [0.0, 2.0], "residuals": [-10.0, 10.0], "shots": 8,
+        }
 
     def test_no_launch_value_is_shot_twice(self):
         shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
