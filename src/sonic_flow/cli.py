@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,10 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
     if extra:
         raise UsageError(f"unknown integrator options: {sorted(extra)}")
     try:
-        return IntegratorConfig(**{k: float(v) for k, v in spec.items()})
+        values = {k: float(v) for k, v in spec.items()}
+        if not all(map(math.isfinite, values.values())):  # solution.json echoes them
+            raise ValueError("integrator values must be finite")
+        return IntegratorConfig(**values)
     except _MALFORMED as exc:
         raise UsageError(f"invalid integrator section: {exc}") from exc
 
@@ -346,7 +350,8 @@ def run_portrait(cfg: dict, out_dir: Path) -> int:
     p = model_from_config(cfg)
     if not p.doping.is_constant:
         raise UsageError("portrait requires constant doping")
-    icfg = integrator_from_config(cfg)
+    # rows at most 1e-2 apart in x, whatever the step cap
+    icfg = replace(integrator_from_config(cfg), sample_spacing=1e-2)
     spec = cfg.get("portrait", {})
     mode = spec.get("mode", "primal")
     span, launches = _portrait_launches(p, spec)

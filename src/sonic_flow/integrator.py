@@ -57,21 +57,24 @@ _BAND_INSET = 1.0 - 1e-9
 _CHART_INSET = 1.0 - 1e-10
 _MAX_LEGS = 256
 _MIN_GRADED = 1e-6  # finest |rho - 1| resolved by the rho-leg sample grid
+_FILL_SPACING = 1e-2  # widest x-gap a rho-leg leaves between its samples
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and thresholds for the chart-switching driver.
 
-    ``max_step`` caps the kernel's steps.  Stored samples lie at most
+    ``max_step`` caps the kernel's steps; at the default the error
+    controller alone sizes them.  Stored samples lie at most
     min(max_step, sample_spacing) apart in x: the x-chart reads samples off
     each step's interpolant between its step ends, and the rho-chart fills
-    them in where its density grid is coarse in x.
+    them in where its density grid is coarse in x, at most 1e-2 apart
+    whatever the step cap.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = 1e-2
+    max_step: float = 1.0
     sample_spacing: float = math.inf
     sonic_band: float = 1e-2
     blow_up_density: float = 1e4
@@ -414,11 +417,12 @@ def solve_ivp(
     if t_eval is None:
         ts, yas, ybs = [t], [ya], [yb]
     else:
-        t_eval = [float(v) for v in t_eval]
-        if any(not min(t, t_bound) <= v <= max(t, t_bound) for v in t_eval):
+        te = np.asarray(t_eval, dtype=float)
+        if not np.all((min(t, t_bound) <= te) & (te <= max(t, t_bound))):
             raise ValueError("t_eval points lie outside the integration span")
-        if any(d * (v1 - v0) <= 0 for v0, v1 in zip(t_eval, t_eval[1:])):
+        if not np.all(d * np.diff(te) > 0):
             raise ValueError("t_eval is not strictly monotone along the span")
+        t_eval = te.tolist()
         ts, yas, ybs = [], [], []
     n_eval = 0
     steps = [] if dense_output else None
@@ -611,14 +615,14 @@ def solve_ivp(
 
 @dataclass
 class _LegResult:
-    xs: np.ndarray
-    rhos: np.ndarray
-    es: np.ndarray
+    xs: list
+    rhos: list
+    es: list
     terminator: Event | None
 
 
 def _point_leg(x, rho, e, terminator):
-    return _LegResult(np.array([x]), np.array([rho]), np.array([e]), terminator)
+    return _LegResult([x], [rho], [e], terminator)
 
 
 def _leg_terminator(res, watches, state):
@@ -673,7 +677,6 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, p, cfg):
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
         spacing=cfg.sample_spacing, breaks=p.doping.breakpoints,
     )
-    xs, rs, es = np.array(res.t), np.array(res.ya), np.array(res.yb)
     term = _leg_terminator(res, watches, State)
     if res.status == -1:
         term = Event(STEP_FAILURE, State(res.t[-1], res.ya[-1], res.yb[-1]))
@@ -687,7 +690,7 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, p, cfg):
         term = Event(DOMAIN_END, end)
     elif term.kind == "_band":
         term = None  # band entry: the caller continues in the rho-chart
-    return _LegResult(xs, rs, es, term)
+    return _LegResult(res.t, res.ya, res.yb, term)
 
 
 def _rho_grid(r_a, r_b):
@@ -702,12 +705,8 @@ def _rho_grid(r_a, r_b):
         mags.update(np.geomspace(lo, hi, num).tolist())
     mags.update((n_a, n_b))
     lo_lim, hi_lim = min(n_a, n_b), max(n_a, n_b)
-    kept = sorted(m for m in mags if lo_lim <= m <= hi_lim)
-    rhos = [1.0 + branch * m for m in kept]
-    if abs(r_b - 1.0) > abs(r_a - 1.0):
-        pts = np.array(rhos)
-    else:
-        pts = np.array(rhos[::-1])
+    kept = sorted((m for m in mags if lo_lim <= m <= hi_lim), reverse=n_b <= n_a)
+    pts = [1.0 + branch * m for m in kept]
     pts[0], pts[-1] = r_a, r_b
     return pts
 
@@ -773,32 +772,29 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         t_eval=_rho_grid(rho, r_b),
         dense_output=True,
     )
-    rs, es, xs = np.array(res.t), np.array(res.ya), np.array(res.yb)
+    rs, es, xs = res.t, res.ya, res.yb
     terminator = _leg_terminator(res, watches, lambda r, e, x: State(x, r, e))
     if res.status == -1:
-        terminator = Event(
-            STEP_FAILURE, State(float(xs[-1]), float(rs[-1]), float(es[-1]))
-        )
+        terminator = Event(STEP_FAILURE, State(xs[-1], rs[-1], es[-1]))
     elif res.status == 1:
         end = terminator.state
         if len(rs) == 0 or rs[-1] != end.rho:
-            rs = np.append(rs, end.rho)
-            es = np.append(es, end.e)
-            xs = np.append(xs, end.x)
+            rs.append(end.rho)
+            es.append(end.e)
+            xs.append(end.x)
     else:
-        end = State(float(xs[-1]), float(rs[-1]), float(es[-1]))
+        end = State(xs[-1], rs[-1], es[-1])
         if r_b == 1.0:
             terminator = Event(SONIC_ARRIVAL, end)
         elif term_target is not None:
             terminator = Event(TARGET_DENSITY, end)
         # otherwise: clean band exit, caller continues in the x-chart
 
-    # the rho grid can be coarse in x near a tangential crossing; densify
-    # so the stored abscissas respect the sample spacing like every other leg
-    spacing = min(cfg.max_step, cfg.sample_spacing)
+    # the rho grid can be coarse in x near a tangential crossing; densify so
+    # the stored abscissas respect the sample spacing like every other leg,
+    # and a tangential landing keeps rows to fit however long the steps are
+    spacing = min(cfg.max_step, cfg.sample_spacing, _FILL_SPACING)
     for _ in range(3):
-        if len(rs) < 2:
-            break
         gaps = np.abs(np.diff(xs))
         wide = np.nonzero(gaps > spacing)[0]
         if not len(wide):
@@ -815,7 +811,7 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         order = np.argsort(s_rho * rs)
         rs, es, xs = rs[order], es[order], xs[order]
         keep = np.concatenate([[True], np.diff(xs) != 0.0])
-        rs, es, xs = rs[keep], es[keep], xs[keep]
+        rs, es, xs = rs[keep].tolist(), es[keep].tolist(), xs[keep].tolist()
 
     return _LegResult(xs, rs, es, terminator)
 
@@ -835,9 +831,9 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
         raise ValueError("at most one DomainEnd stop is supported")
     domain = domains[0] if domains else None
 
-    xs_parts: list[np.ndarray] = []
-    r_parts: list[np.ndarray] = []
-    e_parts: list[np.ndarray] = []
+    xs: list[float] = []
+    rs: list[float] = []
+    es: list[float] = []
     x_origin = x
     side = sonic_side
 
@@ -849,16 +845,13 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
             remaining = cfg.max_arc_length - abs(x - x_origin)
             leg = _x_leg(x, rho, e, dsign, remaining, targets, domain, p, cfg)
         side = None
-        skip = 1 if xs_parts and len(leg.xs) > 1 else 0
-        if len(leg.xs) > skip:
-            xs_parts.append(leg.xs[skip:])
-            r_parts.append(leg.rhos[skip:])
-            e_parts.append(leg.es[skip:])
+        skip = 1 if xs and len(leg.xs) > 1 else 0
+        xs += leg.xs[skip:]
+        rs += leg.rhos[skip:]
+        es += leg.es[skip:]
         if leg.terminator is not None:
             break
-        x = float(leg.xs[-1])
-        rho = float(leg.rhos[-1])
-        e = float(leg.es[-1])
+        x, rho, e = leg.xs[-1], leg.rhos[-1], leg.es[-1]
         if abs(x - x_origin) >= cfg.max_arc_length:
             raise IntegrationFailure(
                 "arc length budget exhausted while switching charts",
@@ -867,32 +860,25 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
     else:
         raise IntegrationFailure("chart switch limit exceeded")
 
-    xs = np.concatenate(xs_parts)
-    rs = np.concatenate(r_parts)
-    es = np.concatenate(e_parts)
-
     # enforce strictly monotone abscissae; x can stall by roundoff only in
     # the last few rho-chart samples hugging the sonic line, where dropping
     # the earlier of two coincident points loses nothing.  An arc that turns
     # back behind the sample before has no single-valued profile.
-    keep_x = [xs[0]]
-    keep_r = [rs[0]]
-    keep_e = [es[0]]
-    for k in range(1, len(xs)):
-        if dsign * (xs[k] - keep_x[-1]) > 0:
-            keep_x.append(xs[k])
-            keep_r.append(rs[k])
-            keep_e.append(es[k])
-        elif len(keep_x) > 1 and dsign * (xs[k] - keep_x[-2]) <= 0:
+    if np.all(dsign * np.diff(xs) > 0):  # every sample advances: nothing to drop
+        return TrajectorySegment(np.array(xs), np.array(rs), np.array(es), leg.terminator)
+    keep_x, keep_r, keep_e = xs[:1], rs[:1], es[:1]
+    for xk, rk, ek in zip(xs[1:], rs[1:], es[1:]):
+        if dsign * (xk - keep_x[-1]) > 0:
+            keep_x.append(xk)
+            keep_r.append(rk)
+            keep_e.append(ek)
+        elif len(keep_x) > 1 and dsign * (xk - keep_x[-2]) <= 0:
             raise IntegrationFailure(
                 "the arc turned back in x",
-                diagnostics={
-                    "x": float(xs[k]), "rho": float(rs[k]), "e": float(es[k]),
-                    "x_reached": float(keep_x[-1]),
-                },
+                diagnostics={"x": xk, "rho": rk, "e": ek, "x_reached": keep_x[-1]},
             )
         else:
-            keep_x[-1], keep_r[-1], keep_e[-1] = xs[k], rs[k], es[k]
+            keep_x[-1], keep_r[-1], keep_e[-1] = xk, rk, ek
 
     return TrajectorySegment(
         np.array(keep_x), np.array(keep_r), np.array(keep_e), leg.terminator

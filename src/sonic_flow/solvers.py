@@ -67,8 +67,9 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     re-integrated at tight tolerances (1e-12 relative, 1e-14 absolute) with
     rows read off each step's interpolant at most 5e-4 apart in x, so that
     the stored arrays support interpolation, and per-interval defect checks,
-    at the accuracy of the solve itself.  The step cap stays the probes':
-    the rows, not the steps, have to be dense.
+    at the accuracy of the solve itself.  The step cap stays the probes'
+    (at the default, none but the error controller): the rows, not the
+    steps, have to be dense.
     """
     return replace(
         cfg,
@@ -863,6 +864,10 @@ def solve_c1_transonic(
     """
     if not 0.0 < x0 < 1.0:
         raise PreconditionViolation("the transition point must be interior")
+    if p.gamma != 1.0:
+        raise PreconditionViolation(
+            "tau0 and the transition slope are the isothermal ones; C1 needs gamma = 1"
+        )
     if not (p.doping.is_constant and p.doping.constant_value > 1.0):
         raise PreconditionViolation(
             "smooth transonic profiles need constant doping above the sonic level"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from sonic_flow import cli
@@ -117,6 +118,32 @@ class TestSolve:
         assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e400", "-1e400"])
+    def test_non_finite_integrator_value_is_usage_error(self, tmp_path, capsys, value):
+        # JSON readers take 1e400 as infinity, which solution.json could not echo
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+            "integrator": {"max_arc_length": 0.0},
+        }).replace("0.0}", value + "}"))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0]
+        assert captured.out == "" and not out.exists()
+
+    def test_c1_refuses_non_isothermal_gamma(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {**model(0.1, 1.5), "gamma": 2.0},
+            "solver": {"kind": "c1_transonic", "x0": 0.5},
+        })
+        rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_REGIME
+        err = json.loads(capsys.readouterr().out)
+        assert err["code"] == "PreconditionViolation"
+        assert "gamma = 1" in err["message"]
+
     def test_arc_turning_back_is_a_typed_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": model(0.11102674876958835, 1.7835330259037656),
@@ -210,6 +237,19 @@ class TestPortrait:
         assert lines[0] == "trajectory,x,rho,e"
         ids = {int(line.split(",")[0]) for line in lines[1:]}
         assert len(ids) > 1 and min(ids) == 0
+
+    def test_default_rows_at_most_1e2_apart(self, tmp_path):
+        # the default step cap leaves steps to the error controller; the
+        # portrait sets its own row spacing
+        cfg = write_config(tmp_path, {"model": model(15.0, 1.5)})
+        out = tmp_path / "out"
+        assert cli.main(["portrait", "--config", cfg, "--out", str(out)]) == 0
+        rows = {}
+        for line in (out / "portrait.csv").read_text().splitlines()[1:]:
+            i, x = line.split(",")[:2]
+            rows.setdefault(i, []).append(float(x))
+        assert len(rows) > 1
+        assert max(max(abs(np.diff(xs))) for xs in rows.values()) <= 1e-2 * (1 + 1e-9)
 
     def test_variable_doping_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {

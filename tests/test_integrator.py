@@ -73,7 +73,7 @@ class TestConfig:
 
     def test_defaults_valid(self):
         cfg = IntegratorConfig()
-        assert cfg.rel_tol == 1e-9 and cfg.max_step == 1e-2
+        assert cfg.rel_tol == 1e-9 and cfg.max_step == 1.0
 
 
 # ---------------------------------------------------------------------------

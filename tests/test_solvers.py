@@ -37,7 +37,8 @@ from sonic_flow import (
     supersonic_residual_sweep,
     tau0_bound,
 )
-from sonic_flow.solvers import _shoot, _slope
+from sonic_flow.integrator import IntegratorConfig
+from sonic_flow.solvers import _landing_fit, _shoot, _slope, _tangential_landing_shot
 
 from conftest import params
 
@@ -347,6 +348,13 @@ class TestC1Transonic:
         with pytest.raises(PreconditionViolation):
             solve_c1_transonic(params(0.1, 1.5), 1.5)
 
+    def test_rejects_non_isothermal_gamma(self):
+        # tau0 and the transition slope are derived for gamma = 1; at gamma 2
+        # this input certified against the isothermal slope 0.0505103 while
+        # its arcs landed with slope 0.0507734
+        with pytest.raises(PreconditionViolation, match="gamma = 1"):
+            solve_c1_transonic(params(0.1, 1.5, gamma=2.0), 0.5)
+
     def test_arc_turning_back_is_a_typed_failure(self):
         # an input on which a landing shot's arc turns back in x; it used to
         # escape as a bare ValueError from the trajectory constructor
@@ -533,10 +541,12 @@ class TestOutputResolution:
         assert _gaps_ok(c1_sol.x[:i], 5e-4) and _gaps_ok(c1_sol.x[i + 1:], 5e-4)
 
     @pytest.mark.parametrize("family,budget", [
-        ("subsonic", 14000), ("supersonic", 15000), ("sine_supersonic", 15000),
-        ("transonic_shock", 20000),
+        ("subsonic", 11000), ("supersonic", 10500), ("sine_supersonic", 10000),
+        ("transonic_shock", 12500), ("c1_transonic", 38000),
     ])
-    def test_rhs_evaluation_budget(self, family, budget, p_main, p_shock, monkeypatch):
+    def test_rhs_evaluation_budget(
+        self, family, budget, p_main, p_shock, p_smooth, monkeypatch
+    ):
         nfev = []
         kernel = sonic_flow.integrator.solve_ivp
 
@@ -552,9 +562,23 @@ class TestOutputResolution:
             solve_supersonic(p_main)
         elif family == "sine_supersonic":
             solve_supersonic(P_SINE_SUPERSONIC)
-        else:
+        elif family == "transonic_shock":
             solve_transonic_shock(p_shock, 0.9)
+        else:
+            solve_c1_transonic(p_smooth, 0.5)
         assert sum(nfev) <= budget
+
+    def test_c1_probe_keeps_landing_rows(self, c1_sol, p_smooth):
+        # a probe shot at the default step cap, at the accepted launch: its
+        # sonic-band rows stay at most 1e-2 apart in x however long the steps
+        # are, and the landing fit finds at least its 8 rows in 1e-4 <= |rho - 1| <= 1e-3
+        q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
+        seg, fail = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), 1e-4)
+        assert fail is None
+        n = np.abs(seg.rhos - 1.0)
+        in_band = (n[1:] < 1e-2) & (n[:-1] < 1e-2)
+        assert np.abs(np.diff(seg.xs))[in_band].max() <= 1e-2 * (1 + 1e-9)
+        assert _landing_fit(seg, "supersonic", p_smooth, 1e-4) is not None
 
 
 class TestPiecewiseDoping:
