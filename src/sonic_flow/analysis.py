@@ -257,6 +257,12 @@ def classify_regime(p: ModelParams) -> RegimeReport:
             "Theorem 1.1 part 4 needs constant b > 1 and tau < tau0(b)",
         )
 
+    if p.gamma != 1.0:  # every theorem cited above is proved for gamma = 1 only
+        for kind, kv in v.items():
+            if kind != "sonic":
+                why = f"gamma = {p.gamma:g}: the theorems hold for gamma = 1 only"
+                v[kind] = KindVerdict(UNDETERMINED, f"{why} (there: {kv.verdict}, {kv.condition})")
+
     return RegimeReport(
         verdicts=MappingProxyType(v),
         tau=tau,

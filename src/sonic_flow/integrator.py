@@ -57,7 +57,6 @@ _BAND_INSET = 1.0 - 1e-9
 _CHART_INSET = 1.0 - 1e-10
 _MAX_LEGS = 256
 _MIN_GRADED = 1e-6  # finest |rho - 1| resolved by the rho-leg sample grid
-_FILL_SPACING = 1e-2  # widest x-gap a rho-leg leaves between its samples
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,11 @@ class IntegratorConfig:
     """Tolerances and thresholds for the chart-switching driver.
 
     ``max_step`` caps the kernel's steps; at the default the error
-    controller alone sizes them.  Stored samples lie at most
-    min(max_step, sample_spacing) apart in x: the x-chart reads samples off
-    each step's interpolant between its step ends, and the rho-chart fills
-    them in where its density grid is coarse in x, at most 1e-2 apart
-    whatever the step cap.
+    controller alone sizes them.  At the default ``sample_spacing``, inf,
+    both charts store only their step ends.  A finite spacing keeps stored
+    samples at most min(max_step, sample_spacing) apart in x: the x-chart
+    reads them off each step's interpolant, the rho-chart off a density
+    grid log-graded in |rho - 1|, filled in where it is coarse in x.
     """
 
     rel_tol: float = 1e-9
@@ -766,10 +765,11 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         xd = domain.x
         watches.append(_Watch(lambda r, e, x: x - xd, True, int(dsign), DOMAIN_END))
 
+    graded = cfg.sample_spacing < math.inf  # else the step ends are the rows
     res = solve_ivp(
         vector_field(p)[1], rho, r_b, (e, x),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
-        t_eval=_rho_grid(rho, r_b),
+        t_eval=_rho_grid(rho, r_b) if graded else None,
         dense_output=True,
     )
     rs, es, xs = res.t, res.ya, res.yb
@@ -783,6 +783,8 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
             es.append(end.e)
             xs.append(end.x)
     else:
+        if not graded:  # the end row off the interpolant, as the grid reads it
+            es[-1], xs[-1] = res.sol([r_b])[0]
         end = State(xs[-1], rs[-1], es[-1])
         if r_b == 1.0:
             terminator = Event(SONIC_ARRIVAL, end)
@@ -790,10 +792,9 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
             terminator = Event(TARGET_DENSITY, end)
         # otherwise: clean band exit, caller continues in the x-chart
 
-    # the rho grid can be coarse in x near a tangential crossing; densify so
-    # the stored abscissas respect the sample spacing like every other leg,
-    # and a tangential landing keeps rows to fit however long the steps are
-    spacing = min(cfg.max_step, cfg.sample_spacing, _FILL_SPACING)
+    # the rho rows can be coarse in x near a tangential crossing; densify so
+    # the stored abscissas respect the sample spacing like every other leg
+    spacing = min(cfg.max_step, cfg.sample_spacing)
     for _ in range(3):
         gaps = np.abs(np.diff(xs))
         wide = np.nonzero(gaps > spacing)[0]

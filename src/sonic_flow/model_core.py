@@ -308,6 +308,13 @@ def vector_field(p: ModelParams):
         def b(x):
             return bc
 
+    elif p.doping.kind == "sine":  # __call__'s scalar sum, in its order, minus its dispatch
+        base, amp, f = (p.doping.params[k] for k in ("base", "amplitude", "frequency"))
+        w = 2.0 * math.pi * f
+
+        def b(x):
+            return base + amp * math.sin(w * x)
+
     else:
         b = p.doping
 

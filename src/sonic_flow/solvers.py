@@ -797,6 +797,7 @@ def _tangential_landing_shot(
     side "subsonic": launch backward from x = 1, land from above.
     Returns (segment, None) on success, (None, "short"/"long") otherwise.
     """
+    cfg = replace(cfg, sample_spacing=min(cfg.sample_spacing, 1e-2))  # `_landing_fit`'s rows
     if side == "supersonic":
         target = TargetDensity(1.0 - n_stop, direction=+1)
         seg = integrate_from_sonic(

@@ -92,6 +92,18 @@ class TestClassifier:
         assert rep["subsonic"].verdict == "undetermined"
         assert rep["supersonic"].verdict == "undetermined"
 
+    @pytest.mark.parametrize("gamma", [1.4, 2.0])
+    @pytest.mark.parametrize("tau,b", [(15.0, 1.5), (15.0, 0.4), (0.1, 1.5), (15.0, 0.95), (7.0, 1.0)])
+    def test_theorem_verdicts_need_gamma_one(self, gamma, tau, b):
+        rep = classify_regime(params(tau, b, gamma))
+        iso = classify_regime(params(tau, b))
+        assert rep["sonic"] == iso["sonic"]  # (1, 1/tau) solves the model at any gamma
+        for kind in ("subsonic", "supersonic", "transonic_shock", "c1_transonic"):
+            assert rep[kind].verdict == "undetermined"
+            assert f"gamma = {gamma:g}" in rep[kind].condition
+            assert "gamma = 1 only" in rep[kind].condition
+            assert rep[kind].advisory is None
+
     def test_report_round_trip(self):
         rep = classify_regime(params(15.0, 1.5))
         d = rep.to_dict()

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,46 @@ class TestSegmentContracts:
         assert diag["rho"] > 1.0
 
 
+class TestRhoLegRows:
+    # arcs from the sonic line: a rho-chart leg runs out to the band edge,
+    # the x-chart crosses the bulk, and a second rho-chart leg lands
+    p = params(15.0, 1.5)
+
+    def arc(self, cfg, side="subsonic", q=0.02):
+        return integrate_from_sonic(
+            0.0, side, self.p.inv_tau + q, "forward", [DomainEnd(3.0)], self.p, cfg,
+        )
+
+    def test_rows_are_step_ends_at_probe_resolution(self, kernel_calls):
+        seg = self.arc(IntegratorConfig())
+        assert seg.terminator.kind == "sonic_arrival"
+        legs = [(a, k, r) for a, k, r in kernel_calls if k.get("dense_output")]
+        assert len(legs) == 2
+        for _, kwargs, res in legs:
+            assert kwargs.get("t_eval") is None
+            assert len(res.t) == len(res.steps) + 1  # the start and every step end
+        first = legs[0][2]
+        assert seg.rhos[: len(first.t)].tolist() == first.t
+        assert seg.rhos[-len(legs[1][2].t):].tolist() == legs[1][2].t
+
+    # launches where a leg's last step end and its interpolant at the leg's
+    # end density differ in the last bit
+    @pytest.mark.parametrize("side,q", [
+        ("subsonic", 0.01), ("subsonic", 0.03), ("supersonic", 0.015), ("supersonic", 0.03),
+    ])
+    def test_end_rows_match_the_graded_grid(self, side, q):
+        cfg = IntegratorConfig()
+        probe = self.arc(cfg, side, q)
+        graded = self.arc(replace(cfg, sample_spacing=1e-2), side, q)
+        assert probe.terminator == graded.terminator
+        # where the first leg hands over to the x-chart
+        exit_rho = 1.0 + (cfg.sonic_band if side == "subsonic" else -cfg.sonic_band)
+        i = probe.rhos.tolist().index(exit_rho)
+        j = graded.rhos.tolist().index(exit_rho)
+        assert (probe.xs[i], probe.es[i]) == (graded.xs[j], graded.es[j])
+        assert len(probe.xs) < len(graded.xs)
+
+
 # ---------------------------------------------------------------------------
 # the Dormand-Prince kernel against scipy's RK45, which stays a test-only oracle
 
@@ -359,16 +400,32 @@ class TestKernelMatchesRK45:
         assert kernel_calls[0][2].status == 0
 
     def test_rho_chart_arc_with_t_eval(self, kernel_calls):
+        # a finite sample spacing makes the rho-chart read its density grid
         p = params(15.0, 1.5)
         integrate_from_sonic(
             0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
-            self.loose_cap,
+            replace(self.loose_cap, sample_spacing=1e-2),
         )
         args, kwargs, res = kernel_calls[0]
         assert kwargs["t_eval"] is not None and kwargs["dense_output"]
         assert args[1] == 1.0  # the rho-chart leg leaving the sonic line
         _assert_matches_rk45(kernel_calls[0])
         assert len(res.t) == len(kwargs["t_eval"])
+
+    def test_rho_chart_arc_at_probe_resolution(self, kernel_calls):
+        # at the default spacing the rho-chart rows are the kernel's step ends
+        p = params(15.0, 1.5)
+        integrate_from_sonic(
+            0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
+            self.loose_cap,
+        )
+        args, kwargs, res = kernel_calls[0]
+        assert kwargs.get("t_eval") is None and kwargs["dense_output"]
+        assert args[1] == 1.0
+        ref = _assert_matches_rk45(kernel_calls[0])
+        assert res.status == 0 and res.t[-1] == args[2]
+        # the step ends, up to roundoff the step controller carries along
+        np.testing.assert_allclose(res.t, ref.t, rtol=0, atol=1e-9)
 
     def test_arc_ending_on_terminal_target(self, kernel_calls):
         p = params(15.0, 1.5)

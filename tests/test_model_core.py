@@ -275,6 +275,15 @@ class TestRhsRhoIndependent:
             assert dedr == (0.8 - d(x)) * dxdr
             assert rhs_x(x, 0.8, -1.0, p)[1] == 0.8 - d(x)
 
+    @pytest.mark.parametrize("base,amp,freq", [(1.5, 0.1, 1.0), (1.2, -0.1, 2.5)])
+    def test_sine_doping_read_bit_for_bit(self, base, amp, freq):
+        # the field reads sine doping through its own plain-float closure;
+        # at rho = 0 the x-chart's dE/dx is -b(x) exactly
+        d = DopingProfile.sine_perturbed(base, amp, freq)
+        f = vector_field(ModelParams(tau=2.0, doping=d))[0]
+        xs = np.random.default_rng(12).uniform(-0.5, 1.5, 100_000).tolist()
+        assert [x for x in xs if -f(x, 0.0, 0.0)[1] != d(x)] == []
+
     @pytest.mark.parametrize(
         "rho,e", [(0.7, -0.8), (1.4, 0.6), (2.2, 0.4), (0.5, 1.2)]
     )

@@ -38,7 +38,15 @@ from sonic_flow import (
     tau0_bound,
 )
 from sonic_flow.integrator import IntegratorConfig
-from sonic_flow.solvers import _landing_fit, _shoot, _slope, _tangential_landing_shot
+from sonic_flow.solvers import (
+    _landing_fit,
+    _shock_shot,
+    _shoot,
+    _slope,
+    _sonic_shot,
+    _supersonic_shot,
+    _tangential_landing_shot,
+)
 
 from conftest import params
 
@@ -579,6 +587,42 @@ class TestOutputResolution:
         in_band = (n[1:] < 1e-2) & (n[:-1] < 1e-2)
         assert np.abs(np.diff(seg.xs))[in_band].max() <= 1e-2 * (1 + 1e-9)
         assert _landing_fit(seg, "supersonic", p_smooth, 1e-4) is not None
+
+    def test_c1_probe_reads_the_graded_grid(self, c1_sol, p_smooth):
+        # the landing fit reads probe rows, so a C1 probe at probe resolution
+        # stores the rows of one run at sample spacing 1e-2
+        q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
+        probe, _ = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), 1e-4)
+        graded, _ = _tangential_landing_shot(
+            "supersonic", q, p_smooth, IntegratorConfig(sample_spacing=1e-2), 1e-4
+        )
+        for a, b in ((probe.xs, graded.xs), (probe.rhos, graded.rhos), (probe.es, graded.es)):
+            assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock"])
+    def test_probe_ends_as_at_graded_rows(self, family, request):
+        # a probe shot at the accepted launch stores its step ends only, and
+        # ends on the same floats as a shot reading the graded density grid
+        if family == "subsonic":
+            p, sol = request.getfixturevalue("p_main"), request.getfixturevalue("subsonic_sol")
+            q = sol.diagnostics["launch_excess"]
+            shot = lambda cfg: _sonic_shot("subsonic", q, p, cfg)
+        elif family == "supersonic":
+            p, sol = request.getfixturevalue("p_main"), request.getfixturevalue("supersonic_sol")
+            rho_min = sol.diagnostics["rho_min"]
+            shot = lambda cfg: _supersonic_shot(rho_min, p, cfg)
+        else:
+            p, sol = request.getfixturevalue("p_shock"), request.getfixturevalue("shock_sol")
+            e0 = sol.diagnostics["e0"]
+            shot = lambda cfg: _shock_shot(e0, 0.9, p, cfg)
+        r_probe, probe = shot(IntegratorConfig())
+        r_graded, graded = shot(IntegratorConfig(sample_spacing=1e-2))
+        probe = probe if isinstance(probe, tuple) else (probe,)
+        graded = graded if isinstance(graded, tuple) else (graded,)
+        assert r_probe == r_graded
+        for a, b in zip(probe, graded, strict=True):
+            assert a.terminator == b.terminator
+            assert len(a.xs) < len(b.xs)
 
 
 class TestPiecewiseDoping:
