@@ -18,7 +18,10 @@ charts:
 An arc ends at the first of its stop events: sonic arrival, target density,
 blow-up, domain end or step failure.  Sonic arrivals, blow-ups and step
 failures always stop it: the trajectory cannot be continued through them
-within one chart run.
+within one chart run.  One more event splits an arc instead of ending it:
+on request, the x-chart leg stops where the arc first crosses the critical
+locus rho*E = 1/tau, its interior density extremum, and the next leg starts
+there, so the extremum is a row of the arc.
 
 The kernel is an owned Dormand-Prince 5(4) that follows scipy's RK45 step
 for step.  Events are located with `_brentq`, a port of scipy's ``brentq.c``
@@ -56,6 +59,7 @@ STEP_FAILURE = "step_failure"
 _BAND_INSET = 1.0 - 1e-9
 _CHART_INSET = 1.0 - 1e-10
 _MAX_LEGS = 256
+_SPLIT = "_split"  # x-leg end on the critical locus; the arc goes on
 _MIN_GRADED = 1e-6  # finest |rho - 1| resolved by the rho-leg sample grid
 
 
@@ -123,6 +127,15 @@ class TargetDensity(EventSpec):
 @dataclass(frozen=True)
 class DomainEnd(EventSpec):
     x: float
+
+
+@dataclass(frozen=True)
+class CriticalLocus(EventSpec):
+    """Split the arc once where it crosses rho*E = 1/tau in the x-chart.
+
+    The crossing is the arc's density extremum; the arc goes on from there,
+    so the extremum becomes a row.
+    """
 
 
 @dataclass(frozen=True)
@@ -635,7 +648,7 @@ def _leg_terminator(res, watches, state):
     return Event(watches[res.terminal].kind, state(t, a, b))
 
 
-def _x_leg(x, rho, e, dsign, span_limit, targets, domain, p, cfg):
+def _x_leg(x, rho, e, dsign, span_limit, targets, domain, split, p, cfg):
     band_in = cfg.sonic_band * _BAND_INSET
     blow_r, blow_e = cfg.blow_up_density, cfg.blow_up_field
 
@@ -654,6 +667,9 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, p, cfg):
             tg.direction * int(dsign),
             TARGET_DENSITY,
         ))
+    if split:
+        inv_tau = p.inv_tau
+        watches.append(_Watch(lambda t, r, e: r * e - inv_tau, True, 0, _SPLIT))
     watches += [
         _Watch(lambda t, r, e: r - blow_r, True, 0, BLOW_UP),
         _Watch(lambda t, r, e: r - 1.0 / blow_r, True, 0, BLOW_UP),
@@ -831,6 +847,7 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
     if len(domains) > 1:
         raise ValueError("at most one DomainEnd stop is supported")
     domain = domains[0] if domains else None
+    split = any(isinstance(s, CriticalLocus) for s in specs)
 
     xs: list[float] = []
     rs: list[float] = []
@@ -844,14 +861,16 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
             leg = _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg)
         else:
             remaining = cfg.max_arc_length - abs(x - x_origin)
-            leg = _x_leg(x, rho, e, dsign, remaining, targets, domain, p, cfg)
+            leg = _x_leg(x, rho, e, dsign, remaining, targets, domain, split, p, cfg)
         side = None
         skip = 1 if xs and len(leg.xs) > 1 else 0
         xs += leg.xs[skip:]
         rs += leg.rhos[skip:]
         es += leg.es[skip:]
         if leg.terminator is not None:
-            break
+            if leg.terminator.kind != _SPLIT:
+                break
+            split = False  # once only: the next leg starts on the locus
         x, rho, e = leg.xs[-1], leg.rhos[-1], leg.es[-1]
         if abs(x - x_origin) >= cfg.max_arc_length:
             raise IntegrationFailure(
@@ -897,8 +916,9 @@ def integrate(
 
     Sonic arrival, blow-up and step failure terminate whether or not they
     were requested; `TargetDensity` and `DomainEnd` stops come from
-    `stop_events`.  Starts exactly on the sonic line are rejected: the
-    outgoing branch is ambiguous there, use `integrate_from_sonic` instead.
+    `stop_events`, and so does a `CriticalLocus` split.  Starts exactly on
+    the sonic line are rejected: the outgoing branch is ambiguous there, use
+    `integrate_from_sonic` instead.
     """
     cfg = cfg or IntegratorConfig()
     if abs(start.rho - 1.0) < 1e-12:

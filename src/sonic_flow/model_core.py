@@ -458,7 +458,8 @@ def tau0_bound(b: float) -> float:
 def undamped_energy_potential(rho, b: float):
     """Potential Psi with E^2/2 - Psi(rho) conserved when tau = infinity.
 
-    Psi(rho) = (2 rho - b)/(2 rho^2) + rho - b log(rho).
+    Psi(rho) = (2 rho - b)/(2 rho^2) + rho - b log(rho), the isothermal
+    (gamma = 1) relation; it does not hold at any other gamma.
     """
     r = np.asarray(rho, dtype=float)
     out = (2.0 * r - b) / (2.0 * r * r) + r - b * np.log(r)
@@ -470,7 +471,8 @@ def supersonic_min_density_bracket(length: float, b_lower: float) -> tuple[float
 
     beta(L) = 1/(2 + sqrt(2 sqrt(2) b) L) and
     gamma(L) = 1 - L^2 / (2^4 (2 + sqrt(2 sqrt(2) b) L)^3), valid for the
-    frictionless profile of span L and sharp enough for large tau.
+    isothermal (gamma = 1) frictionless profile of span L and sharp enough
+    for large tau.
     """
     s = math.sqrt(2.0 * math.sqrt(2.0) * b_lower) * length
     beta = 1.0 / (2.0 + s)

@@ -25,6 +25,7 @@ from .errors import (
     ShootingDivergence,
 )
 from .integrator import (
+    CriticalLocus,
     DomainEnd,
     IntegratorConfig,
     TargetDensity,
@@ -261,8 +262,12 @@ def solve_sonic(p: ModelParams) -> Solution:
 
 
 def _sonic_shot(side: str, q: float, p: ModelParams, cfg: IntegratorConfig):
-    """Launch on ``side`` from the sonic line at x = 0; residual is landing abscissa - 1."""
-    seg = integrate_from_sonic(0.0, side, p.inv_tau + q, "forward", [DomainEnd(3.0)], p, cfg)
+    """Launch on ``side`` from the sonic line at x = 0; residual is landing abscissa - 1.
+
+    A supersonic arc is split at its density minimum, which is then a row.
+    """
+    stops = [DomainEnd(3.0)] + ([CriticalLocus()] if side == "supersonic" else [])
+    seg = integrate_from_sonic(0.0, side, p.inv_tau + q, "forward", stops, p, cfg)
     kind = seg.terminator.kind
     if kind == "sonic_arrival":
         return seg.last.x - 1.0, seg
@@ -280,11 +285,12 @@ def _shoot_launch_excess(side: str, p: ModelParams, cfg: IntegratorConfig):
 
     Returns ``(q, residual, segment, shots)``, q = E(0) - 1/tau.
     """
+    lo, hi = (0.05, 0.2) if side == "supersonic" else (1e-4, 0.05)
     return _shoot_polish_land(
         lambda q, c: _sonic_shot(side, q, p, c),
         cfg,
-        1e-4,
-        0.05,
+        lo,
+        hi,
         lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None,
         lambda q: 2.0 * q,
         xtol=1e-15,
@@ -482,42 +488,6 @@ def solve_subsonic_elliptic(
 # ---------------------------------------------------------------------------
 
 
-def _supersonic_arcs(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
-    """Both half-arcs from a minimum at x = 0 on the critical locus."""
-    start = State(0.0, rho_min, 1.0 / (p.tau * rho_min))
-    fwd = integrate(start, "forward", [DomainEnd(8.0)], p, cfg)
-    bwd = integrate(start, "backward", [DomainEnd(-8.0)], p, cfg)
-    ok = fwd.terminator.kind == bwd.terminator.kind == "sonic_arrival"
-    return ok, fwd, bwd
-
-
-def _supersonic_shot(rho_min: float, p: ModelParams, cfg: IntegratorConfig):
-    """Arcs from a minimum at x = 0; the residual 1 - total length rises with rho_min."""
-    ok, fwd, bwd = _supersonic_arcs(rho_min, p, cfg)
-    if not ok:
-        raise ShootingDivergence(
-            "supersonic half-arc failed to land on the sonic line",
-            diagnostics={
-                "rho_min": rho_min,
-                "forward": fwd.terminator.kind,
-                "backward": bwd.terminator.kind,
-            },
-        )
-    return 1.0 - (fwd.last.x - bwd.last.x), (fwd, bwd)
-
-
-def _compose_supersonic(fwd: TrajectorySegment, bwd: TrajectorySegment):
-    """Rows of both half-arcs, slid so the backward landing sits at x = 0.
-
-    Constant doping is translation invariant, so the slide keeps a solution.
-    """
-    shift = -bwd.last.x
-    xs = np.concatenate([bwd.xs[::-1] + shift, fwd.xs[1:] + shift])
-    rhos = np.concatenate([bwd.rhos[::-1], fwd.rhos[1:]])
-    es = np.concatenate([bwd.es[::-1], fwd.es[1:]])
-    return xs, rhos, es
-
-
 def _check_regime_for_supersonic(p: ModelParams, want: str) -> None:
     """Raise when a non-existence theorem rules the family out."""
     b_up = p.doping.b_upper
@@ -535,66 +505,34 @@ def _check_regime_for_supersonic(p: ModelParams, want: str) -> None:
 
 
 def solve_supersonic(p: ModelParams, cfg: IntegratorConfig | None = None) -> Solution:
-    """Supersonic solution by shooting.
+    """Supersonic solution by shooting on the launch field E(0).
 
-    Constant doping: both half-arcs leave the interior density minimum on
-    the critical locus rho E = 1/tau, where the profile is regular, out to
-    their sonic landings; the minimum density is tuned until the landings
-    are one unit apart, and translation invariance slides the composite onto
-    [0, 1].  The minimum is then a row of the solution.
-
-    Variable doping: the arc leaves the sonic line at x = 0 exactly, and its
-    launch excess E(0) - 1/tau is tuned until it lands on the sonic line at
-    x = 1, as in the subsonic family.  ``rho_min`` and ``x_min`` are then
-    read from the rows.
+    The arc leaves the sonic line at x = 0 exactly, dives to its density
+    minimum on the critical locus rho E = 1/tau, where it is split so that
+    the minimum is a row, and climbs back; its launch excess E(0) - 1/tau is
+    tuned until it lands on the sonic line at x = 1, as in the subsonic
+    family.  Constant and variable doping take this one path; ``rho_min``
+    and ``x_min`` are read from the rows.
     """
     _check_regime_for_supersonic(p, "supersonic")
-    cfg = cfg or IntegratorConfig()
-
-    if p.doping.is_constant:
-        beta, gam = supersonic_min_density_bracket(1.0, p.doping.constant_value)
-        # neither end moves: the bracket bounds the admissible minimum densities
-        memo = {}
-        rho_min, shots = _shoot(
-            lambda r: _supersonic_shot(r, p, cfg),
-            beta, min(gam, 1.0 - 2.0 * cfg.sonic_band), None, None, xtol=1e-14, memo=memo,
-        )
-        fine = _fine(cfg)
-
-        def fine_shot(rho_min: float):
-            try:
-                return _supersonic_shot(rho_min, p, fine)
-            except ShootingDivergence:
-                return math.nan, None
-
-        rho_min, _, arcs = _polish(fine_shot, rho_min, _slope(memo, rho_min))
-        if arcs is None:
-            raise ShootingDivergence("supersonic reconstruction lost its landing")
-        fwd, bwd = arcs
-        xs, rhos, es = _compose_supersonic(fwd, bwd)
-        total = xs[-1] - xs[0]
-        miss = abs(total - 1.0)
-        if miss > 1e-6:
-            raise ShootingDivergence(
-                "supersonic landings are not one unit apart after tuning",
-                diagnostics={"total_length": total, "rho_min": rho_min},
-            )
-    else:
-        _, residual, seg, shots = _shoot_launch_excess("supersonic", p, cfg)
-        xs, rhos, es = seg.xs, seg.rhos, seg.es
-        rho_min, miss = rhos.min(), abs(residual)
+    q_star, residual, seg, shots = _shoot_launch_excess(
+        "supersonic", p, cfg or IntegratorConfig()
+    )
+    k = int(np.argmin(seg.rhos))
     return Solution(
         kind="supersonic",
-        x=xs,
-        rho=rhos,
-        e=es,
+        x=seg.xs,
+        rho=seg.rhos,
+        e=seg.es,
         diagnostics={
             "construction": "ode_trajectory",
-            "rho_min": float(rho_min),
-            "x_min": float(xs[int(np.argmin(rhos))]),
-            "boundary_residual": miss,
-            "e_left": float(es[0]),
-            "e_right": float(es[-1]),
+            "g0": p.inv_tau + q_star,
+            "launch_excess": q_star,
+            "rho_min": float(seg.rhos[k]),
+            "x_min": float(seg.xs[k]),
+            "boundary_residual": abs(residual),
+            "e_left": float(seg.es[0]),
+            "e_right": float(seg.es[-1]),
             "shooting_iterations": shots,
         },
     )
@@ -627,14 +565,17 @@ def supersonic_residual_sweep(
         raise NotConstantDoping("residual sweep requires constant doping")
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=2e-2)
     out = []
-    for rho_min in np.linspace(bounds[0], bounds[1], samples):
-        ok, fwd, bwd = _supersonic_arcs(float(rho_min), p, cfg)
-        if ok:
+    for rho_min in np.linspace(bounds[0], bounds[1], samples).tolist():
+        # both half-arcs from a minimum at x = 0 on the critical locus
+        start = State(0.0, rho_min, 1.0 / (p.tau * rho_min))
+        fwd = integrate(start, "forward", [DomainEnd(8.0)], p, cfg)
+        bwd = integrate(start, "backward", [DomainEnd(-8.0)], p, cfg)
+        if fwd.terminator.kind == bwd.terminator.kind == "sonic_arrival":
             res = (fwd.last.x - bwd.last.x) - 1.0
-            out.append(SweepSample(float(rho_min), float(res), "ok"))
+            out.append(SweepSample(rho_min, float(res), "ok"))
         else:
             status = f"{fwd.terminator.kind}/{bwd.terminator.kind}"
-            out.append(SweepSample(float(rho_min), math.nan, status))
+            out.append(SweepSample(rho_min, math.nan, status))
     return out
 
 

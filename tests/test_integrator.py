@@ -710,6 +710,39 @@ class TestKernelJumps:
         assert 0.25 in seg.xs
 
 
+# ---------------------------------------------------------------------------
+# the split at the critical locus
+
+
+class TestCriticalLocus:
+    # sonic launches: the supersonic arc dips to its density minimum on
+    # rho E = 1/tau, the subsonic one rises to its maximum there
+    p = params(15.0, 1.5)
+
+    @pytest.mark.parametrize("side,q", [("supersonic", 0.1), ("subsonic", 0.02)])
+    def test_split_puts_one_row_on_the_locus(self, side, q, kernel_calls):
+        def arc(stops):
+            return integrate_from_sonic(0.0, side, self.p.inv_tau + q, "forward", stops, self.p)
+
+        plain = arc([DomainEnd(3.0)])
+        n_plain = len(kernel_calls)
+        split = arc([DomainEnd(3.0), integrator.CriticalLocus()])
+        assert split.terminator.kind == plain.terminator.kind == "sonic_arrival"
+        on_locus = np.abs(split.rhos * split.es - self.p.inv_tau) <= 1e-12
+        assert np.count_nonzero(on_locus) == 1
+        extremum = np.argmin if side == "supersonic" else np.argmax
+        assert on_locus[extremum(split.rhos)]
+        # one x-chart leg stops on the locus, the next starts there, and no
+        # leg after the split watches for it again
+        legs = kernel_calls[n_plain:]
+        assert len(legs) == n_plain + 1
+        watching = [(args[7], res) for args, _, res in legs
+                    if any(w.kind == integrator._SPLIT for w in args[7])]
+        assert len(watching) == 1
+        ((watches, res),) = watching
+        assert res.status == 1 and watches[res.terminal].kind == integrator._SPLIT
+
+
 def _run_isolated(code):
     """stdout of ``code`` run in a fresh interpreter that imports this source tree."""
     src = os.path.dirname(os.path.dirname(sonic_flow.__file__))

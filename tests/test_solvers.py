@@ -44,7 +44,6 @@ from sonic_flow.solvers import (
     _shoot,
     _slope,
     _sonic_shot,
-    _supersonic_shot,
     _tangential_landing_shot,
 )
 
@@ -181,10 +180,16 @@ class TestSupersonic:
         assert np.all(np.diff(rho[: k + 1]) <= 1e-12)
         assert np.all(np.diff(rho[k:]) >= -1e-12)
 
-    def test_minimum_on_critical_locus(self, supersonic_sol, p_main):
-        k = int(np.argmin(supersonic_sol.rho))
-        prod = supersonic_sol.rho[k] * supersonic_sol.e[k]
-        assert prod == pytest.approx(p_main.inv_tau, abs=1e-7)
+    @pytest.mark.parametrize("doping", ["constant", "sine"])
+    def test_minimum_on_critical_locus(self, doping, supersonic_sol, p_main):
+        # the arc is split at its minimum, so the argmin row lies on the locus
+        if doping == "constant":
+            p, sol = p_main, supersonic_sol
+        else:
+            p, sol = P_SINE_SUPERSONIC, solve_supersonic(P_SINE_SUPERSONIC)
+        k = int(np.argmin(sol.rho))
+        prod = sol.rho[k] * sol.e[k]
+        assert prod == pytest.approx(p.inv_tau, abs=1e-7)
 
     def test_stays_supersonic(self, supersonic_sol):
         assert supersonic_sol.rho.max() <= 1.0 + 1e-8
@@ -609,8 +614,8 @@ class TestOutputResolution:
             shot = lambda cfg: _sonic_shot("subsonic", q, p, cfg)
         elif family == "supersonic":
             p, sol = request.getfixturevalue("p_main"), request.getfixturevalue("supersonic_sol")
-            rho_min = sol.diagnostics["rho_min"]
-            shot = lambda cfg: _supersonic_shot(rho_min, p, cfg)
+            q = sol.diagnostics["launch_excess"]
+            shot = lambda cfg: _sonic_shot("supersonic", q, p, cfg)
         else:
             p, sol = request.getfixturevalue("p_shock"), request.getfixturevalue("shock_sol")
             e0 = sol.diagnostics["e0"]
