@@ -230,12 +230,31 @@ _P_COLUMNS = tuple(zip(*_P))  # per power of theta, the weights of the six stage
 
 
 class _Watch(NamedTuple):
-    """An event function g(t, a, b) with its stop rule and its meaning."""
+    """An event function g(t, a, b) with its stop rule and its meaning.
+
+    ``level = (c, v)`` declares g exactly ``(a, b)[c] - v``, for the screen.
+    """
 
     g: Callable[[float, float, float], float]
     terminal: bool
     direction: int  # +1 rising crossings only, -1 falling only, 0 both
     kind: str
+    level: tuple[int, float] | None = None
+
+
+def _level_watch(c, v, direction, kind):
+    """A terminal watch on component c of the state crossing v."""
+    g = (lambda t, a, b: a - v) if c == 0 else (lambda t, a, b: b - v)
+    return _Watch(g, True, direction, kind, (c, v))
+
+
+def _cell(levels, c, y):
+    """The open interval between component c's levels next below and above y."""
+    vs = [v for k, v in levels if k == c]
+    if y in vs:  # empty: g0 == 0 there, so the next step must compare in full
+        return math.inf, -math.inf
+    lo = max((v for v in vs if v < y), default=-math.inf)
+    return lo, min((v for v in vs if v > y), default=math.inf)
 
 
 def _rms(u, v):
@@ -402,7 +421,13 @@ def solve_ivp(
     stopping root included, and a step longer than `spacing` is split into
     ceil(|h|/spacing) equal parts whose inner ends are read off its
     interpolant. With `t_eval`, which must run monotonically along the span,
-    only those points are sampled, up to and including the end point.
+    only those points are sampled, up to and including the end point. A
+    step's interpolant is built only where one of these or an event reads it.
+
+    Watches with a ``level`` are screened: while the state stays inside the
+    open cell between the levels, none can fire, so only the others are
+    evaluated; a step that leaves the cell evaluates all and recomputes it.
+    A float ``y - v`` has the sign of its exact value: the events are the same.
 
     ``fun`` may jump at each t of `breaks`, taking there the value of the
     piece above it. No step spans a jump: a step that would reach one ends
@@ -439,14 +464,20 @@ def solve_ivp(
     n_eval = 0
     steps = [] if dense_output else None
     gs = [ev.g for ev in events]
-    g = [gi(t, ya, yb) for gi in gs]
+    start = (t, ya, yb)  # a comprehension reading t, ya or yb would make them cells
+    g = [gi(*start) for gi in gs]
+    dirs = [ev.direction for ev in events]
+    free = [i for i, ev in enumerate(events) if ev.level is None]
+    levels = [ev.level for ev in events if ev.level is not None]
+    lo_a, hi_a = _cell(levels, 0, ya)
+    lo_b, hi_b = _cell(levels, 1, yb)
     roots = []
     terminal = None
 
     # the jumps strictly inside the span, the next one last, each as the last
     # float of the piece it leaves, the first of the one it enters, and itself
     jumps = []
-    for x_b in sorted(breaks, key=lambda v: -d * v):
+    for x_b in sorted(breaks, reverse=d > 0):
         below = math.nextafter(x_b, -math.inf)
         end, restart = (below, x_b) if d > 0 else (x_b, below)
         if d * (end - t) > 0 and d * (t_bound - restart) > 0:
@@ -549,36 +580,52 @@ def solve_ivp(
         if status is not None:
             break
 
-        step = _Step(
-            t, h, ya, yb,
-            ((fa, fb), (k3a, k3b), (k4a, k4b), (k5a, k5b), (k6a, k6b), (k7a, k7b)),
-        )
-        t_old = t
+        t_old, ya_old, yb_old, fa_old, fb_old = t, ya, yb, fa, fb
         t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
         if d * (t - t_bound) >= 0:
             status = 0
-        if steps is not None:
-            steps.append(step)
 
-        if gs:
-            g_new = [gi(t, ya, yb) for gi in gs]
+        hits = []
+        if lo_a < ya < hi_a and lo_b < yb < hi_b:
+            scan = free
+        else:
+            scan = range(len(gs))
+            lo_a, hi_a = _cell(levels, 0, ya)
+            lo_b, hi_b = _cell(levels, 1, yb)
+        for i in scan:
+            g0 = g[i]
+            g[i] = g1 = gs[i](t, ya, yb)
+            up = g0 <= 0 and g1 >= 0
+            down = g0 >= 0 and g1 <= 0
+            if up if dirs[i] > 0 else down if dirs[i] < 0 else up or down:
+                hits.append(i)
+
+        if t_eval is None:
+            # the slack keeps a step that rounding left an ulp over `spacing` whole
+            n = math.ceil(abs(h) / spacing * (1.0 - 1e-12))
+            read = n > 1
+        else:
+            read = n_eval < len(t_eval) and d * (t_eval[n_eval] - t) <= 0
+        if read or hits or steps is not None:
+            step = _Step(t_old, h, ya_old, yb_old, ((fa_old, fb_old), (k3a, k3b), (k4a, k4b),
+                                                    (k5a, k5b), (k6a, k6b), (k7a, k7b)))
+            if steps is not None:
+                steps.append(step)
+
+        if hits:
             found = []
-            for i, (ev, g0, g1) in enumerate(zip(events, g, g_new)):
-                up = g0 <= 0 and g1 >= 0
-                down = g0 >= 0 and g1 <= 0
-                if up if ev.direction > 0 else down if ev.direction < 0 else up or down:
-                    root, _, _, converged = _brentq(
-                        lambda s, gi=gs[i]: gi(s, *step(s)), t_old, t, 4 * _EPS, 4 * _EPS
+            for i in hits:
+                root, _, _, converged = _brentq(
+                    lambda s, gi=gs[i], step=step: gi(s, *step(s)),
+                    t_old, t, 4 * _EPS, 4 * _EPS,
+                )
+                if not converged:
+                    raise IntegrationFailure(
+                        "event location did not converge within the step",
+                        diagnostics={"event": i, "t": t_old, "h": h},
                     )
-                    if not converged:
-                        raise IntegrationFailure(
-                            "event location did not converge within the step",
-                            diagnostics={"event": i, "t": t_old, "h": step.h},
-                        )
-                    found.append((d * root, i, root))
-            g = g_new
-            if found:
-                found.sort(key=lambda f: f[0])  # stable: ties keep event order
+                found.append((d * root, i, root))
+            found.sort(key=lambda f: f[0])  # stable: ties keep event order
             for _, i, root in found:
                 roots.append((i, root, *step(root)))
                 if events[i].terminal:
@@ -589,10 +636,8 @@ def solve_ivp(
                     break
 
         if t_eval is None:
-            # the slack keeps a step that rounding left an ulp over `spacing` whole
-            n = math.ceil(abs(step.h) / spacing * (1.0 - 1e-12))
             for k in range(1, n):
-                s = t_old + k * step.h / n
+                s = t_old + k * h / n
                 if d * (s - t) >= 0:
                     break
                 a, b = step(s)
@@ -656,26 +701,14 @@ def _x_leg(x, rho, e, dsign, span_limit, targets, domain, split, p, cfg):
     # agnostic notion: the upper threshold is always crossed downward and the
     # lower one upward in integration order
     hi, lo = 1.0 + band_in, 1.0 - band_in
-    watches = [
-        _Watch(lambda t, r, e: r - hi, True, -1, "_band"),
-        _Watch(lambda t, r, e: r - lo, True, 1, "_band"),
-    ]
+    watches = [_level_watch(0, hi, -1, "_band"), _level_watch(0, lo, 1, "_band")]
     for tg in targets:
-        watches.append(_Watch(
-            (lambda v: lambda t, r, e: r - v)(tg.value),
-            True,
-            tg.direction * int(dsign),
-            TARGET_DENSITY,
-        ))
+        watches.append(_level_watch(0, tg.value, tg.direction * int(dsign), TARGET_DENSITY))
     if split:
         inv_tau = p.inv_tau
         watches.append(_Watch(lambda t, r, e: r * e - inv_tau, True, 0, _SPLIT))
-    watches += [
-        _Watch(lambda t, r, e: r - blow_r, True, 0, BLOW_UP),
-        _Watch(lambda t, r, e: r - 1.0 / blow_r, True, 0, BLOW_UP),
-        _Watch(lambda t, r, e: e - blow_e, True, 0, BLOW_UP),
-        _Watch(lambda t, r, e: e + blow_e, True, 0, BLOW_UP),
-    ]
+    bounds = ((0, blow_r), (0, 1.0 / blow_r), (1, blow_e), (1, -blow_e))
+    watches += [_level_watch(c, v, 0, BLOW_UP) for c, v in bounds]
 
     x_end = x + dsign * span_limit
     ends_at_domain = False
@@ -772,14 +805,10 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
         q = r * e - inv_tau
         return q * q - guard2
 
-    watches = [
-        _Watch(near_critical, True, -1, STEP_FAILURE),
-        _Watch(lambda r, e, x: e - blow_e, True, 0, BLOW_UP),
-        _Watch(lambda r, e, x: e + blow_e, True, 0, BLOW_UP),
-    ]
+    watches = [_Watch(near_critical, True, -1, STEP_FAILURE)]
+    watches += [_level_watch(0, v, 0, BLOW_UP) for v in (blow_e, -blow_e)]
     if domain is not None and dsign * (domain.x - x) > 0:
-        xd = domain.x
-        watches.append(_Watch(lambda r, e, x: x - xd, True, int(dsign), DOMAIN_END))
+        watches.append(_level_watch(1, domain.x, int(dsign), DOMAIN_END))
 
     graded = cfg.sample_spacing < math.inf  # else the step ends are the rows
     res = solve_ivp(
@@ -811,7 +840,8 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
     # the rho rows can be coarse in x near a tangential crossing; densify so
     # the stored abscissas respect the sample spacing like every other leg
     spacing = min(cfg.max_step, cfg.sample_spacing)
-    for _ in range(3):
+    # rounded, no gap exceeds the extent of the rows: narrow legs skip the fill
+    for _ in range(3 if not max(xs) - min(xs) <= spacing else 0):
         gaps = np.abs(np.diff(xs))
         wide = np.nonzero(gaps > spacing)[0]
         if not len(wide):

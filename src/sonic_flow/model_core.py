@@ -318,7 +318,17 @@ def vector_field(p: ModelParams):
     else:
         b = p.doping
 
-    if gamma == 1.0:
+    if gamma == 1.0 and p.doping.is_constant:  # the constant inline, without a call
+
+        def rhs_x(x, r, e):
+            r2 = r * r
+            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - bc)
+
+        def rhs_rho(r, e, x):
+            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
+            return ((r - bc) * dxdr, dxdr)
+
+    elif gamma == 1.0:
 
         def rhs_x(x, r, e):
             r2 = r * r

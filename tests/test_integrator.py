@@ -24,11 +24,16 @@ from sonic_flow import (
     IntegrationFailure,
     IntegratorConfig,
     ModelParams,
+    SonicFlowError,
     SonicSingularity,
     State,
     TargetDensity,
     integrate,
     integrate_from_sonic,
+    solve_c1_transonic,
+    solve_subsonic_shooting,
+    solve_supersonic,
+    solve_transonic_shock,
 )
 
 from conftest import params
@@ -553,6 +558,37 @@ def _watch(level, terminal=True, direction=0):
     return integrator._Watch(lambda t, a, b: a - level, terminal, direction, "level")
 
 
+def _level(c, v, terminal=True, direction=0, calls=None):
+    """A watch on component c crossing v, declared as a level; `calls` counts g."""
+
+    def g(t, a, b):
+        if calls is not None:
+            calls.append(t)
+        return (a, b)[c] - v
+
+    return integrator._Watch(g, terminal, direction, "level", (c, v))
+
+
+def _unleveled(watches):
+    return [w._replace(level=None) for w in watches]
+
+
+def _screened_as_full(fun, t0, t1, y0, watches):
+    """The run with the level screen, after asserting it equals the one without."""
+    screened, full = (
+        integrator.solve_ivp(fun, t0, t1, y0, 1e-9, 1e-11, 0.1, ws, dense_output=True)
+        for ws in (watches, _unleveled(watches))
+    )
+    for res in (screened, full):
+        assert res.status in (0, 1)
+    assert (screened.t, screened.ya, screened.yb) == (full.t, full.ya, full.yb)
+    assert (screened.status, screened.terminal, screened.nfev) == (
+        full.status, full.terminal, full.nfev
+    )
+    assert screened.roots == full.roots
+    return screened
+
+
 def _step_of(res, t):
     """Index of the accepted step whose span holds t."""
     return next(
@@ -606,6 +642,66 @@ class TestKernelEvents:
         assert [i for i, *_ in res.roots] == [0, 1]
         assert res.roots[0][1] == pytest.approx(0.3, abs=1e-12)
         assert res.t[-1] == pytest.approx(0.6, abs=1e-12)
+
+    # the level screen: a leveled watch against the same watch evaluated on
+    # every step
+
+    def test_screen_skips_level_evaluations(self):
+        screened, full = [], []
+        res = integrator.solve_ivp(
+            _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 0.1,
+            [_level(0, 0.6, calls=screened)], dense_output=True,
+        )
+        integrator.solve_ivp(
+            _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 0.1,
+            _unleveled([_level(0, 0.6, calls=full)]),
+        )
+        # screened, g runs at the start, on the step that leaves the cell and
+        # in the root search: none of the steps before is evaluated
+        assert res.status == 1 and len(res.steps) > 3
+        assert len(full) - len(screened) == len(res.steps) - 1
+
+    @pytest.mark.parametrize("direction", [-1, 0, 1])
+    def test_start_exactly_on_a_level(self, direction):
+        # g0 == 0: a rising or two-way watch stops at once, a falling one
+        # waits; the far level stops the run then
+        watches = [_level(0, 0.5, direction=direction), _level(0, 0.8)]
+        res = _screened_as_full(_unit_drift, 0.0, 1.0, (0.5, 0.0), watches)
+        assert res.status == 1
+        if direction >= 0:
+            assert (res.terminal, res.t[-1]) == (0, 0.0)
+        else:
+            assert res.terminal == 1
+            assert res.ya[-1] == pytest.approx(0.8, abs=1e-12)
+
+    def test_crossing_against_the_direction_moves_the_cell(self):
+        # a = cos t falls through 0.5 at pi/3, which a rising watch ignores,
+        # and rises back through it at 5 pi/3, where it fires
+        watches = [_level(0, 0.5, direction=1), _level(0, -2.0)]
+        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0), watches)
+        assert res.status == 1 and res.terminal == 0
+        assert res.t[-1] == pytest.approx(5 * math.pi / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_two_levels_crossed_in_one_step(self, forward):
+        t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
+        watches = [
+            _level(0, 0.5 + 1e-6, terminal=False),
+            _level(0, 0.5, terminal=False),
+            _level(0, 0.9 if forward else 0.1),
+        ]
+        res = _screened_as_full(_unit_drift, t0, t1, (t0, 0.0), watches)
+        assert _step_of(res, 0.5) is _step_of(res, 0.5 + 1e-6)
+        assert [i for i, *_ in res.roots] == ([1, 0, 2] if forward else [0, 1, 2])
+
+    def test_level_on_the_second_component(self):
+        # b = -sin t falls through -0.5 at pi/6 and rises back at 5 pi/6
+        watches = [_level(1, -0.5, terminal=False), _level(0, -0.9), _level(1, 0.5)]
+        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0), watches)
+        assert [i for i, *_ in res.roots] == [0, 0, 1] and res.terminal == 1
+        assert [t for _, t, *_ in res.roots] == pytest.approx(
+            [math.pi / 6, 5 * math.pi / 6, math.acos(-0.9)], abs=1e-9
+        )
 
     def test_t_eval_sampling_includes_terminal_point(self):
         def run(t_eval):
@@ -741,6 +837,65 @@ class TestCriticalLocus:
         assert len(watching) == 1
         ((watches, res),) = watching
         assert res.status == 1 and watches[res.terminal].kind == integrator._SPLIT
+
+
+# ---------------------------------------------------------------------------
+# the level screen on whole solves
+
+
+def _sine(tau):
+    return ModelParams(tau=tau, doping=DopingProfile.sine_perturbed(1.5, 0.1))
+
+
+def _piecewise(tau):
+    return ModelParams(tau=tau, doping=DopingProfile.piecewise_constant([0.5], [1.5, 1.6]))
+
+
+class TestLevelScreenOnSolves:
+    cases = {
+        "subsonic": lambda: solve_subsonic_shooting(params(15.0, 1.5)),
+        "supersonic": lambda: solve_supersonic(params(15.0, 1.5)),
+        "shock": lambda: solve_transonic_shock(params(50.0, 1.5), 0.9),
+        "c1": lambda: solve_c1_transonic(params(0.1, 1.5), 0.5),
+        "sine_subsonic": lambda: solve_subsonic_shooting(_sine(15.0)),
+        "piecewise_supersonic": lambda: solve_supersonic(_piecewise(15.0)),
+        "supersonic_low_tau": lambda: solve_supersonic(params(0.6, 1.2)),
+    }
+
+    @staticmethod
+    def outcome(solve, monkeypatch, screen):
+        """The solve's profile and diagnostics, or its typed error; the kernel nfev."""
+        kernel = integrator.solve_ivp
+        nfev = []
+
+        def run(*args, **kwargs):
+            assert len(args) == 8  # the chart legs pass their watches positionally
+            if not screen:
+                args = (*args[:7], _unleveled(args[7]))
+            res = kernel(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(integrator, "solve_ivp", run)
+        try:
+            sol = solve()
+            out = (sol.x.tolist(), sol.rho.tolist(), sol.e.tolist(), repr(sol.diagnostics))
+        except SonicFlowError as exc:
+            out = (type(exc), str(exc), repr(getattr(exc, "diagnostics", None)))
+        finally:
+            monkeypatch.setattr(integrator, "solve_ivp", kernel)
+        return out, nfev
+
+    @pytest.mark.parametrize("case", list(cases))
+    def test_bit_identical_to_evaluating_every_watch(self, case, monkeypatch):
+        screened = self.outcome(self.cases[case], monkeypatch, True)
+        full = self.outcome(self.cases[case], monkeypatch, False)
+        assert screened == full
+        out, _ = screened
+        if case == "supersonic_low_tau":
+            assert out[0].__name__ == "ShootingDivergence"
+        else:
+            assert isinstance(out[0], list)
 
 
 def _run_isolated(code):

@@ -284,6 +284,37 @@ class TestRhsRhoIndependent:
         xs = np.random.default_rng(12).uniform(-0.5, 1.5, 100_000).tolist()
         assert [x for x in xs if -f(x, 0.0, 0.0)[1] != d(x)] == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=st.floats(0.01, 100.0),
+        b=st.floats(0.1, 3.0),
+        x=st.floats(-1.0, 2.0),
+        r=st.floats(0.01, 10.0),
+        e=st.floats(-100.0, 100.0),
+    )
+    def test_constant_doping_read_bit_for_bit(self, tau, b, x, r, e):
+        # the field takes constant doping inline; the same formulas read
+        # through p.doping(x) give the same bits, or raise alike
+        p = _params(tau, b)
+        f_x, f_rho = vector_field(p)
+
+        def via_x():
+            r2 = r * r
+            return ((r * e - p.inv_tau) * r2 / (r2 - 1.0), r - p.doping(x))
+
+        def via_rho():
+            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - p.inv_tau)
+            return ((r - p.doping(x)) * dxdr, dxdr)
+
+        def bits(f):
+            try:
+                return [v.hex() for v in f()]
+            except ZeroDivisionError:
+                return "ZeroDivisionError"
+
+        assert bits(lambda: f_x(x, r, e)) == bits(via_x)
+        assert bits(lambda: f_rho(r, e, x)) == bits(via_rho)
+
     @pytest.mark.parametrize(
         "rho,e", [(0.7, -0.8), (1.4, 0.6), (2.2, 0.4), (0.5, 1.2)]
     )
