@@ -66,6 +66,7 @@ class KindVerdict:
     verdict: str
     condition: str
     advisory: str | None = None
+    theorem: str | None = None  # what a not_exists verdict rests on; not in to_dict
 
     def to_dict(self) -> dict:
         out = {"verdict": self.verdict, "condition": self.condition}
@@ -140,6 +141,7 @@ def classify_regime(p: ModelParams) -> RegimeReport:
             NOT_EXISTS,
             "b_upper <= 1: no interior subsonic solution (Theorem 1.2 "
             "part 1 / Theorem 3.1)",
+            theorem="Theorem 3.1",
         )
     else:
         v["subsonic"] = KindVerdict(
@@ -160,12 +162,14 @@ def classify_regime(p: ModelParams) -> RegimeReport:
             NOT_EXISTS,
             f"b_upper (1 + sqrt(2 b_upper)) = {bu * (1 + math.sqrt(2 * bu)):.4f} < 1: "
             "no interior supersonic solution (Theorem 1.2 part 2 / Theorem 3.2)",
+            theorem="Theorem 3.2",
         )
     elif small_tau:
         v["supersonic"] = KindVerdict(
             NOT_EXISTS,
             "b_upper <= 1 and tau < 1/3: no interior supersonic solution "
             "(Theorem 1.2 part 3 / Theorem 3.3)",
+            theorem="Theorem 3.3",
         )
     elif bu <= 1.0:
         advisory = None
@@ -192,18 +196,21 @@ def classify_regime(p: ModelParams) -> RegimeReport:
             NOT_EXISTS,
             f"b_upper (1 + sqrt(2 b_upper)) = {bu * (1 + math.sqrt(2 * bu)):.4f} < 1: "
             "no transonic solution (Theorem 1.2 part 2 / Theorem 3.2)",
+            theorem="Theorem 3.2",
         )
     elif small_tau:
         v["transonic_shock"] = KindVerdict(
             NOT_EXISTS,
             "b_upper <= 1 and tau < 1/3: no transonic solution "
             "(Theorem 1.2 part 3 / Theorem 3.3)",
+            theorem="Theorem 3.3",
         )
     elif c1_regime:
         v["transonic_shock"] = KindVerdict(
             NOT_EXISTS,
             f"constant b > 1 and tau < tau0(b) = {tau0_bound(const_b):.6f}: "
             "no transonic shock solution (Theorem 1.1 part 4 / Theorem 2.23)",
+            theorem="Theorem 2.23",
         )
     elif bl > 1.0:
         advisory = None
@@ -246,10 +253,11 @@ def classify_regime(p: ModelParams) -> RegimeReport:
             "Theorem 2.22)",
         )
     elif small_doping or small_tau:
-        which = "part 2 / Theorem 3.2" if small_doping else "part 3 / Theorem 3.3"
+        part, theorem = ("2", "Theorem 3.2") if small_doping else ("3", "Theorem 3.3")
         v["c1_transonic"] = KindVerdict(
             NOT_EXISTS,
-            f"no transonic solution of any kind (Theorem 1.2 {which})",
+            f"no transonic solution of any kind (Theorem 1.2 part {part} / {theorem})",
+            theorem=theorem,
         )
     else:
         v["c1_transonic"] = KindVerdict(

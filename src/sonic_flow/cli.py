@@ -411,8 +411,6 @@ def _sweep_one(cfg: dict, variable: str, value: float):
         p = model_from_config(local)
         icfg = integrator_from_config(local)
         sol = _dispatch_solve(p, solver, icfg)
-    except UsageError:
-        raise
     except RegimeError as exc:
         return {"success": False, "error": type(exc).__name__,
                 "theorem": exc.theorem_ref or "", "message": str(exc)}

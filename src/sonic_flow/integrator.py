@@ -171,12 +171,6 @@ class TrajectorySegment:
                 raise ValueError("trajectory abscissae must be strictly monotone")
 
     @property
-    def direction(self) -> str:
-        if len(self.xs) < 2 or self.xs[-1] > self.xs[0]:
-            return "forward"
-        return "backward"
-
-    @property
     def last(self) -> State:
         return State(float(self.xs[-1]), float(self.rhos[-1]), float(self.es[-1]))
 
@@ -184,8 +178,8 @@ class TrajectorySegment:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) kernel
 #
-# Tableau, error estimate, initial step, step controller, event rules and
-# t_eval sampling follow scipy's RK45 / solve_ivp step for step (Dormand &
+# Tableau, error estimate, initial step, step controller and event rules
+# follow scipy's RK45 / solve_ivp step for step (Dormand &
 # Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6;
 # events located on the dense interpolant as in Shampine & Thompson 2000).
 # The two-component state is held in plain floats, which removes the array
@@ -393,10 +387,11 @@ class OdeResult:
         self.steps = steps
 
     def sol(self, ts):
-        """Interpolated states (a, b) at each of ts; needs ``dense_output=True``.
+        """Interpolated states (a, b) at each of ts, read off `steps`.
 
         A t on a step boundary is read from the earlier step, a t beyond
-        either end of the run from the end step.
+        either end of the run from the end step.  Without ``dense_output``
+        only the final step is kept, and none where the step size failed.
         """
         steps = self.steps
         d = math.copysign(1.0, steps[0].h)
@@ -405,7 +400,7 @@ class OdeResult:
 
 
 def solve_ivp(
-    fun, t0, t_bound, y0, rtol, atol, max_step, events=(), t_eval=None,
+    fun, t0, t_bound, y0, rtol, atol, max_step, events=(),
     dense_output=False, spacing=math.inf, breaks=(),
 ):
     """Integrate a two-component ODE from t0 toward t_bound (Dormand-Prince 5(4)).
@@ -417,12 +412,12 @@ def solve_ivp(
     (xtol = rtol = 4 eps) on the step's quartic interpolant; a search that
     does not converge raises `IntegrationFailure`. The run stops
     at the first terminal root in traversal order; the roots before it are
-    kept. Without `t_eval` every accepted step is sampled at its end, the
-    stopping root included, and a step longer than `spacing` is split into
+    kept. Every accepted step is sampled at its end, the stopping root
+    included, and a step longer than `spacing` is split into
     ceil(|h|/spacing) equal parts whose inner ends are read off its
-    interpolant. With `t_eval`, which must run monotonically along the span,
-    only those points are sampled, up to and including the end point. A
-    step's interpolant is built only where one of these or an event reads it.
+    interpolant. A step's interpolant is built only where these rows, an
+    event or `OdeResult.sol` read it: with `dense_output` every step is
+    kept, else the final one of a run that is not cut short.
 
     Watches with a ``level`` are screened: while the state stays inside the
     open cell between the levels, none can fire, so only the others are
@@ -451,17 +446,7 @@ def solve_ivp(
     d = 1.0 if t_bound >= t else -1.0
     span = abs(t_bound - t)
 
-    if t_eval is None:
-        ts, yas, ybs = [t], [ya], [yb]
-    else:
-        te = np.asarray(t_eval, dtype=float)
-        if not np.all((min(t, t_bound) <= te) & (te <= max(t, t_bound))):
-            raise ValueError("t_eval points lie outside the integration span")
-        if not np.all(d * np.diff(te) > 0):
-            raise ValueError("t_eval is not strictly monotone along the span")
-        t_eval = te.tolist()
-        ts, yas, ybs = [], [], []
-    n_eval = 0
+    ts, yas, ybs = [t], [ya], [yb]
     steps = [] if dense_output else None
     gs = [ev.g for ev in events]
     start = (t, ya, yb)  # a comprehension reading t, ya or yb would make them cells
@@ -487,9 +472,7 @@ def solve_ivp(
     fa, fb = _eval_rhs(fun, t, ya, yb)
     nfev = 1
     if span == 0.0:
-        if t_eval is not None:
-            ts, yas, ybs = t_eval, [ya] * len(t_eval), [yb] * len(t_eval)
-        return OdeResult(ts, yas, ybs, 0, nfev, roots, None, steps)
+        return OdeResult(ts, yas, ybs, 0, nfev, roots, None, [])
 
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     sa = atol + abs(ya) * rtol
@@ -600,13 +583,9 @@ def solve_ivp(
             if up if dirs[i] > 0 else down if dirs[i] < 0 else up or down:
                 hits.append(i)
 
-        if t_eval is None:
-            # the slack keeps a step that rounding left an ulp over `spacing` whole
-            n = math.ceil(abs(h) / spacing * (1.0 - 1e-12))
-            read = n > 1
-        else:
-            read = n_eval < len(t_eval) and d * (t_eval[n_eval] - t) <= 0
-        if read or hits or steps is not None:
+        # the slack keeps a step that rounding left an ulp over `spacing` whole
+        n = math.ceil(abs(h) / spacing * (1.0 - 1e-12))
+        if n > 1 or hits or status == 0 or steps is not None:
             step = _Step(t_old, h, ya_old, yb_old, ((fa_old, fb_old), (k3a, k3b), (k4a, k4b),
                                                     (k5a, k5b), (k6a, k6b), (k7a, k7b)))
             if steps is not None:
@@ -635,34 +614,27 @@ def solve_ivp(
                     ya, yb = step(root)
                     break
 
-        if t_eval is None:
-            for k in range(1, n):
-                s = t_old + k * h / n
-                if d * (s - t) >= 0:
-                    break
-                a, b = step(s)
-                ts.append(s)
-                yas.append(a)
-                ybs.append(b)
-            ts.append(t)
-            yas.append(ya)
-            ybs.append(yb)
-        else:
-            while n_eval < len(t_eval) and d * (t_eval[n_eval] - t) <= 0:
-                a, b = step(t_eval[n_eval])
-                ts.append(t_eval[n_eval])
-                yas.append(a)
-                ybs.append(b)
-                n_eval += 1
+        for k in range(1, n):
+            s = t_old + k * h / n
+            if d * (s - t) >= 0:
+                break
+            a, b = step(s)
+            ts.append(s)
+            yas.append(a)
+            ybs.append(b)
+        ts.append(t)
+        yas.append(ya)
+        ybs.append(yb)
 
         if status is None and t == t_jump:
             _, t, x_b = jumps.pop()
             t_jump = jumps[-1][0] if jumps else None
-            if t_eval is None:
-                ts[-1] = x_b
+            ts[-1] = x_b
             fa, fb = _eval_rhs(fun, t, ya, yb)
             nfev += 1
 
+    if steps is None:  # a run not cut short keeps its final step for `sol`
+        steps = [step] if status >= 0 else []
     return OdeResult(ts, yas, ybs, status, nfev, roots, terminal, steps)
 
 
@@ -813,17 +785,18 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
     graded = cfg.sample_spacing < math.inf  # else the step ends are the rows
     res = solve_ivp(
         vector_field(p)[1], rho, r_b, (e, x),
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
-        t_eval=_rho_grid(rho, r_b) if graded else None,
-        dense_output=True,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches, dense_output=graded,
     )
     rs, es, xs = res.t, res.ya, res.yb
+    if graded:  # the grid densities the run reached, read off its steps
+        rs = [r for r in _rho_grid(rho, r_b) if s_rho * (r - res.t[-1]) <= 0]
+        es, xs = (list(c) for c in zip(*res.sol(rs)))
     terminator = _leg_terminator(res, watches, lambda r, e, x: State(x, r, e))
     if res.status == -1:
         terminator = Event(STEP_FAILURE, State(xs[-1], rs[-1], es[-1]))
     elif res.status == 1:
         end = terminator.state
-        if len(rs) == 0 or rs[-1] != end.rho:
+        if rs[-1] != end.rho:
             rs.append(end.rho)
             es.append(end.e)
             xs.append(end.x)
@@ -837,11 +810,11 @@ def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
             terminator = Event(TARGET_DENSITY, end)
         # otherwise: clean band exit, caller continues in the x-chart
 
-    # the rho rows can be coarse in x near a tangential crossing; densify so
+    # graded rows can be coarse in x near a tangential crossing; densify so
     # the stored abscissas respect the sample spacing like every other leg
     spacing = min(cfg.max_step, cfg.sample_spacing)
     # rounded, no gap exceeds the extent of the rows: narrow legs skip the fill
-    for _ in range(3 if not max(xs) - min(xs) <= spacing else 0):
+    for _ in range(3 if graded and not max(xs) - min(xs) <= spacing else 0):
         gaps = np.abs(np.diff(xs))
         wide = np.nonzero(gaps > spacing)[0]
         if not len(wide):

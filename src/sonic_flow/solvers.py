@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import NOT_EXISTS, classify_regime
 from .errors import (
     BracketFailure,
     GlueMismatch,
@@ -232,6 +233,13 @@ def _shoot_polish_land(shot, cfg, lo, hi, widen_lo, widen_hi, xtol, failure):
     return v, residual, data, shots
 
 
+def _refuse_excluded(p: ModelParams, kind: str, error) -> None:
+    """Raise ``error``, citing the verdict, where `classify_regime` excludes ``kind``."""
+    v = classify_regime(p)[kind]
+    if v.verdict == NOT_EXISTS:
+        raise error(v.condition, theorem_ref=v.theorem)
+
+
 def _require_subsonic_regime(p: ModelParams) -> None:
     if p.doping.b_lower <= 1.0:
         raise PreconditionViolation(
@@ -242,8 +250,7 @@ def _require_subsonic_regime(p: ModelParams) -> None:
 
 def solve_sonic(p: ModelParams) -> Solution:
     """Closed-form solution (rho, E) = (1, 1/tau) for sonic doping."""
-    if not p.doping.is_sonic:
-        raise NotSonicDoping("the constant sonic solution needs doping identically 1")
+    _refuse_excluded(p, "sonic", NotSonicDoping)
     x = graded_grid()
     rho = np.ones_like(x)
     e = np.full_like(x, p.inv_tau)
@@ -488,22 +495,6 @@ def solve_subsonic_elliptic(
 # ---------------------------------------------------------------------------
 
 
-def _check_regime_for_supersonic(p: ModelParams, want: str) -> None:
-    """Raise when a non-existence theorem rules the family out."""
-    b_up = p.doping.b_upper
-    if b_up <= 1.0:
-        if b_up * (1.0 + math.sqrt(2.0 * b_up)) < 1.0:
-            raise NoSolutionInRegime(
-                f"doping below the sonic level excludes {want} solutions",
-                theorem_ref="Theorem 3.2",
-            )
-        if p.tau < 1.0 / 3.0:
-            raise NoSolutionInRegime(
-                f"strong relaxation with subsonic doping excludes {want} solutions",
-                theorem_ref="Theorem 3.3",
-            )
-
-
 def solve_supersonic(p: ModelParams, cfg: IntegratorConfig | None = None) -> Solution:
     """Supersonic solution by shooting on the launch field E(0).
 
@@ -514,7 +505,7 @@ def solve_supersonic(p: ModelParams, cfg: IntegratorConfig | None = None) -> Sol
     family.  Constant and variable doping take this one path; ``rho_min``
     and ``x_min`` are read from the rows.
     """
-    _check_regime_for_supersonic(p, "supersonic")
+    _refuse_excluded(p, "supersonic", NoSolutionInRegime)
     q_star, residual, seg, shots = _shoot_launch_excess(
         "supersonic", p, cfg or IntegratorConfig()
     )
@@ -597,28 +588,6 @@ def residual_sign_change(sweep: list[SweepSample]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_regime_for_shock(p: ModelParams) -> None:
-    if p.doping.is_constant and p.doping.constant_value > 1.0:
-        b = p.doping.constant_value
-        if p.tau < tau0_bound(b):
-            raise RegimeRejection(
-                "strong relaxation with supersonic doping forbids entropic shocks",
-                theorem_ref="Theorem 2.23",
-            )
-    b_up = p.doping.b_upper
-    if b_up <= 1.0:
-        if b_up * (1.0 + math.sqrt(2.0 * b_up)) < 1.0:
-            raise RegimeRejection(
-                "doping below the sonic level excludes transonic shock solutions",
-                theorem_ref="Theorem 3.2",
-            )
-        if p.tau < 1.0 / 3.0:
-            raise RegimeRejection(
-                "strong relaxation with subsonic doping excludes transonic shocks",
-                theorem_ref="Theorem 3.3",
-            )
-
-
 def _shock_shot(e0: float, rho_l: float, p: ModelParams, cfg):
     """One interior-layer shot: supersonic dive, jump, subsonic climb.
 
@@ -669,7 +638,7 @@ def solve_transonic_shock(
         raise PreconditionViolation(
             "the shock jump is the isothermal one, rho_l * rho_r = 1; it needs gamma = 1"
         )
-    _check_regime_for_shock(p)
+    _refuse_excluded(p, "transonic_shock", RegimeRejection)
     cfg = cfg or IntegratorConfig()
     if rho_l >= 1.0 - cfg.sonic_band:
         raise PreconditionViolation("rho_l must sit below the sonic band")

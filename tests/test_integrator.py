@@ -256,7 +256,6 @@ class TestSegmentContracts:
             State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], p
         )
         assert np.all(np.diff(seg.xs) > 0)
-        assert seg.direction == "forward"
 
     def test_backward_monotone(self):
         p = params(15.0, 1.5)
@@ -264,7 +263,6 @@ class TestSegmentContracts:
             State(0.5, 1.3, 0.2), "backward", [DomainEnd(0.0)], p
         )
         assert np.all(np.diff(seg.xs) < 0)
-        assert seg.direction == "backward"
 
     def test_step_cap_respected(self):
         p = params(15.0, 1.5)
@@ -301,11 +299,17 @@ class TestRhoLegRows:
     def test_rows_are_step_ends_at_probe_resolution(self, kernel_calls):
         seg = self.arc(IntegratorConfig())
         assert seg.terminator.kind == "sonic_arrival"
-        legs = [(a, k, r) for a, k, r in kernel_calls if k.get("dense_output")]
+        # density legs are the runs that watch the near-critical guard
+        legs = [
+            (a, k, r) for a, k, r in kernel_calls
+            if any(w.kind == "step_failure" for w in a[7])
+        ]
         assert len(legs) == 2
-        for _, kwargs, res in legs:
-            assert kwargs.get("t_eval") is None
-            assert len(res.t) == len(res.steps) + 1  # the start and every step end
+        for args, kwargs, res in legs:
+            assert not kwargs["dense_output"] and len(res.steps) == 1  # the end step only
+            dense = integrator.solve_ivp(*args, dense_output=True)
+            assert len(dense.t) == len(dense.steps) + 1  # the start and every step end
+            assert res.t == dense.t and res.steps[0].t_old == dense.steps[-1].t_old
         first = legs[0][2]
         assert seg.rhos[: len(first.t)].tolist() == first.t
         assert seg.rhos[-len(legs[1][2].t):].tolist() == legs[1][2].t
@@ -364,7 +368,6 @@ def _rk45(args, kwargs):
         atol=atol,
         max_step=max_step,
         events=events,
-        t_eval=kwargs.get("t_eval"),
         dense_output=kwargs.get("dense_output", False),
     )
 
@@ -404,18 +407,23 @@ class TestKernelMatchesRK45:
         _assert_matches_rk45(kernel_calls[0])
         assert kernel_calls[0][2].status == 0
 
-    def test_rho_chart_arc_with_t_eval(self, kernel_calls):
+    def test_rho_chart_graded_arc(self, kernel_calls):
         # a finite sample spacing makes the rho-chart read its density grid
+        # off the steps of the run
         p = params(15.0, 1.5)
-        integrate_from_sonic(
+        seg = integrate_from_sonic(
             0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
             replace(self.loose_cap, sample_spacing=1e-2),
         )
         args, kwargs, res = kernel_calls[0]
-        assert kwargs["t_eval"] is not None and kwargs["dense_output"]
+        assert kwargs["dense_output"]
         assert args[1] == 1.0  # the rho-chart leg leaving the sonic line
-        _assert_matches_rk45(kernel_calls[0])
-        assert len(res.t) == len(kwargs["t_eval"])
+        ref = _assert_matches_rk45(kernel_calls[0])
+        grid = integrator._rho_grid(args[1], args[2])
+        rows = seg.rhos[: len(grid)]
+        assert rows.tolist() == grid
+        np.testing.assert_allclose(seg.es[: len(grid)], ref.sol(rows)[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(seg.xs[: len(grid)], ref.sol(rows)[1], rtol=0, atol=1e-12)
 
     def test_rho_chart_arc_at_probe_resolution(self, kernel_calls):
         # at the default spacing the rho-chart rows are the kernel's step ends
@@ -425,7 +433,7 @@ class TestKernelMatchesRK45:
             self.loose_cap,
         )
         args, kwargs, res = kernel_calls[0]
-        assert kwargs.get("t_eval") is None and kwargs["dense_output"]
+        assert not kwargs["dense_output"]
         assert args[1] == 1.0
         ref = _assert_matches_rk45(kernel_calls[0])
         assert res.status == 0 and res.t[-1] == args[2]
@@ -702,19 +710,6 @@ class TestKernelEvents:
         assert [t for _, t, *_ in res.roots] == pytest.approx(
             [math.pi / 6, 5 * math.pi / 6, math.acos(-0.9)], abs=1e-9
         )
-
-    def test_t_eval_sampling_includes_terminal_point(self):
-        def run(t_eval):
-            return integrator.solve_ivp(
-                _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 1.0,
-                [_watch(0.5)], t_eval=t_eval,
-            )
-
-        root = run(None).t[-1]
-        res = run([0.0, 0.25, root, 0.75])
-        assert res.status == 1
-        assert res.t == [0.0, 0.25, root]
-        assert res.ya == pytest.approx([0.0, 0.25, 0.5], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

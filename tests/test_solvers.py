@@ -25,6 +25,7 @@ from sonic_flow import (
     RegimeRejection,
     SonicFlowError,
     c1_transition_slope,
+    classify_regime,
     residual_norm,
     residual_sign_change,
     solve_c1_transonic,
@@ -37,6 +38,7 @@ from sonic_flow import (
     supersonic_residual_sweep,
     tau0_bound,
 )
+from sonic_flow.analysis import NOT_EXISTS
 from sonic_flow.integrator import IntegratorConfig
 from sonic_flow.solvers import (
     _landing_fit,
@@ -210,6 +212,13 @@ class TestSupersonic:
             solve_supersonic(params(0.2, 0.9))
         assert err.value.theorem_ref == "Theorem 3.3"
 
+    @pytest.mark.parametrize("tau,b", [(15.0, 0.4), (0.2, 0.9)])
+    def test_no_isothermal_refusal_at_gamma_2(self, tau, b):
+        # Theorems 3.2 and 3.3 are proved for gamma = 1; at gamma 2 the
+        # solve is attempted and fails as a numerical error, not a refusal
+        with pytest.raises(NumericalError):
+            solve_supersonic(params(tau, b, gamma=2.0))
+
     def test_variable_doping(self):
         doping = DopingProfile.sine_perturbed(1.5, 0.05, 1.0)
         p = ModelParams(tau=15.0, doping=doping)
@@ -374,6 +383,62 @@ class TestC1Transonic:
         p = params(0.11102674876958835, 1.7835330259037656)
         with pytest.raises(SonicFlowError):
             solve_c1_transonic(p, 0.2206110104158862)
+
+
+# ---------------------------------------------------------------------------
+# regime refusals come from the classifier
+
+
+class _Attempted(Exception):
+    """Raised in place of the shooting once a solver passed its regime checks."""
+
+
+class TestRefusalsFollowTheClassifier:
+    grid = [
+        ModelParams(tau=tau, doping=doping)
+        for tau in (0.05, 0.1, 0.2, 0.5, 15.0)
+        for doping in [DopingProfile.constant(b) for b in (0.3, 0.4, 0.6, 0.9, 1.0, 1.2, 1.5)]
+        + [DopingProfile.sine_perturbed(0.5, 0.1), DopingProfile.sine_perturbed(1.5, 0.1)]
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_shooting(self, monkeypatch):
+        def attempted(*args, **kwargs):
+            raise _Attempted
+
+        monkeypatch.setattr(sonic_flow.solvers, "_shoot_launch_excess", attempted)
+        monkeypatch.setattr(sonic_flow.solvers, "_shock_bracket", attempted)
+
+    @pytest.mark.parametrize("kind,error,solve", [
+        ("supersonic", NoSolutionInRegime, solve_supersonic),
+        ("transonic_shock", RegimeRejection, lambda p: solve_transonic_shock(p, 0.9)),
+        ("sonic", NotSonicDoping, solve_sonic),
+    ])
+    def test_refuses_exactly_where_not_exists(self, kind, error, solve):
+        refused = 0
+        for p in self.grid:
+            verdict = classify_regime(p)[kind]
+            if verdict.verdict == NOT_EXISTS:
+                with pytest.raises(error) as err:
+                    solve(p)
+                assert type(err.value) is error
+                assert err.value.theorem_ref == verdict.theorem
+                assert str(err.value) == verdict.condition
+                refused += 1
+            else:
+                try:
+                    solve(p)
+                except _Attempted:
+                    pass
+        assert 0 < refused < len(self.grid)
+
+    def test_theorems_cited(self):
+        cited = {
+            classify_regime(p)[kind].theorem
+            for p in self.grid
+            for kind in ("supersonic", "transonic_shock")
+        }
+        assert cited == {None, "Theorem 3.2", "Theorem 3.3", "Theorem 2.23"}
 
 
 # ---------------------------------------------------------------------------
