@@ -51,7 +51,7 @@ HOLDER_WINDOW = (1e-4, 1e-2)
 WEAK_BASIS_SIZE = 32
 
 # half-width of the density band around the sonic line excluded from
-# pointwise residual checks; matches the integrator's chart-switch band
+# pointwise residual checks, where rho_x blows up
 RESIDUAL_BAND = 1e-2
 
 
@@ -283,11 +283,12 @@ def classify_regime(p: ModelParams) -> RegimeReport:
 # residual measurement
 
 
-# The residual probe evaluates the x-chart over whole arrays, so it keeps its
-# own copy rather than calling model_core.vector_field: that one works on
-# plain floats through math.pow, which rejects arrays; serving both from one
-# definition would make it branch on its caller, and a per-sample loop would
-# make residual_norm about ten times slower.
+# The residual probe evaluates the slopes over x over whole arrays, so it
+# keeps its own copy rather than dividing model_core.vector_field by its x
+# rate: that one works on plain floats through math.pow, which rejects
+# arrays; serving both from one definition would make it branch on its
+# caller, and a per-sample loop would make residual_norm about ten times
+# slower.
 def _rhs_arrays(x, rho, e, p: ModelParams):
     coef = sonic_coefficient(rho, p.gamma)
     d_rho = (rho * e - p.inv_tau) / coef

@@ -113,7 +113,7 @@ def model_from_config(cfg: dict) -> ModelParams:
 
 # the IntegratorConfig fields a config file may set, and solution.json echoes
 _INTEGRATOR_KEYS = (
-    "rel_tol", "abs_tol", "max_step", "sonic_band",
+    "rel_tol", "abs_tol", "max_step",
     "blow_up_density", "blow_up_field", "max_arc_length",
 )
 

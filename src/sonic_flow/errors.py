@@ -2,9 +2,10 @@
 
 Three families matter to callers:
 
-* chart and formula guards (``SonicSingularity``, ``NotConstantDoping``,
-  ...) -- raised by the integrator when a run is asked to start where no
-  chart applies, and by closed-form formulas outside their stated domain;
+* launch and formula guards (``SonicSingularity``, ``NotConstantDoping``,
+  ...) -- raised by the integrator when a run is asked to leave the sonic
+  line without a branch or against its departure direction, and by
+  closed-form formulas outside their stated domain;
 * regime rejections (``RegimeError`` subclasses) -- the requested solution
   kind provably does not exist for the supplied parameters, carrying the
   theorem reference used by the classifier;
@@ -23,11 +24,12 @@ class SonicFlowError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# chart and formula guards
+# launch and formula guards
 
 
 class SonicSingularity(SonicFlowError):
-    """An integration was asked to start on the sonic line without a branch."""
+    """A run was asked to leave the sonic line without a branch, or against
+    the direction sign(E - 1/tau) sets."""
 
 
 class NotConstantDoping(SonicFlowError):

@@ -5,22 +5,28 @@ The system
     (rho^(gamma-1) - rho^-2) rho_x = rho*E - 1/tau,
     E_x = rho - b(x),
 
-degenerates on the sonic line rho = 1, so no single chart can both cross the
-bulk of the domain and resolve sonic approaches.  The driver here stitches two
-charts:
+degenerates on the sonic line rho = 1, where the coefficient
+c(rho) = rho^(gamma-1) - rho^-2 of rho_x vanishes.  Every arc is integrated
+in one chart that has no such degeneracy: along the parameter s with
+ds = dx / c(rho), the state (x, rho, E) obeys
 
-* the x-chart, integrating (rho, E) over x away from the sonic line, and
-* the rho-chart, integrating (E, x) over rho inside a narrow band around
-  rho = 1, where dx/drho = (rho^(gamma-1) - rho^-2)/(rho*E - 1/tau) vanishes
-  at the sonic line and the square-root behaviour of rho(x) becomes a
-  perfectly regular initial value problem.
+    x' = c(rho),   rho' = rho*E - 1/tau,   E' = (rho - b(x)) c(rho),
+
+which is smooth across rho = 1 (`model_core.vector_field`).  A sonic launch
+is a regular initial point of this field, and the square-root layer of
+rho(x) at a sonic end is a regular x(s), quadratic in s.  Since c keeps its
+sign on either side of the sonic line, x is monotone along an arc; a
+supersonic arc (c < 0) runs in -s, so that x advances in the requested
+direction.  The one equilibrium of the field is the node (1, 1/tau) where
+C^1 transitions land; an arc that sinks into it ends as a step failure.
 
 An arc ends at the first of its stop events: sonic arrival, target density,
-blow-up, domain end or step failure.  Sonic arrivals, blow-ups and step
-failures always stop it: the trajectory cannot be continued through them
-within one chart run.  One more event splits an arc instead of ending it:
-on request, the x-chart leg stops where the arc first crosses the critical
-locus rho*E = 1/tau, its interior density extremum, and the next leg starts
+blow-up, domain end or step failure.  Each of these but the step failure is
+a level of one state component (`_level_watch`), and so is a breakpoint of
+piecewise-constant doping, where a leg ends so that the next one integrates
+the next piece's constant.  One more event splits an arc instead of ending
+it: on request, a leg stops where the arc first crosses the critical locus
+rho*E = 1/tau, its interior density extremum, and the next leg starts
 there, so the extremum is a row of the arc.
 
 The kernel is an owned Dormand-Prince 5(4) that follows scipy's RK45 step
@@ -35,7 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,7 +51,7 @@ from .errors import (
     IntegrationFailure,
     SonicSingularity,
 )
-from .model_core import CRITICAL_GUARD, SONIC_COEF_GUARD, ModelParams, State, vector_field
+from .model_core import CRITICAL_GUARD, DopingProfile, ModelParams, State, vector_field
 
 # event kind labels
 SONIC_ARRIVAL = "sonic_arrival"
@@ -54,32 +60,32 @@ BLOW_UP = "blow_up"
 DOMAIN_END = "domain_end"
 STEP_FAILURE = "step_failure"
 
-# band-entry events fire slightly inside the nominal band so a leg that just
-# exited at the band edge does not re-trigger them immediately
-_BAND_INSET = 1.0 - 1e-9
-_CHART_INSET = 1.0 - 1e-10
-_MAX_LEGS = 256
-_SPLIT = "_split"  # x-leg end on the critical locus; the arc goes on
-_MIN_GRADED = 1e-6  # finest |rho - 1| resolved by the rho-leg sample grid
+_SPLIT = "_split"  # leg end on the critical locus; the arc goes on
+_PIECE = "_piece"  # leg end on a doping breakpoint; the arc goes on
+_BUDGET = "_budget"  # max_arc_length reached in x
+_NEAR = "_near"  # leg end CRITICAL_GUARD short of the sonic line
+# the span in s a leg may run: a safety net, since x advances at the rate
+# c(rho), which vanishes only where the arc meets the sonic line
+_S_SPAN = 1e4
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and thresholds for the chart-switching driver.
+    """Tolerances and thresholds for the integration of one arc.
 
-    ``max_step`` caps the kernel's steps; at the default the error
+    ``max_step`` caps the kernel's steps in s; at the default the error
     controller alone sizes them.  At the default ``sample_spacing``, inf,
-    both charts store only their step ends.  A finite spacing keeps stored
-    samples at most min(max_step, sample_spacing) apart in x: the x-chart
-    reads them off each step's interpolant, the rho-chart off a density
-    grid log-graded in |rho - 1|, filled in where it is coarse in x.
+    an arc stores only its step ends.  A finite spacing adds rows read off
+    each step's interpolant, so that stored rows are at most
+    min(max_step, sample_spacing) apart in x, and in rho relative to
+    max(rho, 1): a square-root layer, where x barely moves, gets its rows
+    too.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_step: float = 1.0
     sample_spacing: float = math.inf
-    sonic_band: float = 1e-2
     blow_up_density: float = 1e4
     blow_up_field: float = 1e4
     max_arc_length: float = 1e3
@@ -90,16 +96,12 @@ class IntegratorConfig:
             "abs_tol",
             "max_step",
             "sample_spacing",
-            "sonic_band",
             "blow_up_density",
             "blow_up_field",
             "max_arc_length",
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # the x-chart must stay clear of the degenerate coefficient
-        if self.sonic_band <= SONIC_COEF_GUARD:
-            raise ValueError("sonic_band must exceed the sonic coefficient guard")
 
 
 class EventSpec:
@@ -131,7 +133,7 @@ class DomainEnd(EventSpec):
 
 @dataclass(frozen=True)
 class CriticalLocus(EventSpec):
-    """Split the arc once where it crosses rho*E = 1/tau in the x-chart.
+    """Split the arc once where it crosses rho*E = 1/tau.
 
     The crossing is the arc's density extremum; the arc goes on from there,
     so the extremum becomes a row.
@@ -182,7 +184,7 @@ class TrajectorySegment:
 # follow scipy's RK45 / solve_ivp step for step (Dormand &
 # Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6;
 # events located on the dense interpolant as in Shampine & Thompson 2000).
-# The two-component state is held in plain floats, which removes the array
+# The three-component state is held in plain floats, which removes the array
 # allocation, dot products and event bookkeeping that dominated the cost of
 # the many short arcs a shooting solve integrates.
 
@@ -191,7 +193,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
-_SQRT_N = 2**0.5  # RMS norm over the two components
+_SQRT_N = 3**0.5  # RMS norm over the three components
 
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
@@ -224,43 +226,49 @@ _P_COLUMNS = tuple(zip(*_P))  # per power of theta, the weights of the six stage
 
 
 class _Watch(NamedTuple):
-    """An event function g(t, a, b) with its stop rule and its meaning.
+    """An event function g(t, a, b, c) with its stop rule and its meaning.
 
-    ``level = (c, v)`` declares g exactly ``(a, b)[c] - v``, for the screen.
+    ``level = (k, v)`` declares g exactly ``(a, b, c)[k] - v``, for the screen.
     """
 
-    g: Callable[[float, float, float], float]
+    g: Callable[[float, float, float, float], float]
     terminal: bool
     direction: int  # +1 rising crossings only, -1 falling only, 0 both
     kind: str
     level: tuple[int, float] | None = None
 
 
-def _level_watch(c, v, direction, kind):
-    """A terminal watch on component c of the state crossing v."""
-    g = (lambda t, a, b: a - v) if c == 0 else (lambda t, a, b: b - v)
-    return _Watch(g, True, direction, kind, (c, v))
+_COMPONENT = (
+    lambda v: lambda t, a, b, c: a - v,
+    lambda v: lambda t, a, b, c: b - v,
+    lambda v: lambda t, a, b, c: c - v,
+)
 
 
-def _cell(levels, c, y):
-    """The open interval between component c's levels next below and above y."""
-    vs = [v for k, v in levels if k == c]
+def _level_watch(k, v, direction, kind):
+    """A terminal watch on component k crossing v."""
+    return _Watch(_COMPONENT[k](v), True, direction, kind, (k, v))
+
+
+def _cell(levels, k, y):
+    """The open interval between component k's levels next below and above y."""
+    vs = [v for j, v in levels if j == k]
     if y in vs:  # empty: g0 == 0 there, so the next step must compare in full
         return math.inf, -math.inf
     lo = max((v for v in vs if v < y), default=-math.inf)
     return lo, min((v for v in vs if v > y), default=math.inf)
 
 
-def _rms(u, v):
-    return math.sqrt(u * u + v * v) / _SQRT_N
+def _rms(u, v, w):
+    return math.sqrt(u * u + v * v + w * w) / _SQRT_N
 
 
-def _eval_rhs(fun, t, a, b):
-    """fun(t, a, b), or NaNs where float arithmetic raises."""
+def _eval_rhs(fun, t, a, b, c):
+    """fun(t, a, b, c), or NaNs where float arithmetic raises."""
     try:
-        return fun(t, a, b)
+        return fun(t, a, b, c)
     except (ArithmeticError, ValueError):
-        return math.nan, math.nan
+        return math.nan, math.nan, math.nan
 
 
 _BRENT_MAXITER = 100
@@ -338,56 +346,82 @@ def _brentq(f, xa, xb, xtol, rtol):
 class _Step:
     """Quartic interpolant over one accepted step."""
 
-    __slots__ = ("t_old", "h", "ya", "yb", "k", "_q")
+    __slots__ = ("t_old", "h", "y", "k", "_q")
 
-    def __init__(self, t_old, h, ya, yb, k):
-        self.t_old, self.h, self.ya, self.yb = t_old, h, ya, yb
-        self.k = k  # ((ka, kb) of stages 1, 3, 4, 5, 6, 7)
+    def __init__(self, t_old, h, y, k):
+        self.t_old, self.h, self.y = t_old, h, y
+        self.k = k  # per component, its rates at stages 1, 3, 4, 5, 6, 7
         self._q = None
 
     def __call__(self, t):
         if self._q is None:
             # the sums, order and int 0 start of sum() over the stages, bit for bit
-            (a1, b1), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7) = self.k
-            self._q = (
-                tuple(0 + a1 * p1 + a3 * p3 + a4 * p4 + a5 * p5 + a6 * p6 + a7 * p7
-                      for p1, p3, p4, p5, p6, p7 in _P_COLUMNS),
-                tuple(0 + b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6 + b7 * p7
-                      for p1, p3, p4, p5, p6, p7 in _P_COLUMNS),
+            self._q = tuple(
+                tuple(0 + k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
+                      for p1, p3, p4, p5, p6, p7 in _P_COLUMNS)
+                for k1, k3, k4, k5, k6, k7 in self.k
             )
-        (qa0, qa1, qa2, qa3), (qb0, qb1, qb2, qb3) = self._q
         h = self.h
         x = (t - self.t_old) / h
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return (
-            h * (qa0 * x + qa1 * x2 + qa2 * x3 + qa3 * x4) + self.ya,
-            h * (qb0 * x + qb1 * x2 + qb2 * x3 + qb3 * x4) + self.yb,
+        return tuple(
+            h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y0
+            for (q0, q1, q2, q3), y0 in zip(self._q, self.y)
         )
+
+
+def _gap(y0, y1):
+    """The distance between two rows that `spacing` bounds: the larger of
+    |da| and |db| / max(|b|, 1) over the two."""
+    return max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1]) / max(abs(y0[1]), abs(y1[1]), 1.0))
+
+
+def _fill(step, t0, y0, t1, y1, spacing, rows):
+    """Append to `rows` the interpolant reads strictly between t0 and t1.
+
+    The span is cut into ceil(_gap / spacing) equal parts in t, and each
+    part again, until no two consecutive rows are more than `spacing` apart
+    by `_gap`.  Where a component is quadratic in t, as x(s) is at a sonic
+    end, one cut can leave a part twice the spacing wide.
+    """
+    # the slack keeps a span that rounding left an ulp over `spacing` whole
+    n = math.ceil(_gap(y0, y1) / spacing * (1.0 - 1e-12))
+    if n <= 1:
+        return
+    ta, ya = t0, y0
+    for j in range(1, n):
+        s = t0 + j * (t1 - t0) / n
+        y = step(s)
+        _fill(step, ta, ya, s, y, spacing, rows)
+        rows.append((s, *y))
+        ta, ya = s, y
+    _fill(step, ta, ya, t1, y1, spacing, rows)
 
 
 class OdeResult:
     """Outcome of one `solve_ivp` run.
 
-    `t`, `ya` and `yb` are the samples. `status` is 0 when `t_bound` was
-    reached, 1 when a terminal event stopped the run, and -1 when the step
-    size fell below 10 ulp of t. `roots` holds `(event index, t, a, b)` for
-    every event root located before the stop, in traversal order; after a
-    terminal stop its root comes last and `terminal` is its event index,
-    otherwise `terminal` is None. `nfev` counts right-hand-side evaluations.
+    `t`, `ya`, `yb` and `yc` are the samples. `status` is 0 when `t_bound`
+    was reached, 1 when a terminal event stopped the run, and -1 when the
+    step size fell below 10 ulp of t. `roots` holds `(event index, t, a, b,
+    c)` for every event root located before the stop, in traversal order;
+    after a terminal stop its root comes last and `terminal` is its event
+    index, otherwise `terminal` is None. `nfev` counts right-hand-side
+    evaluations.
     """
 
-    __slots__ = ("t", "ya", "yb", "status", "nfev", "roots", "terminal", "steps")
+    __slots__ = ("t", "ya", "yb", "yc", "status", "nfev", "roots", "terminal", "steps")
 
-    def __init__(self, t, ya, yb, status, nfev, roots, terminal, steps):
-        self.t, self.ya, self.yb = t, ya, yb
+    def __init__(self, t, ya, yb, yc, status, nfev, roots, terminal, steps):
+        self.t, self.ya, self.yb, self.yc = t, ya, yb, yc
         self.status, self.nfev = status, nfev
         self.roots, self.terminal = roots, terminal
         self.steps = steps
 
     def sol(self, ts):
-        """Interpolated states (a, b) at each of ts, read off `steps`.
+        """Interpolated states (a, b, c) at each of ts, read off `steps`.
 
         A t on a step boundary is read from the earlier step, a t beyond
         either end of the run from the end step.  Without ``dense_output``
@@ -401,21 +435,21 @@ class OdeResult:
 
 def solve_ivp(
     fun, t0, t_bound, y0, rtol, atol, max_step, events=(),
-    dense_output=False, spacing=math.inf, breaks=(),
+    dense_output=False, spacing=math.inf,
 ):
-    """Integrate a two-component ODE from t0 toward t_bound (Dormand-Prince 5(4)).
+    """Integrate a three-component ODE from t0 toward t_bound (Dormand-Prince 5(4)).
 
-    ``fun(t, a, b)`` returns the derivatives of the state ``(a, b)``. Each
-    of `events` provides ``g(t, a, b)``, ``terminal`` and ``direction``. An
-    event fires where g changes sign over a step, in the given direction
-    (+1 rising, -1 falling, 0 either). Its root is found by `_brentq`
-    (xtol = rtol = 4 eps) on the step's quartic interpolant; a search that
-    does not converge raises `IntegrationFailure`. The run stops
-    at the first terminal root in traversal order; the roots before it are
-    kept. Every accepted step is sampled at its end, the stopping root
-    included, and a step longer than `spacing` is split into
-    ceil(|h|/spacing) equal parts whose inner ends are read off its
-    interpolant. A step's interpolant is built only where these rows, an
+    ``fun(t, a, b, c)`` returns the derivatives of the state ``(a, b, c)``.
+    Each of `events` provides ``g(t, a, b, c)``, ``terminal`` and
+    ``direction``. An event fires where g changes sign over a step, in the
+    given direction (+1 rising, -1 falling, 0 either). Its root is found by
+    `_brentq` (xtol = rtol = 4 eps) on the step's quartic interpolant; a
+    search that does not converge raises `IntegrationFailure`. The run
+    stops at the first terminal root in traversal order; the roots before
+    it are kept. Every accepted step is sampled at its end, the stopping
+    root included. Where two consecutive samples are more than `spacing`
+    apart by `_gap`, in ``a`` or relatively in ``b``, rows read off the
+    step's interpolant go between them (`_fill`). A step's interpolant is built only where these rows, an
     event or `OdeResult.sol` read it: with `dense_output` every step is
     kept, else the final one of a run that is not cut short.
 
@@ -424,66 +458,54 @@ def solve_ivp(
     evaluated; a step that leaves the cell evaluates all and recomputes it.
     A float ``y - v`` has the sign of its exact value: the events are the same.
 
-    ``fun`` may jump at each t of `breaks`, taking there the value of the
-    piece above it. No step spans a jump: a step that would reach one ends
-    on the last float of its piece, and the run restarts on the first float
-    of the next, with ``fun`` evaluated there afresh. The step end is
-    sampled at the jump itself, with the state it reached.
-
     The tableau, the RMS error norm over ``atol + rtol*max(|y|, |y_new|)``,
-    the initial step, the step controller and the event and sampling rules
-    are those of ``scipy.integrate.solve_ivp(method="RK45")``, so both take
-    the same steps up to roundoff.
+    the initial step, the step controller and the event rules are those of
+    ``scipy.integrate.solve_ivp(method="RK45")``, so both take the same
+    steps up to roundoff.
 
     The benchmark's trace wraps the ODE layer under this module-level name
-    and reads ``nfev`` from the result, so both chart legs call the kernel
+    and reads ``nfev`` from the result, so every leg calls the kernel
     through this global.
     """
     t = float(t0)
     t_bound = float(t_bound)
-    ya, yb = float(y0[0]), float(y0[1])
+    ya, yb, yc = float(y0[0]), float(y0[1]), float(y0[2])
     rtol = max(rtol, 100 * _EPS)
     d = 1.0 if t_bound >= t else -1.0
     span = abs(t_bound - t)
 
-    ts, yas, ybs = [t], [ya], [yb]
+    ts, yas, ybs, ycs = [t], [ya], [yb], [yc]
     steps = [] if dense_output else None
     gs = [ev.g for ev in events]
-    start = (t, ya, yb)  # a comprehension reading t, ya or yb would make them cells
+    start = (t, ya, yb, yc)  # a comprehension reading t or y would make them cells
     g = [gi(*start) for gi in gs]
     dirs = [ev.direction for ev in events]
     free = [i for i, ev in enumerate(events) if ev.level is None]
     levels = [ev.level for ev in events if ev.level is not None]
     lo_a, hi_a = _cell(levels, 0, ya)
     lo_b, hi_b = _cell(levels, 1, yb)
+    lo_c, hi_c = _cell(levels, 2, yc)
     roots = []
     terminal = None
 
-    # the jumps strictly inside the span, the next one last, each as the last
-    # float of the piece it leaves, the first of the one it enters, and itself
-    jumps = []
-    for x_b in sorted(breaks, reverse=d > 0):
-        below = math.nextafter(x_b, -math.inf)
-        end, restart = (below, x_b) if d > 0 else (x_b, below)
-        if d * (end - t) > 0 and d * (t_bound - restart) > 0:
-            jumps.append((end, restart, x_b))
-    t_jump = jumps[-1][0] if jumps else None
-
-    fa, fb = _eval_rhs(fun, t, ya, yb)
+    fa, fb, fc = _eval_rhs(fun, t, ya, yb, yc)
     nfev = 1
     if span == 0.0:
-        return OdeResult(ts, yas, ybs, 0, nfev, roots, None, [])
+        return OdeResult(ts, yas, ybs, ycs, 0, nfev, roots, None, [])
 
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     sa = atol + abs(ya) * rtol
     sb = atol + abs(yb) * rtol
-    d0 = _rms(ya / sa, yb / sb)
-    d1 = _rms(fa / sa, fb / sb)
+    sc = atol + abs(yc) * rtol
+    d0 = _rms(ya / sa, yb / sb, yc / sc)
+    d1 = _rms(fa / sa, fb / sb, fc / sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    ga, gb = _eval_rhs(fun, t + h0 * d, ya + h0 * d * fa, yb + h0 * d * fb)
+    ga, gb, gc = _eval_rhs(
+        fun, t + h0 * d, ya + h0 * d * fa, yb + h0 * d * fb, yc + h0 * d * fc
+    )
     nfev += 1
-    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
+    d2 = _rms((ga - fa) / sa, (gb - fb) / sb, (gc - fc) / sc) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -505,47 +527,56 @@ def solve_ivp(
             t_new = t + h_abs * d
             if d * (t_new - t_bound) > 0:
                 t_new = t_bound
-            if t_jump is not None and d * (t_new - t_jump) > 0:
-                t_new = t_jump
             h = t_new - t
             h_abs = abs(h)
             nfev += 6
             try:
-                k2a, k2b = fun(t + _C2 * h, ya + _A21 * fa * h, yb + _A21 * fb * h)
-                k3a, k3b = fun(
+                k2a, k2b, k2c = fun(
+                    t + _C2 * h, ya + _A21 * fa * h, yb + _A21 * fb * h, yc + _A21 * fc * h
+                )
+                k3a, k3b, k3c = fun(
                     t + _C3 * h,
                     ya + (_A31 * fa + _A32 * k2a) * h,
                     yb + (_A31 * fb + _A32 * k2b) * h,
+                    yc + (_A31 * fc + _A32 * k2c) * h,
                 )
-                k4a, k4b = fun(
+                k4a, k4b, k4c = fun(
                     t + _C4 * h,
                     ya + (_A41 * fa + _A42 * k2a + _A43 * k3a) * h,
                     yb + (_A41 * fb + _A42 * k2b + _A43 * k3b) * h,
+                    yc + (_A41 * fc + _A42 * k2c + _A43 * k3c) * h,
                 )
-                k5a, k5b = fun(
+                k5a, k5b, k5c = fun(
                     t + _C5 * h,
                     ya + (_A51 * fa + _A52 * k2a + _A53 * k3a + _A54 * k4a) * h,
                     yb + (_A51 * fb + _A52 * k2b + _A53 * k3b + _A54 * k4b) * h,
+                    yc + (_A51 * fc + _A52 * k2c + _A53 * k3c + _A54 * k4c) * h,
                 )
-                k6a, k6b = fun(
+                k6a, k6b, k6c = fun(
                     t + h,
                     ya + (_A61 * fa + _A62 * k2a + _A63 * k3a + _A64 * k4a
                           + _A65 * k5a) * h,
                     yb + (_A61 * fb + _A62 * k2b + _A63 * k3b + _A64 * k4b
                           + _A65 * k5b) * h,
+                    yc + (_A61 * fc + _A62 * k2c + _A63 * k3c + _A64 * k4c
+                          + _A65 * k5c) * h,
                 )
                 na = ya + h * (_B1 * fa + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
                 nb = yb + h * (_B1 * fb + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-                k7a, k7b = fun(t + h, na, nb)
+                nc = yc + h * (_B1 * fc + _B3 * k3c + _B4 * k4c + _B5 * k5c + _B6 * k6c)
+                k7a, k7b, k7c = fun(t + h, na, nb, nc)
                 # max(|y|, |y_new|) that, like np.maximum, passes a NaN y_new on
-                ma, mb = abs(ya), abs(yb)
+                ma, mb, mc = abs(ya), abs(yb), abs(yc)
                 ma = ma if ma >= abs(na) else abs(na)
                 mb = mb if mb >= abs(nb) else abs(nb)
+                mc = mc if mc >= abs(nc) else abs(nc)
                 error_norm = _rms(
                     (_E1 * fa + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
                      + _E7 * k7a) * h / (atol + ma * rtol),
                     (_E1 * fb + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
                      + _E7 * k7b) * h / (atol + mb * rtol),
+                    (_E1 * fc + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c
+                     + _E7 * k7c) * h / (atol + mc * rtol),
                 )
             except (ArithmeticError, ValueError):
                 error_norm = math.nan  # rejected like an overflowing step
@@ -563,31 +594,35 @@ def solve_ivp(
         if status is not None:
             break
 
-        t_old, ya_old, yb_old, fa_old, fb_old = t, ya, yb, fa, fb
-        t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
+        t_old, ya_old, yb_old, yc_old = t, ya, yb, yc
+        k1a, k1b, k1c = fa, fb, fc
+        t, ya, yb, yc, fa, fb, fc = t_new, na, nb, nc, k7a, k7b, k7c
         if d * (t - t_bound) >= 0:
             status = 0
 
         hits = []
-        if lo_a < ya < hi_a and lo_b < yb < hi_b:
+        if lo_a < ya < hi_a and lo_b < yb < hi_b and lo_c < yc < hi_c:
             scan = free
         else:
             scan = range(len(gs))
             lo_a, hi_a = _cell(levels, 0, ya)
             lo_b, hi_b = _cell(levels, 1, yb)
+            lo_c, hi_c = _cell(levels, 2, yc)
         for i in scan:
             g0 = g[i]
-            g[i] = g1 = gs[i](t, ya, yb)
+            g[i] = g1 = gs[i](t, ya, yb, yc)
             up = g0 <= 0 and g1 >= 0
             down = g0 >= 0 and g1 <= 0
             if up if dirs[i] > 0 else down if dirs[i] < 0 else up or down:
                 hits.append(i)
 
-        # the slack keeps a step that rounding left an ulp over `spacing` whole
-        n = math.ceil(abs(h) / spacing * (1.0 - 1e-12))
-        if n > 1 or hits or status == 0 or steps is not None:
-            step = _Step(t_old, h, ya_old, yb_old, ((fa_old, fb_old), (k3a, k3b), (k4a, k4b),
-                                                    (k5a, k5b), (k6a, k6b), (k7a, k7b)))
+        wide = spacing < math.inf and _gap((ya_old, yb_old), (ya, yb)) > spacing
+        if wide or hits or status == 0 or steps is not None:
+            step = _Step(t_old, h, (ya_old, yb_old, yc_old), (
+                (k1a, k3a, k4a, k5a, k6a, k7a),
+                (k1b, k3b, k4b, k5b, k6b, k7b),
+                (k1c, k3c, k4c, k5c, k6c, k7c),
+            ))
             if steps is not None:
                 steps.append(step)
 
@@ -611,232 +646,93 @@ def solve_ivp(
                     terminal = i
                     status = 1
                     t = root
-                    ya, yb = step(root)
+                    ya, yb, yc = step(root)
                     break
 
-        for k in range(1, n):
-            s = t_old + k * h / n
-            if d * (s - t) >= 0:
-                break
-            a, b = step(s)
-            ts.append(s)
-            yas.append(a)
-            ybs.append(b)
+        if wide:
+            rows = []
+            _fill(step, t_old, (ya_old, yb_old), t, (ya, yb), spacing, rows)
+            for row in rows:
+                ts.append(row[0])
+                yas.append(row[1])
+                ybs.append(row[2])
+                ycs.append(row[3])
         ts.append(t)
         yas.append(ya)
         ybs.append(yb)
-
-        if status is None and t == t_jump:
-            _, t, x_b = jumps.pop()
-            t_jump = jumps[-1][0] if jumps else None
-            ts[-1] = x_b
-            fa, fb = _eval_rhs(fun, t, ya, yb)
-            nfev += 1
+        ycs.append(yc)
 
     if steps is None:  # a run not cut short keeps its final step for `sol`
         steps = [step] if status >= 0 else []
-    return OdeResult(ts, yas, ybs, status, nfev, roots, terminal, steps)
+    return OdeResult(ts, yas, ybs, ycs, status, nfev, roots, terminal, steps)
 
 
 # ---------------------------------------------------------------------------
-# chart legs
+# legs
 
 
-@dataclass
-class _LegResult:
-    xs: list
-    rhos: list
-    es: list
-    terminator: Event | None
+def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg):
+    """One kernel run from (x, rho, E) on one branch and one doping piece.
 
-
-def _point_leg(x, rho, e, terminator):
-    return _LegResult([x], [rho], [e], terminator)
-
-
-def _leg_terminator(res, watches, state):
-    """The event that stopped a kernel run, or None if none did.
-
-    `state(t, a, b)` maps a kernel point to its primal State.
+    Returns the rows and the `Event` that ended the run; its kind may be
+    `_SPLIT`, `_PIECE` or `_NEAR`, where the arc goes on, or `_BUDGET`.
     """
-    if res.terminal is None:
-        return None
-    _, t, a, b = res.roots[-1]
-    return Event(watches[res.terminal].kind, state(t, a, b))
-
-
-def _x_leg(x, rho, e, dsign, span_limit, targets, domain, split, p, cfg):
-    band_in = cfg.sonic_band * _BAND_INSET
-    blow_r, blow_e = cfg.blow_up_density, cfg.blow_up_field
-
-    # band entry means |rho - 1| shrinking along the traversal, an x-order
-    # agnostic notion: the upper threshold is always crossed downward and the
-    # lower one upward in integration order
-    hi, lo = 1.0 + band_in, 1.0 - band_in
-    watches = [_level_watch(0, hi, -1, "_band"), _level_watch(0, lo, 1, "_band")]
-    for tg in targets:
-        watches.append(_level_watch(0, tg.value, tg.direction * int(dsign), TARGET_DENSITY))
+    watches = [
+        _level_watch(0, x_end, int(dsign), end_kind),
+        # the sonic line counts only on approach, never on departure from it
+        _level_watch(1, 1.0, -int(branch), SONIC_ARRIVAL),
+    ]
+    if near:
+        watches.append(
+            _level_watch(1, 1.0 + branch * CRITICAL_GUARD, -int(branch), _NEAR)
+        )
+    watches += [
+        _level_watch(1, tg.value, tg.direction * int(dsign), TARGET_DENSITY) for tg in targets
+    ]
     if split:
         inv_tau = p.inv_tau
-        watches.append(_Watch(lambda t, r, e: r * e - inv_tau, True, 0, _SPLIT))
-    bounds = ((0, blow_r), (0, 1.0 / blow_r), (1, blow_e), (1, -blow_e))
-    watches += [_level_watch(c, v, 0, BLOW_UP) for c, v in bounds]
+        watches.append(_Watch(lambda t, x, r, e: r * e - inv_tau, True, 0, _SPLIT))
+    bounds = ((1, cfg.blow_up_density), (1, 1.0 / cfg.blow_up_density),
+              (2, cfg.blow_up_field), (2, -cfg.blow_up_field))
+    watches += [_level_watch(k, v, 0, BLOW_UP) for k, v in bounds]
 
-    x_end = x + dsign * span_limit
-    ends_at_domain = False
-    if domain is not None:
-        ahead = dsign * (domain.x - x)
-        if ahead == 0.0:
-            return _point_leg(x, rho, e, Event(DOMAIN_END, State(x, rho, e)))
-        if 0.0 < ahead < span_limit:
-            x_end = domain.x
-            ends_at_domain = True
+    breaks = p.doping.breakpoints
+    if breaks:  # integrate this piece's constant up to the next breakpoint
+        i = (bisect.bisect_right if dsign > 0 else bisect.bisect_left)(breaks, x)
+        p = replace(p, doping=DopingProfile.constant(p.doping.params["values"][i]))
+        ahead = breaks[i:] if dsign > 0 else breaks[:i][::-1]
+        if ahead:
+            watches.append(_level_watch(0, ahead[0], int(dsign), _PIECE))
 
+    spacing = cfg.sample_spacing
+    if spacing < math.inf:
+        spacing = min(spacing, cfg.max_step)
+    # x' = c(rho) has the sign of the branch, so x advances with dsign in s
     res = solve_ivp(
-        vector_field(p)[0], x, x_end, (rho, e),
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches,
-        spacing=cfg.sample_spacing, breaks=p.doping.breakpoints,
+        vector_field(p), 0.0, dsign * branch * _S_SPAN, (x, rho, e),
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches, spacing=spacing,
     )
-    term = _leg_terminator(res, watches, State)
-    if res.status == -1:
-        term = Event(STEP_FAILURE, State(res.t[-1], res.ya[-1], res.yb[-1]))
-    elif res.status == 0:
-        end = State(res.t[-1], res.ya[-1], res.yb[-1])
-        if not ends_at_domain:
-            raise IntegrationFailure(
-                "arc length budget exhausted before any stop event",
-                diagnostics={"x": end.x, "rho": end.rho, "e": end.e},
-            )
-        term = Event(DOMAIN_END, end)
-    elif term.kind == "_band":
-        term = None  # band entry: the caller continues in the rho-chart
-    return _LegResult(res.t, res.ya, res.yb, term)
-
-
-def _rho_grid(r_a, r_b):
-    """Sample densities from r_a to r_b, log-graded in |rho - 1|."""
-    n_a, n_b = abs(r_a - 1.0), abs(r_b - 1.0)
-    branch = math.copysign(1.0, (r_a - 1.0) if r_a != 1.0 else (r_b - 1.0))
-    lo = max(min(n_a, n_b), _MIN_GRADED)
-    hi = max(n_a, n_b)
-    mags = set()
-    if hi > lo:
-        num = min(400, max(24, int(40 * math.log10(hi / lo)) + 1))
-        mags.update(np.geomspace(lo, hi, num).tolist())
-    mags.update((n_a, n_b))
-    lo_lim, hi_lim = min(n_a, n_b), max(n_a, n_b)
-    kept = sorted((m for m in mags if lo_lim <= m <= hi_lim), reverse=n_b <= n_a)
-    pts = [1.0 + branch * m for m in kept]
-    pts[0], pts[-1] = r_a, r_b
-    return pts
-
-
-def _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg):
-    inv_tau = p.inv_tau
-    q = rho * e - inv_tau
-    here = State(x, rho, e)
-    if abs(q) <= CRITICAL_GUARD:
-        # simultaneously near-sonic and near-critical: no chart applies
-        return _point_leg(x, rho, e, Event(STEP_FAILURE, here))
-
-    if rho == 1.0:
-        if side not in ("supersonic", "subsonic"):
-            raise SonicSingularity(
-                "a run starting on the sonic line needs an explicit branch"
-            )
-        branch = -1.0 if side == "supersonic" else 1.0
-        s_rho = branch  # departure is always away from the sonic line
-        if (1.0 if q > 0 else -1.0) != dsign:
-            raise ValueError(
-                "sonic departure direction is set by sign(E - 1/tau); "
-                f"requested {'forward' if dsign > 0 else 'backward'} conflicts"
-            )
+    end = State(res.ya[-1], res.yb[-1], res.yc[-1])
+    if res.status != 1:
+        # a step too small for t, or the span in s spent with x stalled
+        kind = STEP_FAILURE
     else:
-        branch = math.copysign(1.0, rho - 1.0)
-        drho_dx_sign = math.copysign(1.0, q) * branch  # sign of q/coef
-        s_rho = dsign * drho_dx_sign
-
-    r_b = 1.0 if s_rho == -branch else 1.0 + branch * cfg.sonic_band
-    cross_dir = int(s_rho * dsign)  # sign of drho/dx while traversing
-
-    # the nearest target crossed in its direction before the leg's end
-    term_target = min(
-        (tg for tg in targets
-         if tg.direction in (0, cross_dir)
-         and (tg.value - rho) * s_rho > 0 and (r_b - tg.value) * s_rho >= 0),
-        key=lambda tg: s_rho * tg.value,
-        default=None,
-    )
-    if term_target is not None:
-        r_b = term_target.value
-
-    guard2 = CRITICAL_GUARD * CRITICAL_GUARD
-    blow_e = cfg.blow_up_field
-
-    def near_critical(r, e, x):
-        q = r * e - inv_tau
-        return q * q - guard2
-
-    watches = [_Watch(near_critical, True, -1, STEP_FAILURE)]
-    watches += [_level_watch(0, v, 0, BLOW_UP) for v in (blow_e, -blow_e)]
-    if domain is not None and dsign * (domain.x - x) > 0:
-        watches.append(_level_watch(1, domain.x, int(dsign), DOMAIN_END))
-
-    graded = cfg.sample_spacing < math.inf  # else the step ends are the rows
-    res = solve_ivp(
-        vector_field(p)[1], rho, r_b, (e, x),
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches, dense_output=graded,
-    )
-    rs, es, xs = res.t, res.ya, res.yb
-    if graded:  # the grid densities the run reached, read off its steps
-        rs = [r for r in _rho_grid(rho, r_b) if s_rho * (r - res.t[-1]) <= 0]
-        es, xs = (list(c) for c in zip(*res.sol(rs)))
-    terminator = _leg_terminator(res, watches, lambda r, e, x: State(x, r, e))
-    if res.status == -1:
-        terminator = Event(STEP_FAILURE, State(xs[-1], rs[-1], es[-1]))
-    elif res.status == 1:
-        end = terminator.state
-        if rs[-1] != end.rho:
-            rs.append(end.rho)
-            es.append(end.e)
-            xs.append(end.x)
-    else:
-        if not graded:  # the end row off the interpolant, as the grid reads it
-            es[-1], xs[-1] = res.sol([r_b])[0]
-        end = State(xs[-1], rs[-1], es[-1])
-        if r_b == 1.0:
-            terminator = Event(SONIC_ARRIVAL, end)
-        elif term_target is not None:
-            terminator = Event(TARGET_DENSITY, end)
-        # otherwise: clean band exit, caller continues in the x-chart
-
-    # graded rows can be coarse in x near a tangential crossing; densify so
-    # the stored abscissas respect the sample spacing like every other leg
-    spacing = min(cfg.max_step, cfg.sample_spacing)
-    # rounded, no gap exceeds the extent of the rows: narrow legs skip the fill
-    for _ in range(3 if graded and not max(xs) - min(xs) <= spacing else 0):
-        gaps = np.abs(np.diff(xs))
-        wide = np.nonzero(gaps > spacing)[0]
-        if not len(wide):
-            break
-        fill = [
-            np.linspace(rs[i], rs[i + 1], int(math.ceil(gaps[i] / spacing)) + 1)[1:-1]
-            for i in wide
-        ]
-        extra = np.concatenate(fill)
-        ye = np.array(res.sol(extra.tolist())).reshape(-1, 2)
-        rs = np.concatenate([rs, extra])
-        es = np.concatenate([es, ye[:, 0]])
-        xs = np.concatenate([xs, ye[:, 1]])
-        order = np.argsort(s_rho * rs)
-        rs, es, xs = rs[order], es[order], xs[order]
-        keep = np.concatenate([[True], np.diff(xs) != 0.0])
-        rs, es, xs = rs[keep].tolist(), es[keep].tolist(), xs[keep].tolist()
-
-    return _LegResult(xs, rs, es, terminator)
+        kind = watches[res.terminal].kind
+        if kind == _PIECE:  # the next piece starts on the breakpoint itself
+            end = replace(end, x=watches[res.terminal].level[1])
+            res.ya[-1] = end.x
+        elif kind == SONIC_ARRIVAL:  # on the line, up to the root's roundoff
+            end = replace(end, rho=1.0)
+            res.yb[-1] = 1.0
+        elif kind == _NEAR and abs(end.rho * end.e - p.inv_tau) <= CRITICAL_GUARD:
+            # the arc sinks into the node (1, 1/tau), which it reaches in
+            # infinite s only: an arc that meets the line transversally has
+            # |rho'| = |rho E - 1/tau| of order its crossing excess here
+            kind = STEP_FAILURE
+    return res.ya, res.yb, res.yc, Event(kind, end)
 
 
-def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
+def _run(x, rho, e, direction, stop_events, p, cfg, branch):
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     dsign = 1.0 if direction == "forward" else -1.0
@@ -849,46 +745,45 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
     domains = [s for s in specs if isinstance(s, DomainEnd)]
     if len(domains) > 1:
         raise ValueError("at most one DomainEnd stop is supported")
-    domain = domains[0] if domains else None
     split = any(isinstance(s, CriticalLocus) for s in specs)
+
+    x_end, end_kind = x + dsign * cfg.max_arc_length, _BUDGET
+    if domains and 0.0 <= dsign * (domains[0].x - x) < cfg.max_arc_length:
+        x_end, end_kind = domains[0].x, DOMAIN_END
 
     xs: list[float] = []
     rs: list[float] = []
     es: list[float] = []
-    x_origin = x
-    side = sonic_side
+    near = True
+    while True:
+        leg_x, leg_r, leg_e, term = _leg(
+            x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg
+        )
+        skip = 1 if xs else 0  # a leg's first row is the previous leg's last
+        xs += leg_x[skip:]
+        rs += leg_r[skip:]
+        es += leg_e[skip:]
+        # each of these ends a leg once: the next leg starts on its level
+        if term.kind == _SPLIT:
+            split = False
+        elif term.kind == _NEAR:
+            near = False
+        elif term.kind != _PIECE:
+            break
+        x, rho, e = term.state.x, term.state.rho, term.state.e
+    if term.kind == _BUDGET:
+        raise IntegrationFailure(
+            "arc length budget exhausted before any stop event",
+            diagnostics={"x": term.state.x, "rho": term.state.rho, "e": term.state.e},
+        )
 
-    for _ in range(_MAX_LEGS):
-        in_band = rho == 1.0 or abs(rho - 1.0) < cfg.sonic_band * _CHART_INSET
-        if in_band:
-            leg = _rho_leg(x, rho, e, dsign, side, targets, domain, p, cfg)
-        else:
-            remaining = cfg.max_arc_length - abs(x - x_origin)
-            leg = _x_leg(x, rho, e, dsign, remaining, targets, domain, split, p, cfg)
-        side = None
-        skip = 1 if xs and len(leg.xs) > 1 else 0
-        xs += leg.xs[skip:]
-        rs += leg.rhos[skip:]
-        es += leg.es[skip:]
-        if leg.terminator is not None:
-            if leg.terminator.kind != _SPLIT:
-                break
-            split = False  # once only: the next leg starts on the locus
-        x, rho, e = leg.xs[-1], leg.rhos[-1], leg.es[-1]
-        if abs(x - x_origin) >= cfg.max_arc_length:
-            raise IntegrationFailure(
-                "arc length budget exhausted while switching charts",
-                diagnostics={"x": x, "rho": rho, "e": e},
-            )
-    else:
-        raise IntegrationFailure("chart switch limit exceeded")
-
-    # enforce strictly monotone abscissae; x can stall by roundoff only in
-    # the last few rho-chart samples hugging the sonic line, where dropping
-    # the earlier of two coincident points loses nothing.  An arc that turns
-    # back behind the sample before has no single-valued profile.
-    if np.all(dsign * np.diff(xs) > 0):  # every sample advances: nothing to drop
-        return TrajectorySegment(np.array(xs), np.array(rs), np.array(es), leg.terminator)
+    # enforce strictly monotone abscissae; x advances monotonically in s, so
+    # it can stall only by roundoff, in the rows hugging a sonic end or the
+    # node, where dropping the earlier of two coincident points loses
+    # nothing.  An arc that turns back behind the row before has no
+    # single-valued profile.
+    if np.all(dsign * np.diff(xs) > 0):  # every row advances: nothing to drop
+        return TrajectorySegment(np.array(xs), np.array(rs), np.array(es), term)
     keep_x, keep_r, keep_e = xs[:1], rs[:1], es[:1]
     for xk, rk, ek in zip(xs[1:], rs[1:], es[1:]):
         if dsign * (xk - keep_x[-1]) > 0:
@@ -903,9 +798,7 @@ def _run(x, rho, e, direction, stop_events, p, cfg, sonic_side=None):
         else:
             keep_x[-1], keep_r[-1], keep_e[-1] = xk, rk, ek
 
-    return TrajectorySegment(
-        np.array(keep_x), np.array(keep_r), np.array(keep_e), leg.terminator
-    )
+    return TrajectorySegment(np.array(keep_x), np.array(keep_r), np.array(keep_e), term)
 
 
 def integrate(
@@ -928,7 +821,8 @@ def integrate(
         raise SonicSingularity(
             "integrate() cannot start on the sonic line; launch explicitly"
         )
-    return _run(start.x, start.rho, start.e, direction, stop_events, p, cfg)
+    branch = 1.0 if start.rho > 1.0 else -1.0
+    return _run(start.x, start.rho, start.e, direction, stop_events, p, cfg, branch)
 
 
 def integrate_from_sonic(
@@ -942,11 +836,11 @@ def integrate_from_sonic(
 ) -> TrajectorySegment:
     """Integrate an arc leaving the sonic line at (x0, rho=1, E=e0) exactly.
 
-    The departure is computed in the rho-chart, where the sonic point is a
-    regular initial condition, so no local-expansion truncation enters.  The
-    departure direction is dictated by sign(e0 - 1/tau): the density offset
-    grows like (e0 - 1/tau)*(x - x0) on either branch, so e0 > 1/tau leaves
-    forward and e0 < 1/tau leaves backward; `direction` must agree.
+    The sonic point is a regular initial point of the field in s, so no
+    local-expansion truncation enters.  The departure direction is dictated
+    by sign(e0 - 1/tau): the density offset grows like (e0 - 1/tau)*(x - x0)
+    on either branch, so e0 > 1/tau leaves forward and e0 < 1/tau leaves
+    backward; a `direction` that disagrees raises `SonicSingularity`.
     """
     cfg = cfg or IntegratorConfig()
     if side not in ("supersonic", "subsonic"):
@@ -957,4 +851,10 @@ def integrate_from_sonic(
             "sonic departure requires E(x0) != 1/tau; tangential launches "
             "have no square-root branch"
         )
-    return _run(x0, 1.0, e0, direction, stop_events, p, cfg, sonic_side=side)
+    if direction in ("forward", "backward") and (q > 0) != (direction == "forward"):
+        raise SonicSingularity(
+            "sonic departure direction is set by sign(E - 1/tau); "
+            f"requested {direction} conflicts"
+        )
+    branch = -1.0 if side == "supersonic" else 1.0
+    return _run(x0, 1.0, e0, direction, stop_events, p, cfg, branch)

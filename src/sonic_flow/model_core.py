@@ -8,8 +8,8 @@ form (momentum J = 1, temperature such that the sonic density is 1):
 
 with sonic boundary conditions rho(0) = rho(1) = 1.  ``gamma = 1`` is the
 isothermal case.  :func:`vector_field` is the one definition of this field,
-read in the x-chart away from the sonic line and in the density chart across
-it; integration lives in :mod:`sonic_flow.integrator`.  The rest are doping
+rescaled by the coefficient of rho_x so that it stays regular across the
+sonic line; integration lives in :mod:`sonic_flow.integrator`.  The rest are doping
 profiles, parameter and state types, and the closed-form quantities of the
 theory: the critical point, the Xi nullcline of the (n, F) chart with
 n = rho - 1 and F = E - 1/(tau*rho), the shock jump and the C^1 transition
@@ -30,9 +30,9 @@ from .errors import (
     SonicDoping,
 )
 
-# Guard half-widths for the singular sets of each chart.
-SONIC_COEF_GUARD = 1e-3     # on |rho^(gamma-1) - rho^-2| in the x-chart
-CRITICAL_GUARD = 1e-6       # on |rho*E - 1/tau| in the rho-chart
+# half-width, on |E - 1/tau|, of the sonic launches and arrivals that meet
+# the node (1, 1/tau): tangential, with no square-root branch
+CRITICAL_GUARD = 1e-6
 SONIC_DOPING_TOL = 1e-12
 
 
@@ -291,12 +291,14 @@ def sonic_coefficient(rho: float, gamma: float = 1.0):
 
 
 def vector_field(p: ModelParams):
-    """The field in its two charts, as ``(rhs_x, rhs_rho)`` on plain floats.
+    """The field ``f(s, x, rho, E)`` of the state in s, ds = dx / c(rho), on plain floats.
 
-    ``rhs_x(x, rho, E)`` gives ``(d rho/dx, dE/dx)`` and is singular on the
-    sonic line; ``rhs_rho(rho, E, x)`` gives ``(dE/d rho, dx/d rho)`` and is
-    singular on the critical locus rho*E = 1/tau instead.  Neither guards its
-    singular set: there, float arithmetic raises (division by zero, or
+    With c(rho) = rho^(gamma-1) - rho^-2 it returns
+    ``(c, rho*E - 1/tau, (rho - b(x)) * c)``.  Dividing the x-form of the
+    system by c gives the slopes ``d rho/dx`` and ``dE/dx``; multiplying
+    through by c is what keeps this field regular on the sonic line, where
+    those slopes blow up.  The field does not depend on s.  It does not
+    guard rho <= 0: there float arithmetic raises (division by zero, or
     ``math.pow`` where ``**`` would return a complex number), and the
     integrator's kernel treats the raise as a failed trial step.
     """
@@ -320,35 +322,23 @@ def vector_field(p: ModelParams):
 
     if gamma == 1.0 and p.doping.is_constant:  # the constant inline, without a call
 
-        def rhs_x(x, r, e):
-            r2 = r * r
-            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - bc)
-
-        def rhs_rho(r, e, x):
-            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
-            return ((r - bc) * dxdr, dxdr)
+        def field(s, x, r, e):
+            coef = 1.0 - 1.0 / (r * r)
+            return coef, r * e - inv_tau, (r - bc) * coef
 
     elif gamma == 1.0:
 
-        def rhs_x(x, r, e):
-            r2 = r * r
-            return ((r * e - inv_tau) * r2 / (r2 - 1.0), r - b(x))
-
-        def rhs_rho(r, e, x):
-            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - inv_tau)
-            return ((r - b(x)) * dxdr, dxdr)
+        def field(s, x, r, e):
+            coef = 1.0 - 1.0 / (r * r)
+            return coef, r * e - inv_tau, (r - b(x)) * coef
 
     else:
 
-        def rhs_x(x, r, e):
+        def field(s, x, r, e):
             coef = math.pow(r, gamma - 1.0) - math.pow(r, -2.0)
-            return ((r * e - inv_tau) / coef, r - b(x))
+            return coef, r * e - inv_tau, (r - b(x)) * coef
 
-        def rhs_rho(r, e, x):
-            dxdr = (math.pow(r, gamma - 1.0) - math.pow(r, -2.0)) / (r * e - inv_tau)
-            return ((r - b(x)) * dxdr, dxdr)
-
-    return rhs_x, rhs_rho
+    return field
 
 
 # ---------------------------------------------------------------------------

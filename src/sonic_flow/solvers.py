@@ -1,8 +1,9 @@
 """Boundary-value solvers for the five solution families.
 
 All solvers return a `Solution` on [0, 1] with sonic boundary densities.
-Shooting-based constructions integrate exact sonic departures/landings in
-the density chart, so no endpoint is ever approximated by a series cutoff.
+Shooting-based constructions launch from and land on the sonic line exactly,
+as regular points of the integrator's field in s, so no endpoint is ever
+approximated by a series cutoff.
 """
 
 from __future__ import annotations
@@ -55,11 +56,17 @@ _OVERSHOOT = 10.0
 # every shooting residual is an abscissa miss and every acceptance test is
 # 1e-7 or looser; a shot this close ends the root search, since further shots
 # would only move the root inside the residual's own noise
-_RESIDUAL_FLOOR = 1e-12
+_RESIDUAL_FLOOR = 1e-11
 
 # smallest launch excess E(0) - 1/tau a sonic launch is shot at: widening
 # stops here, clear of the degenerate-launch guard at 1e-6
 _LAUNCH_FLOOR = 4e-6
+
+# the pre-shock densities the shock solver takes lie below this one
+_SHOCK_RHO_L_MAX = 0.99
+
+# factor by which the shock's upper launch field widens
+_SHOCK_WIDEN = 1.5
 
 
 def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
@@ -189,7 +196,8 @@ def _polish(shot_fine, v, slope):
     offset by the probes' own integration error.  The first step is a Newton
     step with the probes' residual ``slope`` from `_slope`; where that is
     None, the second point is ``v * (1 + 1e-4)``.  A fine shot whose data is
-    None ends the polish.  Returns ``(v, residual, data)`` of the last
+    None ends the polish; so does a step out of the launch domain, whose
+    shots return no data.  Returns ``(v, residual, data)`` of the last
     accepted shot.
     """
     residual, data = shot_fine(v)
@@ -273,15 +281,17 @@ def _sonic_shot(side: str, q: float, p: ModelParams, cfg: IntegratorConfig):
 
     A supersonic arc is split at its density minimum, which is then a row.
     """
+    if q < _LAUNCH_FLOOR:  # outside the launch domain: too shallow, no data
+        return -_OVERSHOOT, None
     stops = [DomainEnd(3.0)] + ([CriticalLocus()] if side == "supersonic" else [])
     seg = integrate_from_sonic(0.0, side, p.inv_tau + q, "forward", stops, p, cfg)
     kind = seg.terminator.kind
     if kind == "sonic_arrival":
         return seg.last.x - 1.0, seg
     if kind == "step_failure":
-        # the arc stalled at its in-band turning point: too shallow to leave
-        # the sonic band, hence far too short.  The stall abscissa keeps the
-        # residual sign-correct either way.
+        # the arc sank into the node (1, 1/tau), tangentially, short of a
+        # square-root landing.  Its abscissa there keeps the residual
+        # sign-correct either way.
         return seg.last.x - 1.0, None
     # blow-up or domain end: the arc never returns, steer shorter
     return _OVERSHOOT, None
@@ -594,13 +604,16 @@ def _shock_shot(e0: float, rho_l: float, p: ModelParams, cfg):
     The dive leaves the sonic line at x = 0 exactly and the climb lands on
     it.  Returns (landing_x - 1, parts) where parts is None for invalid shots.
     """
+    if e0 - p.inv_tau < _LAUNCH_FLOOR:  # outside the launch domain: too shallow
+        return -_OVERSHOOT, None
     sup = integrate_from_sonic(
         0.0, "supersonic", e0, "forward",
         [TargetDensity(rho_l, direction=+1), DomainEnd(4.0)], p, cfg,
     )
     if sup.terminator.kind != "target_density":
-        # arc never rose back through rho_l: too shallow (returned to the
-        # sonic band first) or blown up; both mean "not this launch field"
+        # arc never rose back through rho_l: too shallow (back on the sonic
+        # line, or into the node, first) or blown up; both mean "not this
+        # launch field"
         if sup.terminator.kind in ("sonic_arrival", "step_failure"):
             return -_OVERSHOOT, None
         return _OVERSHOOT, None
@@ -613,13 +626,19 @@ def _shock_shot(e0: float, rho_l: float, p: ModelParams, cfg):
 
 
 def _shock_bracket(rho_l: float, p: ModelParams):
-    """Launch-field bracket seeded by the frictionless energy integral."""
+    """Launch-field bracket seeded by the frictionless energy integral.
+
+    The lower seed stays a launch excess _LAUNCH_FLOOR clear of 1/tau.  Where
+    the deep seed falls below it, as at small tau, the upper seed is one
+    widening step above the lower one instead.
+    """
     psi = lambda r: undamped_energy_potential(r, p.doping.b_upper)
     psi_lo = undamped_energy_potential(rho_l, p.doping.b_lower)
     e_touch = math.sqrt(max(2.0 * (psi(1.0) - psi_lo), 0.0))
     beta_deep, _ = supersonic_min_density_bracket(1.0, max(p.doping.b_lower, 1.0 + 1e-9))
     e_deep = math.sqrt(max(2.0 * (psi(1.0) - psi(beta_deep)), 1e-6))
-    return max(e_touch * (1.0 + 1e-6), p.inv_tau + _LAUNCH_FLOOR), e_deep
+    e_lo = max(e_touch * (1.0 + 1e-6), p.inv_tau + _LAUNCH_FLOOR)
+    return e_lo, max(e_deep, _SHOCK_WIDEN * e_lo)
 
 
 def solve_transonic_shock(
@@ -639,9 +658,9 @@ def solve_transonic_shock(
             "the shock jump is the isothermal one, rho_l * rho_r = 1; it needs gamma = 1"
         )
     _refuse_excluded(p, "transonic_shock", RegimeRejection)
+    if rho_l >= _SHOCK_RHO_L_MAX:
+        raise PreconditionViolation(f"rho_l must lie below {_SHOCK_RHO_L_MAX}")
     cfg = cfg or IntegratorConfig()
-    if rho_l >= 1.0 - cfg.sonic_band:
-        raise PreconditionViolation("rho_l must sit below the sonic band")
 
     e_lo, e_hi = _shock_bracket(rho_l, p)
     # a lower seed past the solution is pulled toward the touching energy,
@@ -652,7 +671,7 @@ def solve_transonic_shock(
         e_lo,
         e_hi,
         lambda e0: 0.5 * (e0 + p.inv_tau) if 0.5 * (e0 - p.inv_tau) >= _LAUNCH_FLOOR else None,
-        lambda e0: 1.5 * e0,
+        lambda e0: _SHOCK_WIDEN * e0,
         xtol=1e-13,
         failure="shock shooting failed to land at x = 1",
     )
@@ -707,7 +726,6 @@ def _tangential_landing_shot(
     side "subsonic": launch backward from x = 1, land from above.
     Returns (segment, None) on success, (None, "short"/"long") otherwise.
     """
-    cfg = replace(cfg, sample_spacing=min(cfg.sample_spacing, 1e-2))  # `_landing_fit`'s rows
     if side == "supersonic":
         target = TargetDensity(1.0 - n_stop, direction=+1)
         seg = integrate_from_sonic(
@@ -724,8 +742,8 @@ def _tangential_landing_shot(
     if kind == "target_density":
         return seg, None
     if kind in ("step_failure", "sonic_arrival"):
-        # stalled at an in-band turning point or slid back onto the sonic
-        # line before reaching the stop offset: the excursion is too shallow
+        # sank into the node or crossed the sonic line before reaching the
+        # stop offset: the excursion is too shallow
         return None, "short"
     return None, "long"
 

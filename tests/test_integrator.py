@@ -1,4 +1,4 @@
-"""Tests for the chart-switching trajectory integrator."""
+"""Tests for the trajectory integrator and its Dormand-Prince kernel."""
 
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ class TestConfig:
             "rel_tol",
             "abs_tol",
             "max_step",
-            "sonic_band",
             "blow_up_density",
             "blow_up_field",
             "max_arc_length",
@@ -63,7 +62,7 @@ class TestConfig:
             IntegratorConfig(**{field: -1.0})
 
     def test_rejects_nan(self):
-        for field in ("rel_tol", "abs_tol", "max_step", "sonic_band",
+        for field in ("rel_tol", "abs_tol", "max_step",
                       "blow_up_density", "blow_up_field", "max_arc_length"):
             with pytest.raises(ValueError):
                 IntegratorConfig(**{field: float("nan")})
@@ -73,9 +72,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(sample_spacing=value)
 
-    def test_band_must_exceed_coefficient_guard(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(sonic_band=1e-9)
+    def test_sonic_band_is_not_a_field(self):
+        # one chart covers the sonic line: there is no band to switch in
+        with pytest.raises(TypeError):
+            IntegratorConfig(sonic_band=1e-2)
 
     def test_defaults_valid(self):
         cfg = IntegratorConfig()
@@ -149,8 +149,8 @@ class TestEvents:
 
 
 class TestTargetSelection:
-    # each free arc crosses its target once: rising inside the sonic band,
-    # where the rho-chart runs, and falling outside it, in the x-chart
+    # each free arc crosses its target once: rising within 1e-2 of the sonic
+    # line (id rho_chart) and falling in the bulk (id x_chart)
     @pytest.mark.parametrize("direction", [-1, 0, 1])
     @pytest.mark.parametrize(
         "start, target, crossing",
@@ -196,6 +196,16 @@ class TestSonicLaunch:
                 0.0, "subsonic", p.inv_tau, "forward", [DomainEnd(1.0)], p
             )
 
+    @pytest.mark.parametrize("q,direction", [(-0.01, "forward"), (0.01, "backward")])
+    def test_direction_conflict_is_typed(self, q, direction):
+        # E(0) < 1/tau leaves the sonic line backward only, and E(0) > 1/tau
+        # forward only
+        p = params(15.0, 1.5)
+        with pytest.raises(SonicSingularity, match="sign\\(E - 1/tau\\)"):
+            integrate_from_sonic(
+                0.0, "subsonic", p.inv_tau + q, direction, [DomainEnd(1.0)], p
+            )
+
 
 # ---------------------------------------------------------------------------
 # trajectory quality
@@ -213,19 +223,16 @@ class TestTrajectoryQuality:
         assert back.last.e == pytest.approx(0.2, abs=100 * cfg.rel_tol)
 
     def test_chart_independence_near_sonic(self):
-        # the same arc integrated with a wide and a narrow switching band
-        # exercises the rho-chart and the x-chart over different spans
+        # the same arc in one run, and restarted on its way to the sonic
+        # line at rho = 1.1, ends at the same state
         p = params(15.0, 1.5)
-        wide = IntegratorConfig(sonic_band=5e-2)
-        narrow = IntegratorConfig(sonic_band=5e-3)
-        a = integrate(
-            State(0.0, 1.2, 0.4), "forward", [TargetDensity(1.04)], p, wide
-        )
-        b = integrate(
-            State(0.0, 1.2, 0.4), "forward", [TargetDensity(1.04)], p, narrow
-        )
-        assert a.last.x == pytest.approx(b.last.x, abs=100 * wide.rel_tol)
-        assert a.last.e == pytest.approx(b.last.e, abs=100 * wide.rel_tol)
+        cfg = IntegratorConfig()
+        a = integrate(State(0.0, 1.2, 0.0), "forward", [TargetDensity(1.04)], p, cfg)
+        half = integrate(State(0.0, 1.2, 0.0), "forward", [TargetDensity(1.1)], p, cfg)
+        b = integrate(half.last, "forward", [TargetDensity(1.04)], p, cfg)
+        assert a.terminator.kind == b.terminator.kind == "target_density"
+        assert a.last.x == pytest.approx(b.last.x, abs=100 * cfg.rel_tol)
+        assert a.last.e == pytest.approx(b.last.e, abs=100 * cfg.rel_tol)
 
     def test_focus_spiral_alternating_extrema(self):
         # subsonic doping and weak damping: trajectories rotate around the
@@ -272,23 +279,41 @@ class TestSegmentContracts:
         )
         assert np.abs(np.diff(seg.xs)).max() <= cfg.max_step * (1 + 1e-9)
 
-    def test_arc_turning_back_raises_typed_failure(self):
-        # a subsonic arc launched backward from x = 1 whose samples hugging
-        # the sonic line turn back in x
-        p = ModelParams(tau=0.11102674876958835, doping=DopingProfile.constant(1.7835330259037656))
-        with pytest.raises(IntegrationFailure) as err:
-            integrate_from_sonic(
-                1.0, "subsonic", p.inv_tau - 1e-4, "backward",
-                [TargetDensity(1.0001, direction=+1), DomainEnd(-2.0)], p,
-            )
+    def test_arc_turning_back_raises_typed_failure(self, monkeypatch):
+        # x is monotone in s on either side of the sonic line, so only
+        # roundoff can move it back; rows that go back behind the row before
+        # the last have no single-valued profile
+        def leg(x, rho, e, dsign, *args):
+            end = integrator.Event("domain_end", State(0.6, 1.2, 0.1))
+            return [1.0, 0.8, 0.7, 0.9, 0.6], [1.0, 1.1, 1.2, 1.2, 1.2], [0.3] * 5, end
+
+        monkeypatch.setattr(integrator, "_leg", leg)
+        p = params(15.0, 1.5)
+        with pytest.raises(IntegrationFailure, match="turned back") as err:
+            integrate_from_sonic(1.0, "subsonic", p.inv_tau - 0.1, "backward", [], p)
         diag = err.value.diagnostics
         assert diag["x"] > diag["x_reached"]  # behind, on a backward run
-        assert diag["rho"] > 1.0
+        assert (diag["x"], diag["x_reached"]) == (0.9, 0.7)
+
+    def test_arc_sinking_into_the_node_is_a_step_failure(self):
+        # a subsonic arc launched backward from x = 1 that lands tangentially
+        # on the node (1, 1/tau), where x stalls; its rows stay monotone
+        p = ModelParams(tau=0.11102674876958835, doping=DopingProfile.constant(1.7835330259037656))
+        seg = integrate_from_sonic(
+            1.0, "subsonic", p.inv_tau - 1e-4, "backward",
+            [TargetDensity(1.0001, direction=+1), DomainEnd(-2.0)], p,
+        )
+        assert seg.terminator.kind == "step_failure"
+        # stopped 1e-6 short of the sonic line, where rho E = 1/tau to 1e-6
+        assert seg.last.rho == pytest.approx(1.0 + 1e-6, abs=1e-15)
+        assert abs(seg.last.rho * seg.last.e - p.inv_tau) <= 1e-6
+        assert np.all(np.diff(seg.xs) < 0) and seg.rhos.max() < 1.0001
 
 
 class TestRhoLegRows:
-    # arcs from the sonic line: a rho-chart leg runs out to the band edge,
-    # the x-chart crosses the bulk, and a second rho-chart leg lands
+    # legs from the sonic line rho = 1: one kernel run crosses the bulk to
+    # within 1e-6 of the line, in +s on the subsonic side and in -s on the
+    # supersonic one, and a second one lands on it
     p = params(15.0, 1.5)
 
     def arc(self, cfg, side="subsonic", q=0.02):
@@ -297,39 +322,40 @@ class TestRhoLegRows:
         )
 
     def test_rows_are_step_ends_at_probe_resolution(self, kernel_calls):
-        seg = self.arc(IntegratorConfig())
-        assert seg.terminator.kind == "sonic_arrival"
-        # density legs are the runs that watch the near-critical guard
-        legs = [
-            (a, k, r) for a, k, r in kernel_calls
-            if any(w.kind == "step_failure" for w in a[7])
-        ]
-        assert len(legs) == 2
-        for args, kwargs, res in legs:
-            assert not kwargs["dense_output"] and len(res.steps) == 1  # the end step only
-            dense = integrator.solve_ivp(*args, dense_output=True)
-            assert len(dense.t) == len(dense.steps) + 1  # the start and every step end
-            assert res.t == dense.t and res.steps[0].t_old == dense.steps[-1].t_old
-        first = legs[0][2]
-        assert seg.rhos[: len(first.t)].tolist() == first.t
-        assert seg.rhos[-len(legs[1][2].t):].tolist() == legs[1][2].t
+        for side in ("subsonic", "supersonic"):
+            del kernel_calls[:]
+            seg = self.arc(IntegratorConfig(), side)
+            assert seg.terminator.kind == "sonic_arrival"
+            calls = list(kernel_calls)
+            assert len(calls) == 2
+            rows = []
+            for args, kwargs, res in calls:
+                assert args[2] == (1e4 if side == "subsonic" else -1e4)
+                assert not kwargs.get("dense_output") and len(res.steps) == 1  # the end step only
+                dense = integrator.solve_ivp(*args, dense_output=True)
+                assert len(dense.t) == len(dense.steps) + 1  # the start and every step end
+                assert res.t == dense.t
+                rows += list(zip(res.ya, res.yb))[1 if rows else 0:]
+            assert abs(rows[-2][1] - 1.0) == pytest.approx(1e-6, abs=1e-15)  # the first run's end
+            assert rows[-1][1] == 1.0
+            assert list(zip(seg.xs.tolist(), seg.rhos.tolist())) == rows
 
-    # launches where a leg's last step end and its interpolant at the leg's
-    # end density differ in the last bit
+    # short legs, whose step ends lie closer than 1e-2
     @pytest.mark.parametrize("side,q", [
         ("subsonic", 0.01), ("subsonic", 0.03), ("supersonic", 0.015), ("supersonic", 0.03),
     ])
     def test_end_rows_match_the_graded_grid(self, side, q):
+        # a finite sample spacing keeps every step end a row, ends alike and
+        # adds rows read off the steps in between
         cfg = IntegratorConfig()
         probe = self.arc(cfg, side, q)
-        graded = self.arc(replace(cfg, sample_spacing=1e-2), side, q)
+        graded = self.arc(replace(cfg, sample_spacing=1e-3), side, q)
         assert probe.terminator == graded.terminator
-        # where the first leg hands over to the x-chart
-        exit_rho = 1.0 + (cfg.sonic_band if side == "subsonic" else -cfg.sonic_band)
-        i = probe.rhos.tolist().index(exit_rho)
-        j = graded.rhos.tolist().index(exit_rho)
-        assert (probe.xs[i], probe.es[i]) == (graded.xs[j], graded.es[j])
-        assert len(probe.xs) < len(graded.xs)
+        assert set(probe.xs.tolist()) < set(graded.xs.tolist())
+        # rows at most 1e-3 apart in x, and in rho relative to max(rho, 1)
+        assert np.abs(np.diff(graded.xs)).max() <= 1e-3 * (1 + 1e-9)
+        scale = np.maximum(np.maximum(graded.rhos[1:], graded.rhos[:-1]), 1.0)
+        assert (np.abs(np.diff(graded.rhos)) / scale).max() <= 1e-3 * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +364,7 @@ class TestRhoLegRows:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Every kernel run the chart legs make: (args, kwargs, result)."""
+    """Every kernel run the legs make: (args, kwargs, result)."""
     calls = []
     kernel = integrator.solve_ivp
 
@@ -356,11 +382,11 @@ def _rk45(args, kwargs):
     fun, t0, t_bound, y0, rtol, atol, max_step, watches = args
     events = []
     for w in watches:
-        ev = (lambda g: lambda t, y: g(t, y[0], y[1]))(w.g)
+        ev = (lambda g: lambda t, y: g(t, y[0], y[1], y[2]))(w.g)
         ev.terminal, ev.direction = w.terminal, w.direction
         events.append(ev)
     return scipy.integrate.solve_ivp(
-        lambda t, y: fun(t, y[0], y[1]),
+        lambda t, y: fun(t, y[0], y[1], y[2]),
         (t0, t_bound),
         list(y0),
         method="RK45",
@@ -368,7 +394,7 @@ def _rk45(args, kwargs):
         atol=atol,
         max_step=max_step,
         events=events,
-        dense_output=kwargs.get("dense_output", False),
+        dense_output=True,
     )
 
 
@@ -377,10 +403,10 @@ def _assert_matches_rk45(call):
     ref = _rk45(args, kwargs)
     assert res.status == ref.status
     assert res.nfev == ref.nfev
-    assert len(res.t) == len(ref.t)
-    assert res.t[-1] == pytest.approx(ref.t[-1], abs=1e-12)
-    assert res.ya[-1] == pytest.approx(ref.y[0, -1], abs=1e-12)
-    assert res.yb[-1] == pytest.approx(ref.y[1, -1], abs=1e-12)
+    if kwargs.get("spacing", math.inf) == math.inf:
+        assert len(res.t) == len(ref.t)  # the rows are the step ends
+    for k, c in enumerate((res.ya, res.yb, res.yc)):
+        assert c[-1] == pytest.approx(ref.y[k, -1], abs=1e-12)
     d = math.copysign(1.0, args[2] - args[1])
     ref_roots = sorted(
         ((i, float(t)) for i, ts in enumerate(ref.t_events) for t in ts),
@@ -397,6 +423,7 @@ class TestKernelMatchesRK45:
     loose_cap = IntegratorConfig(max_step=0.5)
 
     def test_x_chart_arc_to_domain_end(self, kernel_calls):
+        # an arc in the bulk, stopped by its level watch on x
         p = params(15.0, 1.5)
         seg = integrate(
             State(0.0, 1.5, p.inv_tau / 1.5 + 0.05), "forward", [DomainEnd(1.0)], p,
@@ -405,40 +432,43 @@ class TestKernelMatchesRK45:
         assert seg.terminator.kind == "domain_end"
         assert len(kernel_calls) == 1
         _assert_matches_rk45(kernel_calls[0])
-        assert kernel_calls[0][2].status == 0
+        args, _, res = kernel_calls[0]
+        assert res.status == 1 and args[7][res.terminal].kind == "domain_end"
 
-    def test_rho_chart_graded_arc(self, kernel_calls):
-        # a finite sample spacing makes the rho-chart read its density grid
-        # off the steps of the run
+    def test_sonic_launch_with_sample_spacing(self, kernel_calls):
+        # a finite sample spacing reads rows off the steps of the run
         p = params(15.0, 1.5)
         seg = integrate_from_sonic(
-            0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
+            0.0, "subsonic", p.inv_tau + 0.15, "forward", [DomainEnd(3.0)], p,
             replace(self.loose_cap, sample_spacing=1e-2),
         )
+        # the first of its two runs, to within 1e-6 of the sonic line
         args, kwargs, res = kernel_calls[0]
-        assert kwargs["dense_output"]
-        assert args[1] == 1.0  # the rho-chart leg leaving the sonic line
+        assert kwargs["spacing"] == 1e-2
+        assert args[3] == (0.0, 1.0, p.inv_tau + 0.15)  # the sonic launch
         ref = _assert_matches_rk45(kernel_calls[0])
-        grid = integrator._rho_grid(args[1], args[2])
-        rows = seg.rhos[: len(grid)]
-        assert rows.tolist() == grid
-        np.testing.assert_allclose(seg.es[: len(grid)], ref.sol(rows)[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(seg.xs[: len(grid)], ref.sol(rows)[1], rtol=0, atol=1e-12)
+        assert len(res.t) > len(ref.t)
+        seg = integrator.TrajectorySegment(res.ya, res.yb, res.yc, seg.terminator)
+        s = np.array(res.t)
+        np.testing.assert_allclose(seg.xs, ref.sol(s)[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(seg.rhos, ref.sol(s)[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(seg.es, ref.sol(s)[2], rtol=0, atol=1e-12)
 
-    def test_rho_chart_arc_at_probe_resolution(self, kernel_calls):
-        # at the default spacing the rho-chart rows are the kernel's step ends
+    def test_sonic_launch_at_probe_resolution(self, kernel_calls):
+        # at the default spacing the rows are the kernel's step ends
         p = params(15.0, 1.5)
         integrate_from_sonic(
             0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
             self.loose_cap,
         )
         args, kwargs, res = kernel_calls[0]
-        assert not kwargs["dense_output"]
-        assert args[1] == 1.0
+        assert kwargs["spacing"] == math.inf
         ref = _assert_matches_rk45(kernel_calls[0])
-        assert res.status == 0 and res.t[-1] == args[2]
-        # the step ends, up to roundoff the step controller carries along
-        np.testing.assert_allclose(res.t, ref.t, rtol=0, atol=1e-9)
+        assert res.status == 1 and len(res.t) == len(ref.t)
+        # the step ends, up to the roundoff the step controller carries along:
+        # the error estimate cancels to about 1e-7 of its size, so a step
+        # size, and every step end after it, can differ in the eighth digit
+        np.testing.assert_allclose(res.t, ref.t, rtol=1e-7, atol=0)
 
     def test_arc_ending_on_terminal_target(self, kernel_calls):
         p = params(15.0, 1.5)
@@ -455,19 +485,19 @@ class TestKernelMatchesRK45:
             float(ref.t_events[res.terminal][0]), abs=1e-12
         )
 
-
     def test_controller_after_rejections(self):
         # a steep tanh front makes the controller reject trial steps on the
         # way in and hold back growth right after each rejection
-        def fun(t, a, b):
-            return 50.0 / math.cosh(50.0 * (t - 1.0)) ** 2, a
+        def fun(t, a, b, c):
+            return 50.0 / math.cosh(50.0 * (t - 1.0)) ** 2, a, 1.0
 
-        args = (fun, 0.0, 2.0, (math.tanh(-50.0), 0.0), 1e-9, 1e-11, 1.0, [])
+        args = (fun, 0.0, 2.0, (math.tanh(-50.0), 0.0, 0.0), 1e-9, 1e-11, 1.0, [])
         res = integrator.solve_ivp(*args)
         accepted = len(res.t) - 1
         assert res.nfev > 2 + 6 * accepted  # some trial steps were rejected
         _assert_matches_rk45((args, {}, res))
         assert res.ya[-1] == pytest.approx(math.tanh(50.0), abs=1e-8)
+
 
 
 # ---------------------------------------------------------------------------
@@ -551,30 +581,29 @@ class TestBrentMatchesScipy:
     def test_unconverged_event_location_is_an_integration_failure(self, monkeypatch):
         monkeypatch.setattr(integrator, "_BRENT_MAXITER", 1)
         with pytest.raises(IntegrationFailure, match="event location"):
-            integrator.solve_ivp(_unit_drift, 0.0, 2.0, (0.0, 0.0), 1e-9, 1e-11, 1.0, [_watch(0.5)])
-
+            integrator.solve_ivp(_unit_drift, 0.0, 2.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, [_watch(0.5)])
 
 # ---------------------------------------------------------------------------
 # kernel event semantics on closed-form flows
 
 
-def _unit_drift(t, a, b):
-    return 1.0, 0.0  # a(t) = a(t0) + (t - t0)
+def _unit_drift(t, a, b, c):
+    return 1.0, 0.0, 0.0  # a(t) = a(t0) + (t - t0)
 
 
 def _watch(level, terminal=True, direction=0):
-    return integrator._Watch(lambda t, a, b: a - level, terminal, direction, "level")
+    return integrator._Watch(lambda t, a, b, c: a - level, terminal, direction, "level")
 
 
-def _level(c, v, terminal=True, direction=0, calls=None):
-    """A watch on component c crossing v, declared as a level; `calls` counts g."""
+def _level(k, v, terminal=True, direction=0, calls=None):
+    """A watch on component k crossing v, declared as a level; `calls` counts g."""
 
-    def g(t, a, b):
+    def g(t, a, b, c):
         if calls is not None:
             calls.append(t)
-        return (a, b)[c] - v
+        return (a, b, c)[k] - v
 
-    return integrator._Watch(g, terminal, direction, "level", (c, v))
+    return integrator._Watch(g, terminal, direction, "level", (k, v))
 
 
 def _unleveled(watches):
@@ -589,7 +618,9 @@ def _screened_as_full(fun, t0, t1, y0, watches):
     )
     for res in (screened, full):
         assert res.status in (0, 1)
-    assert (screened.t, screened.ya, screened.yb) == (full.t, full.ya, full.yb)
+    assert (screened.t, screened.ya, screened.yb, screened.yc) == (
+        full.t, full.ya, full.yb, full.yc
+    )
     assert (screened.status, screened.terminal, screened.nfev) == (
         full.status, full.terminal, full.nfev
     )
@@ -613,7 +644,7 @@ class TestKernelEvents:
         first, second = (0.5, 0.5 + 1e-6) if forward else (0.5 + 1e-6, 0.5)
         watches = [_watch(second), _watch(first)]
         res = integrator.solve_ivp(
-            _unit_drift, t0, t1, (t0, 0.0), 1e-9, 1e-11, 1.0, watches,
+            _unit_drift, t0, t1, (t0, 0.0, 0.0), 1e-9, 1e-11, 1.0, watches,
             dense_output=True,
         )
         assert _step_of(res, first) is _step_of(res, second)
@@ -624,12 +655,12 @@ class TestKernelEvents:
 
     def test_direction_filters(self):
         # a = sin t falls through 0 at pi and rises through it at 2 pi
-        def fun(t, a, b):
-            return math.cos(t), 0.0
+        def fun(t, a, b, c):
+            return math.cos(t), 0.0, 0.0
 
         watches = [_watch(0.0, False, 1), _watch(0.0, False, -1), _watch(0.0, False, 0)]
         res = integrator.solve_ivp(
-            fun, 0.5, 7.0, (math.sin(0.5), 0.0), 1e-10, 1e-12, 0.1, watches
+            fun, 0.5, 7.0, (math.sin(0.5), 0.0, 0.0), 1e-10, 1e-12, 0.1, watches
         )
         assert res.status == 0 and res.terminal is None
         got = [(i, round(t / math.pi, 6)) for i, t, *_ in res.roots]
@@ -642,7 +673,7 @@ class TestKernelEvents:
             _watch(0.6 + 1e-9, terminal=False),  # past the stop: dropped
         ]
         res = integrator.solve_ivp(
-            _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 1.0, watches,
+            _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, watches,
             dense_output=True,
         )
         assert _step_of(res, 0.6) is _step_of(res, 0.6 + 1e-9)
@@ -657,11 +688,11 @@ class TestKernelEvents:
     def test_screen_skips_level_evaluations(self):
         screened, full = [], []
         res = integrator.solve_ivp(
-            _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 0.1,
+            _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 0.1,
             [_level(0, 0.6, calls=screened)], dense_output=True,
         )
         integrator.solve_ivp(
-            _unit_drift, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 0.1,
+            _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 0.1,
             _unleveled([_level(0, 0.6, calls=full)]),
         )
         # screened, g runs at the start, on the step that leaves the cell and
@@ -674,7 +705,7 @@ class TestKernelEvents:
         # g0 == 0: a rising or two-way watch stops at once, a falling one
         # waits; the far level stops the run then
         watches = [_level(0, 0.5, direction=direction), _level(0, 0.8)]
-        res = _screened_as_full(_unit_drift, 0.0, 1.0, (0.5, 0.0), watches)
+        res = _screened_as_full(_unit_drift, 0.0, 1.0, (0.5, 0.0, 0.0), watches)
         assert res.status == 1
         if direction >= 0:
             assert (res.terminal, res.t[-1]) == (0, 0.0)
@@ -686,7 +717,7 @@ class TestKernelEvents:
         # a = cos t falls through 0.5 at pi/3, which a rising watch ignores,
         # and rises back through it at 5 pi/3, where it fires
         watches = [_level(0, 0.5, direction=1), _level(0, -2.0)]
-        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0), watches)
+        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0, 0.0), watches)
         assert res.status == 1 and res.terminal == 0
         assert res.t[-1] == pytest.approx(5 * math.pi / 3, abs=1e-9)
 
@@ -698,26 +729,40 @@ class TestKernelEvents:
             _level(0, 0.5, terminal=False),
             _level(0, 0.9 if forward else 0.1),
         ]
-        res = _screened_as_full(_unit_drift, t0, t1, (t0, 0.0), watches)
+        res = _screened_as_full(_unit_drift, t0, t1, (t0, 0.0, 0.0), watches)
         assert _step_of(res, 0.5) is _step_of(res, 0.5 + 1e-6)
         assert [i for i, *_ in res.roots] == ([1, 0, 2] if forward else [0, 1, 2])
 
     def test_level_on_the_second_component(self):
         # b = -sin t falls through -0.5 at pi/6 and rises back at 5 pi/6
         watches = [_level(1, -0.5, terminal=False), _level(0, -0.9), _level(1, 0.5)]
-        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0), watches)
+        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0, 0.0), watches)
         assert [i for i, *_ in res.roots] == [0, 0, 1] and res.terminal == 1
         assert [t for _, t, *_ in res.roots] == pytest.approx(
             [math.pi / 6, 5 * math.pi / 6, math.acos(-0.9)], abs=1e-9
         )
 
+    def test_level_on_the_third_component(self):
+        # c = t grows through 2, where the run stops, and the screen holds
+        watches = [_level(2, 2.0), _level(0, -2.0)]
+        res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0, 0.0), watches)
+        assert res.terminal == 0 and res.t[-1] == pytest.approx(2.0, abs=1e-12)
+
 
 # ---------------------------------------------------------------------------
-# kernel sampling between step ends and restarts at jumps of the field
+# kernel sampling between step ends
 
 
-def _oscillator(t, a, b):
-    return b, -a  # a = cos t, b = -sin t from (1, 0) at t = 0
+def _oscillator(t, a, b, c):
+    return b, -a, 1.0  # a = cos t, b = -sin t, c = t from (1, 0, 0) at t = 0
+
+
+def _drift_wave(t, a, b, c):
+    return 1.0, c, -b  # a = t, b = cos t, c = -sin t from (0, 1, 0) at t = 0
+
+
+def _gap(y0, y1):
+    return max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1]) / max(abs(y0[1]), abs(y1[1]), 1.0))
 
 
 class TestKernelSampling:
@@ -726,7 +771,7 @@ class TestKernelSampling:
     def run(self, forward, spacing=math.inf, watches=()):
         t0, t1 = (0.0, 3.0) if forward else (3.0, 0.0)
         return integrator.solve_ivp(
-            _oscillator, t0, t1, (math.cos(t0), -math.sin(t0)), 1e-9, 1e-11, 1.0,
+            _drift_wave, t0, t1, (t0, math.cos(t0), -math.sin(t0)), 1e-9, 1e-11, 1.0,
             list(watches), dense_output=True, spacing=spacing,
         )
 
@@ -736,9 +781,9 @@ class TestKernelSampling:
         sampled = self.run(forward, self.spacing)
         assert max(abs(s.h) for s in uncapped.steps) > 4 * self.spacing
         assert sampled.nfev == uncapped.nfev
-        rows = dict(zip(sampled.t, zip(sampled.ya, sampled.yb)))
-        for t, a, b in zip(uncapped.t, uncapped.ya, uncapped.yb):
-            assert rows[t] == (a, b)
+        rows = dict(zip(sampled.t, zip(sampled.ya, sampled.yb, sampled.yc)))
+        for t, a, b, c in zip(uncapped.t, uncapped.ya, uncapped.yb, uncapped.yc):
+            assert rows[t] == (a, b, c)
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_inner_samples_come_from_the_interpolant(self, forward):
@@ -747,7 +792,7 @@ class TestKernelSampling:
         inner = [k for k, t in enumerate(sampled.t) if t not in ends]
         assert len(inner) > len(sampled.steps)
         dense = sampled.sol([sampled.t[k] for k in inner])
-        assert [(sampled.ya[k], sampled.yb[k]) for k in inner] == dense
+        assert [(sampled.ya[k], sampled.yb[k], sampled.yc[k]) for k in inner] == dense
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("stop", [None, 0.2])
@@ -756,48 +801,65 @@ class TestKernelSampling:
         res = self.run(forward, self.spacing, watches)
         gaps = np.diff(res.t) * (1.0 if forward else -1.0)
         assert np.all(gaps > 0)
-        assert gaps.max() <= self.spacing * (1 + 1e-9)
+        rows = list(zip(res.ya, res.yb))
+        assert max(_gap(u, v) for u, v in zip(rows, rows[1:])) <= self.spacing * (1 + 1e-9)
         if stop is not None:
             assert res.status == 1
             assert res.ya[-1] == pytest.approx(stop, abs=1e-12)
 
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_quadratic_component_is_refined(self, forward):
+        # a = t^2 over one long step: equal parts in t leave the part at the
+        # far end about twice as wide in a, so it is cut again
+        def fun(t, a, b, c):
+            return 2.0 * t, 0.0, 0.0
 
-def _jump_at_half(t, a, b):
-    return (3.0 if t >= 0.5 else 1.0), 0.0  # right-continuous, like the doping
+        t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
+        res = integrator.solve_ivp(
+            fun, t0, t1, (t0 * t0, 0.0, 0.0), 1e-9, 1e-11, 1.0, [], spacing=0.05,
+        )
+        assert len(res.t) > 21
+        assert np.abs(np.diff(res.ya)).max() <= 0.05 * (1 + 1e-9)
+
+
+def _jump_at_half(t, a, b, c):
+    return (3.0 if t >= 0.5 else 1.0), 0.0, 0.0  # right-continuous, like the doping
 
 
 class TestKernelJumps:
+    # piecewise doping: a leg integrates one piece's constant and stops on
+    # the x level of the next breakpoint; the next leg starts there
+    p = ModelParams(tau=15.0, doping=DopingProfile.piecewise_constant([0.25], [1.5, 1.4]))
+
     @pytest.mark.parametrize("forward", [True, False])
-    def test_no_step_spans_a_jump(self, forward):
-        t0, t1, a0 = (0.0, 1.0, 0.0) if forward else (1.0, 0.0, 2.0)
-        res = integrator.solve_ivp(
-            _jump_at_half, t0, t1, (a0, 0.0), 1e-9, 1e-11, 1.0, [],
-            dense_output=True, breaks=(0.5, 2.0),
-        )
-        assert res.status == 0
-        for s in res.steps:
-            lo, hi = sorted((s.t_old, s.t_old + s.h))
-            assert hi < 0.5 or lo >= 0.5
-        below = math.nextafter(0.5, -math.inf)
-        after = next(s for s in res.steps if s.t_old == (0.5 if forward else below))
-        assert after.k[0][0] == (3.0 if forward else 1.0)  # derivative taken afresh
-        assert 0.5 in res.t and below not in res.t
-        assert np.all(np.diff(res.t) * (t1 - t0) > 0)
-        assert res.ya[-1] == pytest.approx(2.0 - a0, abs=1e-14)
+    def test_no_step_spans_a_jump(self, forward, kernel_calls):
+        start, stop = (State(0.0, 1.3, 0.2), 0.5) if forward else (State(0.5, 1.3, 0.0), 0.0)
+        seg = integrate(start, "forward" if forward else "backward", [DomainEnd(stop)], self.p)
+        assert seg.terminator.kind == "domain_end"
+        assert len(kernel_calls) == 2
+        (first_args, _, first), (second_args, _, second) = kernel_calls
+        assert first.ya[-1] == second_args[3][0] == 0.25  # on the jump itself
+        below, above = (first, second) if forward else (second, first)
+        assert max(below.ya) <= 0.25 <= min(above.ya)
+        # each leg integrates its own piece's constant
+        coef = 1.0 - 1.0 / 1.3**2
+        for (args, _, _), b in zip(kernel_calls, (1.5, 1.4) if forward else (1.4, 1.5)):
+            assert args[0](0.0, 0.1, 1.3, 0.2)[2] == (1.3 - b) * coef
+        assert np.all(np.diff(seg.xs) * (1.0 if forward else -1.0) > 0)
 
     def test_without_breaks_a_step_spans_the_jump(self):
+        # the kernel knows no jumps: a field that jumps in t is stepped across
         res = integrator.solve_ivp(
-            _jump_at_half, 0.0, 1.0, (0.0, 0.0), 1e-9, 1e-11, 1.0, [],
+            _jump_at_half, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, [],
             dense_output=True,
         )
         assert any(s.t_old < 0.5 < s.t_old + s.h for s in res.steps)
 
     def test_x_leg_passes_the_doping_jumps(self, kernel_calls):
-        p = ModelParams(
-            tau=15.0, doping=DopingProfile.piecewise_constant([0.25], [1.5, 1.4])
-        )
-        seg = integrate(State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], p)
-        assert kernel_calls[0][1]["breaks"] == (0.25,)
+        seg = integrate(State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], self.p)
+        args, _, res = kernel_calls[0]
+        assert args[7][res.terminal].kind == integrator._PIECE
+        assert args[7][res.terminal].level == (0, 0.25)
         assert 0.25 in seg.xs
 
 
@@ -823,8 +885,8 @@ class TestCriticalLocus:
         assert np.count_nonzero(on_locus) == 1
         extremum = np.argmin if side == "supersonic" else np.argmax
         assert on_locus[extremum(split.rhos)]
-        # one x-chart leg stops on the locus, the next starts there, and no
-        # leg after the split watches for it again
+        # one leg stops on the locus, the next starts there, and no leg
+        # after the split watches for it again
         legs = kernel_calls[n_plain:]
         assert len(legs) == n_plain + 1
         watching = [(args[7], res) for args, _, res in legs
@@ -832,6 +894,7 @@ class TestCriticalLocus:
         assert len(watching) == 1
         ((watches, res),) = watching
         assert res.status == 1 and watches[res.terminal].kind == integrator._SPLIT
+
 
 
 # ---------------------------------------------------------------------------

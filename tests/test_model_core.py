@@ -39,13 +39,15 @@ def _params(tau, b, gamma=1.0):
 
 
 def rhs_x(x, rho, e, p):
-    """(d rho/dx, dE/dx) from the x-chart of the model's vector field."""
-    return vector_field(p)[0](x, rho, e)
+    """(d rho/dx, dE/dx): the model's vector field over its x rate."""
+    dx, d_rho, d_e = vector_field(p)(0.0, x, rho, e)
+    return d_rho / dx, d_e / dx
 
 
 def rhs_rho(rho, e, x, p):
-    """(dE/d rho, dx/d rho) from the density chart of the model's vector field."""
-    return vector_field(p)[1](rho, e, x)
+    """(dE/d rho, dx/d rho): the model's vector field over its density rate."""
+    dx, d_rho, d_e = vector_field(p)(0.0, x, rho, e)
+    return d_e / d_rho, dx / d_rho
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ class TestStates:
 
 
 # ---------------------------------------------------------------------------
-# the vector field: x-chart (primal) and density chart
+# the vector field, and the slopes over x and over rho read off it
 
 
 class TestRhsPrimal:
@@ -182,11 +184,12 @@ class TestRhsPrimal:
         assert d_e == pytest.approx(0.5)
 
     def test_sonic_guard(self):
-        # the x-chart is singular on the sonic line; the raise is what the
-        # integrator's kernel turns into a rejected trial step
+        # the slopes over x are singular on the sonic line; the field in s
+        # is regular there: x stalls while rho moves at rho*E - 1/tau
         p = _params(1.0, 1.5)
         with pytest.raises(ArithmeticError):
             rhs_x(0.0, 1.0, 0.3, p)
+        assert vector_field(p)(0.0, 0.0, 1.0, 0.3) == (0.0, 0.3 - 1.0, -0.0)
 
     @pytest.mark.parametrize("tau,b", [(0.5, 1.5), (2.0, 0.5), (15.0, 2.0)])
     def test_equilibrium_family(self, tau, b):
@@ -262,7 +265,7 @@ class TestRhsRhoIndependent:
         assert dxdr == pytest.approx(183.0 / 208.0, rel=1e-12)
 
     def test_critical_guard(self):
-        # the density chart is singular on the critical locus instead
+        # the slopes over rho are singular on the critical locus instead
         p = _params(2.0, 1.5)
         with pytest.raises(ArithmeticError):
             rhs_rho(2.0, 0.25, 0.0, p)  # rho*E = 0.5 = 1/tau
@@ -271,18 +274,18 @@ class TestRhsRhoIndependent:
         d = DopingProfile.sine_perturbed(1.5, 0.1)
         p = ModelParams(tau=2.0, doping=d)
         for x in (0.0, 0.25, 0.6):
-            dedr, dxdr = rhs_rho(0.8, -1.0, x, p)
-            assert dedr == (0.8 - d(x)) * dxdr
-            assert rhs_x(x, 0.8, -1.0, p)[1] == 0.8 - d(x)
+            coef = 1.0 - 1.0 / (0.8 * 0.8)
+            assert vector_field(p)(0.0, x, 0.8, -1.0)[2] == (0.8 - d(x)) * coef
 
     @pytest.mark.parametrize("base,amp,freq", [(1.5, 0.1, 1.0), (1.2, -0.1, 2.5)])
     def test_sine_doping_read_bit_for_bit(self, base, amp, freq):
         # the field reads sine doping through its own plain-float closure;
-        # at rho = 0 the x-chart's dE/dx is -b(x) exactly
+        # at rho = 0.5 its E rate is 3 (b(x) - 0.5), and 0.5 - b(x) is
+        # exact for b in [1, 2), so every bit of b(x) shows
         d = DopingProfile.sine_perturbed(base, amp, freq)
-        f = vector_field(ModelParams(tau=2.0, doping=d))[0]
+        f = vector_field(ModelParams(tau=2.0, doping=d))
         xs = np.random.default_rng(12).uniform(-0.5, 1.5, 100_000).tolist()
-        assert [x for x in xs if -f(x, 0.0, 0.0)[1] != d(x)] == []
+        assert [x for x in xs if f(0.0, x, 0.5, 0.0)[2] != (0.5 - d(x)) * -3.0] == []
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -296,24 +299,13 @@ class TestRhsRhoIndependent:
         # the field takes constant doping inline; the same formulas read
         # through p.doping(x) give the same bits, or raise alike
         p = _params(tau, b)
-        f_x, f_rho = vector_field(p)
+        f = vector_field(p)
 
-        def via_x():
-            r2 = r * r
-            return ((r * e - p.inv_tau) * r2 / (r2 - 1.0), r - p.doping(x))
+        def via_doping():
+            coef = 1.0 - 1.0 / (r * r)
+            return (coef, r * e - p.inv_tau, (r - p.doping(x)) * coef)
 
-        def via_rho():
-            dxdr = (1.0 - 1.0 / (r * r)) / (r * e - p.inv_tau)
-            return ((r - p.doping(x)) * dxdr, dxdr)
-
-        def bits(f):
-            try:
-                return [v.hex() for v in f()]
-            except ZeroDivisionError:
-                return "ZeroDivisionError"
-
-        assert bits(lambda: f_x(x, r, e)) == bits(via_x)
-        assert bits(lambda: f_rho(r, e, x)) == bits(via_rho)
+        assert [v.hex() for v in f(0.0, x, r, e)] == [v.hex() for v in via_doping()]
 
     @pytest.mark.parametrize(
         "rho,e", [(0.7, -0.8), (1.4, 0.6), (2.2, 0.4), (0.5, 1.2)]

@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sonic_flow.solvers
+from sonic_flow import integrator
 from sonic_flow import (
     BracketFailure,
     DopingProfile,
@@ -294,6 +297,13 @@ class TestTransonicShock:
         with pytest.raises(PreconditionViolation):
             solve_transonic_shock(params(50.0, 1.5), 1.2)
 
+    @pytest.mark.parametrize("rho_l", [0.99, 0.995])
+    def test_rejects_pre_shock_density_at_the_sonic_line(self, rho_l):
+        # a solver constant, whatever the integrator configuration
+        for cfg in (None, IntegratorConfig(rel_tol=1e-8)):
+            with pytest.raises(PreconditionViolation, match="below 0.99"):
+                solve_transonic_shock(params(50.0, 1.5), rho_l, cfg)
+
     def test_rejects_non_isothermal_gamma(self):
         # the jump rho_l * rho_r = 1 conserves rho + 1/rho only; at gamma 2
         # this input's right state missed rho^2/2 + 1/rho by 3.8e-4
@@ -377,12 +387,25 @@ class TestC1Transonic:
         with pytest.raises(PreconditionViolation, match="gamma = 1"):
             solve_c1_transonic(params(0.1, 1.5, gamma=2.0), 0.5)
 
-    def test_arc_turning_back_is_a_typed_failure(self):
-        # an input on which a landing shot's arc turns back in x; it used to
+    def test_arc_turning_back_is_a_typed_failure(self, monkeypatch):
+        # rows that go back in x, which only roundoff can produce, must not
         # escape as a bare ValueError from the trajectory constructor
+        def leg(x, rho, e, dsign, *args):
+            end = integrator.Event("domain_end", integrator.State(0.2, 0.9, 10.0))
+            return [0.0, 0.2, 0.3, 0.1, 0.2], [1.0, 0.9, 0.9, 0.9, 0.9], [10.0] * 5, end
+
+        monkeypatch.setattr(integrator, "_leg", leg)
         p = params(0.11102674876958835, 1.7835330259037656)
         with pytest.raises(SonicFlowError):
             solve_c1_transonic(p, 0.2206110104158862)
+
+    def test_landing_shots_near_the_node_certify(self):
+        # subsonic landing shots at this input sink into the node (1, 1/tau)
+        # or pass close by it; they end as step failures, short of x0
+        p = params(0.11102674876958835, 1.7835330259037656)
+        sol = solve_c1_transonic(p, 0.2206110104158862)
+        assert residual_norm(sol, p)[0] < 1e-6
+        assert sol.transition.x0 == 0.2206110104158862
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +682,9 @@ class TestOutputResolution:
         assert _landing_fit(seg, "supersonic", p_smooth, 1e-4) is not None
 
     def test_c1_probe_reads_the_graded_grid(self, c1_sol, p_smooth):
-        # the landing fit reads probe rows, so a C1 probe at probe resolution
-        # stores the rows of one run at sample spacing 1e-2
+        # the landing fit reads probe rows, which are the step ends; near the
+        # landing they lie closer than 1e-2, so a sample spacing of 1e-2
+        # reads no more rows off the steps
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
         probe, _ = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), 1e-4)
         graded, _ = _tangential_landing_shot(
@@ -723,3 +747,78 @@ class TestPiecewiseDoping:
         sol = solve_supersonic(p)
         assert residual_norm(sol, p)[0] < 1e-6
         assert 0.5 in sol.x
+
+
+# ---------------------------------------------------------------------------
+# typed or certified across the stated parameter space
+
+
+class TestLaunchDomain:
+    @pytest.mark.parametrize("b,tau", [(1.3, 0.2), (1.1, 0.3), (0.9, 0.4)])
+    def test_shock_bracket_never_inverted(self, b, tau):
+        # the deep seed falls below the lower seed 1/tau + 4e-6 here
+        p = params(tau, b)
+        lo, hi = sonic_flow.solvers._shock_bracket(0.9, p)
+        assert p.inv_tau < lo < hi
+        with pytest.raises(SonicFlowError):
+            solve_transonic_shock(p, 0.9)
+
+    def test_shots_outside_the_launch_domain_have_no_data(self, p_main, p_shock):
+        # what a polish secant step below the launch floor reads
+        assert _sonic_shot("supersonic", -0.189, p_main, IntegratorConfig()) == (-10.0, None)
+        assert _sonic_shot("subsonic", 1e-6, p_main, IntegratorConfig()) == (-10.0, None)
+        assert _shock_shot(p_shock.inv_tau, 0.9, p_shock, IntegratorConfig()) == (-10.0, None)
+
+    def test_polish_stays_in_the_launch_domain(self):
+        # its probe residual jumps across the root, and the polish secant
+        # stepped to a launch excess of -0.189
+        p = ModelParams(tau=6.59, doping=DopingProfile.sine_perturbed(0.959, 0.158))
+        try:
+            sol = solve_supersonic(p)
+        except SonicFlowError:
+            return
+        assert residual_norm(sol, p)[0] < 1e-6
+
+
+_FAMILY_TOL = {
+    "sonic": 1e-6, "subsonic": 1e-6, "supersonic": 1e-6, "transonic_shock": 1e-3,
+    "c1_transonic": 1e-6,
+}
+
+
+def _doping(kind, b, u):
+    if kind == "constant":
+        return DopingProfile.constant(b)
+    if kind == "sine":
+        return DopingProfile.sine_perturbed(b, 0.2 * b * (u - 0.5))
+    return DopingProfile.piecewise_constant([0.5], [b, 0.3 + 2.7 * u])
+
+
+class TestTypedOrCertified:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(_FAMILY_TOL)),
+        gamma=st.sampled_from([1.0, 1.0, 1.4, 2.0]),
+        log_tau=st.floats(math.log(0.02), math.log(80.0)),
+        doping=st.sampled_from(["constant", "sine", "piecewise"]),
+        b=st.floats(0.3, 3.0),
+        u=st.floats(0.0, 1.0),
+        x0=st.floats(0.05, 0.95),
+        rho_l=st.floats(0.5, 0.98),
+    )
+    def test_every_solve_certifies_or_raises_typed(
+        self, kind, gamma, log_tau, doping, b, u, x0, rho_l
+    ):
+        p = ModelParams(tau=math.exp(log_tau), doping=_doping(doping, b, u), gamma=gamma)
+        solve = {
+            "sonic": solve_sonic,
+            "subsonic": solve_subsonic_shooting,
+            "supersonic": solve_supersonic,
+            "transonic_shock": lambda p: solve_transonic_shock(p, rho_l),
+            "c1_transonic": lambda p: solve_c1_transonic(p, x0),
+        }[kind]
+        try:
+            sol = solve(p)
+        except SonicFlowError:
+            return
+        assert residual_norm(sol, p)[0] < _FAMILY_TOL[kind]
