@@ -222,7 +222,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_P_COLUMNS = tuple(zip(*_P))  # per power of theta, the weights of the six stages
 
 
 class _Watch(NamedTuple):
@@ -355,21 +354,35 @@ class _Step:
 
     def __call__(self, t):
         if self._q is None:
-            # the sums, order and int 0 start of sum() over the stages, bit for bit
-            self._q = tuple(
-                tuple(0 + k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
-                      for p1, p3, p4, p5, p6, p7 in _P_COLUMNS)
-                for k1, k3, k4, k5, k6, k7 in self.k
-            )
+            self._q = tuple(map(_weights, self.k))
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = self._q
+        ya, yb, yc = self.y
         h = self.h
         x = (t - self.t_old) / h
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return tuple(
-            h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y0
-            for (q0, q1, q2, q3), y0 in zip(self._q, self.y)
+        return (
+            h * (a0 * x + a1 * x2 + a2 * x3 + a3 * x4) + ya,
+            h * (b0 * x + b1 * x2 + b2 * x3 + b3 * x4) + yb,
+            h * (c0 * x + c1 * x2 + c2 * x3 + c3 * x4) + yc,
         )
+
+
+def _weights(k):
+    """One component's weights of theta^1..theta^4, from its stage rates k.
+
+    The sums, order and int 0 start of sum() over the stages, bit for bit.
+    """
+    k1, k3, k4, k5, k6, k7 = k
+    (p10, p11, p12, p13), (p30, p31, p32, p33), (p40, p41, p42, p43), \
+        (p50, p51, p52, p53), (p60, p61, p62, p63), (p70, p71, p72, p73) = _P
+    return (
+        0 + k1 * p10 + k3 * p30 + k4 * p40 + k5 * p50 + k6 * p60 + k7 * p70,
+        0 + k1 * p11 + k3 * p31 + k4 * p41 + k5 * p51 + k6 * p61 + k7 * p71,
+        0 + k1 * p12 + k3 * p32 + k4 * p42 + k5 * p52 + k6 * p62 + k7 * p72,
+        0 + k1 * p13 + k3 * p33 + k4 * p43 + k5 * p53 + k6 * p63 + k7 * p73,
+    )
 
 
 def _gap(y0, y1):
@@ -391,13 +404,22 @@ def _fill(step, t0, y0, t1, y1, spacing, rows):
     if n <= 1:
         return
     ta, ya = t0, y0
-    for j in range(1, n):
-        s = t0 + j * (t1 - t0) / n
-        y = step(s)
-        _fill(step, ta, ya, s, y, spacing, rows)
-        rows.append((s, *y))
-        ta, ya = s, y
-    _fill(step, ta, ya, t1, y1, spacing, rows)
+    a, b = y0[0], y0[1]
+    for j in range(1, n + 1):
+        if j < n:
+            s = t0 + j * (t1 - t0) / n
+            y = step(s)
+        else:
+            s, y = t1, y1
+        # _gap(ya, y), inline: this loop reads every row
+        a_new, b_new = y[0], y[1]
+        gap = abs(b_new - b) / max(abs(b), abs(b_new), 1.0)
+        gap = max(abs(a_new - a), gap)
+        if gap / spacing * (1.0 - 1e-12) > 1.0:  # this part is cut again
+            _fill(step, ta, ya, s, y, spacing, rows)
+        if j < n:
+            rows.append((s, *y))
+        ta, ya, a, b = s, y, a_new, b_new
 
 
 class OdeResult:

@@ -9,11 +9,11 @@ form (momentum J = 1, temperature such that the sonic density is 1):
 with sonic boundary conditions rho(0) = rho(1) = 1.  ``gamma = 1`` is the
 isothermal case.  :func:`vector_field` is the one definition of this field,
 rescaled by the coefficient of rho_x so that it stays regular across the
-sonic line; integration lives in :mod:`sonic_flow.integrator`.  The rest are doping
-profiles, parameter and state types, and the closed-form quantities of the
-theory: the critical point, the Xi nullcline of the (n, F) chart with
-n = rho - 1 and F = E - 1/(tau*rho), the shock jump and the C^1 transition
-slope.
+sonic line; integration lives in :mod:`sonic_flow.integrator`.  The rest
+are doping profiles, parameter and state types, and the closed-form
+quantities of the theory: the critical point, the Xi nullcline of the
+(n, F) chart with n = rho - 1 and F = E - 1/(tau*rho), the shock jump and
+the C^1 transition slope.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import (
     SonicDoping,
 )
 
-# half-width, on |E - 1/tau|, of the sonic launches and arrivals that meet
-# the node (1, 1/tau): tangential, with no square-root branch
+# half-width of the node (1, 1/tau), on |rho - 1| and on |rho*E - 1/tau|:
+# a sonic launch or arrival there is tangential, with no square-root branch
 CRITICAL_GUARD = 1e-6
 SONIC_DOPING_TOL = 1e-12
 
