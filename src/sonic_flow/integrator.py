@@ -785,7 +785,8 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
         xs += leg_x[skip:]
         rs += leg_r[skip:]
         es += leg_e[skip:]
-        # each of these ends a leg once: the next leg starts on its level
+        # the arc goes on from these leg ends; the split and the stop short
+        # of the sonic line are watched once only
         if term.kind == _SPLIT:
             split = False
         elif term.kind == _NEAR:

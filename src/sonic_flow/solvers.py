@@ -74,8 +74,9 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
 
     Shooting probes store only their step ends; the accepted trajectory is
     re-integrated at tight tolerances (1e-12 relative, 1e-14 absolute) with
-    rows read off each step's interpolant at most 5e-4 apart in x, so that
-    the stored arrays support interpolation, and per-interval defect checks,
+    rows read off each step's interpolant at most 5e-4 apart in x, and in
+    rho relative to max(rho, 1) across the square-root layers, so that the
+    stored arrays support interpolation, and per-interval defect checks,
     at the accuracy of the solve itself.  The step cap stays the probes'
     (at the default, none but the error controller): the rows, not the
     steps, have to be dense.

@@ -313,6 +313,20 @@ class TestSweep:
         slopes = [float(r[9]) for r in rows]
         assert max(slopes) - min(slopes) <= 1e-3 * slopes[0]
 
+    def test_shock_tau_sweep_writes_every_row(self, tmp_path):
+        # at small tau the shock bracket's deep seed falls below its lower
+        # seed; every sample must still end in a row, typed failures included
+        cfg = write_config(tmp_path, {
+            "model": model(1.0, 0.9),
+            "solver": {"kind": "transonic_shock", "rho_l": 0.9},
+            "sweep": {"variable": "tau", "start": 0.1, "stop": 0.4, "count": 7},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 7
+        assert all(r[3] == "true" or r[11] for r in rows)  # success, or an error class
+
     def test_rejections_recorded_not_fatal(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": model(1.0, 0.9),

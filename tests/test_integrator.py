@@ -927,7 +927,7 @@ class TestLevelScreenOnSolves:
         nfev = []
 
         def run(*args, **kwargs):
-            assert len(args) == 8  # the chart legs pass their watches positionally
+            assert len(args) == 8  # the legs pass their watches positionally
             if not screen:
                 args = (*args[:7], _unleveled(args[7]))
             res = kernel(*args, **kwargs)

@@ -671,8 +671,9 @@ class TestOutputResolution:
 
     def test_c1_probe_keeps_landing_rows(self, c1_sol, p_smooth):
         # a probe shot at the default step cap, at the accepted launch: its
-        # sonic-band rows stay at most 1e-2 apart in x however long the steps
-        # are, and the landing fit finds at least its 8 rows in 1e-4 <= |rho - 1| <= 1e-3
+        # step ends within 1e-2 of the sonic line stay at most 1e-2 apart in
+        # x, and the landing fit finds at least its 8 rows in
+        # 1e-4 <= |rho - 1| <= 1e-3
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
         seg, fail = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), 1e-4)
         assert fail is None
