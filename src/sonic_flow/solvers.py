@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import NOT_EXISTS, classify_regime
+from .analysis import NOT_EXISTS, classify_regime, residual_norm
 from .errors import (
     BracketFailure,
     GlueMismatch,
@@ -67,6 +67,9 @@ _SHOCK_RHO_L_MAX = 0.99
 
 # factor by which the shock's upper launch field widens
 _SHOCK_WIDEN = 1.5
+
+# residual_norm a C1 solution must stay below to be returned
+_C1_RESIDUAL_TOL = 1e-6
 
 
 def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
@@ -872,7 +875,7 @@ def solve_c1_transonic(
     rhos = np.concatenate([sup_seg.rhos, [1.0], sub_seg.rhos[::-1]])
     es = np.concatenate([sup_seg.es, [e0], sub_seg.es[::-1]])
 
-    return Solution(
+    sol = Solution(
         kind="c1_transonic",
         x=xs,
         rho=rhos,
@@ -891,3 +894,13 @@ def solve_c1_transonic(
             "shooting_iterations": sup_shots + sub_shots,
         },
     )
+    # a glued profile that stays within the residual band of the sonic line
+    # leaves residual_norm only finite differences across its layers: such
+    # a solution is not returned uncertified
+    residual, where = residual_norm(sol, p)
+    if not residual < _C1_RESIDUAL_TOL:
+        raise GlueMismatch(
+            "the glued profile fails its residual check",
+            diagnostics={"residual": residual, "x": where, "x0": x0},
+        )
+    return sol

@@ -19,6 +19,7 @@ from sonic_flow import integrator
 from sonic_flow import (
     BracketFailure,
     DopingProfile,
+    GlueMismatch,
     ModelParams,
     NoSolutionInRegime,
     NumericalError,
@@ -398,6 +399,14 @@ class TestC1Transonic:
         p = params(0.11102674876958835, 1.7835330259037656)
         with pytest.raises(SonicFlowError):
             solve_c1_transonic(p, 0.2206110104158862)
+
+    def test_uncertified_glue_is_a_typed_failure(self):
+        # both branches land at x0 and glue, but the profile stays within
+        # 1e-2 of the sonic line, where residual_norm has no pointwise probe
+        p = params(0.0974009546, 1.2)
+        with pytest.raises(GlueMismatch, match="residual check") as err:
+            solve_c1_transonic(p, 0.5)
+        assert err.value.diagnostics["residual"] >= 1e-6
 
     def test_landing_shots_near_the_node_certify(self):
         # subsonic landing shots at this input sink into the node (1, 1/tau)
