@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -385,41 +386,89 @@ def _weights(k):
     )
 
 
-def _gap(y0, y1):
-    """The distance between two rows that `spacing` bounds: the larger of
-    |da| and |db| / max(|b|, 1) over the two."""
-    return max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1]) / max(abs(y0[1]), abs(y1[1]), 1.0))
+def _gap(a0, b0, a1, b1):
+    """The distance between rows (a0, b0) and (a1, b1) that `spacing`
+    bounds: the larger of |da| and |db| / max(|b0|, |b1|, 1), per entry."""
+    return np.maximum(
+        np.abs(a1 - a0), np.abs(b1 - b0) / np.maximum(np.maximum(np.abs(b0), np.abs(b1)), 1.0)
+    )
 
 
-def _fill(step, t0, y0, t1, y1, spacing, rows):
-    """Append to `rows` the interpolant reads strictly between t0 and t1.
+# one record per wide step: the index of its end row, t_old, h, y_old (3),
+# the stage rates (stage 1, 3..7, each for a, b, c), and t, a, b at its end
+_REC = 27
+_P4 = np.array(_P)[:, :, None, None]  # per stage, its weights of theta^1..4
 
-    The span is cut into ceil(_gap / spacing) equal parts in t, and each
-    part again, until no two consecutive rows are more than `spacing` apart
-    by `_gap`.  Where a component is quadratic in t, as x(s) is at a sonic
-    end, one cut can leave a part twice the spacing wide.
+
+def _read_rows(rec, spacing, d, cols):
+    """The columns `cols` (t, a, b, c) of a run with the rows of its wide steps.
+
+    `rec` holds one `_REC` record per wide step.  Each step's span from its
+    start to its end row is cut into ceil(_gap / spacing) equal parts in t,
+    and each part again, level by level, until no two consecutive rows are
+    more than `spacing` apart by `_gap`.  Where a component is quadratic in
+    t, as x(s) is at a sonic end, one cut can leave a part twice the spacing
+    wide.  Rows are read on arrays with the operations of `_Step.__call__`
+    in its order, so they hold its floats, and go in before their step's
+    end row, in run order (`d` is the sign of the run's direction in t).
+    Returns the four columns as lists.
     """
-    # the slack keeps a span that rounding left an ulp over `spacing` whole
-    n = math.ceil(_gap(y0, y1) / spacing * (1.0 - 1e-12))
-    if n <= 1:
-        return
-    ta, ya = t0, y0
-    a, b = y0[0], y0[1]
-    for j in range(1, n + 1):
-        if j < n:
-            s = t0 + j * (t1 - t0) / n
-            y = step(s)
-        else:
-            s, y = t1, y1
-        # _gap(ya, y), inline: this loop reads every row
-        a_new, b_new = y[0], y[1]
-        gap = abs(b_new - b) / max(abs(b), abs(b_new), 1.0)
-        gap = max(abs(a_new - a), gap)
-        if gap / spacing * (1.0 - 1e-12) > 1.0:  # this part is cut again
-            _fill(step, ta, ya, s, y, spacing, rows)
-        if j < n:
-            rows.append((s, *y))
-        ta, ya, a, b = s, y, a_new, b_new
+    r = np.frombuffer(rec, dtype=float).reshape(-1, _REC).T.copy()
+    # every step's `_weights`, per weight and component: the sums in its
+    # order from a 0 start
+    k = r[6:24].reshape(6, 1, 3, -1) * _P4
+    w = 0.0 + k[0]
+    for i in range(1, 6):
+        w += k[i]
+    # per step: t_old, h, y_old (3), then the weights of theta^1..4
+    # (3 each); per part: t, a, b at its start, then at its end
+    coef = np.concatenate((r[1:6], w.reshape(12, -1)))
+    step, parts = np.arange(r.shape[1]), r[[1, 3, 4, 24, 25, 26]]
+    found = []
+    while True:
+        # the slack keeps a part that rounding left an ulp over `spacing` whole
+        v = _gap(parts[1], parts[2], parts[4], parts[5]) / spacing * (1.0 - 1e-12)
+        cut = np.flatnonzero(v > 1.0)
+        if not len(cut):
+            break
+        step, parts, n = step.take(cut), parts.take(cut, axis=1), np.ceil(v.take(cut))
+        # part i is cut into m[i] equal parts in t, the next level's parts
+        # first[i] .. first[i] + m[i] - 1, by m[i] - 1 rows; row k, the j-th
+        # of its part p[k], ends next-level part at[k] and starts at[k] + 1
+        m = n.astype(np.intp)
+        p = np.repeat(np.arange(len(m)), m - 1)
+        first = np.cumsum(m) - m
+        at = np.arange(len(p)) + p
+        j = at - first.take(p) + 1
+        t0 = parts[0].take(p)
+        s = t0 + j * (parts[3].take(p) - t0) / n.take(p)
+        st = step.take(p)
+        c = coef.take(st, axis=1)
+        x = (s - c[0]) / c[1]
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        y = c[1] * (c[5:8] * x + c[8:11] * x2 + c[11:14] * x3 + c[14:17] * x4) + c[2:5]
+        found.append((st, s, y))
+        sub = np.empty((6, len(at) + len(m)))
+        sub[:3, first], sub[3:, first + m - 1] = parts[:3], parts[3:]
+        sub[0, at + 1], sub[1:3, at + 1] = s, y[:2]
+        sub[3, at], sub[4:, at] = s, y[:2]
+        step, parts = np.repeat(step, m), sub
+    if not found:
+        return cols
+
+    st, s, y = (np.concatenate(u, axis=-1) for u in zip(*found))
+    end = r[0].take(st)
+    order = np.lexsort((d * s, end))
+    # the k-th row in order lands k places after the old index of its end row
+    at = end.take(order).astype(np.intp) + np.arange(len(order))
+    out = np.empty((4, len(cols[0]) + len(order)))
+    ends = np.ones(out.shape[1], dtype=bool)
+    ends[at] = False
+    out[:, ends] = cols
+    out[0, at], out[1:, at] = s.take(order), y.take(order, axis=1)
+    return out.tolist()
 
 
 class OdeResult:
@@ -471,9 +520,11 @@ def solve_ivp(
     it are kept. Every accepted step is sampled at its end, the stopping
     root included. Where two consecutive samples are more than `spacing`
     apart by `_gap`, in ``a`` or relatively in ``b``, rows read off the
-    step's interpolant go between them (`_fill`). A step's interpolant is built only where these rows, an
-    event or `OdeResult.sol` read it: with `dense_output` every step is
-    kept, else the final one of a run that is not cut short.
+    step's interpolant go between them: the step is recorded, and
+    `_read_rows` reads the rows of all recorded steps after the run, on
+    arrays.  A step's interpolant (`_Step`) is built only where an event or
+    `OdeResult.sol` reads it: with `dense_output` every step is kept, else
+    the final one of a run that is not cut short.
 
     Watches with a ``level`` are screened: while the state stays inside the
     open cell between the levels, none can fire, so only the others are
@@ -509,6 +560,8 @@ def solve_ivp(
     lo_c, hi_c = _cell(levels, 2, yc)
     roots = []
     terminal = None
+    wide = False
+    rec = array("d")  # one `_REC` record per wide step
 
     fa, fb, fc = _eval_rhs(fun, t, ya, yb, yc)
     nfev = 1
@@ -638,8 +691,10 @@ def solve_ivp(
             if up if dirs[i] > 0 else down if dirs[i] < 0 else up or down:
                 hits.append(i)
 
-        wide = spacing < math.inf and _gap((ya_old, yb_old), (ya, yb)) > spacing
-        if wide or hits or status == 0 or steps is not None:
+        if spacing < math.inf:  # _gap((ya_old, yb_old), (ya, yb)), inline
+            wide = abs(yb - yb_old) / max(abs(yb_old), abs(yb), 1.0)
+            wide = max(abs(ya - ya_old), wide) > spacing
+        if hits or status == 0 or steps is not None:
             step = _Step(t_old, h, (ya_old, yb_old, yc_old), (
                 (k1a, k3a, k4a, k5a, k6a, k7a),
                 (k1b, k3b, k4b, k5b, k6b, k7b),
@@ -671,19 +726,20 @@ def solve_ivp(
                     ya, yb, yc = step(root)
                     break
 
-        if wide:
-            rows = []
-            _fill(step, t_old, (ya_old, yb_old), t, (ya, yb), spacing, rows)
-            for row in rows:
-                ts.append(row[0])
-                yas.append(row[1])
-                ybs.append(row[2])
-                ycs.append(row[3])
+        if wide:  # its rows are read after the run; t, ya, yb may be a root
+            rec.extend((
+                len(ts), t_old, h, ya_old, yb_old, yc_old,
+                k1a, k1b, k1c, k3a, k3b, k3c, k4a, k4b, k4c,
+                k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c,
+                t, ya, yb,
+            ))
         ts.append(t)
         yas.append(ya)
         ybs.append(yb)
         ycs.append(yc)
 
+    if rec:
+        ts, yas, ybs, ycs = _read_rows(rec, spacing, d, (ts, yas, ybs, ycs))
     if steps is None:  # a run not cut short keeps its final step for `sol`
         steps = [step] if status >= 0 else []
     return OdeResult(ts, yas, ybs, ycs, status, nfev, roots, terminal, steps)

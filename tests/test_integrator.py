@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sonic_flow
-from sonic_flow import integrator
+from sonic_flow import integrator, solvers
 from sonic_flow import (
     DegenerateLaunch,
     DomainEnd,
@@ -765,6 +765,49 @@ def _gap(y0, y1):
     return max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1]) / max(abs(y0[1]), abs(y1[1]), 1.0))
 
 
+def _fill(step, t0, y0, t1, y1, spacing, rows, refined):
+    """The recursive reader that `solve_ivp` once used, one call per row: the
+    reference the batched rows must equal.  Appends to `rows` the reads of
+    `step` strictly between t0 and t1, cut into ceil(_gap / spacing) equal
+    parts and each part again; `refined` gets the start row of each part
+    that is cut again.
+    """
+    n = math.ceil(_gap(y0, y1) / spacing * (1.0 - 1e-12))
+    if n <= 1:
+        return
+    ta, ya = t0, y0
+    a, b = y0[0], y0[1]
+    for j in range(1, n + 1):
+        if j < n:
+            s = t0 + j * (t1 - t0) / n
+            y = step(s)
+        else:
+            s, y = t1, y1
+        a_new, b_new = y[0], y[1]
+        gap = abs(b_new - b) / max(abs(b), abs(b_new), 1.0)
+        gap = max(abs(a_new - a), gap)
+        if gap / spacing * (1.0 - 1e-12) > 1.0:
+            refined.append(ya)
+            _fill(step, ta, ya, s, y, spacing, rows, refined)
+        if j < n:
+            rows.append((s, *y))
+        ta, ya, a, b = s, y, a_new, b_new
+
+
+def _recursive_rows(args, spacing):
+    """The rows of ``solve_ivp(*args, spacing=spacing)`` read by `_fill` off
+    the steps of the same run without a spacing; the count of step ends; the
+    start rows of the parts cut again."""
+    plain = integrator.solve_ivp(*args, dense_output=True)
+    ends = list(zip(plain.t, plain.ya, plain.yb, plain.yc))
+    rows, refined = [ends[0]], []
+    for step, (t0, a0, b0, _), end in zip(plain.steps, ends, ends[1:]):
+        if _gap((a0, b0), end[1:]) > spacing:
+            _fill(step, t0, (a0, b0), end[0], end[1:3], spacing, rows, refined)
+        rows.append(end)
+    return rows, len(ends), refined
+
+
 class TestKernelSampling:
     spacing = 0.01
 
@@ -806,6 +849,53 @@ class TestKernelSampling:
         if stop is not None:
             assert res.status == 1
             assert res.ya[-1] == pytest.approx(stop, abs=1e-12)
+
+    @pytest.mark.parametrize("case", [
+        "drift forward", "drift backward", "drift cut forward", "drift cut backward",
+        "square forward", "square backward", "fine subsonic", "fine supersonic",
+    ])
+    def test_rows_are_the_recursive_reads(self, case, kernel_calls, request):
+        # the batched reader against the recursive one, row for row and bit
+        # for bit
+        if case.startswith("fine"):
+            # the output-resolution arcs of the p_main solutions, in +s and in
+            # -s, cut again near both square-root ends
+            side = case.split()[1]
+            p = request.getfixturevalue("p_main")
+            e0 = request.getfixturevalue(side + "_sol").e[0]
+            kernel_calls.clear()  # the fixture's solve, where it ran just now
+            seg = integrate_from_sonic(0.0, side, e0, "forward", [DomainEnd(1.5)], p,
+                                       solvers._fine(IntegratorConfig()))
+            assert seg.terminator.kind == "sonic_arrival"
+            runs = [(args, kwargs["spacing"]) for args, kwargs, _ in kernel_calls]
+            sign = 1.0 if side == "subsonic" else -1.0
+            assert [math.copysign(1.0, args[2]) for args, _ in runs] == [sign, sign]
+        else:
+            forward = case.endswith("forward")
+            t0, t1 = (0.0, 3.0) if forward else (3.0, 0.0)
+            if case.startswith("square"):
+                args = (lambda t, a, b, c: (2.0 * t, 0.0, 0.0), t0, t1, (t0 * t0, 0.0, 0.0))
+                spacing = 0.05
+            else:
+                args = (_drift_wave, t0, t1, (t0, math.cos(t0), -math.sin(t0)))
+                spacing = self.spacing
+            watches = [_watch(1.234567)] if "cut" in case else []
+            runs = [(args + (1e-9, 1e-11, 1.0, watches), spacing)]
+        n_rows = n_ends = 0
+        refined = []
+        for args, spacing in runs:
+            res = integrator.solve_ivp(*args, spacing=spacing)
+            rows, ends, cut_again = _recursive_rows(args, spacing)
+            assert list(zip(res.t, res.ya, res.yb, res.yc)) == rows
+            n_rows, n_ends, refined = n_rows + len(rows), n_ends + ends, refined + cut_again
+        assert n_rows > 3 * n_ends
+        if "cut" in case:
+            assert res.status == 1 and res.ya[-1] == pytest.approx(1.234567, abs=1e-12)
+        if case.startswith("square"):
+            assert len(refined) > 50
+        if case.startswith("fine"):
+            xs = [y[0] for y in refined]
+            assert min(xs) < 0.1 and max(xs) > 0.9
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_quadratic_component_is_refined(self, forward):
