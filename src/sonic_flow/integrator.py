@@ -415,11 +415,11 @@ def _read_rows(rec, spacing, d, cols):
     """
     r = np.frombuffer(rec, dtype=float).reshape(-1, _REC).T.copy()
     # every step's `_weights`, per weight and component: the sums in its
-    # order from a 0 start
-    k = r[6:24].reshape(6, 1, 3, -1) * _P4
-    w = 0.0 + k[0]
+    # order from a 0 start, one stage at a time
+    k = r[6:24].reshape(6, 1, 3, -1)
+    w = 0.0 + k[0] * _P4[0]
     for i in range(1, 6):
-        w += k[i]
+        w += k[i] * _P4[i]
     # per step: t_old, h, y_old (3), then the weights of theta^1..4
     # (3 each); per part: t, a, b at its start, then at its end
     coef = np.concatenate((r[1:6], w.reshape(12, -1)))
