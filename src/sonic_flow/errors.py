@@ -93,7 +93,7 @@ class NumericalError(SonicFlowError):
 
 
 class NewtonDivergence(NumericalError):
-    """A damped Newton iteration stalled or ran out of iterations."""
+    """A damped Newton iteration stalled, ran out of iterations, or could not step."""
 
 
 class BracketFailure(NumericalError):

@@ -361,29 +361,13 @@ def _elliptic_flux_coef_d(rho: np.ndarray, j: float, gamma: float) -> np.ndarray
     return (gamma - 2.0) * rho ** (gamma - 3.0) + 3.0 * j * j * rho ** (-4.0)
 
 
-def _elliptic_residual(u, x, h, bx, j, p):
-    um = 0.5 * (u[1:] + u[:-1])
-    flux = _elliptic_flux_coef(um, j, p.gamma) * np.diff(u) / h + j * p.inv_tau / um
-    cell = 0.5 * (h[1:] + h[:-1])
-    return flux[1:] - flux[:-1] - (u[1:-1] - bx[1:-1]) * cell
-
-
-def _elliptic_jacobian_bands(u, x, h, bx, j, p):
-    """Tridiagonal Jacobian of the interior residual in solve_banded layout."""
+def _elliptic_residual(u, h, cell, bx, j, p):
+    """Interior residual, with the midpoints, differences and flux coefficients it used."""
     um = 0.5 * (u[1:] + u[:-1])
     du = np.diff(u)
-    dcoef = _elliptic_flux_coef_d(um, j, p.gamma)
     coef = _elliptic_flux_coef(um, j, p.gamma)
-    # flux_k depends on u_k (right node) and u_{k-1} (left node)
-    df_right = 0.5 * dcoef * du / h + coef / h - 0.5 * j * p.inv_tau / um**2
-    df_left = 0.5 * dcoef * du / h - coef / h - 0.5 * j * p.inv_tau / um**2
-    cell = 0.5 * (h[1:] + h[:-1])
-    n = len(u) - 2
-    ab = np.zeros((3, n))
-    ab[1, :] = df_left[1:] - df_right[:-1] - cell  # d R_i / d u_i
-    ab[0, 1:] = df_right[1:-1]  # superdiagonal: d R_i / d u_{i+1}
-    ab[2, :-1] = -df_left[1:-1]  # subdiagonal: d R_i / d u_{i-1}
-    return ab
+    flux = coef * du / h + j * p.inv_tau / um
+    return flux[1:] - flux[:-1] - (u[1:-1] - bx[1:-1]) * cell, um, du, coef
 
 
 def _j_schedule(j_schedule) -> tuple[float, ...]:
@@ -410,13 +394,15 @@ def solve_subsonic_elliptic(
 
     For current j < 1 the quasilinear flux (rho^(gamma-2) - j^2 rho^-3) rho_x
     + j/(tau rho) stays uniformly elliptic on rho >= 1, so a damped Newton
-    iteration on a boundary-graded finite-volume grid converges.  The sonic
+    iteration on a boundary-graded finite-volume grid converges.  Each iterate
+    evaluates the residual once (an accepted trial hands its residual on) and
+    solves its tridiagonal system with LAPACK dgtsv; a stalled, unconverged,
+    non-finite or singular iteration raises `NewtonDivergence`.  The sonic
     limit is recovered by Richardson extrapolation in (1 - j), which is
     first-order accurate in the relaxation parameter.
     """
-    # the one scipy call left at run time; importing it here keeps scipy
-    # out of every other solve
-    from scipy.linalg import solve_banded
+    # the one scipy call at run time; imported here, out of every other solve
+    from scipy.linalg.lapack import dgtsv
 
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
@@ -429,37 +415,51 @@ def solve_subsonic_elliptic(
     u = 1.0 + 0.5 * np.clip(bx - 1.0, 0.0, None) * np.sin(np.pi * x)
     u[0] = u[-1] = 1.0
 
-    profiles = []
-    fields = []
-    newton_iters = []
+    profiles, fields, newton_iters = [], [], []
     eps = np.finfo(float).eps
     for j in js:
-        converged = False
+        # an accepted trial's residual bundle serves the next iterate
+        r, um, du, coef = _elliptic_residual(u, h, cell, bx, j, p)
+        # iterates must keep rho > j, where the relaxed flux stays elliptic
+        floor = max(0.5, j + 1e-8)
         for it in range(max_newton):
-            r = _elliptic_residual(u, x, h, bx, j, p)
             # row scale: residuals integrate a density over a cell, plus the
             # roundoff floor of the flux differences D * drho / h
-            um = 0.5 * (u[1:] + u[:-1])
-            d_over_h = _elliptic_flux_coef(um, j, p.gamma) / h
+            d_over_h = coef / h
             noise = 16.0 * eps * (d_over_h[:-1] + d_over_h[1:])
             scale = newton_tol * cell + noise
             if np.all(np.abs(r) <= scale):
-                converged = True
                 newton_iters.append(it)
                 break
-            ab = _elliptic_jacobian_bands(u, x, h, bx, j, p)
-            step = solve_banded((1, 1), ab, -r)
+            # tridiagonal Jacobian: flux_k depends on u_k and u_{k-1}
+            slope = 0.5 * _elliptic_flux_coef_d(um, j, p.gamma) * du / h
+            drift = 0.5 * j * p.inv_tau / um**2
+            df_right = slope + d_over_h - drift
+            df_left = slope - d_over_h - drift
+            diag = df_left[1:] - df_right[:-1] - cell  # d R_i / d u_i
+            upper = df_right[1:-1]  # d R_i / d u_{i+1}
+            lower = -df_left[1:-1]  # d R_i / d u_{i-1}
+            if all(np.isfinite(a).all() for a in (lower, diag, upper, r)):
+                # the diagonals and -r are scratch, so LAPACK may overwrite them
+                step, info = dgtsv(lower, diag, upper, -r, 1, 1, 1, 1)[3:]
+                reason = "singular Newton system" if info else None
+            else:
+                reason = "non-finite Newton system"
+            if reason:
+                raise NewtonDivergence(
+                    f"{reason} in the relaxed elliptic solve",
+                    diagnostics={"j": j, "iteration": it, "reason": reason},
+                )
             lam = 1.0
             norm0 = float(np.abs(r / scale).max())
-            # iterates must keep rho > j, where the relaxed flux stays elliptic
-            floor = max(0.5, j + 1e-8)
             while lam > 2.0**-24:
                 trial = u.copy()
                 trial[1:-1] = u[1:-1] + lam * step
                 if trial[1:-1].min() > floor:
-                    r_trial = _elliptic_residual(trial, x, h, bx, j, p)
-                    if float(np.abs(r_trial / scale).max()) < norm0 * (1.0 - 0.25 * lam):
+                    bundle = _elliptic_residual(trial, h, cell, bx, j, p)
+                    if float(np.abs(bundle[0] / scale).max()) < norm0 * (1.0 - 0.25 * lam):
                         u = trial
+                        r, um, du, coef = bundle
                         break
                 lam *= 0.5
             else:
@@ -467,10 +467,10 @@ def solve_subsonic_elliptic(
                     "damped Newton stalled in the relaxed elliptic solve",
                     diagnostics={"j": j, "residual": norm0},
                 )
-        if not converged:
+        else:
             raise NewtonDivergence(
                 "relaxed elliptic solve did not converge",
-                diagnostics={"j": j, "residual": float(np.abs(r / scale).max())},
+                diagnostics={"j": j, "residual": norm0},
             )
         rho_x = grid_derivative(x, u)
         e_j = _elliptic_flux_coef(u, j, p.gamma) * rho_x + j * p.inv_tau / u

@@ -7,7 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from sonic_flow import cli, integrator
+from sonic_flow import (
+    DopingProfile,
+    ModelParams,
+    cli,
+    integrator,
+    residual_norm,
+    solve_subsonic_elliptic,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -340,6 +347,22 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r[3] == "false" for r in rows)
         assert all("Theorem 3.3" in line for line in lines[1:])
+
+    def test_elliptic_doping_sweep_certifies_every_row(self, tmp_path):
+        # the shape of the benchmark's sweep: 16 elliptic samples in b
+        cfg = write_config(tmp_path, {
+            "model": model(2.0, 1.5),
+            "solver": {"kind": "subsonic", "method": "elliptic"},
+            "sweep": {"variable": "bConstant", "start": 1.05, "stop": 1.55, "count": 16},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        for row in rows:
+            assert row[3:5] == ["true", "subsonic"]
+            p = ModelParams(tau=2.0, doping=DopingProfile.constant(float(row[2])))
+            assert float(row[10]) == residual_norm(solve_subsonic_elliptic(p), p)[0]
 
     def test_missing_section_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"model": model(15.0, 1.5)})

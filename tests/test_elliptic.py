@@ -1,0 +1,229 @@
+"""The relaxed elliptic Newton solve against its reference loop, and its
+typed failures.
+
+`_reference_elliptic` is the damped Newton loop as first written: three
+flux-coefficient evaluations and two residual evaluations per iterate, and
+the tridiagonal system solved through `scipy.linalg.solve_banded`.  The
+solver evaluates each iterate once and calls LAPACK directly; both must give
+the same bits.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+import scipy.linalg.lapack
+from scipy.linalg import solve_banded
+
+from sonic_flow import (
+    DopingProfile,
+    ModelParams,
+    NewtonDivergence,
+    cli,
+    residual_norm,
+    solve_subsonic_elliptic,
+)
+from sonic_flow import solvers
+from sonic_flow.solution import graded_grid, grid_derivative
+from sonic_flow.solvers import DEFAULT_J_SCHEDULE, _j_schedule, _require_subsonic_regime
+
+
+def _flux_coef(rho, j, gamma):
+    return rho ** (gamma - 2.0) - j * j * rho ** (-3.0)
+
+
+def _flux_coef_d(rho, j, gamma):
+    return (gamma - 2.0) * rho ** (gamma - 3.0) + 3.0 * j * j * rho ** (-4.0)
+
+
+def _residual(u, h, bx, j, p):
+    um = 0.5 * (u[1:] + u[:-1])
+    flux = _flux_coef(um, j, p.gamma) * np.diff(u) / h + j * p.inv_tau / um
+    cell = 0.5 * (h[1:] + h[:-1])
+    return flux[1:] - flux[:-1] - (u[1:-1] - bx[1:-1]) * cell
+
+
+def _jacobian_bands(u, h, j, p):
+    um = 0.5 * (u[1:] + u[:-1])
+    du = np.diff(u)
+    dcoef = _flux_coef_d(um, j, p.gamma)
+    coef = _flux_coef(um, j, p.gamma)
+    df_right = 0.5 * dcoef * du / h + coef / h - 0.5 * j * p.inv_tau / um**2
+    df_left = 0.5 * dcoef * du / h - coef / h - 0.5 * j * p.inv_tau / um**2
+    cell = 0.5 * (h[1:] + h[:-1])
+    ab = np.zeros((3, len(u) - 2))
+    ab[1, :] = df_left[1:] - df_right[:-1] - cell
+    ab[0, 1:] = df_right[1:-1]
+    ab[2, :-1] = -df_left[1:-1]
+    return ab
+
+
+def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_newton=60):
+    """(x, rho, e, newton_iterations, extrapolation_gap) of the reference loop."""
+    _require_subsonic_regime(p)
+    js = _j_schedule(j_schedule)
+    x = graded_grid()
+    h = np.diff(x)
+    bx = p.b(x)
+    cell = 0.5 * (h[1:] + h[:-1])
+    u = 1.0 + 0.5 * np.clip(bx - 1.0, 0.0, None) * np.sin(np.pi * x)
+    u[0] = u[-1] = 1.0
+    profiles, fields, newton_iters = [], [], []
+    eps = np.finfo(float).eps
+    for j in js:
+        converged = False
+        for it in range(max_newton):
+            r = _residual(u, h, bx, j, p)
+            um = 0.5 * (u[1:] + u[:-1])
+            d_over_h = _flux_coef(um, j, p.gamma) / h
+            noise = 16.0 * eps * (d_over_h[:-1] + d_over_h[1:])
+            scale = newton_tol * cell + noise
+            if np.all(np.abs(r) <= scale):
+                converged = True
+                newton_iters.append(it)
+                break
+            step = solve_banded((1, 1), _jacobian_bands(u, h, j, p), -r)
+            lam = 1.0
+            norm0 = float(np.abs(r / scale).max())
+            floor = max(0.5, j + 1e-8)
+            while lam > 2.0**-24:
+                trial = u.copy()
+                trial[1:-1] = u[1:-1] + lam * step
+                if trial[1:-1].min() > floor:
+                    r_trial = _residual(trial, h, bx, j, p)
+                    if float(np.abs(r_trial / scale).max()) < norm0 * (1.0 - 0.25 * lam):
+                        u = trial
+                        break
+                lam *= 0.5
+            else:
+                raise NewtonDivergence(
+                    "damped Newton stalled in the relaxed elliptic solve",
+                    diagnostics={"j": j, "residual": norm0},
+                )
+        if not converged:
+            raise NewtonDivergence(
+                "relaxed elliptic solve did not converge",
+                diagnostics={"j": j, "residual": float(np.abs(r / scale).max())},
+            )
+        rho_x = grid_derivative(x, u)
+        profiles.append(u.copy())
+        fields.append(_flux_coef(u, j, p.gamma) * rho_x + j * p.inv_tau / u)
+    s_prev, s_last = 1.0 - js[-2], 1.0 - js[-1]
+    w = s_last / (s_prev - s_last)
+    rho_star = profiles[-1] + w * (profiles[-1] - profiles[-2])
+    e_star = fields[-1] + w * (fields[-1] - fields[-2])
+    rho_star[0] = rho_star[-1] = 1.0
+    rho_star = np.maximum(rho_star, 1.0)
+    w2 = (1.0 - js[-2]) / ((1.0 - js[-3]) - (1.0 - js[-2]))
+    rho_alt = profiles[-2] + w2 * (profiles[-2] - profiles[-3])
+    return x, rho_star, e_star, newton_iters, float(np.abs(rho_star - rho_alt).max())
+
+
+DOPINGS = {
+    "constant": DopingProfile.constant(1.5),
+    "sine": DopingProfile.sine_perturbed(1.5, 0.2),
+    "piecewise": DopingProfile.piecewise_constant([0.5], [1.5, 1.6]),
+    "tabulated": DopingProfile.tabulated([0.0, 0.3, 1.0], [1.2, 1.9, 1.4]),
+}
+
+
+def _assert_matches_reference(p, **kwargs):
+    x, rho, e, iters, gap = _reference_elliptic(p, **kwargs)
+    sol = solve_subsonic_elliptic(p, **kwargs)
+    assert np.array_equal(sol.x, x)
+    assert np.array_equal(sol.rho, rho)
+    assert np.array_equal(sol.e, e)
+    assert sol.diagnostics["newton_iterations"] == iters
+    assert sol.diagnostics["extrapolation_gap"] == gap
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0, 15.0, 1e6])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+@pytest.mark.parametrize("doping", list(DOPINGS))
+def test_bit_identical_to_reference(doping, gamma, tau):
+    _assert_matches_reference(ModelParams(tau=tau, doping=DOPINGS[doping], gamma=gamma))
+
+
+def test_custom_schedule_bit_identical_to_reference():
+    p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.3))
+    _assert_matches_reference(p, j_schedule=(0.6, 0.95, 0.995, 0.9999))
+
+
+@pytest.mark.parametrize("tau,b,kwargs", [
+    (1e-3, 1.5, {}),  # line search stalls at j = 0.99
+    (1.0, 50.0, {}),  # line search stalls at j = 0.5
+    (2.0, 1.5, {"max_newton": 3}),  # iteration budget runs out
+])
+def test_failures_match_reference(tau, b, kwargs):
+    p = ModelParams(tau=tau, doping=DopingProfile.constant(b))
+    with pytest.raises(NewtonDivergence) as ref:
+        _reference_elliptic(p, **kwargs)
+    with pytest.raises(NewtonDivergence) as err:
+        solve_subsonic_elliptic(p, **kwargs)
+    assert str(err.value) == str(ref.value)
+    assert err.value.diagnostics == ref.value.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Newton systems the tridiagonal solve cannot take
+
+
+def _break_newton(monkeypatch, how, above=0.0):
+    """Make each Newton system whose midpoint densities exceed `above`
+    non-finite (how="nan") or singular, with a zero first pivot."""
+    coef_d = solvers._elliptic_flux_coef_d
+    gtsv = scipy.linalg.lapack.dgtsv
+    hit = [False]
+
+    def patched_coef_d(rho, j, gamma):
+        hit[0] = float(rho.max()) > above
+        d = coef_d(rho, j, gamma)
+        return np.full_like(d, np.nan) if hit[0] and how == "nan" else d
+
+    def zero_pivot(dl, d, du, b, *overwrite):
+        if hit[0]:
+            dl, d = dl.copy(), d.copy()
+            dl[0] = d[0] = 0.0  # the first column vanishes
+        return gtsv(dl, d, du, b, *overwrite)
+
+    monkeypatch.setattr(solvers, "_elliptic_flux_coef_d", patched_coef_d)
+    if how == "singular":
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", zero_pivot)
+
+
+@pytest.mark.parametrize("how,reason", [
+    ("nan", "non-finite Newton system"),
+    ("singular", "singular Newton system"),
+])
+def test_bad_newton_system_is_typed(monkeypatch, how, reason):
+    _break_newton(monkeypatch, how)
+    with pytest.raises(NewtonDivergence) as err:
+        solve_subsonic_elliptic(ModelParams(tau=15.0, doping=DopingProfile.constant(1.5)))
+    assert str(err.value) == f"{reason} in the relaxed elliptic solve"
+    assert err.value.diagnostics == {"j": 0.5, "iteration": 0, "reason": reason}
+
+
+@pytest.mark.parametrize("how,reason", [
+    ("nan", "non-finite Newton system"),
+    ("singular", "singular Newton system"),
+])
+def test_sweep_records_bad_newton_system(tmp_path, monkeypatch, how, reason):
+    # the first iterate at b = 1.8 peaks at 1.4; the other samples stay
+    # below 1.2 throughout
+    _break_newton(monkeypatch, how, above=1.3)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"tau": 2.0, "doping": {"type": "constant", "value": 1.5}},
+        "solver": {"kind": "subsonic", "method": "elliptic"},
+        "sweep": {"variable": "bConstant", "values": [1.1, 1.8, 1.2]},
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["true", "false", "true"]
+    assert rows[1][11:] == ["NewtonDivergence", "", f"{reason} in the relaxed elliptic solve"]
+    for row, b in ((rows[0], 1.1), (rows[2], 1.2)):
+        p = ModelParams(tau=2.0, doping=DopingProfile.constant(b))
+        assert float(row[10]) == residual_norm(solve_subsonic_elliptic(p), p)[0]
