@@ -148,7 +148,7 @@ _SOLVER_KEYS = {
     "elliptic": {"kind", "method", "j_schedule"},
     "supersonic": {"kind"},
     "transonic_shock": {"kind", "rho_l"},
-    "c1_transonic": {"kind", "x0", "n_stop"},
+    "c1_transonic": {"kind", "x0"},
 }
 
 
@@ -178,10 +178,7 @@ def _solve_call(solver: dict, icfg: IntegratorConfig):
         rho_l = float(_require(solver, "rho_l", "solver"))
         return solve_transonic_shock, (rho_l,), {"cfg": icfg}
     rho_x0 = float(_require(solver, "x0", "solver"))
-    kwargs = {"cfg": icfg}
-    if "n_stop" in solver:
-        kwargs["n_stop"] = float(solver["n_stop"])
-    return solve_c1_transonic, (rho_x0,), kwargs
+    return solve_c1_transonic, (rho_x0,), {"cfg": icfg}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ piecewise-constant doping, where a leg ends so that the next one integrates
 the next piece's constant.  One more event splits an arc instead of ending
 it: on request, a leg stops where the arc first crosses the critical locus
 rho*E = 1/tau, its interior density extremum, and the next leg starts
-there, so the extremum is a row of the arc.
+there, so the extremum is a row of the arc; the request may add a target
+density, set from the extremum, for the rest of the arc.
 
 The kernel is an owned Dormand-Prince 5(4) that follows scipy's RK45 step
 for step.  Events are located with `_brentq`, a port of scipy's ``brentq.c``
@@ -137,8 +138,11 @@ class CriticalLocus(EventSpec):
     """Split the arc once where it crosses rho*E = 1/tau.
 
     The crossing is the arc's density extremum; the arc goes on from there,
-    so the extremum becomes a row.
+    so the extremum becomes a row.  ``then``, where given, maps the state
+    there to one more `TargetDensity` stop for the rest of the arc.
     """
+
+    then: Callable[[State], TargetDensity] | None = None
 
 
 @dataclass(frozen=True)
@@ -411,7 +415,7 @@ def _read_rows(rec, spacing, d, cols):
     wide.  Rows are read on arrays with the operations of `_Step.__call__`
     in its order, so they hold its floats, and go in before their step's
     end row, in run order (`d` is the sign of the run's direction in t).
-    Returns the four columns as lists.
+    Returns the four columns as the rows of one array.
     """
     r = np.frombuffer(rec, dtype=float).reshape(-1, _REC).T.copy()
     # every step's `_weights`, per weight and component: the sums in its
@@ -468,7 +472,7 @@ def _read_rows(rec, spacing, d, cols):
     ends[at] = False
     out[:, ends] = cols
     out[0, at], out[1:, at] = s.take(order), y.take(order, axis=1)
-    return out.tolist()
+    return out
 
 
 class OdeResult:
@@ -823,28 +827,26 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
     domains = [s for s in specs if isinstance(s, DomainEnd)]
     if len(domains) > 1:
         raise ValueError("at most one DomainEnd stop is supported")
-    split = any(isinstance(s, CriticalLocus) for s in specs)
+    loci = [s for s in specs if isinstance(s, CriticalLocus)]
+    split = bool(loci)
 
     x_end, end_kind = x + dsign * cfg.max_arc_length, _BUDGET
     if domains and 0.0 <= dsign * (domains[0].x - x) < cfg.max_arc_length:
         x_end, end_kind = domains[0].x, DOMAIN_END
 
-    xs: list[float] = []
-    rs: list[float] = []
-    es: list[float] = []
+    legs = []
     near = True
     while True:
         leg_x, leg_r, leg_e, term = _leg(
             x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg
         )
-        skip = 1 if xs else 0  # a leg's first row is the previous leg's last
-        xs += leg_x[skip:]
-        rs += leg_r[skip:]
-        es += leg_e[skip:]
+        skip = 1 if legs else 0  # a leg's first row is the previous leg's last
+        legs.append((leg_x[skip:], leg_r[skip:], leg_e[skip:]))
         # the arc goes on from these leg ends; the split and the stop short
         # of the sonic line are watched once only
         if term.kind == _SPLIT:
             split = False
+            targets = targets + [s.then(term.state) for s in loci if s.then is not None]
         elif term.kind == _NEAR:
             near = False
         elif term.kind != _PIECE:
@@ -856,13 +858,15 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
             diagnostics={"x": term.state.x, "rho": term.state.rho, "e": term.state.e},
         )
 
+    xs, rs, es = (np.concatenate(col) for col in zip(*legs))
     # enforce strictly monotone abscissae; x advances monotonically in s, so
     # it can stall only by roundoff, in the rows hugging a sonic end or the
     # node, where dropping the earlier of two coincident points loses
     # nothing.  An arc that turns back behind the row before has no
     # single-valued profile.
     if np.all(dsign * np.diff(xs) > 0):  # every row advances: nothing to drop
-        return TrajectorySegment(np.array(xs), np.array(rs), np.array(es), term)
+        return TrajectorySegment(xs, rs, es, term)
+    xs, rs, es = xs.tolist(), rs.tolist(), es.tolist()
     keep_x, keep_r, keep_e = xs[:1], rs[:1], es[:1]
     for xk, rk, ek in zip(xs[1:], rs[1:], es[1:]):
         if dsign * (xk - keep_x[-1]) > 0:

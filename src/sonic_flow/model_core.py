@@ -12,14 +12,16 @@ rescaled by the coefficient of rho_x so that it stays regular across the
 sonic line; integration lives in :mod:`sonic_flow.integrator`.  The rest
 are doping profiles, parameter and state types, and the closed-form
 quantities of the theory: the critical point, the Xi nullcline of the
-(n, F) chart with n = rho - 1 and F = E - 1/(tau*rho), the shock jump and
-the C^1 transition slope.
+(n, F) chart with n = rho - 1 and F = E - 1/(tau*rho), the shock jump,
+the C^1 transition slope and the slow manifold of the node (1, 1/tau), on
+which C^1 transitions land.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -436,6 +438,87 @@ def c1_transition_slope(b: float, tau: float) -> float:
 def c1_trajectory_slope(b: float, tau: float) -> float:
     """Slope dF/dn at the origin of the (n, F) chart; twice the density slope."""
     return 2.0 * c1_transition_slope(b, tau)
+
+
+# terms of the slow-manifold series; the node's eigenvalue ratio exceeds 40
+# throughout the C^1 regime, so no term up to this order resonates
+_MANIFOLD_ORDER = 16
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+@dataclass(frozen=True)
+class SlowManifold:
+    """The slow manifold E = 1/tau + phi(n), n = rho - 1, of the node (1, 1/tau).
+
+    With f = E - 1/tau (not the F of the (n, F) chart), an arc near the node
+    obeys dx/dn = c(n) / P and df/dn = (n + 1 - b) c(n) / P, where
+    c(n) = 1 - (1+n)^-2 and P = (1+n) f + n/tau = rho E - 1/tau.  The node's
+    eigenvalues in the field of `vector_field` are lam_s < lam_f, with
+    lam_s + lam_f = 1/tau and lam_s lam_f = 2 (b - 1); an arc that lands on
+    the node, as a C^1 transition does, joins the curve f = phi(n) tangent
+    to the slow direction with an offset that decays like |n|^mu,
+    mu = lam_f / lam_s.  phi = sum a_k n^k solves the invariance equation
+    phi' P(n, phi) = (n + 1 - b) c(n) order by order: a_1 = lam_s - 1/tau and
+
+        a_k = (Q_k - a_1 a_(k-1) - sum_(j=2)^(k-1) j a_j p_(k+1-j)) / (lam_s (k - mu)),
+
+    with Q_k = (1 - b) c_k + c_(k-1), c_k = (-1)^(k+1) (k + 1), p_1 = lam_s
+    and p_i = a_i + a_(i-1), the coefficients of P(n, phi(n)) / n, which
+    ``p[i - 1]`` holds.
+    """
+
+    mu: float
+    a: tuple[float, ...]  # a[k] multiplies n^k
+    p: tuple[float, ...]  # p[j] multiplies n^j in P(n, phi(n)) / n
+
+    def phi(self, n):
+        return np.polynomial.polynomial.polyval(n, self.a)
+
+    def dx_dn(self, n):
+        """c(n) / P(n, phi(n)), regular at n = 0, where it is 2 / lam_s."""
+        return (2.0 + n) / ((1.0 + n) ** 2 * np.polynomial.polynomial.polyval(n, self.p))
+
+    def x_offsets(self, n_b, parts=1, nodes=40):
+        """x - x(n_b) along the manifold at n = n_b (1 - i/parts), i = 1..parts.
+
+        Gauss-Legendre quadrature of `dx_dn` with ``nodes`` points on each of
+        ``parts`` equal pieces of [n_b, 0]; the last offset closes the landing.
+        """
+        g, w = _gauss_legendre(nodes)
+        h = -n_b / parts
+        n = (n_b + h * np.arange(parts))[:, None] + 0.5 * h * (g + 1.0)
+        return np.cumsum(0.5 * h * (self.dx_dn(n) @ w))
+
+
+def node_slow_manifold(b: float, tau: float) -> SlowManifold:
+    """The node's `SlowManifold`, its series cut after n^_MANIFOLD_ORDER.
+
+    ValueError unless b > 1 and the eigenvalue ratio mu exceeds
+    _MANIFOLD_ORDER + 1, which it does wherever tau < tau0_bound(b).
+    """
+    if not b > 1.0:
+        raise ValueError("the node is a C^1 landing only for constant doping b > 1")
+    disc = tau**-2 - 8.0 * (b - 1.0)
+    if disc < 0.0:
+        raise ComplexSlope(f"1/tau^2 = {tau**-2:.6g} < 8(b-1) = {8*(b-1):.6g}: no real slope")
+    lam_f = 0.5 * (1.0 / tau + math.sqrt(disc))
+    lam_s = 2.0 * (b - 1.0) / lam_f  # the product, without the difference's cancellation
+    mu = lam_f / lam_s
+    if not mu > _MANIFOLD_ORDER + 1:
+        raise ValueError(f"eigenvalue ratio {mu:.6g} resonates with the series")
+    c = [0.0] + [(-1.0) ** (k + 1) * (k + 1) for k in range(1, _MANIFOLD_ORDER + 1)]
+    a, p = [0.0, lam_s - 1.0 / tau], [0.0, lam_s]
+    for k in range(2, _MANIFOLD_ORDER + 1):
+        rest = (1.0 - b) * c[k] + c[k - 1] - a[1] * a[k - 1]
+        rest -= sum(j * a[j] * p[k + 1 - j] for j in range(2, k))
+        a.append(rest / (lam_s * (k - mu)))
+        p.append(a[k] + a[k - 1])
+    p.append(a[_MANIFOLD_ORDER])  # P = (1 + n) phi + n/tau of the cut series, exactly
+    return SlowManifold(mu, tuple(a), tuple(p[1:]))
 
 
 def tau0_bound(b: float) -> float:

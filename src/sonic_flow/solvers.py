@@ -45,6 +45,8 @@ from .model_core import (
     tau0_bound,
     undamped_energy_potential,
     c1_transition_slope,
+    node_slow_manifold,
+    SlowManifold,
 )
 from .solution import Solution, TransitionData, graded_grid, grid_derivative
 
@@ -406,6 +408,8 @@ def solve_subsonic_elliptic(
 
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
+    if max_newton < 1:
+        raise ValueError("max_newton must be at least 1")
 
     x = graded_grid()
     h = np.diff(x)
@@ -723,79 +727,116 @@ def solve_transonic_shock(
 # ---------------------------------------------------------------------------
 
 
+# a C1 branch has joined the node's slow manifold where its field lies within
+# this many of the kernel's local error bounds on E of the manifold's
+_JOIN_FACTOR = 100.0
+
+
 def _tangential_landing_shot(
-    side: str, q_launch: float, p: ModelParams, cfg: IntegratorConfig, n_stop: float
+    side: str, q_launch: float, p: ModelParams, cfg: IntegratorConfig, node: SlowManifold
 ):
-    """Integrate one branch from its square-root end toward its C1 landing.
+    """Integrate one branch from its square-root end until it joins the node's slow manifold.
 
     side "supersonic": launch at x = 0, land from below somewhere interior.
     side "subsonic": launch backward from x = 1, land from above.
+    At its density extremum n_e (n = rho - 1) the arc's field lies delta_e
+    from the manifold's, 1/tau + node.phi(n_e).  That offset decays like
+    |n / n_e|^mu on the way back, so the arc stops where it has fallen to
+    the kernel's local error bound on E, tol: at n_e (tol / delta_e)^(1/mu),
+    and at most 0.9 n_e.  Where the offset there exceeds _JOIN_FACTOR tol
+    (an offset delta moves the landing by about delta / (b - 1)), the arc
+    goes on to half its offset, and so on.
     Returns (segment, None) on success, (None, "short"/"long") otherwise.
     """
-    if side == "supersonic":
-        target = TargetDensity(1.0 - n_stop, direction=+1)
-        seg = integrate_from_sonic(
-            0.0, "supersonic", p.inv_tau + q_launch, "forward",
-            [target, DomainEnd(3.0)], p, cfg,
+    wall, direction, x_end = (
+        (0.0, "forward", 3.0) if side == "supersonic" else (1.0, "backward", -2.0)
+    )
+
+    def offset_and_tol(s: State):
+        return abs(s.e - p.inv_tau - node.phi(s.rho - 1.0)), cfg.abs_tol + cfg.rel_tol * abs(s.e)
+
+    def stop(extremum: State) -> TargetDensity:
+        offset, tol = offset_and_tol(extremum)
+        ratio = min(0.9, (tol / max(offset, tol)) ** (1.0 / node.mu))
+        return TargetDensity(1.0 + ratio * (extremum.rho - 1.0), direction=+1)
+
+    seg = integrate_from_sonic(
+        wall, side, p.inv_tau + q_launch, direction,
+        [CriticalLocus(then=stop), DomainEnd(x_end)], p, cfg,
+    )
+    arcs = [seg]
+    while seg.terminator.kind == "target_density":
+        end = seg.last
+        offset, tol = offset_and_tol(end)
+        if offset <= _JOIN_FACTOR * tol:
+            # each later arc starts on the row the one before ended on
+            cols = zip(*[(a.xs[min(k, 1):], a.rhos[min(k, 1):], a.es[min(k, 1):])
+                         for k, a in enumerate(arcs)])
+            return TrajectorySegment(*map(np.concatenate, cols), seg.terminator), None
+        seg = integrate(
+            end, direction,
+            [TargetDensity(1.0 + 0.5 * (end.rho - 1.0), direction=+1), DomainEnd(x_end)], p, cfg,
         )
-    else:
-        target = TargetDensity(1.0 + n_stop, direction=+1)
-        seg = integrate_from_sonic(
-            1.0, "subsonic", p.inv_tau + q_launch, "backward",
-            [target, DomainEnd(-2.0)], p, cfg,
-        )
-    kind = seg.terminator.kind
-    if kind == "target_density":
-        return seg, None
-    if kind in ("step_failure", "sonic_arrival"):
-        # sank into the node or crossed the sonic line before reaching the
-        # stop offset: the excursion is too shallow
+        arcs.append(seg)
+    if seg.terminator.kind in ("step_failure", "sonic_arrival"):
+        # sank into the node or crossed the sonic line before joining the
+        # manifold
         return None, "short"
     return None, "long"
 
 
-def _landing_fit(seg: TrajectorySegment, side: str, p: ModelParams, n_stop: float):
-    """Extrapolate the tangential landing point, slope and field from the tail.
+def _landing(seg: TrajectorySegment, node: SlowManifold, inv_tau: float, spacing: float):
+    """Close a joined arc on the node along the slow manifold.
 
-    Samples with n_stop <= |rho - 1| <= 10 n_stop lie on the final density
-    leg, where the landing approach x(n) is smooth; a cubic fit in the
-    rescaled offset gives x(0), dx/dn(0) and F(0) = E - 1/(tau rho) at 0.
+    The landing abscissa is the arc's last x plus the quadrature of dx/dn
+    along the manifold from its last offset n_b to 0.  Where ``spacing`` is
+    finite, rows read off the manifold follow the arc's own, equally spaced
+    in n and at most ``spacing`` apart in x and in rho, as the kernel's
+    are; their x is the cumulative quadrature.  Returns ``(x_hat, xs, rhos,
+    es)``: the landing abscissa, and the rows without the landing itself.
     """
-    n = seg.rhos - 1.0
-    absn = np.abs(n)
-    win = (absn >= n_stop * (1.0 - 1e-12)) & (absn <= 10.0 * n_stop)
-    # keep only the landing end of the arc
-    half = (seg.xs >= seg.xs[len(seg.xs) // 2]) if side == "supersonic" else (
-        seg.xs <= seg.xs[len(seg.xs) // 2]
+    end = seg.last
+    n_b = end.rho - 1.0
+    x_hat = end.x + float(node.x_offsets(n_b)[-1])
+    if spacing == math.inf:
+        return x_hat, seg.xs, seg.rhos, seg.es
+    # dx/dn is smooth on [n_b, 0]: its largest sample, with 1% to spare,
+    # bounds the x-gap of equal parts in n
+    steep = max(1.0, float(np.abs(node.dx_dn(np.linspace(n_b, 0.0, 41))).max()))
+    parts = math.ceil(abs(n_b) * steep * 1.01 / spacing)
+    n = n_b * (1.0 - np.arange(1, parts) / parts)
+    xs = end.x + node.x_offsets(n_b, parts, nodes=8)[:-1]
+    return (
+        x_hat,
+        np.concatenate((seg.xs, xs)),
+        np.concatenate((seg.rhos, 1.0 + n)),
+        np.concatenate((seg.es, inv_tau + node.phi(n))),
     )
-    win &= half
-    if np.count_nonzero(win) < 8:
-        return None
-    t = n[win] / n_stop
-    x_fit = np.polynomial.polynomial.polyfit(t, seg.xs[win], 3)
-    f_vals = seg.es[win] - p.inv_tau / seg.rhos[win]
-    f_fit = np.polynomial.polynomial.polyfit(t, f_vals[:], 3)
-    x_hat = float(x_fit[0])
-    dx_dn = float(x_fit[1]) / n_stop
-    slope = 1.0 / dx_dn
-    e_hat = p.inv_tau + float(f_fit[0])
-    return x_hat, slope, e_hat
+
+
+def _landing_slope(xs, rhos, x_hat: float) -> float:
+    """drho/dx at (x_hat, 1) of the parabola through it and the last two rows."""
+    u1, u2 = xs[-1] - x_hat, xs[-2] - x_hat
+    n1, n2 = rhos[-1] - 1.0, rhos[-2] - 1.0
+    return float((n1 * u2 * u2 - n2 * u1 * u1) / (u1 * u2 * (u2 - u1)))
 
 
 def solve_c1_transonic(
     p: ModelParams,
     x0: float,
     cfg: IntegratorConfig | None = None,
-    n_stop: float = 1e-4,
 ) -> Solution:
     """Continuously differentiable transonic solution through rho(x0) = 1.
 
     Each branch leaves its square-root sonic endpoint (x = 0 supersonic,
-    x = 1 subsonic) and lands tangentially on the sonic line with the slope
-    theta1/2 fixed by the degenerate transition; the launch excess is tuned
-    until the fitted landing abscissa equals x0.  Tangential landings form a
-    one-parameter family, which is what makes an interior matching point
-    adjustable at all.
+    x = 1 subsonic) and lands on the node (1, 1/tau) along its slow
+    manifold, with the slope theta1/2 fixed by the degenerate transition;
+    the launch excess is tuned until the landing abscissa, closed by
+    quadrature along the manifold (`_landing`), equals x0.  Tangential
+    landings form a one-parameter family, which is what makes an interior
+    matching point adjustable at all.  The rows from where each branch
+    joins the manifold to x0 are the manifold's; ``slope_fitted`` is read
+    off each branch's last rows.
     """
     if not 0.0 < x0 < 1.0:
         raise PreconditionViolation("the transition point must be interior")
@@ -815,67 +856,46 @@ def solve_c1_transonic(
         )
     cfg = cfg or IntegratorConfig()
     slope_ref = c1_transition_slope(b, p.tau)
+    node = node_slow_manifold(b, p.tau)
 
     def solve_branch(side: str):
         sign = 1.0 if side == "supersonic" else -1.0
 
-        def residual(q_mag: float):
-            seg, fail = _tangential_landing_shot(side, sign * q_mag, p, cfg, n_stop)
+        def shot(q_mag: float, c: IntegratorConfig):
+            seg, fail = _tangential_landing_shot(side, sign * q_mag, p, c, node)
             if seg is None:
                 return (-_OVERSHOOT if fail == "short" else _OVERSHOOT), None
-            fit = _landing_fit(seg, side, p, n_stop)
-            if fit is None:
-                return -_OVERSHOOT, None  # excursion too shallow to fit a tail
-            x_hat = fit[0]
+            x_hat = _landing(seg, node, p.inv_tau, math.inf)[0]
             # both residuals grow with the launch magnitude: longer arcs land
             # farther from their launch wall
             return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg
 
-        # landing distance from the launch wall grows with |q|
-        q_best, shots = _shoot(
-            residual, 1e-4, 0.05, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16
+        q, _, seg, shots = _shoot_polish_land(
+            shot, cfg, 1e-4, 0.05, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16,
+            failure=f"the {side} branch failed to land at the transition point",
         )
-        seg, fail = _tangential_landing_shot(side, sign * q_best, p, _fine(cfg), n_stop)
-        if seg is None:
-            raise ShootingDivergence(
-                "accepted branch lost its landing on re-integration",
-                diagnostics={"side": side, "x0": x0, "failure": fail},
-            )
-        fit = _landing_fit(seg, side, p, n_stop)
-        if fit is None:
-            raise ShootingDivergence(
-                "accepted branch lost its landing window on re-integration",
-                diagnostics={"side": side, "x0": x0},
-            )
-        x_hat, slope, e_hat = fit
-        if abs(x_hat - x0) > 1e-7:
-            raise ShootingDivergence(
-                "re-integrated landing moved away from the transition point",
-                diagnostics={"side": side, "x0": x0, "x_hat": x_hat},
-            )
-        return seg, sign * q_best, x_hat, slope, e_hat, shots
+        fine = _fine(cfg)
+        x_hat, xs, rhos, es = _landing(
+            seg, node, p.inv_tau, min(fine.sample_spacing, fine.max_step)
+        )
+        return xs, rhos, es, sign * q, x_hat, _landing_slope(xs, rhos, x_hat), shots
 
-    sup_seg, q_sup, x_sup, m_sup, e_sup, sup_shots = solve_branch("supersonic")
-    sub_seg, q_sub, x_sub, m_sub, e_sub, sub_shots = solve_branch("subsonic")
+    sup_x, sup_rho, sup_e, q_sup, x_sup, m_sup, sup_shots = solve_branch("supersonic")
+    sub_x, sub_rho, sub_e, q_sub, x_sub, m_sub, sub_shots = solve_branch("subsonic")
 
+    # each branch lands within 1e-7 of x0 (`_shoot_polish_land`)
     slope_gap = max(abs(m_sup - slope_ref), abs(m_sub - slope_ref)) / slope_ref
-    e_gap = abs(e_sup - e_sub)
-    x_gap = abs(x_sup - x_sub)
-    if slope_gap > 1e-2 or e_gap > 1e-6 or x_gap > 1e-6:
+    if slope_gap > 1e-2:
         raise GlueMismatch(
             "branch landings disagree at the sonic transition",
-            diagnostics={
-                "slope_gap": slope_gap,
-                "e_gap": e_gap,
-                "x_gap": x_gap,
-            },
+            diagnostics={"slope_gap": slope_gap},
         )
 
-    e0 = 0.5 * (e_sup + e_sub)
-    # supersonic branch runs 0 -> x0; subsonic was integrated backward from 1
-    xs = np.concatenate([sup_seg.xs, [x0], sub_seg.xs[::-1]])
-    rhos = np.concatenate([sup_seg.rhos, [1.0], sub_seg.rhos[::-1]])
-    es = np.concatenate([sup_seg.es, [e0], sub_seg.es[::-1]])
+    # supersonic branch runs 0 -> x0; subsonic was integrated backward from
+    # 1; both land on the node, where E = 1/tau
+    xs = np.concatenate([sup_x, [x0], sub_x[::-1]])
+    rhos = np.concatenate([sup_rho, [1.0], sub_rho[::-1]])
+    es = np.concatenate([sup_e, [p.inv_tau], sub_e[::-1]])
 
     sol = Solution(
         kind="c1_transonic",
@@ -888,11 +908,9 @@ def solve_c1_transonic(
             "sup_launch_field": p.inv_tau + q_sup,
             "sub_launch_field": p.inv_tau + q_sub,
             "slope_reference": slope_ref,
-            "slope_fitted": [float(m_sup), float(m_sub)],
+            "slope_fitted": [m_sup, m_sub],
             "x_hat": [float(x_sup), float(x_sub)],
-            "transition_field_gap": float(e_gap),
             "boundary_residual": float(max(abs(x_sup - x0), abs(x_sub - x0))),
-            "n_stop": n_stop,
             "shooting_iterations": sup_shots + sub_shots,
         },
     )

@@ -447,6 +447,8 @@ class TestMalformedInput:
                    "solver": {"kind": "subsonic", "methd": "elliptic"}}),
         ("solve", {"model": model(15.0, 1.5),
                    "solver": {"kind": "supersonic", "bracket": [0.3, 0.9]}}),
+        ("solve", {"model": model(0.1, 1.5),
+                   "solver": {"kind": "c1_transonic", "x0": 0.5, "n_stop": 1e-4}}),
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "values": ["x"]}}),
         ("portrait", {"model": model(15.0, 1.5), "portrait": {"count": "x"}}),
@@ -458,7 +460,7 @@ class TestMalformedInput:
     ], ids=[
         "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
-        "solver_key_misspelt", "supersonic_bracket_removed",
+        "solver_key_misspelt", "supersonic_bracket_removed", "c1_n_stop_removed",
         "sweep_value_not_a_number", "portrait_count_not_a_number",
         "portrait_span_not_a_number",
         "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
@@ -485,7 +487,7 @@ class TestMalformedInput:
          "solve_subsonic_elliptic"),
         ({"kind": "supersonic"}, "solve_supersonic"),
         ({"kind": "transonic_shock", "rho_l": 0.9}, "solve_transonic_shock"),
-        ({"kind": "c1_transonic", "x0": 0.5, "n_stop": 1.5}, "solve_c1_transonic"),
+        ({"kind": "c1_transonic", "x0": 0.5}, "solve_c1_transonic"),
     ])
     def test_every_solver_key_of_a_kind_is_accepted(self, solver, solve):
         call, _, _ = cli._solve_call(solver, cli.IntegratorConfig())

@@ -166,6 +166,15 @@ def test_failures_match_reference(tau, b, kwargs):
     assert err.value.diagnostics == ref.value.diagnostics
 
 
+@pytest.mark.parametrize("max_newton", [0, -1])
+def test_newton_budget_below_one_is_a_value_error(max_newton):
+    # no iteration would run, and the no-convergence branch would read a
+    # residual no iteration set
+    p = ModelParams(tau=15.0, doping=DopingProfile.constant(1.5))
+    with pytest.raises(ValueError, match="max_newton"):
+        solve_subsonic_elliptic(p, max_newton=max_newton)
+
+
 # ---------------------------------------------------------------------------
 # Newton systems the tridiagonal solve cannot take
 

@@ -985,6 +985,25 @@ class TestCriticalLocus:
         ((watches, res),) = watching
         assert res.status == 1 and watches[res.terminal].kind == integrator._SPLIT
 
+    @pytest.mark.parametrize("side,q", [("supersonic", 0.1), ("subsonic", 0.02)])
+    def test_split_sets_a_target_for_the_way_back(self, side, q):
+        # the target is set from the extremum, so the arc ends on its way
+        # back, at half the extremum's offset from the sonic line
+        seen = []
+
+        def halfway(state):
+            seen.append(state)
+            return TargetDensity(0.5 * (1.0 + state.rho), direction=+1 if side == "supersonic" else -1)
+
+        stops = [DomainEnd(3.0), integrator.CriticalLocus(then=halfway)]
+        arc = integrate_from_sonic(0.0, side, self.p.inv_tau + q, "forward", stops, self.p)
+        assert len(seen) == 1 and arc.terminator.kind == "target_density"
+        (extremum,) = seen
+        assert abs(extremum.rho * extremum.e - self.p.inv_tau) <= 1e-12
+        assert arc.last.rho == pytest.approx(0.5 * (1.0 + extremum.rho), abs=1e-12)
+        far = np.argmin if side == "supersonic" else np.argmax
+        assert arc.rhos[far(arc.rhos)] == extremum.rho and arc.last.x > extremum.x
+
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from sonic_flow import (
     vector_field,
     xi_curve,
 )
+from sonic_flow.model_core import node_slow_manifold
 
 
 def _params(tau, b, gamma=1.0):
@@ -471,6 +472,65 @@ class TestTau0Bound:
             tau = tau0_bound(b)
             # slope must be real for every tau below the bound
             assert c1_transition_slope(b, tau * 0.999) > 0.0
+
+
+class TestNodeSlowManifold:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        b=st.floats(min_value=1.0 + 1e-9, max_value=50.0),
+        share=st.floats(min_value=1e-6, max_value=1.0 - 1e-12),
+    )
+    def test_eigenvalue_ratio_above_40_in_the_c1_regime(self, b, share):
+        # no term of the series up to order 40 resonates with the node
+        assert node_slow_manifold(b, share * tau0_bound(b)).mu > 40.0
+
+    def test_eigenvalue_ratio_is_smallest_near_b_1_66(self):
+        mus = {b: node_slow_manifold(b, tau0_bound(b) * (1 - 1e-12)).mu
+               for b in (1.3, 1.5, 1.66, 1.7, 2.0, 3.0)}
+        assert min(mus, key=mus.get) == 1.66 and 40.4 < mus[1.66] < 40.5
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        b=st.floats(min_value=1.0 + 1e-9, max_value=5.0),
+        share=st.floats(min_value=0.05, max_value=1.0 - 1e-12),
+    )
+    def test_invariance_residual(self, b, share):
+        # phi' P(n, phi) = (n + 1 - b) c(n) for |n| <= 2e-2, with P from
+        # its own coefficients and c(n) = 1 - (1 + n)^-2; the coefficients
+        # grow like 1/tau, and so does their roundoff
+        m = node_slow_manifold(b, share * tau0_bound(b))
+        poly = np.polynomial.polynomial
+        n = np.linspace(-2e-2, 2e-2, 401)
+        p_n = n * poly.polyval(n, m.p)
+        residual = poly.polyval(n, poly.polyder(m.a)) * p_n - (n + 1.0 - b) * n * (2.0 + n) / (1.0 + n) ** 2
+        assert np.abs(residual).max() <= 1e-12
+        # P is rho E - 1/tau on the manifold, E = 1/tau + phi
+        tau = share * tau0_bound(b)
+        np.testing.assert_allclose(p_n, (1.0 + n) * m.phi(n) + n / tau, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b,tau", [(1.5, 0.1), (1.2, 0.2), (2.0, 0.05)])
+    def test_landing_slope_is_the_transition_slope(self, b, tau):
+        m = node_slow_manifold(b, tau)
+        assert 1.0 / m.dx_dn(0.0) == pytest.approx(c1_transition_slope(b, tau), rel=1e-12)
+        assert m.phi(0.0) == 0.0
+
+    def test_quadrature_pieces_add_up(self):
+        m = node_slow_manifold(1.5, 0.1)
+        whole = m.x_offsets(-0.01)
+        pieces = m.x_offsets(-0.01, 7, nodes=8)
+        assert whole.shape == (1,) and pieces.shape == (7,)
+        assert pieces[-1] == pytest.approx(whole[-1], rel=1e-14)
+        assert np.all(np.diff(pieces) > 0)  # x rises toward the landing from below
+        n = np.linspace(-0.01, 0.0, 200001)
+        assert whole[-1] == pytest.approx(np.trapezoid(m.dx_dn(n), n), rel=1e-12)
+
+    def test_outside_the_regime(self):
+        with pytest.raises(ValueError):
+            node_slow_manifold(0.9, 0.1)
+        with pytest.raises(ComplexSlope):
+            node_slow_manifold(1.5, 0.6)
+        with pytest.raises(ValueError, match="resonates"):
+            node_slow_manifold(1.5, 0.3)  # real slope, but tau > tau0: mu near 3
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,10 @@ from sonic_flow import (
     tau0_bound,
 )
 from sonic_flow.analysis import NOT_EXISTS
-from sonic_flow.integrator import IntegratorConfig
+from sonic_flow.integrator import DomainEnd, IntegratorConfig, TargetDensity, integrate_from_sonic
+from sonic_flow.model_core import node_slow_manifold
 from sonic_flow.solvers import (
-    _landing_fit,
+    _landing,
     _shock_shot,
     _shoot,
     _slope,
@@ -630,6 +631,39 @@ class TestShootDriver:
 # output resolution and integration work
 
 
+def _reference_landing_shot(side, q_launch, p, cfg, n_stop=1e-4):
+    """The C1 branch shot before the slow-manifold closure: run to |rho - 1| = n_stop."""
+    if side == "supersonic":
+        return integrate_from_sonic(
+            0.0, "supersonic", p.inv_tau + q_launch, "forward",
+            [TargetDensity(1.0 - n_stop, direction=+1), DomainEnd(3.0)], p, cfg,
+        )
+    return integrate_from_sonic(
+        1.0, "subsonic", p.inv_tau + q_launch, "backward",
+        [TargetDensity(1.0 + n_stop, direction=+1), DomainEnd(-2.0)], p, cfg,
+    )
+
+
+def _reference_landing_fit(seg, side, p, n_stop=1e-4):
+    """The landing fit the closure replaced: cubics in n over the arc's tail.
+
+    Rows with n_stop <= |rho - 1| <= 10 n_stop on the landing half of the
+    arc give x, and F = E - 1/(tau rho), at n = 0; returns (x_hat, slope,
+    e_hat), or None with fewer than 8 such rows.
+    """
+    n = seg.rhos - 1.0
+    absn = np.abs(n)
+    win = (absn >= n_stop * (1.0 - 1e-12)) & (absn <= 10.0 * n_stop)
+    middle = seg.xs[len(seg.xs) // 2]
+    win &= (seg.xs >= middle) if side == "supersonic" else (seg.xs <= middle)
+    if np.count_nonzero(win) < 8:
+        return None
+    t = n[win] / n_stop
+    x_fit = np.polynomial.polynomial.polyfit(t, seg.xs[win], 3)
+    f_fit = np.polynomial.polynomial.polyfit(t, seg.es[win] - p.inv_tau / seg.rhos[win], 3)
+    return float(x_fit[0]), n_stop / float(x_fit[1]), p.inv_tau + float(f_fit[0])
+
+
 def _gaps_ok(x, spacing):
     # a shock's abscissa appears twice, once on each side of the jump
     gaps = np.diff(x)
@@ -644,15 +678,19 @@ class TestOutputResolution:
         assert _gaps_ok(request.getfixturevalue(fixture).x, 5e-4)
 
     def test_c1_branch_rows_at_most_5e4_apart(self, c1_sol):
-        # the glue point x0 sits n_stop/slope past each branch's last row;
-        # that gap is set by the landing window, not by the integrator
+        # the rows from where each branch joins the slow manifold are the
+        # manifold's, up to the glue point x0, and spaced like the kernel's
         x0 = c1_sol.transition.x0
         i = int(np.nonzero(c1_sol.x == x0)[0][0])
         assert _gaps_ok(c1_sol.x[:i], 5e-4) and _gaps_ok(c1_sol.x[i + 1:], 5e-4)
+        assert _gaps_ok(c1_sol.x[i - 1:i + 2], 5e-4)  # across x0
+        rho = c1_sol.rho
+        scale = np.maximum(np.maximum(rho[1:], rho[:-1]), 1.0)
+        assert (np.abs(np.diff(rho)) / scale).max() <= 5e-4 * (1 + 1e-9)
 
     @pytest.mark.parametrize("family,budget", [
         ("subsonic", 11000), ("supersonic", 10500), ("sine_supersonic", 10000),
-        ("transonic_shock", 12500), ("c1_transonic", 38000),
+        ("transonic_shock", 12500), ("c1_transonic", 10700),
     ])
     def test_rhs_evaluation_budget(
         self, family, budget, p_main, p_shock, p_smooth, monkeypatch
@@ -679,29 +717,54 @@ class TestOutputResolution:
         assert sum(nfev) <= budget
 
     def test_c1_probe_keeps_landing_rows(self, c1_sol, p_smooth):
-        # a probe shot at the default step cap, at the accepted launch: its
-        # step ends within 1e-2 of the sonic line stay at most 1e-2 apart in
-        # x, and the landing fit finds at least its 8 rows in
-        # 1e-4 <= |rho - 1| <= 1e-3
+        # a probe shot to the fitted tail, at the default step cap, at the
+        # accepted launch: its step ends within 1e-2 of the sonic line stay
+        # at most 1e-2 apart in x, and the landing fit finds at least its 8
+        # rows in 1e-4 <= |rho - 1| <= 1e-3
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
-        seg, fail = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), 1e-4)
-        assert fail is None
+        seg = _reference_landing_shot("supersonic", q, p_smooth, IntegratorConfig())
+        assert seg.terminator.kind == "target_density"
         n = np.abs(seg.rhos - 1.0)
         in_band = (n[1:] < 1e-2) & (n[:-1] < 1e-2)
         assert np.abs(np.diff(seg.xs))[in_band].max() <= 1e-2 * (1 + 1e-9)
-        assert _landing_fit(seg, "supersonic", p_smooth, 1e-4) is not None
+        assert _reference_landing_fit(seg, "supersonic", p_smooth) is not None
 
     def test_c1_probe_reads_the_graded_grid(self, c1_sol, p_smooth):
-        # the landing fit reads probe rows, which are the step ends; near the
-        # landing they lie closer than 1e-2, so a sample spacing of 1e-2
+        # probe rows are the step ends; up to where the arc joins the slow
+        # manifold they lie closer than 1e-2, so a sample spacing of 1e-2
         # reads no more rows off the steps
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
-        probe, _ = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), 1e-4)
+        node = node_slow_manifold(1.5, p_smooth.tau)
+        probe, _ = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), node)
         graded, _ = _tangential_landing_shot(
-            "supersonic", q, p_smooth, IntegratorConfig(sample_spacing=1e-2), 1e-4
+            "supersonic", q, p_smooth, IntegratorConfig(sample_spacing=1e-2), node
         )
         for a, b in ((probe.xs, graded.xs), (probe.rhos, graded.rhos), (probe.es, graded.es)):
             assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("side", ["supersonic", "subsonic"])
+    @pytest.mark.parametrize("b,tau,x0", [
+        (1.5, 0.1, 0.5), (1.2, 0.15, 0.3), (1.9, 0.05, 0.6), (1.66, 0.13, 0.7),
+    ])
+    def test_c1_closure_matches_the_fitted_tail(self, side, b, tau, x0):
+        # the landing closed by quadrature along the slow manifold, against
+        # the cubic fit to the tail of the same launch run to |rho - 1| = 1e-4,
+        # both at output resolution
+        p = params(tau, b)
+        sol = solve_c1_transonic(p, x0)
+        key = "sup_launch_field" if side == "supersonic" else "sub_launch_field"
+        q = sol.diagnostics[key] - p.inv_tau
+        cfg = sonic_flow.solvers._fine(IntegratorConfig())
+        node = node_slow_manifold(b, tau)
+        seg, fail = _tangential_landing_shot(side, q, p, cfg, node)
+        assert fail is None and seg.terminator.kind == "target_density"
+        x_hat = _landing(seg, node, p.inv_tau, math.inf)[0]
+        fit = _reference_landing_fit(_reference_landing_shot(side, q, p, cfg), side, p)
+        assert abs(x_hat - fit[0]) <= 5e-8
+        assert abs(x_hat - x0) <= 1e-10
+        # the joined arc stops short of the old tail's window, well away
+        # from the node, where the kernel's steps are held by stiffness
+        assert abs(seg.rhos[-1] - 1.0) > 1e-3
 
     @pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock"])
     def test_probe_ends_as_at_graded_rows(self, family, request):
