@@ -7,6 +7,7 @@ supports; moving them silently is a regression.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -741,6 +742,35 @@ class TestOutputResolution:
         )
         for a, b in ((probe.xs, graded.xs), (probe.rhos, graded.rhos), (probe.es, graded.es)):
             assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("side", ["supersonic", "subsonic"])
+    def test_c1_shot_goes_deeper_until_it_joins(self, c1_sol, p_smooth, side):
+        # a ratio mu taken far too large puts the first stop at 0.9 of the
+        # extremum's offset, before the arc has joined the manifold; the
+        # guard sends it on to half that offset, where it has
+        key = "sup_launch_field" if side == "supersonic" else "sub_launch_field"
+        q = c1_sol.diagnostics[key] - p_smooth.inv_tau
+        cfg = sonic_flow.solvers._fine(IntegratorConfig())
+        node = node_slow_manifold(1.5, p_smooth.tau)
+        seg, _ = _tangential_landing_shot(side, q, p_smooth, cfg, node)
+        late = dataclasses.replace(node, mu=1e9)
+        deep, fail = _tangential_landing_shot(side, q, p_smooth, cfg, late)
+        assert fail is None
+        n_e = (seg.rhos.min() if side == "supersonic" else seg.rhos.max()) - 1.0
+        assert deep.rhos[-1] - 1.0 == pytest.approx(0.45 * n_e, rel=1e-9)
+        x_hat = _landing(seg, node, p_smooth.inv_tau, math.inf)[0]
+        assert _landing(deep, node, p_smooth.inv_tau, math.inf)[0] == pytest.approx(x_hat, abs=1e-10)
+
+    def test_c1_shot_that_never_joins_is_short(self, c1_sol, p_smooth):
+        # against a manifold that misses the node by 1e-3 in E the guard
+        # never passes: the arc goes on by halves until it sinks into the
+        # node, short of a landing
+        q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
+        node = node_slow_manifold(1.5, p_smooth.tau)
+        wrong = dataclasses.replace(node, a=(1e-3,) + node.a[1:])
+        assert _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), wrong) == (
+            None, "short"
+        )
 
     @pytest.mark.parametrize("side", ["supersonic", "subsonic"])
     @pytest.mark.parametrize("b,tau,x0", [
