@@ -55,10 +55,14 @@ DEFAULT_J_SCHEDULE = (0.5, 0.9, 0.99, 0.999, 0.9999)
 # sentinel residual magnitude for shots that leave the admissible region
 _OVERSHOOT = 10.0
 
-# every shooting residual is an abscissa miss and every acceptance test is
-# 1e-7 or looser; a shot this close ends the root search, since further shots
-# would only move the root inside the residual's own noise
-_RESIDUAL_FLOOR = 1e-11
+# probe stop: every shooting residual is an abscissa miss, and probe arcs
+# land only to about 1e-9 of the fine arc; a probe this close ends the root
+# search, and `_polish` takes the rest at output resolution
+_RESIDUAL_FLOOR = 1e-7
+
+# a closed bracket whose two residuals both stay above this straddles a jump
+# of the residual, not a root
+_JUMP_GAP = 1e-6
 
 # smallest launch excess E(0) - 1/tau a sonic launch is shot at: widening
 # stops here, clear of the degenerate-launch guard at 1e-6
@@ -97,43 +101,75 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
 
 
 class _Landed(Exception):
-    """Raised inside the Brent residual by a shot within the residual floor."""
+    """Raised inside the shooting residual by a shot within the probe stop."""
 
 
 # consecutive sentinel residuals after which the bracket is taken to hold a
 # jump between sentinels, not a landing
 _MAX_SENTINELS = 8
 
+# a widening step goes this many times the secant's distance to its root
+_SECANT_OVERSHOOT = 1.2
+
+
+def _widened(rule, v, r, u, s):
+    """Next launch value for an end at ``v`` whose residual ``r`` has the wrong sign.
+
+    The secant through ``(u, s)`` and ``(v, r)``, where both residuals are
+    real and rising, predicts the root; the step goes 1.2 times as far, but
+    never past ``rule(v)``.  Otherwise the step is ``rule(v)``; None where
+    ``rule`` is None or returns None, which pins the end.
+    """
+    nxt = None if rule is None else rule(v)
+    if nxt is None or s is None or max(abs(r), abs(s)) >= _OVERSHOOT or (r - s) * (v - u) <= 0.0:
+        return nxt
+    guess = v - _SECANT_OVERSHOOT * r * (v - u) / (r - s)
+    return guess if 0.0 < abs(guess - v) < abs(nxt - v) else nxt
+
 
 def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
     """Root of a shooting residual that rises through zero in the launch parameter.
 
     ``shot(v)`` returns ``(residual, data)``; each launch value is shot once
-    and its residual remembered.  While ``shot(lo)`` is not negative, ``lo``
-    moves to ``widen_lo(lo)``; while ``shot(hi)`` is not positive, ``hi``
-    moves to ``widen_hi(hi)`` and the old ``hi`` becomes ``lo``.  A rule of
-    None, or a rule returning None, pins its end; each end moves at most 60
-    times.  Brent's method then closes the bracket, and stops at the first
-    shot whose |residual| is at most ``_RESIDUAL_FLOOR``.  Where
-    ``_MAX_SENTINELS`` of its shots in a row return a sentinel residual
-    (``|residual| >= _OVERSHOOT``), no launch value in the bracket lands and
-    `BracketFailure` is raised.
+    and its residual remembered.  ``hi`` is shot first, and ``lo`` only where
+    ``shot(hi)`` is positive.  While ``shot(hi)`` is negative, ``hi`` moves
+    up and the old ``hi`` becomes ``lo``; while ``shot(lo)`` is positive,
+    ``lo`` moves down and the old ``lo`` becomes ``hi``.  Each move follows
+    the secant of the last two real residuals (`_widened`), clamped to the
+    end's rule ``widen_hi`` or ``widen_lo``.  A rule of None, or a rule
+    returning None, pins its end; each end moves at most 60 times.  While an
+    end of the bracket is a sentinel (``|residual| >= _OVERSHOOT``), the
+    bracket is split at its geometric mean (its midpoint where ``lo <= 0``),
+    or short of it where the real end's own secant says so; Brent's method
+    closes it once both ends are real.  The first shot of any phase whose
+    |residual| is at most ``_RESIDUAL_FLOOR`` is the root: the search stops
+    at the probes' resolution.
+
+    Where ``_MAX_SENTINELS`` closing shots in a row, the bracket's ends
+    included, return a sentinel, no launch value in the bracket lands and
+    `BracketFailure` is raised.  Where the bracket closes with both
+    residuals above ``_JUMP_GAP``, the residual jumps there, and
+    `ShootingDivergence` is raised.  Both carry the bracket, its residuals
+    (None for an end not shot) and the shot count.
 
     Returns ``(root, shots)``, where ``shots`` counts distinct launch values.
     Pass an empty dict as ``memo`` to keep the residual of every launch
     value, the root's included, for `_slope`.
     """
     memo = {} if memo is None else memo
+    r_lo = r_hi = None
     sentinels = 0
 
     def residual(v: float) -> float:
         r = memo.get(v)
         if r is None:
             r = memo[v] = shot(v)[0]
+        if abs(r) <= _RESIDUAL_FLOOR:
+            raise _Landed(v)
         return r
 
-    def failure(message: str) -> BracketFailure:
-        return BracketFailure(
+    def failure(error, message: str):
+        return error(
             message,
             diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": len(memo)},
         )
@@ -141,40 +177,73 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
     def closing(v: float) -> float:
         nonlocal sentinels
         r = residual(v)
-        if abs(r) <= _RESIDUAL_FLOOR:
-            raise _Landed(v)
         sentinels = sentinels + 1 if abs(r) >= _OVERSHOOT else 0
         if sentinels == _MAX_SENTINELS:
             raise failure(
-                f"no launch value lands: {sentinels} shots in a row left the admissible region"
+                BracketFailure,
+                f"no launch value lands: {sentinels} shots in a row left the admissible region",
             )
         return r
 
-    r_lo, r_hi = residual(lo), residual(hi)
-    moves = 0
-    while r_lo >= 0.0:
-        nxt = widen_lo(lo) if widen_lo is not None and moves < 60 else None
-        if nxt is None:
-            raise failure("no launch parameter moves the shooting residual below zero")
-        lo, r_lo, moves = nxt, residual(nxt), moves + 1
-    moves = 0
-    while r_hi <= 0.0:
-        nxt = widen_hi(hi) if widen_hi is not None and moves < 60 else None
-        if nxt is None:
-            raise failure("no launch parameter moves the shooting residual above zero")
-        lo, r_lo = hi, r_hi
-        hi, r_hi, moves = nxt, residual(nxt), moves + 1
+    def jump():
+        return failure(ShootingDivergence, "the shooting residual jumps across the closed bracket")
+
     try:
+        # each end's previous position, whose residual has the end's sign
+        lo_prev = hi_prev = None
+        r_hi, moves = residual(hi), 0
+        while r_hi < 0.0:
+            nxt = _widened(widen_hi, hi, r_hi, lo, r_lo) if moves < 60 else None
+            if nxt is None:
+                raise failure(
+                    BracketFailure, "no launch parameter moves the shooting residual above zero"
+                )
+            lo_prev, (lo, r_lo) = (lo, r_lo), (hi, r_hi)
+            hi, r_hi, moves = nxt, residual(nxt), moves + 1
+        if r_lo is None:
+            r_lo, moves = residual(lo), 0
+        while r_lo > 0.0:
+            nxt = _widened(widen_lo, lo, r_lo, hi, r_hi) if moves < 60 else None
+            if nxt is None:
+                raise failure(
+                    BracketFailure, "no launch parameter moves the shooting residual below zero"
+                )
+            hi_prev, (hi, r_hi) = (hi, r_hi), (lo, r_lo)
+            lo, r_lo, moves = nxt, residual(nxt), moves + 1
+        for r in (r_lo, r_hi):
+            sentinels = sentinels + 1 if abs(r) >= _OVERSHOOT else 0
+        while max(abs(r_lo), abs(r_hi)) >= _OVERSHOOT:
+            # a sentinel carries only its sign: split the bracket rather than
+            # interpolate on it, or step short of the split along the real
+            # end's secant
+            split = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
+            end, r_end, prev = (hi, r_hi, hi_prev) if abs(r_hi) < _OVERSHOOT else (
+                lo, r_lo, lo_prev
+            )
+            v = split if prev is None else _widened(lambda _: split, end, r_end, *prev)
+            if v in (lo, hi):
+                raise jump()
+            r = closing(v)
+            if r < 0.0:
+                lo_prev, lo, r_lo = (lo, r_lo), v, r
+            else:
+                hi_prev, hi, r_hi = (hi, r_hi), v, r
         root, _, _, converged = _brentq(closing, lo, hi, xtol, 8.9e-16)
-    except _Landed as hit:
-        (root,) = hit.args
-    else:
         if not converged:
             raise ShootingDivergence(
                 "Brent's method did not converge on the shooting bracket",
                 diagnostics={"bracket": [lo, hi], "shots": len(memo)},
             )
-    residual(root)  # the root is one of the Brent shots; this makes sure
+        # Brent's last bracket: the root and the nearest shot across it
+        r_root = residual(root)
+        other = min((v for v, r in memo.items() if (r > 0.0) != (r_root > 0.0)),
+                    key=lambda v: abs(v - root))
+        lo, hi = sorted((root, other))
+        r_lo, r_hi = memo[lo], memo[hi]
+        if min(abs(r_lo), abs(r_hi)) > _JUMP_GAP:
+            raise jump()
+    except _Landed as hit:
+        (root,) = hit.args
     return root, len(memo)
 
 
@@ -231,17 +300,22 @@ def _polish(shot_fine, v, slope):
 def _shoot_polish_land(shot, cfg, lo, hi, widen_lo, widen_hi, xtol, failure):
     """Root of ``shot(v, cfg)`` by `_shoot`, polished at output resolution.
 
-    The probes run at ``cfg``; `_polish` then re-shoots at ``_fine(cfg)``,
-    seeded by the probes' `_slope`.  A polished shot without data, or one
-    that misses its landing by more than 1e-7, raises `ShootingDivergence`
-    with the message ``failure``.  Returns ``(v, residual, data, shots)``.
+    The probes run at ``cfg``; `_polish` then re-shoots at ``_fine(cfg)``
+    from the probes' Newton prediction ``v - r / slope``, ``slope`` their
+    `_slope` (from ``v`` itself where that is None).  A polished shot without
+    data, or one that misses its landing by more than 1e-7, raises
+    `ShootingDivergence` with the message ``failure``.  Returns ``(v,
+    residual, data, shots)``.
     """
     memo = {}
     v, shots = _shoot(lambda u: shot(u, cfg), lo, hi, widen_lo, widen_hi, xtol, memo=memo)
+    slope = _slope(memo, v)
+    if slope is not None:
+        v -= memo[v] / slope
     # the square-root endpoint amplifies an abscissa miss eps into a
     # sqrt(q*eps) density gap, hence the polish at output resolution
     fine = _fine(cfg)
-    v, residual, data = _polish(lambda u: shot(u, fine), v, _slope(memo, v))
+    v, residual, data = _polish(lambda u: shot(u, fine), v, slope)
     if data is None or abs(residual) > 1e-7:
         raise ShootingDivergence(
             failure, diagnostics={"launch": v, "residual": residual, "shots": shots}
@@ -638,9 +712,13 @@ def _shock_shot(e0: float, rho_l: float, p: ModelParams, cfg):
 def _shock_bracket(rho_l: float, p: ModelParams):
     """Launch-field bracket seeded by the frictionless energy integral.
 
-    The lower seed stays a launch excess _LAUNCH_FLOOR clear of 1/tau.  Where
-    the deep seed falls below it, as at small tau, the upper seed is one
-    widening step above the lower one instead.
+    The lower seed is the touching energy, whose arc only just reaches
+    rho_l, kept a launch excess _LAUNCH_FLOOR clear of 1/tau; the upper seed
+    is the energy of the deepest dive the lemma bracket allows.  Where the
+    deep seed falls below the lower one, as at small tau, the upper seed is
+    one widening step above the lower one instead.  Both seeds usually
+    return sentinels (too shallow, blown up), so `_shoot` splits the bracket
+    geometrically until both ends are real before Brent's method closes it.
     """
     psi = lambda r: undamped_energy_potential(r, p.doping.b_upper)
     psi_lo = undamped_energy_potential(rho_l, p.doping.b_lower)
@@ -870,8 +948,11 @@ def solve_c1_transonic(
             # farther from their launch wall
             return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg
 
+        # the node's linearization lands a launch excess q about q / (b - 1)
+        # from the launch wall; seed at the branch's distance to x0
+        q_seed = (b - 1.0) * (x0 if side == "supersonic" else 1.0 - x0)
         q, _, seg, shots = _shoot_polish_land(
-            shot, cfg, 1e-4, 0.05, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16,
+            shot, cfg, q_seed, 1.5 * q_seed, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16,
             failure=f"the {side} branch failed to land at the transition point",
         )
         fine = _fine(cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,35 @@ from sonic_flow import (
     xi_curve,
 )
 
+from sonic_flow.analysis import WEAK_BASIS_SIZE, _weak_residual
+
 from conftest import params
+
+
+def _reference_weak_residual(sol, p):
+    """The weak residual before the one-pass form: one hat at a time."""
+
+    def integral(x, y, a, b):
+        nodes = x[(x > a) & (x < b)]
+        pts = np.concatenate([[a], nodes, [b]])
+        return float(np.trapezoid(np.interp(pts, x, y), pts))
+
+    x, rho, e = sol.x, sol.rho, sol.e
+    m = WEAK_BASIS_SIZE
+    width = 1.0 / (m + 1)
+    worst, where = 0.0, 0.5
+    for k in range(1, m + 1):
+        a, mid, c = (k - 1) * width, k * width, (k + 1) * width
+        flux_term = (integral(x, e, a, mid) - integral(x, e, mid, c)) / width
+        inner = x[(x > a) & (x < c)]
+        pts = np.unique(np.concatenate([[a, mid, c], inner]))
+        pts = np.unique(np.concatenate([pts, (pts[:-1] + pts[1:]) / 2]))
+        phi = 1.0 - np.abs(pts - mid) / width
+        g = (np.interp(pts, x, rho) - np.asarray(p.b(pts), dtype=float)) * phi
+        w = abs(flux_term + float(np.trapezoid(g, pts))) / width
+        if w > worst:
+            worst, where = w, mid
+    return worst, where
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +174,21 @@ class TestResidualNorm:
     def test_elliptic_construction(self, elliptic_sol, p_main):
         value, _ = residual_norm(elliptic_sol, p_main)
         assert value < 5e-3
+
+    @pytest.mark.parametrize("bump", [0.0, 1e-3])
+    @pytest.mark.parametrize("doping", ["constant", "sine"])
+    def test_weak_residual_is_the_hat_by_hat_one(self, c1_sol, p_smooth, bump, doping):
+        # a bump on one row moves the worst hat off the transition
+        rho = c1_sol.rho.copy()
+        rho[int(np.argmin(np.abs(c1_sol.x - 0.3)))] += bump
+        sol = dataclasses.replace(c1_sol, rho=rho)
+        p = p_smooth
+        if doping == "sine":
+            p = ModelParams(tau=0.1, doping=DopingProfile.sine_perturbed(1.5, 0.2))
+        value, where = _weak_residual(sol, p)
+        ref_value, ref_where = _reference_weak_residual(sol, p)
+        assert value == pytest.approx(ref_value, rel=1e-9, abs=1e-10)
+        assert where == ref_where
 
     def test_detects_perturbation(self, subsonic_sol, p_main):
         rho = subsonic_sol.rho.copy()

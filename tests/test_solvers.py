@@ -28,6 +28,7 @@ from sonic_flow import (
     NotSonicDoping,
     PreconditionViolation,
     RegimeRejection,
+    ShootingDivergence,
     SonicFlowError,
     c1_transition_slope,
     classify_regime,
@@ -50,6 +51,7 @@ from sonic_flow.solvers import (
     _landing,
     _shock_shot,
     _shoot,
+    _shoot_polish_land,
     _slope,
     _sonic_shot,
     _tangential_landing_shot,
@@ -506,22 +508,42 @@ class TestShootDriver:
         return shot, calls
 
     def test_widens_both_ends(self):
-        shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
-        root, shots = _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
-        assert root == pytest.approx(3.0, abs=1e-12)
+        # upper end: the rule's first step (one real residual), then the
+        # secant clamped to the rule, then the secant overshot 1.2 times
+        shot, calls = self.recorded(lambda v: math.atan(v - 3.3))
+        root, shots = _shoot(shot, 0.5, 1.0, None, lambda v: v + 1.0, 1e-14)
+        assert root == pytest.approx(3.3, abs=1e-7)
         assert shots == len(calls)
-        # the lower end moves past the zero residual at 3.0 to 2.5; the upper
-        # end moves to 3.8 and hands 2.8 to the lower end
-        assert calls[:5] == [3.5, 2.8, 3.0, 2.5, 3.8]
-        assert all(2.8 <= v <= 3.8 for v in calls[5:])
+        r2, r3 = math.atan(2.0 - 3.3), math.atan(3.0 - 3.3)
+        assert 2.0 - r2 * (2.0 - 1.0) / (r2 - math.atan(1.0 - 3.3)) > 4.0  # clamped to 3.0
+        assert calls[:4] == [1.0, 2.0, 3.0, 3.0 - 1.2 * r3 * (3.0 - 2.0) / (r3 - r2)]
+        assert all(3.0 <= v <= calls[3] for v in calls[4:])
+        # lower end: shot after the upper one, then the secant through both
+        # overshot 1.2 times, short of the rule's 2.5
+        shot, calls = self.recorded(lambda v: v - 3.3)
+        root, shots = _shoot(shot, 5.0, 6.0, lambda v: 0.5 * v, None, 1e-14)
+        assert root == pytest.approx(3.3, abs=1e-7)
+        r5, r6 = 5.0 - 3.3, 6.0 - 3.3
+        assert calls[:3] == [6.0, 5.0, 5.0 - 1.2 * r5 * (5.0 - 6.0) / (r5 - r6)]
+        assert all(calls[2] <= v <= 6.0 for v in calls[3:])
+
+    def test_lower_seed_shot_only_above_the_root(self):
+        shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
+        _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        assert calls[:2] == [2.8, 3.8] and 3.5 not in calls
+        shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
+        _shoot(shot, 2.8, 3.5, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        assert calls[:2] == [3.5, 2.8]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_gives_up_after_60_moves(self, sign):
         shot, calls = self.recorded(lambda v: sign)
         with pytest.raises(BracketFailure) as err:
             _shoot(shot, 1.0, 2.0, lambda v: 0.5 * v, lambda v: 2.0 * v, 1e-12)
-        assert len(calls) == 62
-        moved = [2.0**-60, 2.0] if sign > 0 else [2.0**60, 2.0**61]
+        # a positive upper residual: the lower seed, then 60 lower moves; a
+        # negative one: 60 upper moves; each move hands the old end across
+        assert len(calls) == (62 if sign > 0 else 61)
+        moved = [2.0**-60, 2.0**-59] if sign > 0 else [2.0**60, 2.0**61]
         assert err.value.diagnostics["bracket"] == moved
         assert err.value.diagnostics["residuals"] == [sign, sign]
 
@@ -530,8 +552,12 @@ class TestShootDriver:
         shot, calls = self.recorded(lambda v: sign)
         with pytest.raises(BracketFailure) as err:
             _shoot(shot, 1.0, 2.0, None, None, 1e-12)
-        assert calls == [1.0, 2.0]
-        assert err.value.diagnostics["bracket"] == [1.0, 2.0]
+        assert calls == ([2.0, 1.0] if sign > 0 else [2.0])
+        assert err.value.diagnostics == {
+            "bracket": [1.0, 2.0],
+            "residuals": [sign, sign] if sign > 0 else [None, sign],
+            "shots": len(calls),
+        }
 
     @pytest.mark.parametrize("fixture", ["subsonic_sol", "supersonic_sol", "shock_sol", "c1_sol"])
     def test_every_family_records_its_shots(self, fixture, request):
@@ -548,11 +574,27 @@ class TestShootDriver:
         shot, calls = self.recorded(lambda v: -10.0 if v < 1.3 else 10.0)
         with pytest.raises(BracketFailure, match="no launch value lands") as err:
             _shoot(shot, 0.0, 2.0, None, None, 1e-16)
-        # the two ends, then six closing shots
+        # the two ends, then six splits: at the midpoint while lo <= 0, at the
+        # geometric mean after
         assert len(calls) == 8
+        assert calls[2] == 1.0 and calls[3] == math.sqrt(2.0)
+        # the bracket the last shot split
+        lo = max(v for v in calls[:-1] if v < 1.3)
+        hi = min(v for v in calls[:-1] if v >= 1.3)
+        assert lo < calls[-1] < hi
         assert err.value.diagnostics == {
-            "bracket": [0.0, 2.0], "residuals": [-10.0, 10.0], "shots": 8,
+            "bracket": [lo, hi], "residuals": [-10.0, 10.0], "shots": 8,
         }
+
+    @pytest.mark.parametrize("left,right", [(-0.3, 0.5), (-0.5, 0.3)])
+    def test_jump_between_real_residuals_is_a_divergence(self, left, right):
+        shot, calls = self.recorded(lambda v: left if v < 0.4114 else right)
+        with pytest.raises(ShootingDivergence, match="jumps") as err:
+            _shoot(shot, 0.2, 0.3, lambda v: 0.5 * v, lambda v: 2.0 * v, 1e-15)
+        d = err.value.diagnostics
+        assert d["residuals"] == [left, right] and d["shots"] == len(calls) <= 60
+        assert d["bracket"][0] < 0.4114 <= d["bracket"][1]
+        assert d["bracket"][1] - d["bracket"][0] <= 1e-14
 
     def test_no_launch_value_is_shot_twice(self):
         shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
@@ -578,7 +620,7 @@ class TestShootDriver:
         memo = {}
         root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14, memo=memo)
         nearest = min(
-            (v for v in calls if v >= 0.999 and abs((v - 1.0) * v) >= 1e-8),
+            (v for v in calls if v >= 0.999 and abs((v - 1.0) * v - memo[root]) >= 1e-8),
             key=lambda v: abs(v - root),
         )
         slope = _slope(memo, root)
@@ -586,10 +628,37 @@ class TestShootDriver:
         assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_slope_is_none_without_an_informative_shot(self):
-        shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
+        # both seeds are sentinels, and so are the splits before the first
+        # real shot, which lands inside the probe stop
+        shot, calls = self.recorded(
+            lambda v: -10.0 if v < 1.0 else (5e-8 if v <= 1.5 else 10.0)
+        )
         memo = {}
-        root, _ = _shoot(shot, 0.1, 1.0 + 1e-9, None, None, 1e-14, memo=memo)
+        root, shots = _shoot(shot, 0.1, 2.0, None, None, 1e-14, memo=memo)
+        assert calls == [2.0, 0.1, math.sqrt(0.2), math.sqrt(math.sqrt(0.2) * 2.0), root]
+        assert 1.0 <= root <= 1.5 and shots == 5
         assert _slope(memo, root) is None
+
+    def test_polish_starts_from_the_newton_prediction(self, monkeypatch):
+        started = []
+
+        def polish(shot_fine, v, slope):
+            started.append((v, slope))
+            return v, 0.0, "data"
+
+        monkeypatch.setattr(sonic_flow.solvers, "_polish", polish)
+        probes = []
+
+        def shot(v, cfg):
+            probes.append(v)
+            return math.atan(v - 1.0) + 0.1 * (v - 1.0) ** 2, "data"
+
+        _shoot_polish_land(shot, IntegratorConfig(), 0.5, 3.0, None, None, 1e-16, "no landing")
+        memo = {v: math.atan(v - 1.0) + 0.1 * (v - 1.0) ** 2 for v in probes}
+        root = probes[-1]
+        assert 0.0 < abs(memo[root]) <= 1e-7
+        slope = _slope(memo, root)
+        assert started == [(root - memo[root] / slope, slope)]
 
     @pytest.mark.parametrize(
         "family", ["subsonic", "supersonic", "sine_supersonic", "transonic_shock"]
@@ -622,7 +691,7 @@ class TestShootDriver:
         assert sol.diagnostics["boundary_residual"] <= 1e-12
 
     @pytest.mark.parametrize("fixture,budget", [
-        ("subsonic_sol", 10), ("supersonic_sol", 7), ("shock_sol", 12), ("c1_sol", 16),
+        ("subsonic_sol", 8), ("supersonic_sol", 5), ("shock_sol", 8), ("c1_sol", 9),
     ])
     def test_shot_budget_per_family(self, fixture, budget, request):
         assert request.getfixturevalue(fixture).diagnostics["shooting_iterations"] <= budget
@@ -881,6 +950,19 @@ class TestLaunchDomain:
         except SonicFlowError:
             return
         assert residual_norm(sol, p)[0] < 1e-6
+
+    def test_jump_in_the_probe_residual_fails_before_the_polish(self, monkeypatch):
+        # the input above: its probe residual jumps from about -0.33 to +0.53
+        def polish(*args):
+            raise AssertionError("the polish ran on a jump")
+
+        monkeypatch.setattr(sonic_flow.solvers, "_polish", polish)
+        p = ModelParams(tau=6.59, doping=DopingProfile.sine_perturbed(0.959, 0.158))
+        with pytest.raises(ShootingDivergence, match="jumps") as err:
+            solve_supersonic(p)
+        d = err.value.diagnostics
+        assert d["residuals"][0] < -1e-6 and d["residuals"][1] > 1e-6
+        assert 0.0 < d["bracket"][1] - d["bracket"][0] <= 1e-14 and d["shots"] <= 60
 
 
 _FAMILY_TOL = {
