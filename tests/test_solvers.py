@@ -941,18 +941,10 @@ class TestLaunchDomain:
         assert _sonic_shot("subsonic", 1e-6, p_main, IntegratorConfig()) == (-10.0, None)
         assert _shock_shot(p_shock.inv_tau, 0.9, p_shock, IntegratorConfig()) == (-10.0, None)
 
-    def test_polish_stays_in_the_launch_domain(self):
-        # its probe residual jumps across the root, and the polish secant
-        # stepped to a launch excess of -0.189
-        p = ModelParams(tau=6.59, doping=DopingProfile.sine_perturbed(0.959, 0.158))
-        try:
-            sol = solve_supersonic(p)
-        except SonicFlowError:
-            return
-        assert residual_norm(sol, p)[0] < 1e-6
-
-    def test_jump_in_the_probe_residual_fails_before_the_polish(self, monkeypatch):
-        # the input above: its probe residual jumps from about -0.33 to +0.53
+    def test_polish_stays_in_the_launch_domain(self, monkeypatch):
+        # its probe residual jumps from about -0.33 to +0.53 across the
+        # root, where the polish secant once stepped to a launch excess of
+        # -0.189; the jump now fails the probe search, before any polish
         def polish(*args):
             raise AssertionError("the polish ran on a jump")
 
