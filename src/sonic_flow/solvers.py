@@ -230,9 +230,8 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
                 hi_prev, hi, r_hi = (hi, r_hi), v, r
         root, _, _, converged = _brentq(closing, lo, hi, xtol, 8.9e-16)
         if not converged:
-            raise ShootingDivergence(
-                "Brent's method did not converge on the shooting bracket",
-                diagnostics={"bracket": [lo, hi], "shots": len(memo)},
+            raise failure(
+                ShootingDivergence, "Brent's method did not converge on the shooting bracket"
             )
         # Brent's last bracket: the root and the nearest shot across it
         r_root = residual(root)
