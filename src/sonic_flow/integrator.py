@@ -30,11 +30,15 @@ rho*E = 1/tau, its interior density extremum, and the next leg starts
 there, so the extremum is a row of the arc; the request may add a target
 density, set from the extremum, for the rest of the arc.
 
-The kernel is an owned Dormand-Prince 5(4) that follows scipy's RK45 step
-for step.  Events are located with `_brentq`, a port of scipy's ``brentq.c``
-(Brent's method) that returns the same root, call count and iteration
-count; the shooting driver in `solvers` closes its brackets with it too, so
-neither loads scipy.
+The kernel is an owned Dormand-Prince 8(5,3) that follows scipy's DOP853
+step for step: an eighth-order step of 12 stages, an error norm blending
+fifth- and third-order estimates, and a seventh-order dense output whose
+three extra stages are evaluated only for the steps something reads.  The
+arcs are smooth in s, so the eighth order pays: at the shots' tolerances it
+takes several times fewer steps than a fifth-order method.  Events are
+located with `_brentq`, a port of scipy's ``brentq.c`` (Brent's method) that
+returns the same root, call count and iteration count; the shooting driver
+in `solvers` closes its brackets with it too, so neither loads scipy.
 """
 
 from __future__ import annotations
@@ -183,49 +187,112 @@ class TrajectorySegment:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) kernel
+# Dormand-Prince 8(5,3) kernel
 #
-# Tableau, error estimate, initial step, step controller and event rules
-# follow scipy's RK45 / solve_ivp step for step (Dormand &
-# Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6;
+# Tableau, error estimate, initial step, step controller, dense output and
+# event rules follow scipy's DOP853 / solve_ivp step for step (Dormand &
+# Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5-II.6;
 # events located on the dense interpolant as in Shampine & Thompson 2000).
 # The three-component state is held in plain floats, which removes the array
 # allocation, dot products and event bookkeeping that dominated the cost of
 # the many short arcs a shooting solve integrates.
+#
+# The coefficients are those of scipy's ``dop853_coefficients``, written out
+# as the doubles scipy holds.  Stages are numbered from 1: ``_A{i}_{j}`` is
+# the weight of stage j in stage i (scipy's ``A[i-1, j-1]``); stage 13 is the
+# derivative at the step end, reached with the weights ``_B{j}``; stages 14
+# to 16 are evaluated only for the dense output, whose coefficient F_m
+# (m = 3..6) weights stage j by ``_D{m}_{j}`` (scipy's ``D[m-3, j-1]``).
+# Weights that vanish are left out, and so are the stages only they would
+# read: the error estimates weight stages 1 and 6 to 12.
 
 _EPS = sys.float_info.epsilon
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
+_ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
 _SQRT_N = 3**0.5  # RMS norm over the three components
 
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12, _C14, _C15, _C16 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+    0.1, 0.2, 0.7777777777777778,
 )
-# the fifth-order weights and the error weights vanish on stage 2, and so does
-# its row of the dense-output matrix; stage 2 is left out of all three
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023,
 )
-# quartic dense output: per stage 1, 3..7, the weights of theta^1..theta^4
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996,
+)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636,
+)
+# the stages of the dense output only
+_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+)
+_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+)
+_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+)
+# the eighth-order solution, and stage 13
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+# the fifth-order error estimate
+_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+)
+# the third-order estimate: the eighth-order weights, three of them corrected
+_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
+    _B1 - 0.2440944881889764, _B6, _B7, _B8, _B9 - 0.7338466882816118, _B10, _B11,
+    _B12 - 0.022058823529411766,
+)
+# the dense output's F3..F6
+_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14, _D3_15, _D3_16 = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+)
+_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16 = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+)
+_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+)
+_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564,
 )
 
 
@@ -348,46 +415,51 @@ def _brentq(f, xa, xb, xtol, rtol):
 
 
 class _Step:
-    """Quartic interpolant over one accepted step."""
+    """Seventh-order interpolant over one accepted step."""
 
-    __slots__ = ("t_old", "h", "y", "k", "_q")
+    __slots__ = ("t_old", "h", "y", "f")
 
-    def __init__(self, t_old, h, y, k):
+    def __init__(self, t_old, h, y, f):
         self.t_old, self.h, self.y = t_old, h, y
-        self.k = k  # per component, its rates at stages 1, 3, 4, 5, 6, 7
-        self._q = None
+        self.f = f  # per component, its F0..F6 (`_dense`)
 
     def __call__(self, t):
-        if self._q is None:
-            self._q = tuple(map(_weights, self.k))
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = self._q
-        ya, yb, yc = self.y
-        h = self.h
-        x = (t - self.t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (
-            h * (a0 * x + a1 * x2 + a2 * x3 + a3 * x4) + ya,
-            h * (b0 * x + b1 * x2 + b2 * x3 + b3 * x4) + yb,
-            h * (c0 * x + c1 * x2 + c2 * x3 + c3 * x4) + yc,
-        )
+        x = (t - self.t_old) / self.h
+        (ya, yb, yc), (fa, fb, fc) = self.y, self.f
+        return _horner(x, ya, *fa), _horner(x, yb, *fb), _horner(x, yc, *fc)
 
 
-def _weights(k):
-    """One component's weights of theta^1..theta^4, from its stage rates k.
+def _dense(h, y0, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
+    """F0..F6 of one component's dense output over a step h from y0 to y1.
 
-    The sums, order and int 0 start of sum() over the stages, bit for bit.
+    ``k1`` .. ``k16`` are the rates of the stages that enter it.  Floats or
+    arrays alike: numpy runs the same operations in the same order, so the
+    rows `_read_rows` reads on arrays are the floats `_Step` gives.
     """
-    k1, k3, k4, k5, k6, k7 = k
-    (p10, p11, p12, p13), (p30, p31, p32, p33), (p40, p41, p42, p43), \
-        (p50, p51, p52, p53), (p60, p61, p62, p63), (p70, p71, p72, p73) = _P
+    dy = y1 - y0
     return (
-        0 + k1 * p10 + k3 * p30 + k4 * p40 + k5 * p50 + k6 * p60 + k7 * p70,
-        0 + k1 * p11 + k3 * p31 + k4 * p41 + k5 * p51 + k6 * p61 + k7 * p71,
-        0 + k1 * p12 + k3 * p32 + k4 * p42 + k5 * p52 + k6 * p62 + k7 * p72,
-        0 + k1 * p13 + k3 * p33 + k4 * p43 + k5 * p53 + k6 * p63 + k7 * p73,
+        dy,
+        h * k1 - dy,
+        2 * dy - h * (k13 + k1),
+        h * (_D3_1 * k1 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8 + _D3_9 * k9 + _D3_10 * k10
+             + _D3_11 * k11 + _D3_12 * k12 + _D3_13 * k13 + _D3_14 * k14 + _D3_15 * k15
+             + _D3_16 * k16),
+        h * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9 + _D4_10 * k10
+             + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15
+             + _D4_16 * k16),
+        h * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9 + _D5_10 * k10
+             + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15
+             + _D5_16 * k16),
+        h * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9 + _D6_10 * k10
+             + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15
+             + _D6_16 * k16),
     )
+
+
+def _horner(x, y0, f0, f1, f2, f3, f4, f5, f6):
+    """The dense output at x = (t - t_old) / h, nested as scipy's; floats or arrays."""
+    u = 1 - x
+    return x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (f5 + x * f6)))))) + y0
 
 
 def _gap(a0, b0, a1, b1):
@@ -399,9 +471,9 @@ def _gap(a0, b0, a1, b1):
 
 
 # one record per wide step: the index of its end row, t_old, h, y_old (3),
-# the stage rates (stage 1, 3..7, each for a, b, c), and t, a, b at its end
-_REC = 27
-_P4 = np.array(_P)[:, :, None, None]  # per stage, its weights of theta^1..4
+# y at the step end (3), the rates of the stages `_dense` reads (stages 1,
+# 6..16, each for a, b, c), and t, a, b at the end row
+_REC = 48
 
 
 def _read_rows(rec, spacing, d, cols):
@@ -418,16 +490,10 @@ def _read_rows(rec, spacing, d, cols):
     Returns the four columns as the rows of one array.
     """
     r = np.frombuffer(rec, dtype=float).reshape(-1, _REC).T.copy()
-    # every step's `_weights`, per weight and component: the sums in its
-    # order from a 0 start, one stage at a time
-    k = r[6:24].reshape(6, 1, 3, -1)
-    w = 0.0 + k[0] * _P4[0]
-    for i in range(1, 6):
-        w += k[i] * _P4[i]
-    # per step: t_old, h, y_old (3), then the weights of theta^1..4
-    # (3 each); per part: t, a, b at its start, then at its end
-    coef = np.concatenate((r[1:6], w.reshape(12, -1)))
-    step, parts = np.arange(r.shape[1]), r[[1, 3, 4, 24, 25, 26]]
+    # per step: t_old, h, y_old (3), then F0..F6 (3 each); per part: t, a, b
+    # at its start, then at its end
+    coef = np.concatenate((r[1:6], *_dense(r[2], r[3:6], r[6:9], *r[9:45].reshape(12, 3, -1))))
+    step, parts = np.arange(r.shape[1]), r[[1, 3, 4, 45, 46, 47]]
     found = []
     while True:
         # the slack keeps a part that rounding left an ulp over `spacing` whole
@@ -448,11 +514,7 @@ def _read_rows(rec, spacing, d, cols):
         s = t0 + j * (parts[3].take(p) - t0) / n.take(p)
         st = step.take(p)
         c = coef.take(st, axis=1)
-        x = (s - c[0]) / c[1]
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        y = c[1] * (c[5:8] * x + c[8:11] * x2 + c[11:14] * x3 + c[14:17] * x4) + c[2:5]
+        y = _horner((s - c[0]) / c[1], c[2:5], *c[5:26].reshape(7, 3, -1))
         found.append((st, s, y))
         sub = np.empty((6, len(at) + len(m)))
         sub[:3, first], sub[3:, first + m - 1] = parts[:3], parts[3:]
@@ -484,14 +546,15 @@ class OdeResult:
     c)` for every event root located before the stop, in traversal order;
     after a terminal stop its root comes last and `terminal` is its event
     index, otherwise `terminal` is None. `nfev` counts right-hand-side
-    evaluations.
+    evaluations, of which `ndense` times 3 went into the dense output of
+    `ndense` steps.
     """
 
-    __slots__ = ("t", "ya", "yb", "yc", "status", "nfev", "roots", "terminal", "steps")
+    __slots__ = ("t", "ya", "yb", "yc", "status", "nfev", "ndense", "roots", "terminal", "steps")
 
-    def __init__(self, t, ya, yb, yc, status, nfev, roots, terminal, steps):
+    def __init__(self, t, ya, yb, yc, status, nfev, ndense, roots, terminal, steps):
         self.t, self.ya, self.yb, self.yc = t, ya, yb, yc
-        self.status, self.nfev = status, nfev
+        self.status, self.nfev, self.ndense = status, nfev, ndense
         self.roots, self.terminal = roots, terminal
         self.steps = steps
 
@@ -512,33 +575,38 @@ def solve_ivp(
     fun, t0, t_bound, y0, rtol, atol, max_step, events=(),
     dense_output=False, spacing=math.inf,
 ):
-    """Integrate a three-component ODE from t0 toward t_bound (Dormand-Prince 5(4)).
+    """Integrate a three-component ODE from t0 toward t_bound (Dormand-Prince 8(5,3)).
 
     ``fun(t, a, b, c)`` returns the derivatives of the state ``(a, b, c)``.
     Each of `events` provides ``g(t, a, b, c)``, ``terminal`` and
     ``direction``. An event fires where g changes sign over a step, in the
     given direction (+1 rising, -1 falling, 0 either). Its root is found by
-    `_brentq` (xtol = rtol = 4 eps) on the step's quartic interpolant; a
-    search that does not converge raises `IntegrationFailure`. The run
+    `_brentq` (xtol = rtol = 4 eps) on the step's seventh-order interpolant;
+    a search that does not converge raises `IntegrationFailure`. The run
     stops at the first terminal root in traversal order; the roots before
     it are kept. Every accepted step is sampled at its end, the stopping
     root included. Where two consecutive samples are more than `spacing`
     apart by `_gap`, in ``a`` or relatively in ``b``, rows read off the
     step's interpolant go between them: the step is recorded, and
     `_read_rows` reads the rows of all recorded steps after the run, on
-    arrays.  A step's interpolant (`_Step`) is built only where an event or
-    `OdeResult.sol` reads it: with `dense_output` every step is kept, else
-    the final one of a run that is not cut short.
+    arrays.  The interpolant costs three more evaluations of ``fun``, so it
+    is built only where something reads it: for a step with an event root,
+    a wide step, every step with `dense_output`, and the final step of a run
+    that reaches t_bound.  `nfev` counts these evaluations too, and
+    `ndense` the steps they were made for.  A `_Step` is kept with
+    `dense_output` for every step, else for the final step of a run that is
+    not cut short.
 
     Watches with a ``level`` are screened: while the state stays inside the
     open cell between the levels, none can fire, so only the others are
     evaluated; a step that leaves the cell evaluates all and recomputes it.
     A float ``y - v`` has the sign of its exact value: the events are the same.
 
-    The tableau, the RMS error norm over ``atol + rtol*max(|y|, |y_new|)``,
-    the initial step, the step controller and the event rules are those of
-    ``scipy.integrate.solve_ivp(method="RK45")``, so both take the same
-    steps up to roundoff.
+    The tableau, the error norm (scipy's blend of the fifth- and third-order
+    estimates over ``atol + rtol*max(|y|, |y_new|)``), the initial step, the
+    step controller, the dense output and the event rules are those of
+    ``scipy.integrate.solve_ivp(method="DOP853")``, so it follows scipy's
+    DOP853 step for step, up to roundoff.
 
     The benchmark's trace wraps the ODE layer under this module-level name
     and reads ``nfev`` from the result, so every leg calls the kernel
@@ -569,8 +637,9 @@ def solve_ivp(
 
     fa, fb, fc = _eval_rhs(fun, t, ya, yb, yc)
     nfev = 1
+    ndense = 0
     if span == 0.0:
-        return OdeResult(ts, yas, ybs, ycs, 0, nfev, roots, None, [])
+        return OdeResult(ts, yas, ybs, ycs, 0, nfev, 0, roots, None, [])
 
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     sa = atol + abs(ya) * rtol
@@ -588,7 +657,7 @@ def solve_ivp(
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, span, max_step)
 
     status = None
@@ -608,55 +677,115 @@ def solve_ivp(
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            nfev += 6
+            nfev += 12
             try:
                 k2a, k2b, k2c = fun(
-                    t + _C2 * h, ya + _A21 * fa * h, yb + _A21 * fb * h, yc + _A21 * fc * h
+                    t + _C2 * h, ya + _A2_1 * fa * h, yb + _A2_1 * fb * h, yc + _A2_1 * fc * h
                 )
                 k3a, k3b, k3c = fun(
                     t + _C3 * h,
-                    ya + (_A31 * fa + _A32 * k2a) * h,
-                    yb + (_A31 * fb + _A32 * k2b) * h,
-                    yc + (_A31 * fc + _A32 * k2c) * h,
+                    ya + (_A3_1 * fa + _A3_2 * k2a) * h,
+                    yb + (_A3_1 * fb + _A3_2 * k2b) * h,
+                    yc + (_A3_1 * fc + _A3_2 * k2c) * h,
                 )
                 k4a, k4b, k4c = fun(
                     t + _C4 * h,
-                    ya + (_A41 * fa + _A42 * k2a + _A43 * k3a) * h,
-                    yb + (_A41 * fb + _A42 * k2b + _A43 * k3b) * h,
-                    yc + (_A41 * fc + _A42 * k2c + _A43 * k3c) * h,
+                    ya + (_A4_1 * fa + _A4_3 * k3a) * h,
+                    yb + (_A4_1 * fb + _A4_3 * k3b) * h,
+                    yc + (_A4_1 * fc + _A4_3 * k3c) * h,
                 )
                 k5a, k5b, k5c = fun(
                     t + _C5 * h,
-                    ya + (_A51 * fa + _A52 * k2a + _A53 * k3a + _A54 * k4a) * h,
-                    yb + (_A51 * fb + _A52 * k2b + _A53 * k3b + _A54 * k4b) * h,
-                    yc + (_A51 * fc + _A52 * k2c + _A53 * k3c + _A54 * k4c) * h,
+                    ya + (_A5_1 * fa + _A5_3 * k3a + _A5_4 * k4a) * h,
+                    yb + (_A5_1 * fb + _A5_3 * k3b + _A5_4 * k4b) * h,
+                    yc + (_A5_1 * fc + _A5_3 * k3c + _A5_4 * k4c) * h,
                 )
                 k6a, k6b, k6c = fun(
-                    t + h,
-                    ya + (_A61 * fa + _A62 * k2a + _A63 * k3a + _A64 * k4a
-                          + _A65 * k5a) * h,
-                    yb + (_A61 * fb + _A62 * k2b + _A63 * k3b + _A64 * k4b
-                          + _A65 * k5b) * h,
-                    yc + (_A61 * fc + _A62 * k2c + _A63 * k3c + _A64 * k4c
-                          + _A65 * k5c) * h,
+                    t + _C6 * h,
+                    ya + (_A6_1 * fa + _A6_4 * k4a + _A6_5 * k5a) * h,
+                    yb + (_A6_1 * fb + _A6_4 * k4b + _A6_5 * k5b) * h,
+                    yc + (_A6_1 * fc + _A6_4 * k4c + _A6_5 * k5c) * h,
                 )
-                na = ya + h * (_B1 * fa + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
-                nb = yb + h * (_B1 * fb + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-                nc = yc + h * (_B1 * fc + _B3 * k3c + _B4 * k4c + _B5 * k5c + _B6 * k6c)
-                k7a, k7b, k7c = fun(t + h, na, nb, nc)
+                k7a, k7b, k7c = fun(
+                    t + _C7 * h,
+                    ya + (_A7_1 * fa + _A7_4 * k4a + _A7_5 * k5a + _A7_6 * k6a) * h,
+                    yb + (_A7_1 * fb + _A7_4 * k4b + _A7_5 * k5b + _A7_6 * k6b) * h,
+                    yc + (_A7_1 * fc + _A7_4 * k4c + _A7_5 * k5c + _A7_6 * k6c) * h,
+                )
+                k8a, k8b, k8c = fun(
+                    t + _C8 * h,
+                    ya + (_A8_1 * fa + _A8_4 * k4a + _A8_5 * k5a + _A8_6 * k6a + _A8_7 * k7a) * h,
+                    yb + (_A8_1 * fb + _A8_4 * k4b + _A8_5 * k5b + _A8_6 * k6b + _A8_7 * k7b) * h,
+                    yc + (_A8_1 * fc + _A8_4 * k4c + _A8_5 * k5c + _A8_6 * k6c + _A8_7 * k7c) * h,
+                )
+                k9a, k9b, k9c = fun(
+                    t + _C9 * h,
+                    ya + (_A9_1 * fa + _A9_4 * k4a + _A9_5 * k5a + _A9_6 * k6a + _A9_7 * k7a
+                          + _A9_8 * k8a) * h,
+                    yb + (_A9_1 * fb + _A9_4 * k4b + _A9_5 * k5b + _A9_6 * k6b + _A9_7 * k7b
+                          + _A9_8 * k8b) * h,
+                    yc + (_A9_1 * fc + _A9_4 * k4c + _A9_5 * k5c + _A9_6 * k6c + _A9_7 * k7c
+                          + _A9_8 * k8c) * h,
+                )
+                k10a, k10b, k10c = fun(
+                    t + _C10 * h,
+                    ya + (_A10_1 * fa + _A10_4 * k4a + _A10_5 * k5a + _A10_6 * k6a + _A10_7 * k7a
+                          + _A10_8 * k8a + _A10_9 * k9a) * h,
+                    yb + (_A10_1 * fb + _A10_4 * k4b + _A10_5 * k5b + _A10_6 * k6b + _A10_7 * k7b
+                          + _A10_8 * k8b + _A10_9 * k9b) * h,
+                    yc + (_A10_1 * fc + _A10_4 * k4c + _A10_5 * k5c + _A10_6 * k6c + _A10_7 * k7c
+                          + _A10_8 * k8c + _A10_9 * k9c) * h,
+                )
+                k11a, k11b, k11c = fun(
+                    t + _C11 * h,
+                    ya + (_A11_1 * fa + _A11_4 * k4a + _A11_5 * k5a + _A11_6 * k6a + _A11_7 * k7a
+                          + _A11_8 * k8a + _A11_9 * k9a + _A11_10 * k10a) * h,
+                    yb + (_A11_1 * fb + _A11_4 * k4b + _A11_5 * k5b + _A11_6 * k6b + _A11_7 * k7b
+                          + _A11_8 * k8b + _A11_9 * k9b + _A11_10 * k10b) * h,
+                    yc + (_A11_1 * fc + _A11_4 * k4c + _A11_5 * k5c + _A11_6 * k6c + _A11_7 * k7c
+                          + _A11_8 * k8c + _A11_9 * k9c + _A11_10 * k10c) * h,
+                )
+                k12a, k12b, k12c = fun(
+                    t + _C12 * h,
+                    ya + (_A12_1 * fa + _A12_4 * k4a + _A12_5 * k5a + _A12_6 * k6a + _A12_7 * k7a
+                          + _A12_8 * k8a + _A12_9 * k9a + _A12_10 * k10a + _A12_11 * k11a) * h,
+                    yb + (_A12_1 * fb + _A12_4 * k4b + _A12_5 * k5b + _A12_6 * k6b + _A12_7 * k7b
+                          + _A12_8 * k8b + _A12_9 * k9b + _A12_10 * k10b + _A12_11 * k11b) * h,
+                    yc + (_A12_1 * fc + _A12_4 * k4c + _A12_5 * k5c + _A12_6 * k6c + _A12_7 * k7c
+                          + _A12_8 * k8c + _A12_9 * k9c + _A12_10 * k10c + _A12_11 * k11c) * h,
+                )
+                na = ya + h * (_B1 * fa + _B6 * k6a + _B7 * k7a + _B8 * k8a + _B9 * k9a
+                               + _B10 * k10a + _B11 * k11a + _B12 * k12a)
+                nb = yb + h * (_B1 * fb + _B6 * k6b + _B7 * k7b + _B8 * k8b + _B9 * k9b
+                               + _B10 * k10b + _B11 * k11b + _B12 * k12b)
+                nc = yc + h * (_B1 * fc + _B6 * k6c + _B7 * k7c + _B8 * k8c + _B9 * k9c
+                               + _B10 * k10c + _B11 * k11c + _B12 * k12c)
+                k13a, k13b, k13c = fun(t + h, na, nb, nc)
                 # max(|y|, |y_new|) that, like np.maximum, passes a NaN y_new on
                 ma, mb, mc = abs(ya), abs(yb), abs(yc)
-                ma = ma if ma >= abs(na) else abs(na)
-                mb = mb if mb >= abs(nb) else abs(nb)
-                mc = mc if mc >= abs(nc) else abs(nc)
-                error_norm = _rms(
-                    (_E1 * fa + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
-                     + _E7 * k7a) * h / (atol + ma * rtol),
-                    (_E1 * fb + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
-                     + _E7 * k7b) * h / (atol + mb * rtol),
-                    (_E1 * fc + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c
-                     + _E7 * k7c) * h / (atol + mc * rtol),
-                )
+                sa = atol + (ma if ma >= abs(na) else abs(na)) * rtol
+                sb = atol + (mb if mb >= abs(nb) else abs(nb)) * rtol
+                sc = atol + (mc if mc >= abs(nc) else abs(nc)) * rtol
+                ea = (_E5_1 * fa + _E5_6 * k6a + _E5_7 * k7a + _E5_8 * k8a + _E5_9 * k9a
+                      + _E5_10 * k10a + _E5_11 * k11a + _E5_12 * k12a) / sa
+                eb = (_E5_1 * fb + _E5_6 * k6b + _E5_7 * k7b + _E5_8 * k8b + _E5_9 * k9b
+                      + _E5_10 * k10b + _E5_11 * k11b + _E5_12 * k12b) / sb
+                ec = (_E5_1 * fc + _E5_6 * k6c + _E5_7 * k7c + _E5_8 * k8c + _E5_9 * k9c
+                      + _E5_10 * k10c + _E5_11 * k11c + _E5_12 * k12c) / sc
+                # scipy's estimates weight k13 by zero, which a non-finite
+                # k13 turns into NaN: the step is rejected
+                e5 = ea * ea + eb * eb + ec * ec + (0.0 * k13a + 0.0 * k13b + 0.0 * k13c)
+                ea = (_E3_1 * fa + _E3_6 * k6a + _E3_7 * k7a + _E3_8 * k8a + _E3_9 * k9a
+                      + _E3_10 * k10a + _E3_11 * k11a + _E3_12 * k12a) / sa
+                eb = (_E3_1 * fb + _E3_6 * k6b + _E3_7 * k7b + _E3_8 * k8b + _E3_9 * k9b
+                      + _E3_10 * k10b + _E3_11 * k11b + _E3_12 * k12b) / sb
+                ec = (_E3_1 * fc + _E3_6 * k6c + _E3_7 * k7c + _E3_8 * k8c + _E3_9 * k9c
+                      + _E3_10 * k10c + _E3_11 * k11c + _E3_12 * k12c) / sc
+                e3 = ea * ea + eb * eb + ec * ec
+                if e5 == 0 and e3 == 0:
+                    error_norm = 0.0
+                else:  # the fifth-order estimate, damped where the third is larger
+                    error_norm = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 3)
             except (ArithmeticError, ValueError):
                 error_norm = math.nan  # rejected like an overflowing step
             if error_norm < 1:
@@ -675,7 +804,7 @@ def solve_ivp(
 
         t_old, ya_old, yb_old, yc_old = t, ya, yb, yc
         k1a, k1b, k1c = fa, fb, fc
-        t, ya, yb, yc, fa, fb, fc = t_new, na, nb, nc, k7a, k7b, k7c
+        t, ya, yb, yc, fa, fb, fc = t_new, na, nb, nc, k13a, k13b, k13c
         if d * (t - t_bound) >= 0:
             status = 0
 
@@ -698,11 +827,44 @@ def solve_ivp(
         if spacing < math.inf:  # _gap((ya_old, yb_old), (ya, yb)), inline
             wide = abs(yb - yb_old) / max(abs(yb_old), abs(yb), 1.0)
             wide = max(abs(ya - ya_old), wide) > spacing
-        if hits or status == 0 or steps is not None:
+        kept = hits or status == 0 or steps is not None
+        if kept or wide:  # the stages of the dense output
+            ndense += 1
+            k14a, k14b, k14c = fun(
+                t_old + _C14 * h,
+                ya_old + (_A14_1 * k1a + _A14_7 * k7a + _A14_8 * k8a + _A14_9 * k9a
+                          + _A14_10 * k10a + _A14_11 * k11a + _A14_12 * k12a + _A14_13 * k13a) * h,
+                yb_old + (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b + _A14_9 * k9b
+                          + _A14_10 * k10b + _A14_11 * k11b + _A14_12 * k12b + _A14_13 * k13b) * h,
+                yc_old + (_A14_1 * k1c + _A14_7 * k7c + _A14_8 * k8c + _A14_9 * k9c
+                          + _A14_10 * k10c + _A14_11 * k11c + _A14_12 * k12c + _A14_13 * k13c) * h,
+            )
+            k15a, k15b, k15c = fun(
+                t_old + _C15 * h,
+                ya_old + (_A15_1 * k1a + _A15_6 * k6a + _A15_7 * k7a + _A15_8 * k8a
+                          + _A15_11 * k11a + _A15_12 * k12a + _A15_13 * k13a + _A15_14 * k14a) * h,
+                yb_old + (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b + _A15_8 * k8b
+                          + _A15_11 * k11b + _A15_12 * k12b + _A15_13 * k13b + _A15_14 * k14b) * h,
+                yc_old + (_A15_1 * k1c + _A15_6 * k6c + _A15_7 * k7c + _A15_8 * k8c
+                          + _A15_11 * k11c + _A15_12 * k12c + _A15_13 * k13c + _A15_14 * k14c) * h,
+            )
+            k16a, k16b, k16c = fun(
+                t_old + _C16 * h,
+                ya_old + (_A16_1 * k1a + _A16_6 * k6a + _A16_7 * k7a + _A16_8 * k8a + _A16_9 * k9a
+                          + _A16_13 * k13a + _A16_14 * k14a + _A16_15 * k15a) * h,
+                yb_old + (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b + _A16_8 * k8b + _A16_9 * k9b
+                          + _A16_13 * k13b + _A16_14 * k14b + _A16_15 * k15b) * h,
+                yc_old + (_A16_1 * k1c + _A16_6 * k6c + _A16_7 * k7c + _A16_8 * k8c + _A16_9 * k9c
+                          + _A16_13 * k13c + _A16_14 * k14c + _A16_15 * k15c) * h,
+            )
+        if kept:
             step = _Step(t_old, h, (ya_old, yb_old, yc_old), (
-                (k1a, k3a, k4a, k5a, k6a, k7a),
-                (k1b, k3b, k4b, k5b, k6b, k7b),
-                (k1c, k3c, k4c, k5c, k6c, k7c),
+                _dense(h, ya_old, na, k1a, k6a, k7a, k8a, k9a, k10a, k11a, k12a, k13a,
+                       k14a, k15a, k16a),
+                _dense(h, yb_old, nb, k1b, k6b, k7b, k8b, k9b, k10b, k11b, k12b, k13b,
+                       k14b, k15b, k16b),
+                _dense(h, yc_old, nc, k1c, k6c, k7c, k8c, k9c, k10c, k11c, k12c, k13c,
+                       k14c, k15c, k16c),
             ))
             if steps is not None:
                 steps.append(step)
@@ -732,9 +894,10 @@ def solve_ivp(
 
         if wide:  # its rows are read after the run; t, ya, yb may be a root
             rec.extend((
-                len(ts), t_old, h, ya_old, yb_old, yc_old,
-                k1a, k1b, k1c, k3a, k3b, k3c, k4a, k4b, k4c,
-                k5a, k5b, k5c, k6a, k6b, k6c, k7a, k7b, k7c,
+                len(ts), t_old, h, ya_old, yb_old, yc_old, na, nb, nc,
+                k1a, k1b, k1c, k6a, k6b, k6c, k7a, k7b, k7c, k8a, k8b, k8c,
+                k9a, k9b, k9c, k10a, k10b, k10c, k11a, k11b, k11c, k12a, k12b, k12c,
+                k13a, k13b, k13c, k14a, k14b, k14c, k15a, k15b, k15c, k16a, k16b, k16c,
                 t, ya, yb,
             ))
         ts.append(t)
@@ -742,11 +905,12 @@ def solve_ivp(
         ybs.append(yb)
         ycs.append(yc)
 
+    nfev += 3 * ndense
     if rec:
         ts, yas, ybs, ycs = _read_rows(rec, spacing, d, (ts, yas, ybs, ycs))
     if steps is None:  # a run not cut short keeps its final step for `sol`
         steps = [step] if status >= 0 else []
-    return OdeResult(ts, yas, ybs, ycs, status, nfev, roots, terminal, steps)
+    return OdeResult(ts, yas, ybs, ycs, status, nfev, ndense, roots, terminal, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ DEFAULT_J_SCHEDULE = (0.5, 0.9, 0.99, 0.999, 0.9999)
 _OVERSHOOT = 10.0
 
 # probe stop: every shooting residual is an abscissa miss, and probe arcs
-# land only to about 1e-9 of the fine arc; a probe this close ends the root
+# land only to about 1e-10 of the fine arc; a probe this close ends the root
 # search, and `_polish` takes the rest at output resolution
 _RESIDUAL_FLOOR = 1e-7
 
@@ -88,8 +88,8 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     stored arrays support interpolation, and per-interval defect checks,
     at the accuracy of the solve itself.  The step cap stays the probes'
     (at the default, none but the error controller): the rows, not the
-    steps, have to be dense.  The rows outnumber the step ends, by 8 to
-    10 times on subsonic, supersonic and shock arcs; the kernel reads
+    steps, have to be dense.  The rows outnumber the step ends, by about
+    100 times on subsonic, supersonic and shock arcs; the kernel reads
     them after each run in one batched pass (`integrator._read_rows`).
     """
     return replace(
@@ -104,8 +104,9 @@ class _Landed(Exception):
     """Raised inside the shooting residual by a shot within the probe stop."""
 
 
-# consecutive sentinel residuals after which the bracket is taken to hold a
-# jump between sentinels, not a landing
+# consecutive closing shots without progress (sentinels, or real shots that
+# leave the real end stalled above _JUMP_GAP) after which the bracket is
+# taken to hold a jump, not a landing
 _MAX_SENTINELS = 8
 
 # a widening step goes this many times the secant's distance to its root
@@ -147,10 +148,14 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
 
     Where ``_MAX_SENTINELS`` closing shots in a row, the bracket's ends
     included, return a sentinel, no launch value in the bracket lands and
-    `BracketFailure` is raised.  Where the bracket closes with both
-    residuals above ``_JUMP_GAP``, the residual jumps there, and
-    `ShootingDivergence` is raised.  Both carry the bracket, its residuals
-    (None for an end not shot) and the shot count.
+    `BracketFailure` is raised.  While the bracket is split, a real shot
+    that becomes the real end with its |residual| above ``_JUMP_GAP`` and
+    at least half the old end's makes no progress either, and counts
+    toward the same limit; a run that holds such a shot, on a bracket that
+    still has a real end, raises `ShootingDivergence`: the residual jumps
+    from the stalled real end to the sentinels.  So does a bracket that
+    closes with both residuals above ``_JUMP_GAP``.  Both errors carry the
+    bracket, its residuals (None for an end not shot) and the shot count.
 
     Returns ``(root, shots)``, where ``shots`` counts distinct launch values.
     Pass an empty dict as ``memo`` to keep the residual of every launch
@@ -158,7 +163,7 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
     """
     memo = {} if memo is None else memo
     r_lo = r_hi = None
-    sentinels = 0
+    sentinels = stalled = 0
 
     def residual(v: float) -> float:
         r = memo.get(v)
@@ -174,19 +179,28 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
             diagnostics={"bracket": [lo, hi], "residuals": [r_lo, r_hi], "shots": len(memo)},
         )
 
-    def closing(v: float) -> float:
-        nonlocal sentinels
+    def jump():
+        return failure(ShootingDivergence, "the shooting residual jumps across the closed bracket")
+
+    def closing(v: float, r_end: float | None = None) -> float:
+        """A closing shot; ``r_end`` is the real end's residual while the bracket is split."""
+        nonlocal sentinels, stalled
         r = residual(v)
-        sentinels = sentinels + 1 if abs(r) >= _OVERSHOOT else 0
+        if abs(r) >= _OVERSHOOT:
+            sentinels += 1
+        elif (r_end is not None and (r > 0.0) == (r_end > 0.0)
+              and abs(r) > _JUMP_GAP and abs(r) >= 0.5 * abs(r_end)):
+            sentinels, stalled = sentinels + 1, stalled + 1
+        else:
+            sentinels = stalled = 0
         if sentinels == _MAX_SENTINELS:
+            if stalled and min(abs(r_lo), abs(r_hi)) < _OVERSHOOT:
+                raise jump()
             raise failure(
                 BracketFailure,
                 f"no launch value lands: {sentinels} shots in a row left the admissible region",
             )
         return r
-
-    def jump():
-        return failure(ShootingDivergence, "the shooting residual jumps across the closed bracket")
 
     try:
         # each end's previous position, whose residual has the end's sign
@@ -223,7 +237,7 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
             v = split if prev is None else _widened(lambda _: split, end, r_end, *prev)
             if v in (lo, hi):
                 raise jump()
-            r = closing(v)
+            r = closing(v, r_end if abs(r_end) < _OVERSHOOT else None)
             if r < 0.0:
                 lo_prev, lo, r_lo = (lo, r_lo), v, r
             else:

@@ -1,9 +1,10 @@
-"""Tests for the trajectory integrator and its Dormand-Prince kernel."""
+"""Tests for the trajectory integrator and its Dormand-Prince 8(5,3) kernel."""
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from scipy.integrate._ivp import dop853_coefficients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -359,7 +361,8 @@ class TestRhoLegRows:
 
 
 # ---------------------------------------------------------------------------
-# the Dormand-Prince kernel against scipy's RK45, which stays a test-only oracle
+# the Dormand-Prince 8(5,3) kernel against scipy's DOP853, which stays a
+# test-only oracle
 
 
 @pytest.fixture
@@ -377,8 +380,8 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _rk45(args, kwargs):
-    """The same run through scipy.integrate.solve_ivp(method="RK45")."""
+def _dop853(args, kwargs):
+    """The same run through scipy.integrate.solve_ivp(method="DOP853")."""
     fun, t0, t_bound, y0, rtol, atol, max_step, watches = args
     events = []
     for w in watches:
@@ -389,7 +392,7 @@ def _rk45(args, kwargs):
         lambda t, y: fun(t, y[0], y[1], y[2]),
         (t0, t_bound),
         list(y0),
-        method="RK45",
+        method="DOP853",
         rtol=rtol,
         atol=atol,
         max_step=max_step,
@@ -398,11 +401,14 @@ def _rk45(args, kwargs):
     )
 
 
-def _assert_matches_rk45(call):
+def _assert_matches_dop853(call):
     args, kwargs, res = call
-    ref = _rk45(args, kwargs)
+    ref = _dop853(args, kwargs)
     assert res.status == ref.status
-    assert res.nfev == ref.nfev
+    # the stage evaluations: scipy, asked for dense output, evaluates the
+    # interpolant's three extra stages on every accepted step, the kernel
+    # only on the steps it reads
+    assert res.nfev - 3 * res.ndense == ref.nfev - 3 * (len(ref.t) - 1)
     if kwargs.get("spacing", math.inf) == math.inf:
         assert len(res.t) == len(ref.t)  # the rows are the step ends
     for k, c in enumerate((res.ya, res.yb, res.yc)):
@@ -418,7 +424,7 @@ def _assert_matches_rk45(call):
     return ref
 
 
-class TestKernelMatchesRK45:
+class TestKernelMatchesDOP853:
     # a loose step cap leaves the step sizes to the error controller
     loose_cap = IntegratorConfig(max_step=0.5)
 
@@ -431,7 +437,7 @@ class TestKernelMatchesRK45:
         )
         assert seg.terminator.kind == "domain_end"
         assert len(kernel_calls) == 1
-        _assert_matches_rk45(kernel_calls[0])
+        _assert_matches_dop853(kernel_calls[0])
         args, _, res = kernel_calls[0]
         assert res.status == 1 and args[7][res.terminal].kind == "domain_end"
 
@@ -446,7 +452,7 @@ class TestKernelMatchesRK45:
         args, kwargs, res = kernel_calls[0]
         assert kwargs["spacing"] == 1e-2
         assert args[3] == (0.0, 1.0, p.inv_tau + 0.15)  # the sonic launch
-        ref = _assert_matches_rk45(kernel_calls[0])
+        ref = _assert_matches_dop853(kernel_calls[0])
         assert len(res.t) > len(ref.t)
         seg = integrator.TrajectorySegment(res.ya, res.yb, res.yc, seg.terminator)
         s = np.array(res.t)
@@ -463,8 +469,9 @@ class TestKernelMatchesRK45:
         )
         args, kwargs, res = kernel_calls[0]
         assert kwargs["spacing"] == math.inf
-        ref = _assert_matches_rk45(kernel_calls[0])
+        ref = _assert_matches_dop853(kernel_calls[0])
         assert res.status == 1 and len(res.t) == len(ref.t)
+        assert res.ndense == 1  # the stopping step's: no other step is read
         # the step ends, up to the roundoff the step controller carries along:
         # the error estimate cancels to about 1e-7 of its size, so a step
         # size, and every step end after it, can differ in the eighth digit
@@ -480,28 +487,88 @@ class TestKernelMatchesRK45:
         args, _, res = kernel_calls[-1]
         assert res.status == 1
         assert args[7][res.terminal].kind == "target_density"
-        ref = _assert_matches_rk45(kernel_calls[-1])
+        ref = _assert_matches_dop853(kernel_calls[-1])
         assert res.roots[-1][1] == pytest.approx(
             float(ref.t_events[res.terminal][0]), abs=1e-12
         )
 
     def test_controller_after_rejections(self):
         # a steep tanh front makes the controller reject trial steps on the
-        # way in and hold back growth right after each rejection
+        # way in and hold back growth right after each rejection.  (b, c)
+        # turns as (cos, -sin): a component linear in t has an error
+        # estimate of pure roundoff, which the order of the sums decides
         def fun(t, a, b, c):
-            return 50.0 / math.cosh(50.0 * (t - 1.0)) ** 2, a, 1.0
+            return 50.0 / math.cosh(50.0 * (t - 1.0)) ** 2, c, -b
 
-        args = (fun, 0.0, 2.0, (math.tanh(-50.0), 0.0, 0.0), 1e-9, 1e-11, 1.0, [])
+        args = (fun, 0.0, 2.0, (math.tanh(-50.0), math.cos(1.0), -math.sin(1.0)),
+                1e-9, 1e-11, 1.0, [])
         res = integrator.solve_ivp(*args)
         accepted = len(res.t) - 1
-        assert res.nfev > 2 + 6 * accepted  # some trial steps were rejected
-        _assert_matches_rk45((args, {}, res))
+        assert res.ndense == 1  # the final step's, kept for `sol`
+        assert res.nfev > 2 + 12 * accepted + 3  # some trial steps were rejected
+        assert (res.nfev - 2 - 3) % 12 == 0  # 12 evaluations per trial step
+        _assert_matches_dop853((args, {}, res))
         assert res.ya[-1] == pytest.approx(math.tanh(50.0), abs=1e-8)
 
 
+class TestTableauIsScipys:
+    # the kernel's literals against scipy's dop853_coefficients, bit for bit:
+    # the kernel cannot import its source, so it must not drift from it
+
+    @staticmethod
+    def literals(pattern):
+        """The kernel's constants whose names match `pattern`, by their indices."""
+        found = {}
+        for name, value in vars(integrator).items():
+            m = re.fullmatch(pattern, name)
+            if m:
+                assert type(value) is float
+                found[tuple(map(int, m.groups()))] = value
+        return found
+
+    @staticmethod
+    def nonzero(a, first=None):
+        """The nonzero entries of `a`, keyed by their indices counted from
+        `first` per axis (from 1 by default)."""
+        first = first or (1,) * a.ndim
+        return {
+            tuple(int(i) + f for i, f in zip(ix, first)): a[ix] for ix in zip(*np.nonzero(a))
+        }
+
+    def test_stage_weights(self):
+        # rows 2..12 and the dense output's 14..16; row 13 is `_B`
+        A = dop853_coefficients.A
+        expected = {ij: v for ij, v in self.nonzero(A).items() if ij[0] != 13}
+        assert self.literals(r"_A(\d+)_(\d+)") == expected
+        assert len(expected) == 50 + 24
+
+    def test_nodes(self):
+        # stage 1 runs at t, stage 13 at t + h, as the kernel writes them
+        C = dop853_coefficients.C
+        assert (C[0], C[12]) == (0.0, 1.0)
+        expected = {(i + 1,): C[i] for i in range(16) if i not in (0, 12)}
+        assert self.literals(r"_C(\d+)") == expected
+
+    def test_solution_weights(self):
+        c = dop853_coefficients
+        assert np.array_equal(c.A[12, :12], c.B) and not c.A[12, 12:].any()
+        assert self.literals(r"_B(\d+)") == self.nonzero(c.B)
+
+    def test_error_weights(self):
+        # neither estimate weights stage 13, the derivative at the step end
+        c = dop853_coefficients
+        assert c.E3[12] == c.E5[12] == 0.0
+        assert self.literals(r"_E3_(\d+)") == self.nonzero(c.E3)
+        assert self.literals(r"_E5_(\d+)") == self.nonzero(c.E5)
+
+    def test_dense_output_weights(self):
+        # F3..F6; F0..F2 come from the step's ends
+        D = dop853_coefficients.D
+        assert self.literals(r"_D(\d+)_(\d+)") == self.nonzero(D, first=(3, 1))
+
 
 # ---------------------------------------------------------------------------
-# the Brent port against scipy.optimize.brentq, a test-only oracle like RK45
+# the Brent port against scipy.optimize.brentq, a test-only oracle like DOP853
 
 _EPS = sys.float_info.epsilon
 # (xtol, rtol) of the event location and of each shooting bracket

@@ -323,6 +323,18 @@ class TestTransonicShock:
         assert isinstance(err.value, NumericalError)
         assert err.value.diagnostics["shots"] <= 20
 
+    def test_stalled_real_end_is_a_divergence(self):
+        # no root near the touching energy: the residual jumps from about +1
+        # to the sentinel region, and each split leaves the real end above
+        # half its residual; eight shots in a row without progress end the
+        # search, where splitting down to a 1-ulp bracket took 56 shots
+        with pytest.raises(ShootingDivergence, match="jumps") as err:
+            solve_transonic_shock(params(36.48, 1.418), 0.733)
+        d = err.value.diagnostics
+        assert d["shots"] <= 20
+        assert d["residuals"][0] == -10.0 and 0.5 < d["residuals"][1] < 10.0
+        assert 0.0 < d["bracket"][1] - d["bracket"][0] < 1e-2
+
 
 class TestShockRegressions:
     # inputs whose right sonic end read 1.07e-3 and 1.15e-3 when the fine
@@ -586,6 +598,25 @@ class TestShootDriver:
             "bracket": [lo, hi], "residuals": [-10.0, 10.0], "shots": 8,
         }
 
+    def test_real_end_stalled_beside_sentinels_is_a_divergence(self):
+        # the residual jumps from +1 to the sentinel region at 1.3: the real
+        # end never falls below half its residual, so its shots count with
+        # the sentinels, and eight in a row end the search
+        shot, calls = self.recorded(lambda v: -10.0 if v < 1.3 else 1.0 + (v - 1.3))
+        with pytest.raises(ShootingDivergence, match="jumps") as err:
+            _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+        d = err.value.diagnostics
+        assert d["shots"] == len(calls) <= 12
+        assert d["residuals"][0] == -10.0 and 1.0 <= d["residuals"][1] < 1.7
+        assert d["bracket"][0] < 1.3 <= d["bracket"][1]
+
+    def test_real_end_that_halves_keeps_the_search_going(self):
+        # the same jump with a root just above it: the real end's residual
+        # halves on the way down, and the search lands
+        shot, _ = self.recorded(lambda v: -10.0 if v < 1.3 else 16.0 * (v - 1.30001))
+        root, shots = _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+        assert root == pytest.approx(1.30001, abs=1e-12)
+
     @pytest.mark.parametrize("left,right", [(-0.3, 0.5), (-0.5, 0.3)])
     def test_jump_between_real_residuals_is_a_divergence(self, left, right):
         shot, calls = self.recorded(lambda v: left if v < 0.4114 else right)
@@ -660,35 +691,58 @@ class TestShootDriver:
         slope = _slope(memo, root)
         assert started == [(root - memo[root] / slope, slope)]
 
-    @pytest.mark.parametrize(
-        "family", ["subsonic", "supersonic", "sine_supersonic", "transonic_shock"]
-    )
-    def test_polish_makes_two_fine_shots(self, family, p_main, p_shock, monkeypatch):
-        # the first fine shot misses by more than the polish accepts (1e-10)
-        # in every case; the slope step then lands within it
-        fine_shots = []
+    @staticmethod
+    def fine_residuals(solve, monkeypatch):
+        """The solution, and the residual of each fine shot `_polish` makes."""
+        residuals = []
         polish = sonic_flow.solvers._polish
 
         def counted(shot_fine, v, slope):
             def shot(u):
-                fine_shots.append(u)
-                return shot_fine(u)
+                r, data = shot_fine(u)
+                residuals.append(r)
+                return r, data
 
             assert slope is not None
             return polish(shot, v, slope)
 
         monkeypatch.setattr(sonic_flow.solvers, "_polish", counted)
-        if family == "subsonic":
-            sine = ModelParams(tau=5.0, doping=DopingProfile.sine_perturbed(1.6, 0.3))
-            sol = solve_subsonic_shooting(sine)
-        elif family == "supersonic":
-            sol = solve_supersonic(p_main)
-        elif family == "sine_supersonic":
-            sol = solve_supersonic(P_SINE_SUPERSONIC)
-        else:
-            sol = solve_transonic_shock(p_shock, 0.9)
-        assert len(fine_shots) == 2
-        assert sol.diagnostics["boundary_residual"] <= 1e-12
+        return solve(), residuals
+
+    @pytest.mark.parametrize(
+        "family", ["subsonic", "supersonic", "sine_supersonic", "transonic_shock"]
+    )
+    def test_polish_makes_two_fine_shots(self, family, p_main, p_shock, monkeypatch):
+        # inputs whose first fine shot misses by more than the polish accepts
+        # (1e-10); the slope step then lands within 1e-12
+        def sine(tau, b, amplitude):
+            return ModelParams(tau=tau, doping=DopingProfile.sine_perturbed(b, amplitude))
+
+        solve = {
+            "subsonic": lambda: solve_subsonic_shooting(sine(3.0, 1.5, 0.1)),
+            "supersonic": lambda: solve_supersonic(p_main),
+            "sine_supersonic": lambda: solve_supersonic(sine(2.0, 1.3, 0.1)),
+            "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.95),
+        }[family]
+        sol, residuals = self.fine_residuals(solve, monkeypatch)
+        assert len(residuals) == 2 and abs(residuals[0]) > 1e-10
+        assert sol.diagnostics["boundary_residual"] == abs(residuals[1]) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["subsonic", "sine_subsonic", "sine_supersonic", "shock"])
+    def test_first_fine_shot_lands(self, family, p_main, p_shock, monkeypatch):
+        # the eighth-order probes predict the root well enough that the first
+        # fine shot lands within the polish's 1e-10: no second shot
+        solve = {
+            "subsonic": lambda: solve_subsonic_shooting(p_main),
+            "sine_subsonic": lambda: solve_subsonic_shooting(
+                ModelParams(tau=5.0, doping=DopingProfile.sine_perturbed(1.6, 0.3))
+            ),
+            "sine_supersonic": lambda: solve_supersonic(P_SINE_SUPERSONIC),
+            "shock": lambda: solve_transonic_shock(p_shock, 0.9),
+        }[family]
+        sol, residuals = self.fine_residuals(solve, monkeypatch)
+        assert len(residuals) == 1
+        assert sol.diagnostics["boundary_residual"] == abs(residuals[0]) <= 1e-10
 
     @pytest.mark.parametrize("fixture,budget", [
         ("subsonic_sol", 8), ("supersonic_sol", 5), ("shock_sol", 8), ("c1_sol", 9),
@@ -758,9 +812,11 @@ class TestOutputResolution:
         scale = np.maximum(np.maximum(rho[1:], rho[:-1]), 1.0)
         assert (np.abs(np.diff(rho)) / scale).max() <= 5e-4 * (1 + 1e-9)
 
+    # about 10% over the counts of the eighth-order kernel: 2268, 2211, 1950,
+    # 2241 and 4312 RHS evaluations
     @pytest.mark.parametrize("family,budget", [
-        ("subsonic", 11000), ("supersonic", 10500), ("sine_supersonic", 10000),
-        ("transonic_shock", 12500), ("c1_transonic", 10700),
+        ("subsonic", 2500), ("supersonic", 2500), ("sine_supersonic", 2200),
+        ("transonic_shock", 2500), ("c1_transonic", 4800),
     ])
     def test_rhs_evaluation_budget(
         self, family, budget, p_main, p_shock, p_smooth, monkeypatch
@@ -800,17 +856,29 @@ class TestOutputResolution:
         assert _reference_landing_fit(seg, "supersonic", p_smooth) is not None
 
     def test_c1_probe_reads_the_graded_grid(self, c1_sol, p_smooth):
-        # probe rows are the step ends; up to where the arc joins the slow
-        # manifold they lie closer than 1e-2, so a sample spacing of 1e-2
-        # reads no more rows off the steps
+        # probe rows are the step ends, up to where the arc joins the slow
+        # manifold; a sample spacing of 1e-2 keeps each of them and reads
+        # rows off exactly the steps wider than that
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
         node = node_slow_manifold(1.5, p_smooth.tau)
         probe, _ = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), node)
         graded, _ = _tangential_landing_shot(
             "supersonic", q, p_smooth, IntegratorConfig(sample_spacing=1e-2), node
         )
-        for a, b in ((probe.xs, graded.xs), (probe.rhos, graded.rhos), (probe.es, graded.es)):
-            assert a.tolist() == b.tolist()
+
+        def rows(seg):
+            return list(zip(seg.xs.tolist(), seg.rhos.tolist(), seg.es.tolist()))
+
+        def gap(u, v):
+            return max(abs(v[0] - u[0]), abs(v[1] - u[1]) / max(abs(u[1]), abs(v[1]), 1.0))
+
+        ends, graded_rows = rows(probe), rows(graded)
+        at = [graded_rows.index(r) for r in ends]  # each step end, in order
+        assert at[0] == 0 and at[-1] == len(graded_rows) - 1 and at == sorted(at)
+        read = [(j - i > 1, gap(u, v) > 1e-2)
+                for i, j, u, v in zip(at, at[1:], ends, ends[1:])]
+        assert all(inner == wide for inner, wide in read) and any(wide for _, wide in read)
+        assert max(gap(u, v) for u, v in zip(graded_rows, graded_rows[1:])) <= 1e-2 * (1 + 1e-9)
 
     @pytest.mark.parametrize("side", ["supersonic", "subsonic"])
     def test_c1_shot_goes_deeper_until_it_joins(self, c1_sol, p_smooth, side):
