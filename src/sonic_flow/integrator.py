@@ -155,35 +155,53 @@ class Event:
     state: State
 
 
-@dataclass
 class TrajectorySegment:
-    """One integrated arc: sample arrays plus the event that ended it.
+    """One arc: its rows and the event that ended it.
 
     `xs` is strictly monotone (increasing for forward runs, decreasing for
-    backward ones).
+    backward ones); a segment built from rows checks that it is.  The
+    segments `integrate` and `integrate_from_sonic` return hold the step
+    ends and wide-step records of their kernel runs instead, and read their
+    rows once per arc, when first read: the first read of `xs`, `rhos` or
+    `es` reads the rows of every run in one `_read_rows` pass (`_arc_rows`),
+    and raises `IntegrationFailure` where the arc turned back in x.  `last`,
+    the state of the `terminator`, reads no row.
     """
 
-    xs: np.ndarray
-    rhos: np.ndarray
-    es: np.ndarray
-    terminator: Event
+    __slots__ = ("terminator", "_rows", "_runs", "_spacing", "_dsign")
 
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.rhos = np.asarray(self.rhos, dtype=float)
-        self.es = np.asarray(self.es, dtype=float)
-        if not (len(self.xs) == len(self.rhos) == len(self.es)):
+    def __init__(self, xs, rhos, es, terminator: Event):
+        rows = tuple(np.asarray(c, dtype=float) for c in (xs, rhos, es))
+        if not (len(rows[0]) == len(rows[1]) == len(rows[2])):
             raise ValueError("coordinate arrays must share a length")
-        if len(self.xs) == 0:
+        if len(rows[0]) == 0:
             raise ValueError("empty trajectory segment")
-        if len(self.xs) > 1:
-            steps = np.diff(self.xs)
+        if len(rows[0]) > 1:
+            steps = np.diff(rows[0])
             if not (np.all(steps > 0) or np.all(steps < 0)):
                 raise ValueError("trajectory abscissae must be strictly monotone")
+        self.terminator, self._rows, self._runs = terminator, rows, None
+
+    @classmethod
+    def _of_runs(cls, runs, spacing, dsign, terminator):
+        """The arc of kernel runs ``runs``, in x direction ``dsign``; rows unread."""
+        seg = cls.__new__(cls)
+        seg.terminator, seg._rows = terminator, None
+        seg._runs, seg._spacing, seg._dsign = runs, spacing, dsign
+        return seg
+
+    def _read(self):
+        if self._rows is None:
+            self._rows = _arc_rows(self._runs, self._spacing, self._dsign)
+        return self._rows
+
+    xs = property(lambda self: self._read()[0])
+    rhos = property(lambda self: self._read()[1])
+    es = property(lambda self: self._read()[2])
 
     @property
     def last(self) -> State:
-        return State(float(self.xs[-1]), float(self.rhos[-1]), float(self.es[-1]))
+        return self.terminator.state
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +494,20 @@ def _gap(a0, b0, a1, b1):
 _REC = 48
 
 
-def _read_rows(rec, spacing, d, cols):
+def _read_rows(rec, spacing, cols):
     """The columns `cols` (t, a, b, c) of a run with the rows of its wide steps.
 
-    `rec` holds one `_REC` record per wide step.  Each step's span from its
-    start to its end row is cut into ceil(_gap / spacing) equal parts in t,
-    and each part again, level by level, until no two consecutive rows are
-    more than `spacing` apart by `_gap`.  Where a component is quadratic in
-    t, as x(s) is at a sonic end, one cut can leave a part twice the spacing
-    wide.  Rows are read on arrays with the operations of `_Step.__call__`
-    in its order, so they hold its floats, and go in before their step's
-    end row, in run order (`d` is the sign of the run's direction in t).
-    Returns the four columns as the rows of one array.
+    `rec` holds one `_REC` record per wide step, whose end row is the row of
+    `cols` it indexes.  Each step's span from its start to its end row is
+    cut into v = _gap / spacing equal parts in t, rounded up, or into v / 8
+    where v exceeds 8, and each part again, level by level, until no two
+    consecutive rows are more than `spacing` apart by `_gap`.  Where a
+    component is quadratic in t, as x(s) is at a sonic end, one cut can
+    leave a part twice the spacing wide; cutting to about 8 spacings first
+    keeps the last cut's parts close to the spacing.  Rows are read on
+    arrays with the operations of `_Step.__call__` in its order, so they
+    hold its floats, and go in before their step's end row, in the step's
+    direction in t.  Returns the four columns as the rows of one array.
     """
     r = np.frombuffer(rec, dtype=float).reshape(-1, _REC).T.copy()
     # per step: t_old, h, y_old (3), then F0..F6 (3 each); per part: t, a, b
@@ -501,7 +521,11 @@ def _read_rows(rec, spacing, d, cols):
         cut = np.flatnonzero(v > 1.0)
         if not len(cut):
             break
-        step, parts, n = step.take(cut), parts.take(cut, axis=1), np.ceil(v.take(cut))
+        # equal parts in t are uneven in x, so a part wider than 8 spacings
+        # is cut into parts about 8 wide first: cut at once, most parts would
+        # end up just over the spacing and be halved
+        v = v.take(cut)
+        step, parts, n = step.take(cut), parts.take(cut, axis=1), np.ceil(np.where(v > 8, v / 8, v))
         # part i is cut into m[i] equal parts in t, the next level's parts
         # first[i] .. first[i] + m[i] - 1, by m[i] - 1 rows; row k, the j-th
         # of its part p[k], ends next-level part at[k] and starts at[k] + 1
@@ -526,7 +550,7 @@ def _read_rows(rec, spacing, d, cols):
 
     st, s, y = (np.concatenate(u, axis=-1) for u in zip(*found))
     end = r[0].take(st)
-    order = np.lexsort((d * s, end))
+    order = np.lexsort((np.sign(r[2]).take(st) * s, end))
     # the k-th row in order lands k places after the old index of its end row
     at = end.take(order).astype(np.intp) + np.arange(len(order))
     out = np.empty((4, len(cols[0]) + len(order)))
@@ -540,7 +564,10 @@ def _read_rows(rec, spacing, d, cols):
 class OdeResult:
     """Outcome of one `solve_ivp` run.
 
-    `t`, `ya`, `yb` and `yc` are the samples. `status` is 0 when `t_bound`
+    `t`, `ya`, `yb` and `yc` are the step ends, the start included, and
+    `rec` holds one `_REC` record per step wider than the run's spacing;
+    ``_read_rows(rec, spacing, (t, ya, yb, yc))`` reads the rows between
+    them, where something needs them. `status` is 0 when `t_bound`
     was reached, 1 when a terminal event stopped the run, and -1 when the
     step size fell below 10 ulp of t. `roots` holds `(event index, t, a, b,
     c)` for every event root located before the stop, in traversal order;
@@ -550,13 +577,15 @@ class OdeResult:
     `ndense` steps.
     """
 
-    __slots__ = ("t", "ya", "yb", "yc", "status", "nfev", "ndense", "roots", "terminal", "steps")
+    __slots__ = (
+        "t", "ya", "yb", "yc", "status", "nfev", "ndense", "roots", "terminal", "steps", "rec",
+    )
 
-    def __init__(self, t, ya, yb, yc, status, nfev, ndense, roots, terminal, steps):
+    def __init__(self, t, ya, yb, yc, status, nfev, ndense, roots, terminal, steps, rec):
         self.t, self.ya, self.yb, self.yc = t, ya, yb, yc
         self.status, self.nfev, self.ndense = status, nfev, ndense
         self.roots, self.terminal = roots, terminal
-        self.steps = steps
+        self.steps, self.rec = steps, rec
 
     def sol(self, ts):
         """Interpolated states (a, b, c) at each of ts, read off `steps`.
@@ -586,16 +615,15 @@ def solve_ivp(
     stops at the first terminal root in traversal order; the roots before
     it are kept. Every accepted step is sampled at its end, the stopping
     root included. Where two consecutive samples are more than `spacing`
-    apart by `_gap`, in ``a`` or relatively in ``b``, rows read off the
-    step's interpolant go between them: the step is recorded, and
-    `_read_rows` reads the rows of all recorded steps after the run, on
-    arrays.  The interpolant costs three more evaluations of ``fun``, so it
-    is built only where something reads it: for a step with an event root,
-    a wide step, every step with `dense_output`, and the final step of a run
-    that reaches t_bound.  `nfev` counts these evaluations too, and
-    `ndense` the steps they were made for.  A `_Step` is kept with
-    `dense_output` for every step, else for the final step of a run that is
-    not cut short.
+    apart by `_gap`, in ``a`` or relatively in ``b``, the step is recorded
+    in `rec` for `_read_rows`, which reads rows off its interpolant between
+    them; the run itself reads none.  The interpolant costs three more
+    evaluations of ``fun``, so it is built only where something reads it:
+    for a step with an event root, a wide step, every step with
+    `dense_output`, and the final step of a run that reaches t_bound.
+    `nfev` counts these evaluations too, and `ndense` the steps they were
+    made for.  A `_Step` is kept with `dense_output` for every step, else
+    for the final step of a run that is not cut short.
 
     Watches with a ``level`` are screened: while the state stays inside the
     open cell between the levels, none can fire, so only the others are
@@ -639,7 +667,7 @@ def solve_ivp(
     nfev = 1
     ndense = 0
     if span == 0.0:
-        return OdeResult(ts, yas, ybs, ycs, 0, nfev, 0, roots, None, [])
+        return OdeResult(ts, yas, ybs, ycs, 0, nfev, 0, roots, None, [], rec)
 
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     sa = atol + abs(ya) * rtol
@@ -892,7 +920,7 @@ def solve_ivp(
                     ya, yb, yc = step(root)
                     break
 
-        if wide:  # its rows are read after the run; t, ya, yb may be a root
+        if wide:  # its rows are read on demand; t, ya, yb may be a root
             rec.extend((
                 len(ts), t_old, h, ya_old, yb_old, yc_old, na, nb, nc,
                 k1a, k1b, k1c, k6a, k6b, k6c, k7a, k7b, k7c, k8a, k8b, k8c,
@@ -906,11 +934,9 @@ def solve_ivp(
         ycs.append(yc)
 
     nfev += 3 * ndense
-    if rec:
-        ts, yas, ybs, ycs = _read_rows(rec, spacing, d, (ts, yas, ybs, ycs))
     if steps is None:  # a run not cut short keeps its final step for `sol`
         steps = [step] if status >= 0 else []
-    return OdeResult(ts, yas, ybs, ycs, status, nfev, ndense, roots, terminal, steps)
+    return OdeResult(ts, yas, ybs, ycs, status, nfev, ndense, roots, terminal, steps, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +946,9 @@ def solve_ivp(
 def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg):
     """One kernel run from (x, rho, E) on one branch and one doping piece.
 
-    Returns the rows and the `Event` that ended the run; its kind may be
-    `_SPLIT`, `_PIECE` or `_NEAR`, where the arc goes on, or `_BUDGET`.
+    Returns the run's `OdeResult`, its last step end set to the end state,
+    and the `Event` that ended the run; its kind may be `_SPLIT`, `_PIECE`
+    or `_NEAR`, where the arc goes on, or `_BUDGET`.
     """
     watches = [
         _level_watch(0, x_end, int(dsign), end_kind),
@@ -950,13 +977,10 @@ def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg
         if ahead:
             watches.append(_level_watch(0, ahead[0], int(dsign), _PIECE))
 
-    spacing = cfg.sample_spacing
-    if spacing < math.inf:
-        spacing = min(spacing, cfg.max_step)
     # x' = c(rho) has the sign of the branch, so x advances with dsign in s
     res = solve_ivp(
         vector_field(p), 0.0, dsign * branch * _S_SPAN, (x, rho, e),
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches, spacing=spacing,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, watches, spacing=_spacing(cfg),
     )
     end = State(res.ya[-1], res.yb[-1], res.yc[-1])
     if res.status != 1:
@@ -975,7 +999,7 @@ def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg
             # infinite s only: an arc that meets the line transversally has
             # |rho'| = |rho E - 1/tau| of order its crossing excess here
             kind = STEP_FAILURE
-    return res.ya, res.yb, res.yc, Event(kind, end)
+    return res, Event(kind, end)
 
 
 def _run(x, rho, e, direction, stop_events, p, cfg, branch):
@@ -998,14 +1022,11 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
     if domains and 0.0 <= dsign * (domains[0].x - x) < cfg.max_arc_length:
         x_end, end_kind = domains[0].x, DOMAIN_END
 
-    legs = []
+    runs = []
     near = True
     while True:
-        leg_x, leg_r, leg_e, term = _leg(
-            x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg
-        )
-        skip = 1 if legs else 0  # a leg's first row is the previous leg's last
-        legs.append((leg_x[skip:], leg_r[skip:], leg_e[skip:]))
+        res, term = _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg)
+        runs.append(res)
         # the arc goes on from these leg ends; the split and the stop short
         # of the sonic line are watched once only
         if term.kind == _SPLIT:
@@ -1021,15 +1042,41 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
             "arc length budget exhausted before any stop event",
             diagnostics={"x": term.state.x, "rho": term.state.rho, "e": term.state.e},
         )
+    return TrajectorySegment._of_runs(runs, _spacing(cfg), dsign, term)
 
-    xs, rs, es = (np.concatenate(col) for col in zip(*legs))
-    # enforce strictly monotone abscissae; x advances monotonically in s, so
-    # it can stall only by roundoff, in the rows hugging a sonic end or the
-    # node, where dropping the earlier of two coincident points loses
-    # nothing.  An arc that turns back behind the row before has no
-    # single-valued profile.
+
+def _spacing(cfg):
+    """The row spacing of a kernel run at `cfg`: at most its step cap, if finite."""
+    return min(cfg.sample_spacing, cfg.max_step) if cfg.sample_spacing < math.inf else math.inf
+
+
+def _arc_rows(runs, spacing, dsign):
+    """The rows ``(xs, rhos, es)`` of an arc of kernel runs, read in one pass.
+
+    Each run after the first starts on the row the one before ended on: its
+    first row goes, and its records' end-row indices move by the rows
+    before it, so that `_read_rows` reads the whole arc at once.  Then the
+    abscissae are made strictly monotone in the direction ``dsign``: x
+    advances monotonically in s, so it can stall only by roundoff, in the
+    rows hugging a sonic end or the node, where dropping the earlier of two
+    coincident points loses nothing.  An arc that turns back behind the row
+    before has no single-valued profile: `IntegrationFailure`.
+    """
+    cols = ([], [], [], [])
+    rec = array("d")
+    for res in runs:
+        skip = 1 if cols[0] else 0
+        base, start = len(cols[0]) - skip, len(rec)
+        rec += res.rec
+        for k in range(start, len(rec), _REC):
+            rec[k] += base
+        for col, new in zip(cols, (res.t, res.ya, res.yb, res.yc)):
+            col += new[skip:]
+    if rec:
+        cols = _read_rows(rec, spacing, cols)
+    xs, rs, es = (np.asarray(col, dtype=float) for col in cols[1:])
     if np.all(dsign * np.diff(xs) > 0):  # every row advances: nothing to drop
-        return TrajectorySegment(xs, rs, es, term)
+        return xs, rs, es
     xs, rs, es = xs.tolist(), rs.tolist(), es.tolist()
     keep_x, keep_r, keep_e = xs[:1], rs[:1], es[:1]
     for xk, rk, ek in zip(xs[1:], rs[1:], es[1:]):
@@ -1044,8 +1091,17 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
             )
         else:
             keep_x[-1], keep_r[-1], keep_e[-1] = xk, rk, ek
+    return np.array(keep_x), np.array(keep_r), np.array(keep_e)
 
-    return TrajectorySegment(np.array(keep_x), np.array(keep_r), np.array(keep_e), term)
+
+def _chain(arcs):
+    """One segment of arcs that each start where the one before ended.
+
+    Its rows are read, as one arc's, in one pass; it ends as the last arc.
+    """
+    head = arcs[0]
+    runs = [res for arc in arcs for res in arc._runs]
+    return TrajectorySegment._of_runs(runs, head._spacing, head._dsign, arcs[-1].terminator)
 
 
 def integrate(

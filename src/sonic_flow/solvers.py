@@ -33,6 +33,7 @@ from .integrator import (
     TargetDensity,
     TrajectorySegment,
     _brentq,
+    _chain,
     integrate,
     integrate_from_sonic,
 )
@@ -89,8 +90,10 @@ def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     at the accuracy of the solve itself.  The step cap stays the probes'
     (at the default, none but the error controller): the rows, not the
     steps, have to be dense.  The rows outnumber the step ends, by about
-    100 times on subsonic, supersonic and shock arcs; the kernel reads
-    them after each run in one batched pass (`integrator._read_rows`).
+    80 times on subsonic, supersonic and shock arcs.  They are read once
+    per kept arc, when first read, in one batched pass over all its kernel
+    runs (`integrator._read_rows`): the fine shots that `_polish` rejects,
+    and the probes, read none.
     """
     return replace(
         cfg,
@@ -861,9 +864,7 @@ def _tangential_landing_shot(
         offset, tol = offset_and_tol(end)
         if offset <= _JOIN_FACTOR * tol:
             # each later arc starts on the row the one before ended on
-            cols = zip(*[(a.xs[min(k, 1):], a.rhos[min(k, 1):], a.es[min(k, 1):])
-                         for k, a in enumerate(arcs)])
-            return TrajectorySegment(*map(np.concatenate, cols), seg.terminator), None
+            return _chain(arcs), None
         seg = integrate(
             end, direction,
             [TargetDensity(1.0 + 0.5 * (end.rho - 1.0), direction=+1), DomainEnd(x_end)], p, cfg,
@@ -876,21 +877,26 @@ def _tangential_landing_shot(
     return None, "long"
 
 
-def _landing(seg: TrajectorySegment, node: SlowManifold, inv_tau: float, spacing: float):
-    """Close a joined arc on the node along the slow manifold.
+def _landing_x(end: State, node: SlowManifold) -> float:
+    """The landing abscissa of an arc joined to the slow manifold at ``end``.
 
-    The landing abscissa is the arc's last x plus the quadrature of dx/dn
-    along the manifold from its last offset n_b to 0.  Where ``spacing`` is
-    finite, rows read off the manifold follow the arc's own, equally spaced
-    in n and at most ``spacing`` apart in x and in rho, as the kernel's
-    are; their x is the cumulative quadrature.  Returns ``(x_hat, xs, rhos,
-    es)``: the landing abscissa, and the rows without the landing itself.
+    It is the arc's last x plus the quadrature of dx/dn along the manifold
+    from its last offset n_b = rho - 1 to 0.
+    """
+    return end.x + float(node.x_offsets(end.rho - 1.0)[-1])
+
+
+def _landing(seg: TrajectorySegment, node: SlowManifold, inv_tau: float, spacing: float):
+    """Close a joined arc on the node along the slow manifold (`_landing_x`).
+
+    Rows read off the manifold follow the arc's own, equally spaced in n and
+    at most ``spacing`` apart in x and in rho, as the kernel's are; their x
+    is the cumulative quadrature.  Returns ``(x_hat, xs, rhos, es)``: the
+    landing abscissa, and the rows without the landing itself.
     """
     end = seg.last
     n_b = end.rho - 1.0
-    x_hat = end.x + float(node.x_offsets(n_b)[-1])
-    if spacing == math.inf:
-        return x_hat, seg.xs, seg.rhos, seg.es
+    x_hat = _landing_x(end, node)
     # dx/dn is smooth on [n_b, 0]: its largest sample, with 1% to spare,
     # bounds the x-gap of equal parts in n
     steep = max(1.0, float(np.abs(node.dx_dn(np.linspace(n_b, 0.0, 41))).max()))
@@ -956,7 +962,7 @@ def solve_c1_transonic(
             seg, fail = _tangential_landing_shot(side, sign * q_mag, p, c, node)
             if seg is None:
                 return (-_OVERSHOOT if fail == "short" else _OVERSHOOT), None
-            x_hat = _landing(seg, node, p.inv_tau, math.inf)[0]
+            x_hat = _landing_x(seg.last, node)
             # both residuals grow with the launch magnitude: longer arcs land
             # farther from their launch wall
             return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg

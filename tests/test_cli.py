@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -153,12 +154,17 @@ class TestSolve:
 
     def test_arc_turning_back_is_a_typed_failure(self, tmp_path, capsys, monkeypatch):
         # rows that go back in x, which only roundoff can produce, end the
-        # solve with the integrator's typed failure
-        def leg(x, rho, e, dsign, *args):
-            end = integrator.Event("domain_end", integrator.State(0.2, 0.9, 10.0))
-            return [0.0, 0.2, 0.3, 0.1, 0.2], [1.0, 0.9, 0.9, 0.9, 0.9], [10.0] * 5, end
+        # solve with the integrator's typed failure; only the arcs a solve
+        # keeps read their rows, so the legs at output resolution turn back
+        leg = integrator._leg
 
-        monkeypatch.setattr(integrator, "_leg", leg)
+        def turned(x, rho, e, dsign, *args):
+            res, end = leg(x, rho, e, dsign, *args)
+            if args[-1].sample_spacing < math.inf and len(res.ya) > 3:
+                res.ya[2] = res.ya[0]  # the third step end behind the first
+            return res, end
+
+        monkeypatch.setattr(integrator, "_leg", turned)
         cfg = write_config(tmp_path, {
             "model": model(0.11102674876958835, 1.7835330259037656),
             "solver": {"kind": "c1_transonic", "x0": 0.2206110104158862},

@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sonic_flow
-from sonic_flow import integrator, solvers
+from sonic_flow import integrator, model_core, solvers
 from sonic_flow import (
     DegenerateLaunch,
     DomainEnd,
@@ -284,15 +286,19 @@ class TestSegmentContracts:
     def test_arc_turning_back_raises_typed_failure(self, monkeypatch):
         # x is monotone in s on either side of the sonic line, so only
         # roundoff can move it back; rows that go back behind the row before
-        # the last have no single-valued profile
+        # the last have no single-valued profile.  The rows are read, and
+        # checked, when first read
         def leg(x, rho, e, dsign, *args):
             end = integrator.Event("domain_end", State(0.6, 1.2, 0.1))
-            return [1.0, 0.8, 0.7, 0.9, 0.6], [1.0, 1.1, 1.2, 1.2, 1.2], [0.3] * 5, end
+            res = SimpleNamespace(t=[0.0] * 5, ya=[1.0, 0.8, 0.7, 0.9, 0.6],
+                                  yb=[1.0, 1.1, 1.2, 1.2, 1.2], yc=[0.3] * 5, rec=array("d"))
+            return res, end
 
         monkeypatch.setattr(integrator, "_leg", leg)
         p = params(15.0, 1.5)
+        seg = integrate_from_sonic(1.0, "subsonic", p.inv_tau - 0.1, "backward", [], p)
         with pytest.raises(IntegrationFailure, match="turned back") as err:
-            integrate_from_sonic(1.0, "subsonic", p.inv_tau - 0.1, "backward", [], p)
+            seg.xs
         diag = err.value.diagnostics
         assert diag["x"] > diag["x_reached"]  # behind, on a backward run
         assert (diag["x"], diag["x_reached"]) == (0.9, 0.7)
@@ -380,6 +386,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def _rows(res, spacing):
+    """The rows (t, a, b, c) of a kernel run: its step ends and the rows
+    `_read_rows` reads off its wide steps."""
+    cols = (res.t, res.ya, res.yb, res.yc)
+    return tuple(integrator._read_rows(res.rec, spacing, cols)) if res.rec else cols
+
+
 def _dop853(args, kwargs):
     """The same run through scipy.integrate.solve_ivp(method="DOP853")."""
     fun, t0, t_bound, y0, rtol, atol, max_step, watches = args
@@ -409,8 +422,7 @@ def _assert_matches_dop853(call):
     # interpolant's three extra stages on every accepted step, the kernel
     # only on the steps it reads
     assert res.nfev - 3 * res.ndense == ref.nfev - 3 * (len(ref.t) - 1)
-    if kwargs.get("spacing", math.inf) == math.inf:
-        assert len(res.t) == len(ref.t)  # the rows are the step ends
+    assert len(res.t) == len(ref.t)  # the step ends
     for k, c in enumerate((res.ya, res.yb, res.yc)):
         assert c[-1] == pytest.approx(ref.y[k, -1], abs=1e-12)
     d = math.copysign(1.0, args[2] - args[1])
@@ -453,9 +465,9 @@ class TestKernelMatchesDOP853:
         assert kwargs["spacing"] == 1e-2
         assert args[3] == (0.0, 1.0, p.inv_tau + 0.15)  # the sonic launch
         ref = _assert_matches_dop853(kernel_calls[0])
-        assert len(res.t) > len(ref.t)
-        seg = integrator.TrajectorySegment(res.ya, res.yb, res.yc, seg.terminator)
-        s = np.array(res.t)
+        s, xs, rhos, es = _rows(res, 1e-2)
+        assert len(s) > len(ref.t)
+        seg = integrator.TrajectorySegment(xs, rhos, es, seg.terminator)
         np.testing.assert_allclose(seg.xs, ref.sol(s)[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(seg.rhos, ref.sol(s)[1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(seg.es, ref.sol(s)[2], rtol=0, atol=1e-12)
@@ -835,11 +847,12 @@ def _gap(y0, y1):
 def _fill(step, t0, y0, t1, y1, spacing, rows, refined):
     """The recursive reader that `solve_ivp` once used, one call per row: the
     reference the batched rows must equal.  Appends to `rows` the reads of
-    `step` strictly between t0 and t1, cut into ceil(_gap / spacing) equal
-    parts and each part again; `refined` gets the start row of each part
-    that is cut again.
+    `step` strictly between t0 and t1, cut into v = _gap / spacing equal
+    parts, rounded up, or v / 8 where v exceeds 8, and each part again;
+    `refined` gets the start row of each part that is cut again.
     """
-    n = math.ceil(_gap(y0, y1) / spacing * (1.0 - 1e-12))
+    v = _gap(y0, y1) / spacing * (1.0 - 1e-12)
+    n = math.ceil(v / 8 if v > 8 else v)
     if n <= 1:
         return
     ta, ya = t0, y0
@@ -879,39 +892,44 @@ class TestKernelSampling:
     spacing = 0.01
 
     def run(self, forward, spacing=math.inf, watches=()):
+        """The run and its rows."""
         t0, t1 = (0.0, 3.0) if forward else (3.0, 0.0)
-        return integrator.solve_ivp(
+        res = integrator.solve_ivp(
             _drift_wave, t0, t1, (t0, math.cos(t0), -math.sin(t0)), 1e-9, 1e-11, 1.0,
             list(watches), dense_output=True, spacing=spacing,
         )
+        return res, _rows(res, spacing)
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_step_ends_stay_rows(self, forward):
-        uncapped = self.run(forward)
-        sampled = self.run(forward, self.spacing)
+        uncapped, _ = self.run(forward)
+        sampled, (ts, yas, ybs, ycs) = self.run(forward, self.spacing)
         assert max(abs(s.h) for s in uncapped.steps) > 4 * self.spacing
         assert sampled.nfev == uncapped.nfev
-        rows = dict(zip(sampled.t, zip(sampled.ya, sampled.yb, sampled.yc)))
-        for t, a, b, c in zip(uncapped.t, uncapped.ya, uncapped.yb, uncapped.yc):
+        # the run holds its step ends, the rows hold them too
+        ends = (uncapped.t, uncapped.ya, uncapped.yb, uncapped.yc)
+        assert (sampled.t, sampled.ya, sampled.yb, sampled.yc) == ends
+        rows = dict(zip(ts, zip(yas, ybs, ycs)))
+        for t, a, b, c in zip(*ends):
             assert rows[t] == (a, b, c)
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_inner_samples_come_from_the_interpolant(self, forward):
-        sampled = self.run(forward, self.spacing)
+        sampled, (ts, yas, ybs, ycs) = self.run(forward, self.spacing)
         ends = {sampled.steps[0].t_old} | {s.t_old + s.h for s in sampled.steps}
-        inner = [k for k, t in enumerate(sampled.t) if t not in ends]
+        inner = [k for k, t in enumerate(ts) if t not in ends]
         assert len(inner) > len(sampled.steps)
-        dense = sampled.sol([sampled.t[k] for k in inner])
-        assert [(sampled.ya[k], sampled.yb[k], sampled.yc[k]) for k in inner] == dense
+        dense = sampled.sol([ts[k] for k in inner])
+        assert [(yas[k], ybs[k], ycs[k]) for k in inner] == dense
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("stop", [None, 0.2])
     def test_rows_at_most_the_spacing_apart(self, forward, stop):
         watches = [] if stop is None else [_watch(stop)]
-        res = self.run(forward, self.spacing, watches)
-        gaps = np.diff(res.t) * (1.0 if forward else -1.0)
+        res, (ts, yas, ybs, _) = self.run(forward, self.spacing, watches)
+        gaps = np.diff(ts) * (1.0 if forward else -1.0)
         assert np.all(gaps > 0)
-        rows = list(zip(res.ya, res.yb))
+        rows = list(zip(yas, ybs))
         assert max(_gap(u, v) for u, v in zip(rows, rows[1:])) <= self.spacing * (1 + 1e-9)
         if stop is not None:
             assert res.status == 1
@@ -953,13 +971,13 @@ class TestKernelSampling:
         for args, spacing in runs:
             res = integrator.solve_ivp(*args, spacing=spacing)
             rows, ends, cut_again = _recursive_rows(args, spacing)
-            assert list(zip(res.t, res.ya, res.yb, res.yc)) == rows
+            assert list(zip(*_rows(res, spacing))) == rows
             n_rows, n_ends, refined = n_rows + len(rows), n_ends + ends, refined + cut_again
         assert n_rows > 3 * n_ends
         if "cut" in case:
             assert res.status == 1 and res.ya[-1] == pytest.approx(1.234567, abs=1e-12)
         if case.startswith("square"):
-            assert len(refined) > 50
+            assert len(refined) > 40
         if case.startswith("fine"):
             xs = [y[0] for y in refined]
             assert min(xs) < 0.1 and max(xs) > 0.9
@@ -975,8 +993,9 @@ class TestKernelSampling:
         res = integrator.solve_ivp(
             fun, t0, t1, (t0 * t0, 0.0, 0.0), 1e-9, 1e-11, 1.0, [], spacing=0.05,
         )
-        assert len(res.t) > 21
-        assert np.abs(np.diff(res.ya)).max() <= 0.05 * (1 + 1e-9)
+        ts, yas, _, _ = _rows(res, 0.05)
+        assert len(ts) > 21
+        assert np.abs(np.diff(yas)).max() <= 0.05 * (1 + 1e-9)
 
 
 def _jump_at_half(t, a, b, c):
@@ -1071,6 +1090,57 @@ class TestCriticalLocus:
         far = np.argmin if side == "supersonic" else np.argmax
         assert arc.rhos[far(arc.rhos)] == extremum.rho and arc.last.x > extremum.x
 
+
+
+# ---------------------------------------------------------------------------
+# rows read once per arc
+
+
+class TestArcRows:
+    # an arc reads the rows of all its kernel runs in one `_read_rows` pass;
+    # they are the rows of each run read on its own, joined as the runs are
+    # (each later run starts on the row the one before ended on)
+    fine = solvers._fine(IntegratorConfig())
+
+    @pytest.mark.parametrize("case", ["supersonic", "piecewise", "c1"])
+    def test_one_pass_reads_each_legs_rows(self, case, kernel_calls, c1_sol, p_smooth,
+                                           monkeypatch):
+        p = params(15.0, 1.5)
+        if case == "supersonic":
+            # the split on the critical locus, the leg to near the sonic
+            # line and the sonic tail
+            seg = integrate_from_sonic(0.0, "supersonic", p.inv_tau + 0.1, "forward",
+                                       [DomainEnd(3.0), integrator.CriticalLocus()], p, self.fine)
+            legs = 3
+        elif case == "piecewise":
+            # a leg per doping piece, then the sonic tail
+            p = ModelParams(tau=15.0, doping=DopingProfile.piecewise_constant(
+                [0.03, 0.06], [1.5, 1.6, 1.4]))
+            seg = integrate_from_sonic(0.0, "subsonic", p.inv_tau + 0.02, "forward",
+                                       [DomainEnd(3.0)], p, self.fine)
+            legs = 4
+        else:
+            # a C1 branch whose first arc stops before it joins the slow
+            # manifold, and goes on in a second arc
+            q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
+            late = replace(model_core.node_slow_manifold(1.5, p_smooth.tau), mu=1e9)
+            seg, _ = solvers._tangential_landing_shot("supersonic", q, p_smooth, self.fine, late)
+            legs = 3
+        assert seg.terminator.kind in ("sonic_arrival", "target_density")
+        runs = [res for _, _, res in kernel_calls]
+        assert len(runs) == legs and sum(len(res.rec) > 0 for res in runs) >= 3
+        passes = []
+        read = integrator._read_rows
+        monkeypatch.setattr(integrator, "_read_rows",
+                            lambda *args: passes.append(args) or read(*args))
+        rows = [seg.xs, seg.rhos, seg.es]
+        assert len(passes) == 1
+        # one leg at a time, each leg's first row dropped after the first leg
+        ref = [_rows(res, self.fine.sample_spacing)[1:] for res in runs]
+        for k, col in enumerate(rows):
+            expected = np.concatenate([r[k][1 if i else 0:] for i, r in enumerate(ref)])
+            assert col.tolist() == expected.tolist()
+        assert np.all(np.diff(rows[0]) > 0)  # forward, with no row dropped
 
 
 # ---------------------------------------------------------------------------

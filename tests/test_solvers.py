@@ -48,7 +48,7 @@ from sonic_flow.analysis import NOT_EXISTS
 from sonic_flow.integrator import DomainEnd, IntegratorConfig, TargetDensity, integrate_from_sonic
 from sonic_flow.model_core import node_slow_manifold
 from sonic_flow.solvers import (
-    _landing,
+    _landing_x,
     _shock_shot,
     _shoot,
     _shoot_polish_land,
@@ -353,6 +353,18 @@ class TestShockRegressions:
 # smooth transonic
 
 
+def _turning_back(leg):
+    """`integrator._leg` whose legs at output resolution end their third step behind the first."""
+
+    def turned(x, rho, e, dsign, *args):
+        res, end = leg(x, rho, e, dsign, *args)
+        if args[-1].sample_spacing < math.inf and len(res.ya) > 3:
+            res.ya[2] = res.ya[0]
+        return res, end
+
+    return turned
+
+
 class TestC1Transonic:
     def test_transition_metadata(self, c1_sol):
         t = c1_sol.transition
@@ -406,12 +418,10 @@ class TestC1Transonic:
 
     def test_arc_turning_back_is_a_typed_failure(self, monkeypatch):
         # rows that go back in x, which only roundoff can produce, must not
-        # escape as a bare ValueError from the trajectory constructor
-        def leg(x, rho, e, dsign, *args):
-            end = integrator.Event("domain_end", integrator.State(0.2, 0.9, 10.0))
-            return [0.0, 0.2, 0.3, 0.1, 0.2], [1.0, 0.9, 0.9, 0.9, 0.9], [10.0] * 5, end
-
-        monkeypatch.setattr(integrator, "_leg", leg)
+        # escape as a bare ValueError from the trajectory constructor.  Only
+        # the arcs a solve keeps read their rows, so the legs at output
+        # resolution turn back: their third step end moves behind the first
+        monkeypatch.setattr(integrator, "_leg", _turning_back(integrator._leg))
         p = params(0.11102674876958835, 1.7835330259037656)
         with pytest.raises(SonicFlowError):
             solve_c1_transonic(p, 0.2206110104158862)
@@ -801,6 +811,16 @@ class TestOutputResolution:
     def test_rows_at_most_5e4_apart(self, fixture, request):
         assert _gaps_ok(request.getfixturevalue(fixture).x, 5e-4)
 
+    def test_rows_are_not_over_read(self, subsonic_sol):
+        # rows read off steps of about 100 spacings stay within the spacing,
+        # in x and in rho relative to max(rho, 1), and close to it: not cut
+        # once into equal parts in s and then halved
+        x, rho = subsonic_sol.x, subsonic_sol.rho
+        scale = np.maximum(np.maximum(rho[1:], rho[:-1]), 1.0)
+        gap = np.maximum(np.abs(np.diff(x)), np.abs(np.diff(rho)) / scale)
+        assert gap.max() <= 5e-4 * (1 + 1e-9)
+        assert np.median(gap) >= 0.9 * 5e-4
+
     def test_c1_branch_rows_at_most_5e4_apart(self, c1_sol):
         # the rows from where each branch joins the slow manifold are the
         # manifold's, up to the glue point x0, and spaced like the kernel's
@@ -895,8 +915,8 @@ class TestOutputResolution:
         assert fail is None
         n_e = (seg.rhos.min() if side == "supersonic" else seg.rhos.max()) - 1.0
         assert deep.rhos[-1] - 1.0 == pytest.approx(0.45 * n_e, rel=1e-9)
-        x_hat = _landing(seg, node, p_smooth.inv_tau, math.inf)[0]
-        assert _landing(deep, node, p_smooth.inv_tau, math.inf)[0] == pytest.approx(x_hat, abs=1e-10)
+        x_hat = _landing_x(seg.last, node)
+        assert _landing_x(deep.last, node) == pytest.approx(x_hat, abs=1e-10)
 
     def test_c1_shot_that_never_joins_is_short(self, c1_sol, p_smooth):
         # against a manifold that misses the node by 1e-3 in E the guard
@@ -925,7 +945,7 @@ class TestOutputResolution:
         node = node_slow_manifold(b, tau)
         seg, fail = _tangential_landing_shot(side, q, p, cfg, node)
         assert fail is None and seg.terminator.kind == "target_density"
-        x_hat = _landing(seg, node, p.inv_tau, math.inf)[0]
+        x_hat = _landing_x(seg.last, node)
         fit = _reference_landing_fit(_reference_landing_shot(side, q, p, cfg), side, p)
         assert abs(x_hat - fit[0]) <= 5e-8
         assert abs(x_hat - x0) <= 1e-10
@@ -957,6 +977,64 @@ class TestOutputResolution:
         for a, b in zip(probe, graded, strict=True):
             assert a.terminator == b.terminator
             assert len(a.xs) < len(b.xs)
+
+
+class TestRowPasses:
+    # a solve reads the rows of the arcs it keeps, once each, in one
+    # `_read_rows` pass per arc; probe shots and the fine shots the polish
+    # rejects read none
+    @staticmethod
+    def passes(monkeypatch):
+        """The `_read_rows` passes made from now on, as their record counts."""
+        calls = []
+        read = integrator._read_rows
+
+        def counted(rec, spacing, cols):
+            calls.append(len(rec) // integrator._REC)
+            return read(rec, spacing, cols)
+
+        monkeypatch.setattr(integrator, "_read_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("family,kept,fine", [
+        ("subsonic", 1, 2), ("supersonic", 1, 2), ("transonic_shock", 2, 2), ("c1_transonic", 2, 4),
+    ])
+    def test_one_pass_per_kept_arc(self, family, kept, fine, p_main, p_shock, p_smooth,
+                                   monkeypatch):
+        # inputs whose first fine shot misses, so the polish rejects it: C1's
+        # does on both branches
+        solve = {
+            "subsonic": lambda: solve_subsonic_shooting(
+                ModelParams(tau=3.0, doping=DopingProfile.sine_perturbed(1.5, 0.1))
+            ),
+            "supersonic": lambda: solve_supersonic(p_main),
+            "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.95),
+            "c1_transonic": lambda: solve_c1_transonic(p_smooth, 0.5),
+        }[family]
+        calls = self.passes(monkeypatch)
+        sol, residuals = TestShootDriver.fine_residuals(solve, monkeypatch)
+        assert len(residuals) == fine
+        assert len(calls) == kept and min(calls) > 0
+        assert sol.diagnostics["shooting_iterations"] > 1
+
+    def test_shots_read_no_rows_until_read(self, p_main, p_shock, subsonic_sol, shock_sol,
+                                           monkeypatch):
+        calls = self.passes(monkeypatch)
+        fine = sonic_flow.solvers._fine(IntegratorConfig())
+        q = subsonic_sol.diagnostics["launch_excess"]
+        _, probe = _sonic_shot("subsonic", q, p_main, IntegratorConfig())
+        r, seg = _sonic_shot("subsonic", q, p_main, fine)
+        r_shock, (sup, sub) = _shock_shot(shock_sol.diagnostics["e0"], 0.9, p_shock, fine)
+        assert calls == []
+        for arc in (probe, seg, sup, sub):
+            assert arc.last == arc.terminator.state
+        assert r == seg.last.x - 1.0 and r_shock == sub.last.x - 1.0
+        assert calls == []
+        # the first read reads the whole arc, the next ones nothing
+        assert seg.xs[-1] == seg.last.x and seg.rhos[-1] == 1.0
+        assert len(seg.rhos) == len(seg.es) == len(seg.xs) and len(calls) == 1
+        assert sub.xs[0] == sup.xs[-1] == sup.last.x and len(calls) == 3
+        assert probe.xs[-1] == probe.last.x and len(calls) == 3  # no wide steps
 
 
 class TestPiecewiseDoping:
