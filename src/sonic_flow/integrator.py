@@ -21,14 +21,18 @@ direction.  The one equilibrium of the field is the node (1, 1/tau) where
 C^1 transitions land; an arc that sinks into it ends as a step failure.
 
 An arc ends at the first of its stop events: sonic arrival, target density,
-blow-up, domain end or step failure.  Each of these but the step failure is
-a level of one state component (`_level_watch`), and so is a breakpoint of
-piecewise-constant doping, where a leg ends so that the next one integrates
-the next piece's constant.  One more event splits an arc instead of ending
-it: on request, a leg stops where the arc first crosses the critical locus
-rho*E = 1/tau, its interior density extremum, and the next leg starts
-there, so the extremum is a row of the arc; the request may add a target
-density, set from the extremum, for the rest of the arc.
+blow-up, domain end or step failure.  Each is a level of one state
+component (`_level_watch`), as is a breakpoint of piecewise-constant doping,
+where a leg ends so that the next one integrates the next piece's constant;
+a step size that fails is a step failure too.  The step failure's level
+lies CRITICAL_GUARD short of the sonic line and stops the arc only where
+|rho*E - 1/tau| <= CRITICAL_GUARD there, as it sinks into the node: any
+other arc lands on the line in the same kernel run.  One more event splits
+an arc instead of ending it: on request, a leg stops where the arc first
+crosses the critical locus rho*E = 1/tau, its interior density extremum,
+and the next leg starts there, so the extremum is a row of the arc; the
+request may add a target density, set from the extremum, for the rest of
+the arc.
 
 The kernel is an owned Dormand-Prince 8(5,3) that follows scipy's DOP853
 step for step: an eighth-order step of 12 stages, an error norm blending
@@ -47,7 +51,7 @@ import bisect
 import math
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,7 +73,6 @@ STEP_FAILURE = "step_failure"
 _SPLIT = "_split"  # leg end on the critical locus; the arc goes on
 _PIECE = "_piece"  # leg end on a doping breakpoint; the arc goes on
 _BUDGET = "_budget"  # max_arc_length reached in x
-_NEAR = "_near"  # leg end CRITICAL_GUARD short of the sonic line
 # the span in s a leg may run: a safety net, since x advances at the rate
 # c(rho), which vanishes only where the arc meets the sonic line
 _S_SPAN = 1e4
@@ -97,17 +100,9 @@ class IntegratorConfig:
     max_arc_length: float = 1e3
 
     def __post_init__(self):
-        for name in (
-            "rel_tol",
-            "abs_tol",
-            "max_step",
-            "sample_spacing",
-            "blow_up_density",
-            "blow_up_field",
-            "max_arc_length",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 class EventSpec:
@@ -317,35 +312,28 @@ _D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_1
 class _Watch(NamedTuple):
     """An event function g(t, a, b, c) with its stop rule and its meaning.
 
+    ``terminal`` may be a predicate of the root state (t, a, b, c).
     ``level = (k, v)`` declares g exactly ``(a, b, c)[k] - v``, for the screen.
     """
 
     g: Callable[[float, float, float, float], float]
-    terminal: bool
+    terminal: bool | Callable[[float, float, float, float], bool]
     direction: int  # +1 rising crossings only, -1 falling only, 0 both
     kind: str
     level: tuple[int, float] | None = None
 
 
-_COMPONENT = (
-    lambda v: lambda t, a, b, c: a - v,
-    lambda v: lambda t, a, b, c: b - v,
-    lambda v: lambda t, a, b, c: c - v,
-)
+def _level_watch(k, v, direction, kind, terminal=True):
+    """A watch on component k crossing v."""
+    return _Watch(lambda t, *y: y[k] - v, terminal, direction, kind, (k, v))
 
 
-def _level_watch(k, v, direction, kind):
-    """A terminal watch on component k crossing v."""
-    return _Watch(_COMPONENT[k](v), True, direction, kind, (k, v))
-
-
-def _cell(levels, k, y):
-    """The open interval between component k's levels next below and above y."""
-    vs = [v for j, v in levels if j == k]
-    if y in vs:  # empty: g0 == 0 there, so the next step must compare in full
-        return math.inf, -math.inf
-    lo = max((v for v in vs if v < y), default=-math.inf)
-    return lo, min((v for v in vs if v > y), default=math.inf)
+def _cell(vs, y):
+    """The open interval between the levels `vs` (sorted, from -inf to inf)
+    next below and above y; empty on a level, where g0 == 0, so that the
+    next step compares in full."""
+    i = bisect.bisect_left(vs, y)
+    return (math.inf, -math.inf) if vs[i] == y else (vs[i - 1], vs[i])
 
 
 def _rms(u, v, w):
@@ -480,6 +468,15 @@ def _horner(x, y0, f0, f1, f2, f3, f4, f5, f6):
     return x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (f5 + x * f6)))))) + y0
 
 
+def _on_step(ev, step):
+    """s -> ``ev.g(s, *step(s))`` on `step`; for a level watch, its own
+    component alone, read off the interpolant: the same floats."""
+    if ev.level is None:
+        return lambda s: ev.g(s, *step(s))
+    (k, v), t0, h = ev.level, step.t_old, step.h
+    return lambda s, y0=step.y[k], fk=step.f[k]: _horner((s - t0) / h, y0, *fk) - v
+
+
 def _gap(a0, b0, a1, b1):
     """The distance between rows (a0, b0) and (a1, b1) that `spacing`
     bounds: the larger of |da| and |db| / max(|b0|, |b1|, 1), per entry."""
@@ -607,13 +604,14 @@ def solve_ivp(
     """Integrate a three-component ODE from t0 toward t_bound (Dormand-Prince 8(5,3)).
 
     ``fun(t, a, b, c)`` returns the derivatives of the state ``(a, b, c)``.
-    Each of `events` provides ``g(t, a, b, c)``, ``terminal`` and
-    ``direction``. An event fires where g changes sign over a step, in the
-    given direction (+1 rising, -1 falling, 0 either). Its root is found by
-    `_brentq` (xtol = rtol = 4 eps) on the step's seventh-order interpolant;
-    a search that does not converge raises `IntegrationFailure`. The run
-    stops at the first terminal root in traversal order; the roots before
-    it are kept. Every accepted step is sampled at its end, the stopping
+    Each of `events` provides ``g(t, a, b, c)``, ``terminal`` (a bool, or a
+    predicate of the root state (t, a, b, c)) and ``direction``. An event
+    fires where g changes sign over a step, in the given direction (+1
+    rising, -1 falling, 0 either). Its root is found by `_brentq` (xtol =
+    rtol = 4 eps) on the step's seventh-order interpolant; a search that
+    does not converge raises `IntegrationFailure`. The run stops at the
+    first root in traversal order where its event is terminal; the roots
+    before it are kept. Every accepted step is sampled at its end, the stopping
     root included. Where two consecutive samples are more than `spacing`
     apart by `_gap`, in ``a`` or relatively in ``b``, the step is recorded
     in `rec` for `_read_rows`, which reads rows off its interpolant between
@@ -627,8 +625,10 @@ def solve_ivp(
 
     Watches with a ``level`` are screened: while the state stays inside the
     open cell between the levels, none can fire, so only the others are
-    evaluated; a step that leaves the cell evaluates all and recomputes it.
-    A float ``y - v`` has the sign of its exact value: the events are the same.
+    evaluated; a step that leaves the cell evaluates all and bisects the
+    levels, sorted once per run, for its new cell.  A float ``y - v`` has
+    the sign of its exact value: the events are the same, and so are the
+    roots, found on the level's own component (`_on_step`).
 
     The tableau, the error norm (scipy's blend of the fifth- and third-order
     estimates over ``atol + rtol*max(|y|, |y_new|)``), the initial step, the
@@ -654,10 +654,10 @@ def solve_ivp(
     g = [gi(*start) for gi in gs]
     dirs = [ev.direction for ev in events]
     free = [i for i, ev in enumerate(events) if ev.level is None]
-    levels = [ev.level for ev in events if ev.level is not None]
-    lo_a, hi_a = _cell(levels, 0, ya)
-    lo_b, hi_b = _cell(levels, 1, yb)
-    lo_c, hi_c = _cell(levels, 2, yc)
+    levels = sorted(ev.level for ev in events if ev.level)
+    lvs_a, lvs_b, lvs_c = ([-math.inf, *(v for j, v in levels if j == k), math.inf]
+                           for k in range(3))
+    (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = _cell(lvs_a, ya), _cell(lvs_b, yb), _cell(lvs_c, yc)
     roots = []
     terminal = None
     wide = False
@@ -841,9 +841,8 @@ def solve_ivp(
             scan = free
         else:
             scan = range(len(gs))
-            lo_a, hi_a = _cell(levels, 0, ya)
-            lo_b, hi_b = _cell(levels, 1, yb)
-            lo_c, hi_c = _cell(levels, 2, yc)
+            (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = (
+                _cell(lvs_a, ya), _cell(lvs_b, yb), _cell(lvs_c, yc))
         for i in scan:
             g0 = g[i]
             g[i] = g1 = gs[i](t, ya, yb, yc)
@@ -901,8 +900,7 @@ def solve_ivp(
             found = []
             for i in hits:
                 root, _, _, converged = _brentq(
-                    lambda s, gi=gs[i], step=step: gi(s, *step(s)),
-                    t_old, t, 4 * _EPS, 4 * _EPS,
+                    _on_step(events[i], step), t_old, t, 4 * _EPS, 4 * _EPS
                 )
                 if not converged:
                     raise IntegrationFailure(
@@ -912,12 +910,12 @@ def solve_ivp(
                 found.append((d * root, i, root))
             found.sort(key=lambda f: f[0])  # stable: ties keep event order
             for _, i, root in found:
-                roots.append((i, root, *step(root)))
-                if events[i].terminal:
-                    terminal = i
-                    status = 1
-                    t = root
-                    ya, yb, yc = step(root)
+                ra, rb, rc = step(root)
+                roots.append((i, root, ra, rb, rc))
+                stop = events[i].terminal
+                if stop(root, ra, rb, rc) if callable(stop) else stop:
+                    terminal, status = i, 1
+                    t, ya, yb, yc = root, ra, rb, rc
                     break
 
         if wide:  # its rows are read on demand; t, ya, yb may be a root
@@ -943,27 +941,27 @@ def solve_ivp(
 # legs
 
 
-def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg):
+def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, p, cfg):
     """One kernel run from (x, rho, E) on one branch and one doping piece.
 
     Returns the run's `OdeResult`, its last step end set to the end state,
-    and the `Event` that ended the run; its kind may be `_SPLIT`, `_PIECE`
-    or `_NEAR`, where the arc goes on, or `_BUDGET`.
+    and the `Event` that ended the run; its kind may be `_SPLIT` or
+    `_PIECE`, where the arc goes on, or `_BUDGET`.  The guard short of the
+    sonic line has a predicate of its root for ``terminal``.
     """
+    inv_tau = p.inv_tau
     watches = [
         _level_watch(0, x_end, int(dsign), end_kind),
         # the sonic line counts only on approach, never on departure from it
         _level_watch(1, 1.0, -int(branch), SONIC_ARRIVAL),
-    ]
-    if near:
-        watches.append(
-            _level_watch(1, 1.0 + branch * CRITICAL_GUARD, -int(branch), _NEAR)
-        )
-    watches += [
-        _level_watch(1, tg.value, tg.direction * int(dsign), TARGET_DENSITY) for tg in targets
+        # the node (1, 1/tau) is reached in infinite s only: an arc that
+        # meets the line transversally has |rho'| = |rho E - 1/tau| of order
+        # its crossing excess here
+        _level_watch(1, 1.0 + branch * CRITICAL_GUARD, -int(branch), STEP_FAILURE,
+                     lambda t, x, r, e: abs(r * e - inv_tau) <= CRITICAL_GUARD),
+        *(_level_watch(1, tg.value, tg.direction * int(dsign), TARGET_DENSITY) for tg in targets),
     ]
     if split:
-        inv_tau = p.inv_tau
         watches.append(_Watch(lambda t, x, r, e: r * e - inv_tau, True, 0, _SPLIT))
     bounds = ((1, cfg.blow_up_density), (1, 1.0 / cfg.blow_up_density),
               (2, cfg.blow_up_field), (2, -cfg.blow_up_field))
@@ -994,15 +992,12 @@ def _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg
         elif kind == SONIC_ARRIVAL:  # on the line, up to the root's roundoff
             end = replace(end, rho=1.0)
             res.yb[-1] = 1.0
-        elif kind == _NEAR and abs(end.rho * end.e - p.inv_tau) <= CRITICAL_GUARD:
-            # the arc sinks into the node (1, 1/tau), which it reaches in
-            # infinite s only: an arc that meets the line transversally has
-            # |rho'| = |rho E - 1/tau| of order its crossing excess here
-            kind = STEP_FAILURE
     return res, Event(kind, end)
 
 
 def _run(x, rho, e, direction, stop_events, p, cfg, branch):
+    """The arc from (x, rho, E): one `_leg` per doping piece and split; a
+    leg lands on the sonic line, its guard's ``terminal`` a predicate."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     dsign = 1.0 if direction == "forward" else -1.0
@@ -1023,17 +1018,13 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
         x_end, end_kind = domains[0].x, DOMAIN_END
 
     runs = []
-    near = True
     while True:
-        res, term = _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, near, p, cfg)
+        res, term = _leg(x, rho, e, dsign, branch, targets, x_end, end_kind, split, p, cfg)
         runs.append(res)
-        # the arc goes on from these leg ends; the split and the stop short
-        # of the sonic line are watched once only
+        # the arc goes on from these leg ends; the split is watched once only
         if term.kind == _SPLIT:
             split = False
             targets = targets + [s.then(term.state) for s in loci if s.then is not None]
-        elif term.kind == _NEAR:
-            near = False
         elif term.kind != _PIECE:
             break
         x, rho, e = term.state.x, term.state.rho, term.state.e

@@ -450,6 +450,14 @@ def _gauss_legendre(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
+def _series(n, c):
+    """sum c[k] n^k, by numpy's ``polyval`` loop, to its floats, on a tuple `c`."""
+    y = c[-1] + n * 0
+    for ck in c[-2::-1]:
+        y = ck + y * n
+    return y
+
+
 @dataclass(frozen=True)
 class SlowManifold:
     """The slow manifold E = 1/tau + phi(n), n = rho - 1, of the node (1, 1/tau).
@@ -476,11 +484,11 @@ class SlowManifold:
     p: tuple[float, ...]  # p[j] multiplies n^j in P(n, phi(n)) / n
 
     def phi(self, n):
-        return np.polynomial.polynomial.polyval(n, self.a)
+        return _series(n, self.a)
 
     def dx_dn(self, n):
         """c(n) / P(n, phi(n)), regular at n = 0, where it is 2 / lam_s."""
-        return (2.0 + n) / ((1.0 + n) ** 2 * np.polynomial.polynomial.polyval(n, self.p))
+        return (2.0 + n) / ((1.0 + n) ** 2 * _series(n, self.p))
 
     def x_offsets(self, n_b, parts=1, nodes=40):
         """x - x(n_b) along the manifold at n = n_b (1 - i/parts), i = 1..parts.

@@ -72,16 +72,36 @@ class TestSolve:
         assert es == {"0.5"}
         assert {row.split(",")[3] for row in rows} == {"sonic"}
 
-    def test_byte_determinism(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "model": model(50.0, 1.5),
-            "solver": {"kind": "transonic_shock", "rho_l": 0.9},
-        })
+    @staticmethod
+    def assert_byte_deterministic(tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["solve", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["solve", "--config", cfg, "--out", str(out2)]) == 0
         for name in ("solution.csv", "solution.json", "profile.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_byte_determinism(self, tmp_path):
+        self.assert_byte_deterministic(tmp_path, {
+            "model": model(50.0, 1.5),
+            "solver": {"kind": "transonic_shock", "rho_l": 0.9},
+        })
+
+    @pytest.mark.parametrize("family", [
+        "subsonic", "supersonic", "sine_supersonic", "piecewise_subsonic", "c1",
+    ])
+    def test_byte_determinism_of_the_other_families(self, family, tmp_path):
+        sine = {"tau": 15.0, "doping": {"type": "sine", "base": 1.5, "amplitude": 0.1}}
+        piecewise = {"tau": 15.0, "doping": {"type": "piecewise", "breakpoints": [0.5],
+                                             "values": [1.5, 1.6]}}
+        shooting = {"kind": "subsonic", "method": "shooting"}
+        self.assert_byte_deterministic(tmp_path, dict(zip(("model", "solver"), {
+            "subsonic": (model(15.0, 1.5), shooting),
+            "supersonic": (model(15.0, 1.5), {"kind": "supersonic"}),
+            "sine_supersonic": (sine, {"kind": "supersonic"}),
+            "piecewise_subsonic": (piecewise, shooting),
+            "c1": (model(0.1, 1.5), {"kind": "c1_transonic", "x0": 0.5}),
+        }[family])))
 
     def test_shock_metadata(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -16,7 +16,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sonic_flow
@@ -317,11 +317,31 @@ class TestSegmentContracts:
         assert abs(seg.last.rho * seg.last.e - p.inv_tau) <= 1e-6
         assert np.all(np.diff(seg.xs) < 0) and seg.rhos.max() < 1.0001
 
+    @pytest.mark.parametrize("excess,kind", [(1e-6, "sonic_arrival"), (0.98e-6, "step_failure")])
+    def test_guard_crossing_is_decided_in_one_run(self, excess, kind, kernel_calls):
+        # a subsonic arc started 1.01e-6 from the sonic line, falling toward
+        # it: where it crosses the guard 1e-6 short of the line, its
+        # |rho E - 1/tau| sits just above CRITICAL_GUARD, and the same run
+        # lands on the line, or just below it, and the run stops there
+        p = params(15.0, 1.5)
+        rho = 1.0 + 1.01e-6
+        seg = integrate(State(0.0, rho, (p.inv_tau - excess) / rho), "forward", [DomainEnd(1.0)], p)
+        ((args, _, res),) = kernel_calls
+        ((_, _, _, r, e),) = [root for root in res.roots if args[7][root[0]].kind == "step_failure"]
+        assert r == pytest.approx(1.0 + 1e-6, abs=1e-15)
+        assert seg.terminator.kind == kind
+        if kind == "sonic_arrival":
+            assert 1e-6 < abs(r * e - p.inv_tau) <= 1.02e-6
+            assert seg.last.rho == 1.0 and res.roots[-1][0] == res.terminal
+        else:
+            assert 0.98e-6 <= abs(r * e - p.inv_tau) <= 1e-6
+            assert (seg.last.rho, seg.last.e) == (r, e)
+
 
 class TestRhoLegRows:
-    # legs from the sonic line rho = 1: one kernel run crosses the bulk to
-    # within 1e-6 of the line, in +s on the subsonic side and in -s on the
-    # supersonic one, and a second one lands on it
+    # legs from the sonic line rho = 1: one kernel run crosses the bulk and
+    # lands on the line, in +s on the subsonic side and in -s on the
+    # supersonic one; 1e-6 short of the line it records a root, not a row
     p = params(15.0, 1.5)
 
     def arc(self, cfg, side="subsonic", q=0.02):
@@ -334,18 +354,20 @@ class TestRhoLegRows:
             del kernel_calls[:]
             seg = self.arc(IntegratorConfig(), side)
             assert seg.terminator.kind == "sonic_arrival"
-            calls = list(kernel_calls)
-            assert len(calls) == 2
-            rows = []
-            for args, kwargs, res in calls:
-                assert args[2] == (1e4 if side == "subsonic" else -1e4)
-                assert not kwargs.get("dense_output") and len(res.steps) == 1  # the end step only
-                dense = integrator.solve_ivp(*args, dense_output=True)
-                assert len(dense.t) == len(dense.steps) + 1  # the start and every step end
-                assert res.t == dense.t
-                rows += list(zip(res.ya, res.yb))[1 if rows else 0:]
-            assert abs(rows[-2][1] - 1.0) == pytest.approx(1e-6, abs=1e-15)  # the first run's end
-            assert rows[-1][1] == 1.0
+            ((args, kwargs, res),) = kernel_calls
+            assert args[2] == (1e4 if side == "subsonic" else -1e4)
+            assert not kwargs.get("dense_output") and len(res.steps) == 1  # the end step only
+            dense = integrator.solve_ivp(*args, dense_output=True)
+            assert len(dense.t) == len(dense.steps) + 1  # the start and every step end
+            assert res.t == dense.t
+            rows = list(zip(res.ya, res.yb))
+            # the guard 1e-6 short of the line: a root, where the arc goes on
+            ((_, _, x_near, rho_near, _),) = [
+                r for r in res.roots if args[7][r[0]].kind == "step_failure"
+            ]
+            assert abs(rho_near - 1.0) == pytest.approx(1e-6, abs=1e-15)
+            assert (x_near, rho_near) not in rows
+            assert res.terminal == 1 and rows[-1][1] == 1.0  # on the line
             assert list(zip(seg.xs.tolist(), seg.rhos.tolist())) == rows
 
     # short legs, whose step ends lie closer than 1e-2
@@ -393,13 +415,20 @@ def _rows(res, spacing):
     return tuple(integrator._read_rows(res.rec, spacing, cols)) if res.rec else cols
 
 
-def _dop853(args, kwargs):
-    """The same run through scipy.integrate.solve_ivp(method="DOP853")."""
+def _dop853(args, kwargs, stop=None):
+    """The same run through scipy.integrate.solve_ivp(method="DOP853").
+
+    scipy runs a watch whose stop rule is a predicate as a non-terminal
+    event; ``stop = (i, n)`` makes watch i terminal at its n-th root.
+    """
     fun, t0, t_bound, y0, rtol, atol, max_step, watches = args
     events = []
-    for w in watches:
+    for i, w in enumerate(watches):
         ev = (lambda g: lambda t, y: g(t, y[0], y[1], y[2]))(w.g)
-        ev.terminal, ev.direction = w.terminal, w.direction
+        ev.terminal = False if callable(w.terminal) else w.terminal
+        if stop is not None and stop[0] == i:
+            ev.terminal = stop[1]
+        ev.direction = w.direction
         events.append(ev)
     return scipy.integrate.solve_ivp(
         lambda t, y: fun(t, y[0], y[1], y[2]),
@@ -417,6 +446,25 @@ def _dop853(args, kwargs):
 def _assert_matches_dop853(call):
     args, kwargs, res = call
     ref = _dop853(args, kwargs)
+    # a predicate watch stops the kernel at the first of scipy's roots that
+    # meets the predicate, or, where none does, it does not stop the kernel;
+    # then scipy stops there too, step for step
+    d = math.copysign(1.0, args[2] - args[1])
+    watches = args[7]
+    first = min(
+        ((d * float(t), i, n)
+         for i, w in enumerate(watches) if callable(w.terminal)
+         for n, (t, y) in enumerate(zip(ref.t_events[i], ref.y_events[i]), 1)
+         if w.terminal(t, *y)),
+        default=None,
+    )
+    if first is None:
+        assert res.terminal is None or not callable(watches[res.terminal].terminal)
+    else:
+        _, i, n = first
+        assert res.terminal == i
+        assert res.t[-1] == pytest.approx(float(ref.t_events[i][n - 1]), abs=1e-12)
+        ref = _dop853(args, kwargs, (i, n))
     assert res.status == ref.status
     # the stage evaluations: scipy, asked for dense output, evaluates the
     # interpolant's three extra stages on every accepted step, the kernel
@@ -425,7 +473,6 @@ def _assert_matches_dop853(call):
     assert len(res.t) == len(ref.t)  # the step ends
     for k, c in enumerate((res.ya, res.yb, res.yc)):
         assert c[-1] == pytest.approx(ref.y[k, -1], abs=1e-12)
-    d = math.copysign(1.0, args[2] - args[1])
     ref_roots = sorted(
         ((i, float(t)) for i, ts in enumerate(ref.t_events) for t in ts),
         key=lambda r: d * r[1],
@@ -460,7 +507,8 @@ class TestKernelMatchesDOP853:
             0.0, "subsonic", p.inv_tau + 0.15, "forward", [DomainEnd(3.0)], p,
             replace(self.loose_cap, sample_spacing=1e-2),
         )
-        # the first of its two runs, to within 1e-6 of the sonic line
+        # its one run, which lands on the sonic line
+        assert seg.terminator.kind == "sonic_arrival" and len(kernel_calls) == 1
         args, kwargs, res = kernel_calls[0]
         assert kwargs["spacing"] == 1e-2
         assert args[3] == (0.0, 1.0, p.inv_tau + 0.15)  # the sonic launch
@@ -475,10 +523,11 @@ class TestKernelMatchesDOP853:
     def test_sonic_launch_at_probe_resolution(self, kernel_calls):
         # at the default spacing the rows are the kernel's step ends
         p = params(15.0, 1.5)
-        integrate_from_sonic(
+        seg = integrate_from_sonic(
             0.0, "subsonic", p.inv_tau + 0.02, "forward", [DomainEnd(1.0)], p,
             self.loose_cap,
         )
+        assert seg.terminator.kind == "sonic_arrival" and len(kernel_calls) == 1
         args, kwargs, res = kernel_calls[0]
         assert kwargs["spacing"] == math.inf
         ref = _assert_matches_dop853(kernel_calls[0])
@@ -495,7 +544,7 @@ class TestKernelMatchesDOP853:
             State(0.0, 1.5, p.inv_tau / 1.5 + 0.05), "forward",
             [TargetDensity(1.52)], p, self.loose_cap,
         )
-        assert seg.terminator.kind == "target_density"
+        assert seg.terminator.kind == "target_density" and len(kernel_calls) == 1
         args, _, res = kernel_calls[-1]
         assert res.status == 1
         assert args[7][res.terminal].kind == "target_density"
@@ -503,6 +552,20 @@ class TestKernelMatchesDOP853:
         assert res.roots[-1][1] == pytest.approx(
             float(ref.t_events[res.terminal][0]), abs=1e-12
         )
+
+    @pytest.mark.parametrize("excess", [1e-6, 0.98e-6])
+    def test_guard_stops_at_scipys_first_root_that_sinks(self, excess, kernel_calls):
+        # the arcs of `test_guard_crossing_is_decided_in_one_run`: scipy
+        # runs the guard as a non-terminal event, and the kernel stops at its
+        # root only where the arc sinks into the node
+        p = params(15.0, 1.5)
+        rho = 1.0 + 1.01e-6
+        integrate(State(0.0, rho, (p.inv_tau - excess) / rho), "forward", [DomainEnd(1.0)], p,
+                  self.loose_cap)
+        _assert_matches_dop853(kernel_calls[0])
+        args, _, res = kernel_calls[0]
+        (guard,) = [i for i, w in enumerate(args[7]) if callable(w.terminal)]
+        assert (res.terminal == guard) == (excess < 1e-6)
 
     def test_controller_after_rejections(self):
         # a steep tanh front makes the controller reject trial steps on the
@@ -770,14 +833,19 @@ class TestKernelEvents:
             _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 0.1,
             [_level(0, 0.6, calls=screened)], dense_output=True,
         )
-        integrator.solve_ivp(
+        unscreened = integrator.solve_ivp(
             _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 0.1,
             _unleveled([_level(0, 0.6, calls=full)]),
         )
-        # screened, g runs at the start, on the step that leaves the cell and
-        # in the root search: none of the steps before is evaluated
+        # unscreened, g runs at the start, on every step and in the root
+        # search; screened, at the start and on the step that leaves the
+        # cell only: none of the steps before is evaluated, and the root
+        # search reads component 0 off the interpolant, to the same root
         assert res.status == 1 and len(res.steps) > 3
-        assert len(full) - len(screened) == len(res.steps) - 1
+        n = len(res.steps)
+        assert full[:n] == res.t[:n] and len(full) > n + 1  # step ends, then the search
+        assert screened == [full[0], full[n]]
+        assert res.roots == unscreened.roots and res.t == unscreened.t
 
     @pytest.mark.parametrize("direction", [-1, 0, 1])
     def test_start_exactly_on_a_level(self, direction):
@@ -826,6 +894,70 @@ class TestKernelEvents:
         watches = [_level(2, 2.0), _level(0, -2.0)]
         res = _screened_as_full(_oscillator, 0.0, 7.0, (1.0, 0.0, 0.0), watches)
         assert res.terminal == 0 and res.t[-1] == pytest.approx(2.0, abs=1e-12)
+
+
+def _scan_cell(levels, k, y):
+    """The cell `solve_ivp` once found by scanning every (k, v) of `levels`:
+    the reference for the bisected `_cell`."""
+    vs = [v for j, v in levels if j == k]
+    if y in vs:  # empty: g0 == 0 there, so the next step must compare in full
+        return math.inf, -math.inf
+    lo = max((v for v in vs if v < y), default=-math.inf)
+    return lo, min((v for v in vs if v > y), default=math.inf)
+
+
+# a few values that the draws repeat, so that levels coincide, and -0.0
+_level_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-6]) | st.floats(-4.0, 4.0)
+_REPEATED = [(1, 1.0), (1, 0.5), (1, 1.0), (0, 1.0), (1, 2.0)]
+_coefficients = st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7).map(tuple)
+
+
+class TestKernelRewrites:
+    # the kernel's level cells and level roots against the code they replace
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        levels=st.lists(st.tuples(st.integers(0, 2), _level_values), max_size=12),
+        y=_level_values,
+        on=st.integers(0, 11) | st.none(),
+    )
+    @example(levels=_REPEATED, y=1.0, on=None)  # on a repeated level
+    @example(levels=_REPEATED, y=0.7, on=None)
+    @example(levels=_REPEATED, y=3.0, on=None)
+    def test_bisected_cells_are_the_scanned_cells(self, levels, y, on):
+        if on is not None and levels:  # a start exactly on a level: the empty cell
+            y = levels[on % len(levels)][1]
+        for k in range(3):
+            vs = [-math.inf, *sorted(v for j, v in levels if j == k), math.inf]
+            assert integrator._cell(vs, y) == _scan_cell(levels, k, y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        t_old=st.floats(-5.0, 5.0),
+        h=_scales,
+        y=st.tuples(_units, _units, _units),
+        f=st.tuples(_coefficients, _coefficients, _coefficients),
+        k=st.integers(0, 2),
+        theta=st.floats(0.0, 1.0),
+    )
+    def test_one_component_roots_are_the_full_state_roots(self, t_old, h, y, f, k, theta):
+        # a random step and a level of component k between its ends: the
+        # level's g on component k alone gives the floats of g on the whole
+        # interpolated state, and so Brent's method finds the same root
+        step = integrator._Step(t_old, h, y, f)
+        t_end = t_old + h
+        ends = step(t_old)[k], step(t_end)[k]
+        v = ends[0] + theta * (ends[1] - ends[0])
+        watch = integrator._level_watch(k, v, 0, "level")
+        one = integrator._on_step(watch, step)
+        full = lambda s: watch.g(s, *step(s))  # noqa: E731
+        ts = [t_old + j * h / 16 for j in range(17)]
+        assert [one(s).hex() for s in ts] == [full(s).hex() for s in ts]
+        if one(t_old) * one(t_end) < 0:
+            eps = 4 * sys.float_info.epsilon
+            assert integrator._brentq(one, t_old, t_end, eps, eps) == integrator._brentq(
+                full, t_old, t_end, eps, eps
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +1086,7 @@ class TestKernelSampling:
             assert seg.terminator.kind == "sonic_arrival"
             runs = [(args, kwargs["spacing"]) for args, kwargs, _ in kernel_calls]
             sign = 1.0 if side == "subsonic" else -1.0
-            assert [math.copysign(1.0, args[2]) for args, _ in runs] == [sign, sign]
+            assert [math.copysign(1.0, args[2]) for args, _ in runs] == [sign]  # one run
         else:
             forward = case.endswith("forward")
             t0, t1 = (0.0, 3.0) if forward else (3.0, 0.0)
@@ -1107,18 +1239,18 @@ class TestArcRows:
                                            monkeypatch):
         p = params(15.0, 1.5)
         if case == "supersonic":
-            # the split on the critical locus, the leg to near the sonic
-            # line and the sonic tail
+            # the split on the critical locus, and the leg from there that
+            # lands on the sonic line
             seg = integrate_from_sonic(0.0, "supersonic", p.inv_tau + 0.1, "forward",
                                        [DomainEnd(3.0), integrator.CriticalLocus()], p, self.fine)
-            legs = 3
+            legs = 2
         elif case == "piecewise":
-            # a leg per doping piece, then the sonic tail
+            # a leg per doping piece, the last one landing on the sonic line
             p = ModelParams(tau=15.0, doping=DopingProfile.piecewise_constant(
                 [0.03, 0.06], [1.5, 1.6, 1.4]))
             seg = integrate_from_sonic(0.0, "subsonic", p.inv_tau + 0.02, "forward",
                                        [DomainEnd(3.0)], p, self.fine)
-            legs = 4
+            legs = 3
         else:
             # a C1 branch whose first arc stops before it joins the slow
             # manifold, and goes on in a second arc
@@ -1128,7 +1260,7 @@ class TestArcRows:
             legs = 3
         assert seg.terminator.kind in ("sonic_arrival", "target_density")
         runs = [res for _, _, res in kernel_calls]
-        assert len(runs) == legs and sum(len(res.rec) > 0 for res in runs) >= 3
+        assert len(runs) == legs and all(len(res.rec) > 0 for res in runs)
         passes = []
         read = integrator._read_rows
         monkeypatch.setattr(integrator, "_read_rows",

@@ -32,7 +32,7 @@ from sonic_flow import (
     vector_field,
     xi_curve,
 )
-from sonic_flow.model_core import node_slow_manifold
+from sonic_flow.model_core import _series, node_slow_manifold
 
 
 def _params(tau, b, gamma=1.0):
@@ -513,6 +513,24 @@ class TestNodeSlowManifold:
         m = node_slow_manifold(b, tau)
         assert 1.0 / m.dx_dn(0.0) == pytest.approx(c1_transition_slope(b, tau), rel=1e-12)
         assert m.phi(0.0) == 0.0
+
+    @pytest.mark.parametrize("b,tau", [(1.5, 0.1), (1.2, 0.2), (2.0, 0.05)])
+    def test_series_is_polyval_bit_for_bit(self, b, tau):
+        # the Horner loop of phi and dx_dn against numpy's polyval, on
+        # floats and on the 1-D and 2-D arrays the landing reads
+        m = node_slow_manifold(b, tau)
+        polyval = np.polynomial.polynomial.polyval
+        n1 = np.linspace(-0.02, 0.02, 40)
+        for c in (m.a, m.p):
+            for n in (-0.013, -1e-9, -0.0, 0.0, 2e-3, 0.5):
+                assert float(_series(n, c)).hex() == float(polyval(n, c)).hex()
+            for n in (n1, n1.reshape(5, -1)):
+                got, ref = _series(n, c), polyval(n, c)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        n = n1.reshape(5, -1)
+        dx_dn = (2.0 + n) / ((1.0 + n) ** 2 * polyval(n, m.p))
+        assert m.dx_dn(n).tobytes() == dx_dn.tobytes()
+        assert m.phi(n).tobytes() == polyval(n, m.a).tobytes()
 
     def test_quadrature_pieces_add_up(self):
         m = node_slow_manifold(1.5, 0.1)

@@ -804,6 +804,12 @@ def _gaps_ok(x, spacing):
     return bool(np.all(gaps >= 0) and gaps.max() <= spacing * (1 + 1e-9))
 
 
+_RHS_BUDGETS = {
+    "subsonic": 2330, "supersonic": 2300, "sine_supersonic": 2030,
+    "transonic_shock": 2320, "c1_transonic": 4750,
+}
+
+
 class TestOutputResolution:
     @pytest.mark.parametrize(
         "fixture", ["subsonic_sol", "supersonic_sol", "shock_sol", "shock_sol_95"]
@@ -832,15 +838,9 @@ class TestOutputResolution:
         scale = np.maximum(np.maximum(rho[1:], rho[:-1]), 1.0)
         assert (np.abs(np.diff(rho)) / scale).max() <= 5e-4 * (1 + 1e-9)
 
-    # about 10% over the counts of the eighth-order kernel: 2268, 2211, 1950,
-    # 2241 and 4312 RHS evaluations
-    @pytest.mark.parametrize("family,budget", [
-        ("subsonic", 2500), ("supersonic", 2500), ("sine_supersonic", 2200),
-        ("transonic_shock", 2500), ("c1_transonic", 4800),
-    ])
-    def test_rhs_evaluation_budget(
-        self, family, budget, p_main, p_shock, p_smooth, monkeypatch
-    ):
+    @staticmethod
+    def kernel_nfev(family, p_main, p_shock, p_smooth, monkeypatch):
+        """The nfev of every kernel run of the fixture solve of `family`."""
         nfev = []
         kernel = sonic_flow.integrator.solve_ivp
 
@@ -860,7 +860,23 @@ class TestOutputResolution:
             solve_transonic_shock(p_shock, 0.9)
         else:
             solve_c1_transonic(p_smooth, 0.5)
-        assert sum(nfev) <= budget
+        return nfev
+
+    # about 10% over the counts of the eighth-order kernel with one run per
+    # sonic landing: 2115, 2092, 1848, 2105 and 4312 RHS evaluations
+    @pytest.mark.parametrize("family", list(_RHS_BUDGETS))
+    def test_rhs_evaluation_budget(self, family, p_main, p_shock, p_smooth, monkeypatch):
+        nfev = self.kernel_nfev(family, p_main, p_shock, p_smooth, monkeypatch)
+        assert sum(nfev) <= _RHS_BUDGETS[family]
+
+    # a probe that reaches the sonic line lands on it in the run that crossed
+    # the bulk: no run starts 1e-6 short of the line
+    @pytest.mark.parametrize("family,runs", [
+        ("subsonic", 9), ("supersonic", 14), ("sine_supersonic", 12),
+        ("transonic_shock", 16), ("c1_transonic", 26),
+    ])
+    def test_kernel_runs_per_solve(self, family, runs, p_main, p_shock, p_smooth, monkeypatch):
+        assert len(self.kernel_nfev(family, p_main, p_shock, p_smooth, monkeypatch)) == runs
 
     def test_c1_probe_keeps_landing_rows(self, c1_sol, p_smooth):
         # a probe shot to the fitted tail, at the default step cap, at the
