@@ -288,11 +288,12 @@ def classify_regime(p: ModelParams) -> RegimeReport:
 # rate: that one works on plain floats through math.pow, which rejects
 # arrays; serving both from one definition would make it branch on its
 # caller, and a per-sample loop would make residual_norm about ten times
-# slower.
-def _rhs_arrays(x, rho, e, p: ModelParams):
+# slower.  It takes the doping b(x) already evaluated, so that each distinct
+# abscissa is evaluated once.
+def _rhs_arrays(bx, rho, e, p: ModelParams):
     coef = sonic_coefficient(rho, p.gamma)
     d_rho = (rho * e - p.inv_tau) / coef
-    d_e = rho - np.asarray(p.b(x), dtype=float)
+    d_e = rho - bx
     return d_rho, d_e
 
 
@@ -318,19 +319,26 @@ def _defect_residual(sol: Solution, p: ModelParams):
     xs, hs = x[:-1][valid], h[valid]
     rho_pred, e_pred = rho[:-1][valid], e[:-1][valid]
 
+    def doping(at):
+        return np.asarray(p.b(at), dtype=float)
+
     # four RK4 substeps keep the probe's own truncation error far below the
-    # stored data's accuracy, so the defect measures the data, not the probe
+    # stored data's accuracy, so the defect measures the data, not the probe;
+    # k2 and k3 share the midpoint, and k4's abscissa is the next substep's k1
     sub = 4
+    hq = hs / sub
     xc = xs.copy()
+    b_start = doping(xc)
     for _ in range(sub):
-        hq = hs / sub
-        k1r, k1e = _rhs_arrays(xc, rho_pred, e_pred, p)
-        k2r, k2e = _rhs_arrays(xc + hq / 2, rho_pred + hq / 2 * k1r, e_pred + hq / 2 * k1e, p)
-        k3r, k3e = _rhs_arrays(xc + hq / 2, rho_pred + hq / 2 * k2r, e_pred + hq / 2 * k2e, p)
-        k4r, k4e = _rhs_arrays(xc + hq, rho_pred + hq * k3r, e_pred + hq * k3e, p)
+        b_mid, b_end = doping(xc + hq / 2), doping(xc + hq)
+        k1r, k1e = _rhs_arrays(b_start, rho_pred, e_pred, p)
+        k2r, k2e = _rhs_arrays(b_mid, rho_pred + hq / 2 * k1r, e_pred + hq / 2 * k1e, p)
+        k3r, k3e = _rhs_arrays(b_mid, rho_pred + hq / 2 * k2r, e_pred + hq / 2 * k2e, p)
+        k4r, k4e = _rhs_arrays(b_end, rho_pred + hq * k3r, e_pred + hq * k3e, p)
         rho_pred = rho_pred + hq / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
         e_pred = e_pred + hq / 6 * (k1e + 2 * k2e + 2 * k3e + k4e)
         xc = xc + hq
+        b_start = b_end
 
     r0 = rho[:-1][valid]
     r1 = rho[1:][valid]

@@ -12,6 +12,7 @@ object {"code", "message", "theoremRef"} to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -506,6 +507,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
 # entry point
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sonic-flow",

@@ -486,10 +486,15 @@ def solve_subsonic_elliptic(
 
     For current j < 1 the quasilinear flux (rho^(gamma-2) - j^2 rho^-3) rho_x
     + j/(tau rho) stays uniformly elliptic on rho >= 1, so a damped Newton
-    iteration on a boundary-graded finite-volume grid converges.  Each iterate
+    iteration on a boundary-graded finite-volume grid converges: every
+    residual row within its scale, newton_tol times the cell plus the
+    roundoff floor of its flux differences.  The line search halves the step
+    lam until the RMS of the scaled residual falls by the factor
+    1 - lam / 4, the Armijo test on the residual's 2-norm.  Each iterate
     evaluates the residual once (an accepted trial hands its residual on) and
     solves its tridiagonal system with LAPACK dgtsv; a stalled, unconverged,
-    non-finite or singular iteration raises `NewtonDivergence`.  The sonic
+    non-finite or singular iteration raises `NewtonDivergence`, the first two
+    with the largest scaled residual row in its diagnostics.  The sonic
     limit is recovered by Richardson extrapolation in (1 - j), which is
     first-order accurate in the relaxation parameter.
     """
@@ -533,7 +538,9 @@ def solve_subsonic_elliptic(
             diag = df_left[1:] - df_right[:-1] - cell  # d R_i / d u_i
             upper = df_right[1:-1]  # d R_i / d u_{i+1}
             lower = -df_left[1:-1]  # d R_i / d u_{i-1}
-            if all(np.isfinite(a).all() for a in (lower, diag, upper, r)):
+            # every entry of upper and lower enters diag, so a non-finite
+            # system shows in diag or r
+            if np.isfinite(diag).all() and np.isfinite(r).all():
                 # the diagonals and -r are scratch, so LAPACK may overwrite them
                 step, info = dgtsv(lower, diag, upper, -r, 1, 1, 1, 1)[3:]
                 reason = "singular Newton system" if info else None
@@ -544,14 +551,18 @@ def solve_subsonic_elliptic(
                     f"{reason} in the relaxed elliptic solve",
                     diagnostics={"j": j, "iteration": it, "reason": reason},
                 )
+            # sufficient decrease of the scaled residual's RMS; the failures
+            # report its largest row
+            z = r / scale
+            rms0 = math.sqrt(z @ z / z.size)
             lam = 1.0
-            norm0 = float(np.abs(r / scale).max())
             while lam > 2.0**-24:
                 trial = u.copy()
-                trial[1:-1] = u[1:-1] + lam * step
+                trial[1:-1] += lam * step
                 if trial[1:-1].min() > floor:
                     bundle = _elliptic_residual(trial, h, cell, bx, j, p)
-                    if float(np.abs(bundle[0] / scale).max()) < norm0 * (1.0 - 0.25 * lam):
+                    z_trial = bundle[0] / scale
+                    if math.sqrt(z_trial @ z_trial / z_trial.size) < rms0 * (1.0 - 0.25 * lam):
                         u = trial
                         r, um, du, coef = bundle
                         break
@@ -559,12 +570,12 @@ def solve_subsonic_elliptic(
             else:
                 raise NewtonDivergence(
                     "damped Newton stalled in the relaxed elliptic solve",
-                    diagnostics={"j": j, "residual": norm0},
+                    diagnostics={"j": j, "residual": float(np.abs(z).max())},
                 )
         else:
             raise NewtonDivergence(
                 "relaxed elliptic solve did not converge",
-                diagnostics={"j": j, "residual": norm0},
+                diagnostics={"j": j, "residual": float(np.abs(z).max())},
             )
         rho_x = grid_derivative(x, u)
         e_j = _elliptic_flux_coef(u, j, p.gamma) * rho_x + j * p.inv_tau / u
@@ -877,13 +888,20 @@ def _tangential_landing_shot(
     return None, "long"
 
 
-def _landing_x(end: State, node: SlowManifold) -> float:
+def _landing_x(end: State, node: SlowManifold, inv_tau: float) -> float:
     """The landing abscissa of an arc joined to the slow manifold at ``end``.
 
     It is the arc's last x plus the quadrature of dx/dn along the manifold
-    from its last offset n_b = rho - 1 to 0.
+    from its last offset n_b = rho - 1 to 0, plus the first-order effect of
+    the arc's offset delta = E - 1/tau - phi(n_b) from the manifold there.
+    That offset decays like (n / n_b)^mu and shifts dx/dn = 2 / lam_s by
+    -2 delta(n) / (lam_s^2 n), so it moves the landing by
+    2 delta / (mu lam_s^2) = delta / (b - 1).
     """
-    return end.x + float(node.x_offsets(end.rho - 1.0)[-1])
+    n_b = end.rho - 1.0
+    delta = end.e - inv_tau - float(node.phi(n_b))
+    lam_s = node.p[0]
+    return end.x + float(node.x_offsets(n_b)[-1]) + 2.0 * delta / (node.mu * lam_s * lam_s)
 
 
 def _landing(seg: TrajectorySegment, node: SlowManifold, inv_tau: float, spacing: float):
@@ -891,18 +909,20 @@ def _landing(seg: TrajectorySegment, node: SlowManifold, inv_tau: float, spacing
 
     Rows read off the manifold follow the arc's own, equally spaced in n and
     at most ``spacing`` apart in x and in rho, as the kernel's are; their x
-    is the cumulative quadrature.  Returns ``(x_hat, xs, rhos, es)``: the
-    landing abscissa, and the rows without the landing itself.
+    is the cumulative quadrature, measured back from the landing.  Returns
+    ``(x_hat, xs, rhos, es)``: the landing abscissa, and the rows without the
+    landing itself.
     """
     end = seg.last
     n_b = end.rho - 1.0
-    x_hat = _landing_x(end, node)
+    x_hat = _landing_x(end, node, inv_tau)
     # dx/dn is smooth on [n_b, 0]: its largest sample, with 1% to spare,
     # bounds the x-gap of equal parts in n
     steep = max(1.0, float(np.abs(node.dx_dn(np.linspace(n_b, 0.0, 41))).max()))
     parts = math.ceil(abs(n_b) * steep * 1.01 / spacing)
     n = n_b * (1.0 - np.arange(1, parts) / parts)
-    xs = end.x + node.x_offsets(n_b, parts, nodes=8)[:-1]
+    offsets = node.x_offsets(n_b, parts, nodes=8)
+    xs = x_hat - (offsets[-1] - offsets[:-1])
     return (
         x_hat,
         np.concatenate((seg.xs, xs)),
@@ -962,7 +982,7 @@ def solve_c1_transonic(
             seg, fail = _tangential_landing_shot(side, sign * q_mag, p, c, node)
             if seg is None:
                 return (-_OVERSHOOT if fail == "short" else _OVERSHOOT), None
-            x_hat = _landing_x(seg.last, node)
+            x_hat = _landing_x(seg.last, node, p.inv_tau)
             # both residuals grow with the launch magnitude: longer arcs land
             # farther from their launch wall
             return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg

@@ -23,10 +23,11 @@ from sonic_flow import (
     fit_holder_exponent,
     lemma_tau_threshold,
     residual_norm,
+    sonic_coefficient,
     xi_curve,
 )
 
-from sonic_flow.analysis import WEAK_BASIS_SIZE, _weak_residual
+from sonic_flow.analysis import RESIDUAL_BAND, WEAK_BASIS_SIZE, _defect_residual, _weak_residual
 
 from conftest import params
 
@@ -55,6 +56,34 @@ def _reference_weak_residual(sol, p):
         if w > worst:
             worst, where = w, mid
     return worst, where
+
+
+def _reference_defect_residual(sol, p):
+    """The RK4 defect probe evaluating the doping at every stage's abscissa."""
+
+    def rhs(x, rho, e):
+        d_rho = (rho * e - p.inv_tau) / sonic_coefficient(rho, p.gamma)
+        return d_rho, rho - np.asarray(p.b(x), dtype=float)
+
+    x, rho, e = sol.x, sol.rho, sol.e
+    h = np.diff(x)
+    off_band = np.abs(rho - 1.0) >= RESIDUAL_BAND
+    valid = (h > 0) & off_band[:-1] & off_band[1:]
+    xs, hs = x[:-1][valid], h[valid]
+    r, f = rho[:-1][valid], e[:-1][valid]
+    for _ in range(4):
+        hq = hs / 4
+        k1r, k1e = rhs(xs, r, f)
+        k2r, k2e = rhs(xs + hq / 2, r + hq / 2 * k1r, f + hq / 2 * k1e)
+        k3r, k3e = rhs(xs + hq / 2, r + hq / 2 * k2r, f + hq / 2 * k2e)
+        k4r, k4e = rhs(xs + hq, r + hq * k3r, f + hq * k3e)
+        r = r + hq / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
+        f = f + hq / 6 * (k1e + 2 * k2e + 2 * k3e + k4e)
+        xs = xs + hq
+    r0, r1 = rho[:-1][valid], rho[1:][valid]
+    scaled = np.abs(r - r1) / hs / (1.0 + np.abs((r1 - r0) / hs))
+    i = int(np.argmax(scaled))
+    return float(scaled[i]), float(x[:-1][valid][i] + hs[i] / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +218,27 @@ class TestResidualNorm:
         ref_value, ref_where = _reference_weak_residual(sol, p)
         assert value == pytest.approx(ref_value, rel=1e-9, abs=1e-10)
         assert where == ref_where
+
+    @pytest.mark.parametrize("doping", [
+        DopingProfile.constant(1.5),
+        DopingProfile.sine_perturbed(1.5, 0.2),
+        DopingProfile.piecewise_constant([0.5], [1.5, 1.6]),
+    ], ids=["constant", "sine", "piecewise"])
+    def test_defect_probe_reads_each_abscissa_once(self, subsonic_sol, doping, monkeypatch):
+        # the same bits as a probe evaluating b at every RK4 stage, from 9
+        # doping evaluations: the start, then a midpoint and an end per substep
+        p = ModelParams(tau=15.0, doping=doping)
+        ref = _reference_defect_residual(subsonic_sol, p)
+        calls = []
+        call = DopingProfile.__call__
+
+        def counted(self, x):
+            calls.append(None)
+            return call(self, x)
+
+        monkeypatch.setattr(DopingProfile, "__call__", counted)
+        assert _defect_residual(subsonic_sol, p) == ref
+        assert len(calls) == 9
 
     def test_detects_perturbation(self, subsonic_sol, p_main):
         rho = subsonic_sol.rho.copy()

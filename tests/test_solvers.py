@@ -931,8 +931,8 @@ class TestOutputResolution:
         assert fail is None
         n_e = (seg.rhos.min() if side == "supersonic" else seg.rhos.max()) - 1.0
         assert deep.rhos[-1] - 1.0 == pytest.approx(0.45 * n_e, rel=1e-9)
-        x_hat = _landing_x(seg.last, node)
-        assert _landing_x(deep.last, node) == pytest.approx(x_hat, abs=1e-10)
+        x_hat = _landing_x(seg.last, node, p_smooth.inv_tau)
+        assert _landing_x(deep.last, node, p_smooth.inv_tau) == pytest.approx(x_hat, abs=1e-10)
 
     def test_c1_shot_that_never_joins_is_short(self, c1_sol, p_smooth):
         # against a manifold that misses the node by 1e-3 in E the guard
@@ -961,13 +961,34 @@ class TestOutputResolution:
         node = node_slow_manifold(b, tau)
         seg, fail = _tangential_landing_shot(side, q, p, cfg, node)
         assert fail is None and seg.terminator.kind == "target_density"
-        x_hat = _landing_x(seg.last, node)
+        x_hat = _landing_x(seg.last, node, p.inv_tau)
         fit = _reference_landing_fit(_reference_landing_shot(side, q, p, cfg), side, p)
         assert abs(x_hat - fit[0]) <= 5e-8
         assert abs(x_hat - x0) <= 1e-10
         # the joined arc stops short of the old tail's window, well away
         # from the node, where the kernel's steps are held by stiffness
         assert abs(seg.rhos[-1] - 1.0) > 1e-3
+
+    @pytest.mark.parametrize("side", ["supersonic", "subsonic"])
+    @pytest.mark.parametrize("b,tau,x0", [
+        (1.5, 0.1, 0.5), (1.2, 0.15, 0.3), (1.9, 0.05, 0.6), (1.66, 0.13, 0.7),
+    ])
+    def test_c1_landing_is_first_order_in_the_join_offset(self, side, b, tau, x0):
+        # a probe and a fine shot at the accepted launch join the manifold at
+        # different offsets; with the offset's shift of the landing,
+        # delta / (b - 1), they land within 5e-9 of each other (up to 1e-7
+        # apart without it)
+        p = params(tau, b)
+        sol = solve_c1_transonic(p, x0)
+        key = "sup_launch_field" if side == "supersonic" else "sub_launch_field"
+        q = sol.diagnostics[key] - p.inv_tau
+        node = node_slow_manifold(b, tau)
+        landings = []
+        for cfg in (IntegratorConfig(), sonic_flow.solvers._fine(IntegratorConfig())):
+            seg, fail = _tangential_landing_shot(side, q, p, cfg, node)
+            assert fail is None
+            landings.append(_landing_x(seg.last, node, p.inv_tau))
+        assert abs(landings[0] - landings[1]) <= 5e-9
 
     @pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock"])
     def test_probe_ends_as_at_graded_rows(self, family, request):
