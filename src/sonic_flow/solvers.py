@@ -20,7 +20,6 @@ from .errors import (
     LastCrossingMissing,
     NewtonDivergence,
     NoSolutionInRegime,
-    NotConstantDoping,
     NotSonicDoping,
     PreconditionViolation,
     RegimeRejection,
@@ -654,40 +653,34 @@ def solve_supersonic(p: ModelParams, cfg: IntegratorConfig | None = None) -> Sol
 class SweepSample:
     """One probe of the supersonic shooting residual."""
 
-    rho_min: float
+    launch_excess: float
     residual: float
     status: str
 
 
-def supersonic_residual_sweep(
-    p: ModelParams,
-    samples: int = 200,
-    bounds: tuple[float, float] = (0.01, 0.99),
-    cfg: IntegratorConfig | None = None,
-) -> list[SweepSample]:
-    """Exhaustive scan of the shooting residual over launch densities.
+def supersonic_residual_sweep(p: ModelParams, samples: int = 200) -> list[SweepSample]:
+    """Scan of `solve_supersonic`'s own shot over launch excess, for any doping.
 
-    Unlike the solvers this never rejects on regime: its purpose is to
-    witness non-existence numerically, so it probes even where no solution
-    can exist.  Arcs that fail to land on the sonic line (spirals, blow-ups,
-    window exits) get a NaN residual and a status naming both stop reasons.
-    Constant doping only, since launches are pinned at x = 0 and translated.
+    The launch excess q = E(0) - 1/tau is log-spaced over (1e-5, 4).  Unlike
+    the solvers this never rejects on regime: it witnesses non-existence
+    numerically.  A shot that lands on the sonic line has status ``"ok"``
+    and its residual; any other a NaN residual and status ``"short"`` or
+    ``"long"`` (the -10 or +10 sentinel) or ``"node"`` (sunk into the node).
+
+    At 200 samples launches are 6.7% apart.  The range holds every root the
+    solvers find, up to q = 2.22 at b = 3, tau = 0.3, and both roots at
+    b = 0.98 for tau 10-100 (0.0028-0.0095 and 0.016-0.020); at tau = 10 the
+    lower one lies 6% above where shots start to land, so a coarser scan
+    loses it.
     """
-    if not p.doping.is_constant:
-        raise NotConstantDoping("residual sweep requires constant doping")
-    cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=2e-2)
     out = []
-    for rho_min in np.linspace(bounds[0], bounds[1], samples).tolist():
-        # both half-arcs from a minimum at x = 0 on the critical locus
-        start = State(0.0, rho_min, 1.0 / (p.tau * rho_min))
-        fwd = integrate(start, "forward", [DomainEnd(8.0)], p, cfg)
-        bwd = integrate(start, "backward", [DomainEnd(-8.0)], p, cfg)
-        if fwd.terminator.kind == bwd.terminator.kind == "sonic_arrival":
-            res = (fwd.last.x - bwd.last.x) - 1.0
-            out.append(SweepSample(rho_min, float(res), "ok"))
+    for q in np.geomspace(1e-5, 4.0, samples).tolist():
+        res, data = _sonic_shot("supersonic", q, p, IntegratorConfig())
+        if data is not None:
+            out.append(SweepSample(q, float(res), "ok"))
         else:
-            status = f"{fwd.terminator.kind}/{bwd.terminator.kind}"
-            out.append(SweepSample(rho_min, math.nan, status))
+            status = {-_OVERSHOOT: "short", _OVERSHOOT: "long"}.get(res, "node")
+            out.append(SweepSample(q, math.nan, status))
     return out
 
 

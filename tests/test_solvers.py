@@ -24,7 +24,6 @@ from sonic_flow import (
     ModelParams,
     NoSolutionInRegime,
     NumericalError,
-    NotConstantDoping,
     NotSonicDoping,
     PreconditionViolation,
     RegimeRejection,
@@ -243,17 +242,60 @@ class TestSupersonicSweep:
         sweep = supersonic_residual_sweep(params(15.0, 0.4), samples=60)
         assert len(sweep) == 60
         assert not residual_sign_change(sweep)
+        # no shot returns to the sonic line: each blows up or leaves its window
+        assert {s.status for s in sweep} == {"long"}
 
     def test_sign_change_when_solution_exists(self):
         sweep = supersonic_residual_sweep(params(15.0, 1.5), samples=60)
         assert residual_sign_change(sweep)
 
-    def test_rejects_variable_doping(self):
-        p_var = ModelParams(
-            tau=15.0, doping=DopingProfile.sine_perturbed(1.0, 0.2, 1.0)
-        )
-        with pytest.raises(NotConstantDoping):
-            supersonic_residual_sweep(p_var)
+    def test_two_roots_near_the_sonic_line(self):
+        # b = 0.98, tau = 50: the shot lands at x = 1 from two launch
+        # excesses, near 0.0035 and 0.017; the paper claims at least one,
+        # and the solver returns the larger
+        p = params(50.0, 0.98)
+        brackets = _sign_changes(supersonic_residual_sweep(p))
+        assert len(brackets) == 2
+        (lo1, hi1), (lo2, hi2) = brackets
+        assert hi1 < lo2
+        assert 0.003 < lo1 and hi2 < 0.02
+        q = solve_supersonic(p).diagnostics["launch_excess"]
+        assert lo2 <= q <= hi2
+
+    @pytest.mark.parametrize(
+        "tau, doping, exists",
+        [
+            (50.0, DopingProfile.constant(0.95), False),
+            (50.0, DopingProfile.constant(0.97), False),
+            (20.0, DopingProfile.constant(0.99), True),
+            (15.0, DopingProfile.sine_perturbed(1.5, 0.2, 1.0), True),
+            (15.0, DopingProfile.piecewise_constant([0.5], [1.5, 1.6]), True),
+        ],
+        ids=["constant-0.95", "constant-0.97", "constant-0.99", "sine", "piecewise"],
+    )
+    def test_witness_agrees_with_the_solver(self, tau, doping, exists):
+        # the witness scans the solver's own shot, so it brackets a root
+        # exactly where the solver lands one, for any doping
+        p = ModelParams(tau=tau, doping=doping)
+        brackets = _sign_changes(supersonic_residual_sweep(p))
+        if not exists:
+            assert brackets == []
+            with pytest.raises(NumericalError):
+                solve_supersonic(p)
+            return
+        q = solve_supersonic(p).diagnostics["launch_excess"]
+        assert len(brackets) == 1
+        lo, hi = brackets[0]
+        assert lo <= q <= hi
+
+
+def _sign_changes(sweep):
+    """Launch excess brackets of consecutive landed samples whose residuals change sign."""
+    return [
+        (a.launch_excess, b.launch_excess)
+        for a, b in zip(sweep, sweep[1:])
+        if a.status == b.status == "ok" and a.residual * b.residual <= 0.0
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1141,7 +1183,7 @@ class TestLaunchDomain:
 
 
 _FAMILY_TOL = {
-    "sonic": 1e-6, "subsonic": 1e-6, "supersonic": 1e-6, "transonic_shock": 1e-3,
+    "sonic": 1e-6, "subsonic": 1e-6, "supersonic": 1e-6, "transonic_shock": 1e-6,
     "c1_transonic": 1e-6,
 }
 
