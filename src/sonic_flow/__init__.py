@@ -29,7 +29,6 @@ from .model_core import (
     ModelParams,
     ShockData,
     State,
-    c1_trajectory_slope,
     c1_transition_slope,
     critical_point_analysis,
     rh_jump,

@@ -455,6 +455,11 @@ def fit_holder_exponent(sol: Solution, endpoint) -> ExponentFit:
     Valid for solution kinds whose density leaves the endpoint like a square
     root.  The C1 transition point is explicitly not such an endpoint; pass
     ``endpoint="transition"`` and the guard explains why it is rejected.
+    Below tau_n(b) = 1 / (2 sqrt((gamma + 1)(b - 1))) the node (1, 1/tau)
+    is a proper node, and one wall leaves it tangentially, C1 rather than a
+    square root: x = 0 of a subsonic solution, x = 1 of a supersonic one.
+    At b = 2.53, tau = 0.266 (tau_n 0.286) a subsonic solution fits 1.000
+    at x = 0 and 0.494 at x = 1.
     """
     if endpoint == "transition":
         raise PreconditionViolation(

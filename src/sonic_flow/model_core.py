@@ -435,11 +435,6 @@ def c1_transition_slope(b: float, tau: float) -> float:
     return 0.25 * (1.0 / tau - math.sqrt(disc))
 
 
-def c1_trajectory_slope(b: float, tau: float) -> float:
-    """Slope dF/dn at the origin of the (n, F) chart; twice the density slope."""
-    return 2.0 * c1_transition_slope(b, tau)
-
-
 # terms of the slow-manifold series; the node's eigenvalue ratio exceeds 40
 # throughout the C^1 regime, so no term up to this order resonates
 _MANIFOLD_ORDER = 16

@@ -52,6 +52,10 @@ from .solution import Solution, TransitionData, graded_grid, grid_derivative
 
 DEFAULT_J_SCHEDULE = (0.5, 0.9, 0.99, 0.999, 0.9999)
 
+# the relaxed elliptic Newton converges where every residual row is within
+# this many times its cell, plus the roundoff floor of its flux differences
+_NEWTON_TOL = 1e-10
+
 # sentinel residual magnitude for shots that leave the admissible region
 _OVERSHOOT = 10.0
 
@@ -64,7 +68,7 @@ _RESIDUAL_FLOOR = 1e-7
 # of the residual, not a root
 _JUMP_GAP = 1e-6
 
-# smallest launch excess E(0) - 1/tau a sonic launch is shot at: widening
+# smallest launch excess |E - 1/tau| a sonic launch is shot at: widening
 # stops here, clear of the degenerate-launch guard at 1e-6
 _LAUNCH_FLOOR = 4e-6
 
@@ -369,68 +373,138 @@ def solve_sonic(p: ModelParams) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# subsonic: shooting form
+# shots from a square-root sonic wall; subsonic shooting
 # ---------------------------------------------------------------------------
 
 
-def _sonic_shot(side: str, q: float, p: ModelParams, cfg: IntegratorConfig):
-    """Launch on ``side`` from the sonic line at x = 0; residual is landing abscissa - 1.
+# an arc has joined the node's slow manifold where its field lies within this
+# many of the kernel's local error bounds on E of the manifold's
+_JOIN_FACTOR = 100.0
 
-    A supersonic arc is split at its density minimum, which is then a row.
+
+def _wall_shot(
+    side: str, q: float, target: float, p: ModelParams, cfg: IntegratorConfig,
+    node: SlowManifold | None = None,
+):
+    """One arc from its side's square-root sonic wall; residual is landing - target.
+
+    A supersonic arc leaves x = 0 forward at E = 1/tau + q, a subsonic one
+    x = 1 backward at E = 1/tau - q: the walls that stay square-root layers
+    for every tau.  Longer arcs land farther from their wall, so the
+    residual is signed to rise with q.  Without ``node`` the arc lands on the
+    sonic line, a supersonic one split at its density minimum, which is then
+    a row; an arc that sinks into the node (1, 1/tau) first keeps its
+    abscissa there as its landing, sign-correct either way, but no data.
+
+    With the node's slow manifold ``node`` the arc lands where it joins it.
+    At its density extremum n_e (n = rho - 1) the arc's field lies delta_e
+    from the manifold's, 1/tau + node.phi(n_e).  That offset decays like
+    |n / n_e|^mu on the way back, so the arc stops where it has fallen to
+    the kernel's local error bound on E, tol: at n_e (tol / delta_e)^(1/mu),
+    and at most 0.9 n_e.  Where the offset there exceeds _JOIN_FACTOR tol
+    (an offset delta moves the landing by about delta / (b - 1)), the arc
+    goes on to half its offset, and so on; `_landing_x` closes it.
+
+    Returns ``(residual, segment)``; an arc that lands nowhere has no
+    segment and the sentinel -_OVERSHOOT where too shallow (below the launch
+    floor, or on the sonic line or in the node before joining the manifold),
+    +_OVERSHOOT where it blows up or leaves the domain.
     """
     if q < _LAUNCH_FLOOR:  # outside the launch domain: too shallow, no data
         return -_OVERSHOOT, None
-    stops = [DomainEnd(3.0)] + ([CriticalLocus()] if side == "supersonic" else [])
-    seg = integrate_from_sonic(0.0, side, p.inv_tau + q, "forward", stops, p, cfg)
+    sign, wall, direction, x_end = (
+        (1.0, 0.0, "forward", 3.0) if side == "supersonic" else (-1.0, 1.0, "backward", -2.0)
+    )
+
+    def offset_and_tol(s: State):
+        return abs(s.e - p.inv_tau - node.phi(s.rho - 1.0)), cfg.abs_tol + cfg.rel_tol * abs(s.e)
+
+    def stop(extremum: State) -> TargetDensity:
+        offset, tol = offset_and_tol(extremum)
+        ratio = min(0.9, (tol / max(offset, tol)) ** (1.0 / node.mu))
+        return TargetDensity(1.0 + ratio * (extremum.rho - 1.0), direction=+1)
+
+    stops = [DomainEnd(x_end)]
+    if node is not None or side == "supersonic":
+        stops.append(CriticalLocus(then=None if node is None else stop))
+    seg = integrate_from_sonic(wall, side, p.inv_tau + sign * q, direction, stops, p, cfg)
+    arcs = [seg]
+    while seg.terminator.kind == "target_density":  # only with a node
+        end = seg.last
+        offset, tol = offset_and_tol(end)
+        if offset <= _JOIN_FACTOR * tol:
+            # each later arc starts on the row the one before ended on
+            return sign * (_landing_x(end, node, p.inv_tau) - target), _chain(arcs)
+        seg = integrate(
+            end, direction,
+            [TargetDensity(1.0 + 0.5 * (end.rho - 1.0), direction=+1), DomainEnd(x_end)], p, cfg,
+        )
+        arcs.append(seg)
     kind = seg.terminator.kind
-    if kind == "sonic_arrival":
-        return seg.last.x - 1.0, seg
-    if kind == "step_failure":
-        # the arc sank into the node (1, 1/tau), tangentially, short of a
-        # square-root landing.  Its abscissa there keeps the residual
-        # sign-correct either way.
-        return seg.last.x - 1.0, None
-    # blow-up or domain end: the arc never returns, steer shorter
-    return _OVERSHOOT, None
+    if kind not in ("sonic_arrival", "step_failure"):
+        # blow-up or domain end: the arc never returns, steer shorter
+        return _OVERSHOOT, None
+    if node is not None:
+        # crossed the sonic line, or sank into the node, before it joined
+        return -_OVERSHOOT, None
+    return sign * (seg.last.x - target), (seg if kind == "sonic_arrival" else None)
 
 
-def _shoot_launch_excess(side: str, p: ModelParams, cfg: IntegratorConfig):
-    """The arc from x = 0 on ``side`` whose launch excess lands it at x = 1.
+def _landing_x(end: State, node: SlowManifold, inv_tau: float) -> float:
+    """The landing abscissa of an arc joined to the slow manifold at ``end``.
 
-    Returns ``(q, residual, segment, shots)``, q = E(0) - 1/tau.
+    It is the arc's last x plus the quadrature of dx/dn along the manifold
+    from its last offset n_b = rho - 1 to 0, plus the first-order effect of
+    the arc's offset delta = E - 1/tau - phi(n_b) from the manifold there.
+    That offset decays like (n / n_b)^mu and shifts dx/dn = 2 / lam_s by
+    -2 delta(n) / (lam_s^2 n), so it moves the landing by
+    2 delta / (mu lam_s^2) = delta / (b - 1).
     """
-    lo, hi = (0.05, 0.2) if side == "supersonic" else (1e-4, 0.05)
+    n_b = end.rho - 1.0
+    delta = end.e - inv_tau - float(node.phi(n_b))
+    lam_s = node.p[0]
+    return end.x + float(node.x_offsets(n_b)[-1]) + 2.0 * delta / (node.mu * lam_s * lam_s)
+
+
+def _shoot_launch_excess(
+    side: str, target: float, lo: float, hi: float, p: ModelParams, cfg: IntegratorConfig,
+    node: SlowManifold | None = None,
+):
+    """The `_wall_shot` on ``side`` whose launch excess lands it at ``target``.
+
+    `_shoot_polish_land` brackets the excess from the seeds ``lo < hi``,
+    halving the lower end down to ``_LAUNCH_FLOOR`` and doubling the upper
+    one.  Returns ``(q, residual, segment, shots)``.
+    """
     return _shoot_polish_land(
-        lambda q, c: _sonic_shot(side, q, p, c),
-        cfg,
-        lo,
-        hi,
-        lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None,
-        lambda q: 2.0 * q,
-        xtol=1e-15,
-        failure="shooting on the launch field failed to land at x = 1",
+        lambda q, c: _wall_shot(side, q, target, p, c, node), cfg, lo, hi,
+        lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None, lambda q: 2.0 * q,
+        xtol=1e-15, failure=f"the {side} shot failed to land at x = {target:g}",
     )
 
 
 def solve_subsonic_shooting(
     p: ModelParams, cfg: IntegratorConfig | None = None
 ) -> Solution:
-    """Subsonic solution by root finding on the launch field E(0).
+    """Subsonic solution by root finding on the launch field E(1).
 
-    The arc length of the sonic-to-sonic excursion grows monotonically with
-    the launch excess q = E(0) - 1/tau, so a sign change of (landing - 1)
-    brackets the solution.
+    The arc leaves the sonic line at x = 1 backward, the wall that stays a
+    square-root layer for every tau, and its arc length grows monotonically
+    with the launch excess q = 1/tau - E(1), so a sign change of its landing
+    abscissa brackets the solution.  ``g0`` is E(0), read at the landing.
     """
     _require_subsonic_regime(p)
-    q_star, residual, seg, shots = _shoot_launch_excess("subsonic", p, cfg or IntegratorConfig())
+    q_star, residual, seg, shots = _shoot_launch_excess(
+        "subsonic", 0.0, 1e-4, 0.05, p, cfg or IntegratorConfig()
+    )
     return Solution(
         kind="subsonic",
-        x=seg.xs,
-        rho=seg.rhos,
-        e=seg.es,
+        x=seg.xs[::-1],
+        rho=seg.rhos[::-1],
+        e=seg.es[::-1],
         diagnostics={
             "construction": "ode_trajectory",
-            "g0": p.inv_tau + q_star,
+            "g0": float(seg.last.e),
             "launch_excess": q_star,
             "boundary_residual": abs(residual),
             "shooting_iterations": shots,
@@ -478,7 +552,6 @@ def _j_schedule(j_schedule) -> tuple[float, ...]:
 def solve_subsonic_elliptic(
     p: ModelParams,
     j_schedule: tuple[float, ...] = DEFAULT_J_SCHEDULE,
-    newton_tol: float = 1e-10,
     max_newton: int = 60,
 ) -> Solution:
     """Subsonic solution via the current-relaxed divergence form.
@@ -486,7 +559,7 @@ def solve_subsonic_elliptic(
     For current j < 1 the quasilinear flux (rho^(gamma-2) - j^2 rho^-3) rho_x
     + j/(tau rho) stays uniformly elliptic on rho >= 1, so a damped Newton
     iteration on a boundary-graded finite-volume grid converges: every
-    residual row within its scale, newton_tol times the cell plus the
+    residual row within its scale, _NEWTON_TOL times the cell plus the
     roundoff floor of its flux differences.  The line search halves the step
     lam until the RMS of the scaled residual falls by the factor
     1 - lam / 4, the Armijo test on the residual's 2-norm.  Each iterate
@@ -525,7 +598,7 @@ def solve_subsonic_elliptic(
             # roundoff floor of the flux differences D * drho / h
             d_over_h = coef / h
             noise = 16.0 * eps * (d_over_h[:-1] + d_over_h[1:])
-            scale = newton_tol * cell + noise
+            scale = _NEWTON_TOL * cell + noise
             if np.all(np.abs(r) <= scale):
                 newton_iters.append(it)
                 break
@@ -621,13 +694,13 @@ def solve_supersonic(p: ModelParams, cfg: IntegratorConfig | None = None) -> Sol
     The arc leaves the sonic line at x = 0 exactly, dives to its density
     minimum on the critical locus rho E = 1/tau, where it is split so that
     the minimum is a row, and climbs back; its launch excess E(0) - 1/tau is
-    tuned until it lands on the sonic line at x = 1, as in the subsonic
-    family.  Constant and variable doping take this one path; ``rho_min``
+    tuned until it lands on the sonic line at x = 1, by the subsonic
+    family's `_wall_shot`.  Constant and variable doping take this one path; ``rho_min``
     and ``x_min`` are read from the rows.
     """
     _refuse_excluded(p, "supersonic", NoSolutionInRegime)
     q_star, residual, seg, shots = _shoot_launch_excess(
-        "supersonic", p, cfg or IntegratorConfig()
+        "supersonic", 1.0, 0.05, 0.2, p, cfg or IntegratorConfig()
     )
     k = int(np.argmin(seg.rhos))
     return Solution(
@@ -675,7 +748,7 @@ def supersonic_residual_sweep(p: ModelParams, samples: int = 200) -> list[SweepS
     """
     out = []
     for q in np.geomspace(1e-5, 4.0, samples).tolist():
-        res, data = _sonic_shot("supersonic", q, p, IntegratorConfig())
+        res, data = _wall_shot("supersonic", q, 1.0, p, IntegratorConfig())
         if data is not None:
             out.append(SweepSample(q, float(res), "ok"))
         else:
@@ -825,78 +898,6 @@ def solve_transonic_shock(
 # ---------------------------------------------------------------------------
 
 
-# a C1 branch has joined the node's slow manifold where its field lies within
-# this many of the kernel's local error bounds on E of the manifold's
-_JOIN_FACTOR = 100.0
-
-
-def _tangential_landing_shot(
-    side: str, q_launch: float, p: ModelParams, cfg: IntegratorConfig, node: SlowManifold
-):
-    """Integrate one branch from its square-root end until it joins the node's slow manifold.
-
-    side "supersonic": launch at x = 0, land from below somewhere interior.
-    side "subsonic": launch backward from x = 1, land from above.
-    At its density extremum n_e (n = rho - 1) the arc's field lies delta_e
-    from the manifold's, 1/tau + node.phi(n_e).  That offset decays like
-    |n / n_e|^mu on the way back, so the arc stops where it has fallen to
-    the kernel's local error bound on E, tol: at n_e (tol / delta_e)^(1/mu),
-    and at most 0.9 n_e.  Where the offset there exceeds _JOIN_FACTOR tol
-    (an offset delta moves the landing by about delta / (b - 1)), the arc
-    goes on to half its offset, and so on.
-    Returns (segment, None) on success, (None, "short"/"long") otherwise.
-    """
-    wall, direction, x_end = (
-        (0.0, "forward", 3.0) if side == "supersonic" else (1.0, "backward", -2.0)
-    )
-
-    def offset_and_tol(s: State):
-        return abs(s.e - p.inv_tau - node.phi(s.rho - 1.0)), cfg.abs_tol + cfg.rel_tol * abs(s.e)
-
-    def stop(extremum: State) -> TargetDensity:
-        offset, tol = offset_and_tol(extremum)
-        ratio = min(0.9, (tol / max(offset, tol)) ** (1.0 / node.mu))
-        return TargetDensity(1.0 + ratio * (extremum.rho - 1.0), direction=+1)
-
-    seg = integrate_from_sonic(
-        wall, side, p.inv_tau + q_launch, direction,
-        [CriticalLocus(then=stop), DomainEnd(x_end)], p, cfg,
-    )
-    arcs = [seg]
-    while seg.terminator.kind == "target_density":
-        end = seg.last
-        offset, tol = offset_and_tol(end)
-        if offset <= _JOIN_FACTOR * tol:
-            # each later arc starts on the row the one before ended on
-            return _chain(arcs), None
-        seg = integrate(
-            end, direction,
-            [TargetDensity(1.0 + 0.5 * (end.rho - 1.0), direction=+1), DomainEnd(x_end)], p, cfg,
-        )
-        arcs.append(seg)
-    if seg.terminator.kind in ("step_failure", "sonic_arrival"):
-        # sank into the node or crossed the sonic line before joining the
-        # manifold
-        return None, "short"
-    return None, "long"
-
-
-def _landing_x(end: State, node: SlowManifold, inv_tau: float) -> float:
-    """The landing abscissa of an arc joined to the slow manifold at ``end``.
-
-    It is the arc's last x plus the quadrature of dx/dn along the manifold
-    from its last offset n_b = rho - 1 to 0, plus the first-order effect of
-    the arc's offset delta = E - 1/tau - phi(n_b) from the manifold there.
-    That offset decays like (n / n_b)^mu and shifts dx/dn = 2 / lam_s by
-    -2 delta(n) / (lam_s^2 n), so it moves the landing by
-    2 delta / (mu lam_s^2) = delta / (b - 1).
-    """
-    n_b = end.rho - 1.0
-    delta = end.e - inv_tau - float(node.phi(n_b))
-    lam_s = node.p[0]
-    return end.x + float(node.x_offsets(n_b)[-1]) + 2.0 * delta / (node.mu * lam_s * lam_s)
-
-
 def _landing(seg: TrajectorySegment, node: SlowManifold, inv_tau: float, spacing: float):
     """Close a joined arc on the node along the slow manifold (`_landing_x`).
 
@@ -969,29 +970,16 @@ def solve_c1_transonic(
     node = node_slow_manifold(b, p.tau)
 
     def solve_branch(side: str):
-        sign = 1.0 if side == "supersonic" else -1.0
-
-        def shot(q_mag: float, c: IntegratorConfig):
-            seg, fail = _tangential_landing_shot(side, sign * q_mag, p, c, node)
-            if seg is None:
-                return (-_OVERSHOOT if fail == "short" else _OVERSHOOT), None
-            x_hat = _landing_x(seg.last, node, p.inv_tau)
-            # both residuals grow with the launch magnitude: longer arcs land
-            # farther from their launch wall
-            return ((x_hat - x0) if side == "supersonic" else (x0 - x_hat)), seg
-
         # the node's linearization lands a launch excess q about q / (b - 1)
         # from the launch wall; seed at the branch's distance to x0
         q_seed = (b - 1.0) * (x0 if side == "supersonic" else 1.0 - x0)
-        q, _, seg, shots = _shoot_polish_land(
-            shot, cfg, q_seed, 1.5 * q_seed, lambda q: 0.5 * q, lambda q: 2.0 * q, xtol=1e-16,
-            failure=f"the {side} branch failed to land at the transition point",
-        )
+        q, _, seg, shots = _shoot_launch_excess(side, x0, q_seed, 1.5 * q_seed, p, cfg, node)
         fine = _fine(cfg)
         x_hat, xs, rhos, es = _landing(
             seg, node, p.inv_tau, min(fine.sample_spacing, fine.max_step)
         )
-        return xs, rhos, es, sign * q, x_hat, _landing_slope(xs, rhos, x_hat), shots
+        q_launch = q if side == "supersonic" else -q
+        return xs, rhos, es, q_launch, x_hat, _landing_slope(xs, rhos, x_hat), shots
 
     sup_x, sup_rho, sup_e, q_sup, x_sup, m_sup, sup_shots = solve_branch("supersonic")
     sub_x, sub_rho, sub_e, q_sub, x_sub, m_sub, sub_shots = solve_branch("subsonic")

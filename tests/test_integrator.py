@@ -1256,7 +1256,7 @@ class TestArcRows:
             # manifold, and goes on in a second arc
             q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
             late = replace(model_core.node_slow_manifold(1.5, p_smooth.tau), mu=1e9)
-            seg, _ = solvers._tangential_landing_shot("supersonic", q, p_smooth, self.fine, late)
+            _, seg = solvers._wall_shot("supersonic", q, 0.5, p_smooth, self.fine, late)
             legs = 3
         assert seg.terminator.kind in ("sonic_arrival", "target_density")
         runs = [res for _, _, res in kernel_calls]

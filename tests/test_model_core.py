@@ -22,7 +22,6 @@ from sonic_flow import (
     NotConstantDoping,
     SonicDoping,
     State,
-    c1_trajectory_slope,
     c1_transition_slope,
     critical_point_analysis,
     rh_jump,
@@ -438,7 +437,6 @@ class TestRhJump:
 class TestC1Slope:
     def test_golden(self):
         assert c1_transition_slope(1.5, 0.1) == pytest.approx(0.05051025721682212, rel=1e-13)
-        assert c1_trajectory_slope(1.5, 0.1) == pytest.approx(0.10102051443364424, rel=1e-13)
 
     def test_vanishes_as_b_to_one(self):
         assert c1_transition_slope(1.0 + 1e-12, 0.1) == pytest.approx(0.0, abs=1e-10)

@@ -52,8 +52,7 @@ from sonic_flow.solvers import (
     _shoot,
     _shoot_polish_land,
     _slope,
-    _sonic_shot,
-    _tangential_landing_shot,
+    _wall_shot,
 )
 
 from conftest import params
@@ -122,13 +121,13 @@ class TestSubsonicShooting:
             solve_subsonic_shooting(params(15.0, 0.9))
         assert err.value.theorem_ref == "Theorem 3.1"
 
-    def test_low_tau_bracket_failure(self):
-        # every launch excess down to the degenerate-launch guard overshoots
-        with pytest.raises(BracketFailure) as err:
+    def test_low_tau_fine_shot_sinks_into_the_node(self):
+        # below tau_n(b) the solution leaves x = 0 tangentially, on the node's
+        # slow manifold: the probes from x = 1 find the launch, but its fine
+        # shot sinks into the node a hair short of x = 0, with no data
+        with pytest.raises(ShootingDivergence) as err:
             solve_subsonic_shooting(params(0.6, 1.2))
-        lo, hi = err.value.diagnostics["bracket"]
-        assert 4e-6 <= lo < hi
-        assert min(err.value.diagnostics["residuals"]) >= 0.0
+        assert abs(err.value.diagnostics["residual"]) < 1e-9
 
     def test_shot_budget(self, p_main, monkeypatch):
         calls = []
@@ -771,7 +770,7 @@ class TestShootDriver:
             return ModelParams(tau=tau, doping=DopingProfile.sine_perturbed(b, amplitude))
 
         solve = {
-            "subsonic": lambda: solve_subsonic_shooting(sine(3.0, 1.5, 0.1)),
+            "subsonic": lambda: solve_subsonic_shooting(sine(2.0, 1.8, 0.1)),
             "supersonic": lambda: solve_supersonic(p_main),
             "sine_supersonic": lambda: solve_supersonic(sine(2.0, 1.3, 0.1)),
             "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.95),
@@ -939,9 +938,9 @@ class TestOutputResolution:
         # rows off exactly the steps wider than that
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
         node = node_slow_manifold(1.5, p_smooth.tau)
-        probe, _ = _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), node)
-        graded, _ = _tangential_landing_shot(
-            "supersonic", q, p_smooth, IntegratorConfig(sample_spacing=1e-2), node
+        _, probe = _wall_shot("supersonic", q, 0.5, p_smooth, IntegratorConfig(), node)
+        _, graded = _wall_shot(
+            "supersonic", q, 0.5, p_smooth, IntegratorConfig(sample_spacing=1e-2), node
         )
 
         def rows(seg):
@@ -964,13 +963,13 @@ class TestOutputResolution:
         # extremum's offset, before the arc has joined the manifold; the
         # guard sends it on to half that offset, where it has
         key = "sup_launch_field" if side == "supersonic" else "sub_launch_field"
-        q = c1_sol.diagnostics[key] - p_smooth.inv_tau
+        q = abs(c1_sol.diagnostics[key] - p_smooth.inv_tau)
         cfg = sonic_flow.solvers._fine(IntegratorConfig())
         node = node_slow_manifold(1.5, p_smooth.tau)
-        seg, _ = _tangential_landing_shot(side, q, p_smooth, cfg, node)
+        _, seg = _wall_shot(side, q, 0.5, p_smooth, cfg, node)
         late = dataclasses.replace(node, mu=1e9)
-        deep, fail = _tangential_landing_shot(side, q, p_smooth, cfg, late)
-        assert fail is None
+        _, deep = _wall_shot(side, q, 0.5, p_smooth, cfg, late)
+        assert deep is not None
         n_e = (seg.rhos.min() if side == "supersonic" else seg.rhos.max()) - 1.0
         assert deep.rhos[-1] - 1.0 == pytest.approx(0.45 * n_e, rel=1e-9)
         x_hat = _landing_x(seg.last, node, p_smooth.inv_tau)
@@ -983,8 +982,8 @@ class TestOutputResolution:
         q = c1_sol.diagnostics["sup_launch_field"] - p_smooth.inv_tau
         node = node_slow_manifold(1.5, p_smooth.tau)
         wrong = dataclasses.replace(node, a=(1e-3,) + node.a[1:])
-        assert _tangential_landing_shot("supersonic", q, p_smooth, IntegratorConfig(), wrong) == (
-            None, "short"
+        assert _wall_shot("supersonic", q, 0.5, p_smooth, IntegratorConfig(), wrong) == (
+            -10.0, None
         )
 
     @pytest.mark.parametrize("side", ["supersonic", "subsonic"])
@@ -1001,9 +1000,11 @@ class TestOutputResolution:
         q = sol.diagnostics[key] - p.inv_tau
         cfg = sonic_flow.solvers._fine(IntegratorConfig())
         node = node_slow_manifold(b, tau)
-        seg, fail = _tangential_landing_shot(side, q, p, cfg, node)
-        assert fail is None and seg.terminator.kind == "target_density"
+        r, seg = _wall_shot(side, abs(q), x0, p, cfg, node)
+        assert seg is not None and seg.terminator.kind == "target_density"
         x_hat = _landing_x(seg.last, node, p.inv_tau)
+        # the residual rises with the launch excess on both sides
+        assert r == (x_hat - x0 if side == "supersonic" else x0 - x_hat)
         fit = _reference_landing_fit(_reference_landing_shot(side, q, p, cfg), side, p)
         assert abs(x_hat - fit[0]) <= 5e-8
         assert abs(x_hat - x0) <= 1e-10
@@ -1027,8 +1028,8 @@ class TestOutputResolution:
         node = node_slow_manifold(b, tau)
         landings = []
         for cfg in (IntegratorConfig(), sonic_flow.solvers._fine(IntegratorConfig())):
-            seg, fail = _tangential_landing_shot(side, q, p, cfg, node)
-            assert fail is None
+            _, seg = _wall_shot(side, abs(q), x0, p, cfg, node)
+            assert seg is not None
             landings.append(_landing_x(seg.last, node, p.inv_tau))
         assert abs(landings[0] - landings[1]) <= 5e-9
 
@@ -1039,11 +1040,11 @@ class TestOutputResolution:
         if family == "subsonic":
             p, sol = request.getfixturevalue("p_main"), request.getfixturevalue("subsonic_sol")
             q = sol.diagnostics["launch_excess"]
-            shot = lambda cfg: _sonic_shot("subsonic", q, p, cfg)
+            shot = lambda cfg: _wall_shot("subsonic", q, 0.0, p, cfg)
         elif family == "supersonic":
             p, sol = request.getfixturevalue("p_main"), request.getfixturevalue("supersonic_sol")
             q = sol.diagnostics["launch_excess"]
-            shot = lambda cfg: _sonic_shot("supersonic", q, p, cfg)
+            shot = lambda cfg: _wall_shot("supersonic", q, 1.0, p, cfg)
         else:
             p, sol = request.getfixturevalue("p_shock"), request.getfixturevalue("shock_sol")
             e0 = sol.diagnostics["e0"]
@@ -1084,7 +1085,7 @@ class TestRowPasses:
         # does on both branches
         solve = {
             "subsonic": lambda: solve_subsonic_shooting(
-                ModelParams(tau=3.0, doping=DopingProfile.sine_perturbed(1.5, 0.1))
+                ModelParams(tau=2.0, doping=DopingProfile.sine_perturbed(1.8, 0.1))
             ),
             "supersonic": lambda: solve_supersonic(p_main),
             "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.95),
@@ -1101,13 +1102,13 @@ class TestRowPasses:
         calls = self.passes(monkeypatch)
         fine = sonic_flow.solvers._fine(IntegratorConfig())
         q = subsonic_sol.diagnostics["launch_excess"]
-        _, probe = _sonic_shot("subsonic", q, p_main, IntegratorConfig())
-        r, seg = _sonic_shot("subsonic", q, p_main, fine)
+        _, probe = _wall_shot("subsonic", q, 0.0, p_main, IntegratorConfig())
+        r, seg = _wall_shot("subsonic", q, 0.0, p_main, fine)
         r_shock, (sup, sub) = _shock_shot(shock_sol.diagnostics["e0"], 0.9, p_shock, fine)
         assert calls == []
         for arc in (probe, seg, sup, sub):
             assert arc.last == arc.terminator.state
-        assert r == seg.last.x - 1.0 and r_shock == sub.last.x - 1.0
+        assert r == -seg.last.x and r_shock == sub.last.x - 1.0
         assert calls == []
         # the first read reads the whole arc, the next ones nothing
         assert seg.xs[-1] == seg.last.x and seg.rhos[-1] == 1.0
@@ -1162,8 +1163,8 @@ class TestLaunchDomain:
 
     def test_shots_outside_the_launch_domain_have_no_data(self, p_main, p_shock):
         # what a polish secant step below the launch floor reads
-        assert _sonic_shot("supersonic", -0.189, p_main, IntegratorConfig()) == (-10.0, None)
-        assert _sonic_shot("subsonic", 1e-6, p_main, IntegratorConfig()) == (-10.0, None)
+        assert _wall_shot("supersonic", -0.189, 1.0, p_main, IntegratorConfig()) == (-10.0, None)
+        assert _wall_shot("subsonic", 1e-6, 0.0, p_main, IntegratorConfig()) == (-10.0, None)
         assert _shock_shot(p_shock.inv_tau, 0.9, p_shock, IntegratorConfig()) == (-10.0, None)
 
     def test_polish_stays_in_the_launch_domain(self, monkeypatch):
