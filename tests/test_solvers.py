@@ -124,7 +124,7 @@ class TestSubsonicShooting:
     def test_low_tau_fine_shot_sinks_into_the_node(self):
         # below tau_n(b) the solution leaves x = 0 tangentially, on the node's
         # slow manifold: the probes from x = 1 find the launch, but its fine
-        # shot sinks into the node a hair short of x = 0, with no data
+        # shot sinks into the node about 3e-10 short of x = 0, with no data
         with pytest.raises(ShootingDivergence) as err:
             solve_subsonic_shooting(params(0.6, 1.2))
         assert abs(err.value.diagnostics["residual"]) < 1e-9
