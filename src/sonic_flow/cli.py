@@ -133,13 +133,12 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
         raise UsageError(f"invalid integrator section: {exc}") from exc
 
 
-def _dispatch_solve(p: ModelParams, solver: dict, icfg: IntegratorConfig) -> Solution:
+def _checked_solve_call(solver: dict, icfg: IntegratorConfig):
+    """`_solve_call`, with a malformed section as a UsageError."""
     try:
-        solve, args, kwargs = _solve_call(solver, icfg)
+        return _solve_call(solver, icfg)
     except _MALFORMED as exc:
         raise UsageError(f"invalid solver section: {exc}") from exc
-    # the solve runs outside the guard: its own errors are not usage errors
-    return solve(p, *args, **kwargs)
 
 
 # the keys each solver section may set, by kind (and subsonic method)
@@ -301,7 +300,9 @@ def run_solve(cfg: dict, out_dir: Path) -> int:
     p = model_from_config(cfg)
     icfg = integrator_from_config(cfg)
     solver = cfg.get("solver", {})
-    sol = _dispatch_solve(p, solver, icfg)
+    solve, args, kwargs = _checked_solve_call(solver, icfg)
+    # the solve runs outside the guard: its own errors are not usage errors
+    sol = solve(p, *args, **kwargs)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_solution_csv(sol, out_dir / "solution.csv")
     _dump_json(
@@ -383,7 +384,10 @@ SWEEP_VARIABLES = ("rhoL", "x0", "tau", "bConstant")
 def _sweep_values(spec: dict) -> list[float]:
     try:
         if "values" in spec:
-            return [float(v) for v in spec["values"]]
+            values = [float(v) for v in spec["values"]]
+            if not values:
+                raise UsageError("sweep values must not be empty")
+            return values
         start = float(_require(spec, "start", "sweep"))
         stop = float(_require(spec, "stop", "sweep"))
         count = int(_require(spec, "count", "sweep"))
@@ -394,7 +398,8 @@ def _sweep_values(spec: dict) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _sweep_one(cfg: dict, variable: str, value: float):
+def _sweep_sample(cfg: dict, variable: str, value: float):
+    """(model, solve, args, kwargs) of one sample; UsageError if its config is bad."""
     local = json.loads(json.dumps(cfg))  # deep copy; samples mutate independently
     solver = local.setdefault("solver", {})
     if variable == "rhoL":
@@ -405,16 +410,23 @@ def _sweep_one(cfg: dict, variable: str, value: float):
         local["model"]["tau"] = value
     else:
         local["model"]["doping"] = {"type": "constant", "value": value}
-    try:
-        p = model_from_config(local)
-        icfg = integrator_from_config(local)
-        sol = _dispatch_solve(p, solver, icfg)
-    except RegimeError as exc:
-        return {"success": False, "error": type(exc).__name__,
-                "theorem": exc.theorem_ref or "", "message": str(exc)}
-    except SonicFlowError as exc:
-        return {"success": False, "error": type(exc).__name__, "theorem": "",
-                "message": str(exc)}
+    p = model_from_config(local)
+    return (p, *_checked_solve_call(solver, integrator_from_config(local)))
+
+
+def _sweep_solve(p, solve, args, kwargs, previous: Solution | None) -> Solution:
+    """One sample, continued from the previous sample's relaxation levels
+    where it has some (an elliptic solve); a continued solve that fails is
+    re-solved cold."""
+    if previous is not None and previous.levels is not None:
+        try:
+            return solve(p, *args, start=previous, **kwargs)
+        except SonicFlowError:
+            pass
+    return solve(p, *args, **kwargs)
+
+
+def _sweep_row(sol: Solution, p: ModelParams) -> dict:
     residual, _ = residual_norm(sol, p)
     row = {
         "success": True,
@@ -442,8 +454,21 @@ def run_sweep(cfg: dict, out_dir: Path) -> int:
     if variable not in SWEEP_VARIABLES:
         raise UsageError(f"sweep variable must be one of {SWEEP_VARIABLES}")
     values = _sweep_values(spec)
-    # serial: the solves are pure Python, so threads only contend for the GIL
-    rows = [_sweep_one(cfg, variable, v) for v in values]
+    # every sample's config is checked before the first solve
+    samples = [_sweep_sample(cfg, variable, v) for v in values]
+    # serial: each elliptic sample starts from the one before, and a failed
+    # sample leaves the next to start cold
+    rows, previous = [], None
+    for p, solve, args, kwargs in samples:
+        try:
+            previous = _sweep_solve(p, solve, args, kwargs, previous)
+        except SonicFlowError as exc:  # only a RegimeError names a theorem
+            previous = None
+            rows.append({"success": False, "error": type(exc).__name__,
+                         "theorem": getattr(exc, "theorem_ref", None) or "",
+                         "message": str(exc)})
+        else:
+            rows.append(_sweep_row(previous, p))
 
     header = (
         "index,variable,value,success,kind,x0,rho_l,rho_r,e_jump,slope,"

@@ -553,6 +553,7 @@ def solve_subsonic_elliptic(
     p: ModelParams,
     j_schedule: tuple[float, ...] = DEFAULT_J_SCHEDULE,
     max_newton: int = 60,
+    start: Solution | None = None,
 ) -> Solution:
     """Subsonic solution via the current-relaxed divergence form.
 
@@ -569,6 +570,11 @@ def solve_subsonic_elliptic(
     with the largest scaled residual row in its diagnostics.  The sonic
     limit is recovered by Richardson extrapolation in (1 - j), which is
     first-order accurate in the relaxation parameter.
+
+    Each level starts from the sine guess, or, given `start` (the solution of
+    a neighbouring problem on the same schedule), from that solution's
+    converged profile at the same j: natural-parameter continuation.  The
+    returned solution carries its own level profiles in `levels`.
     """
     # the one scipy call at run time; imported here, out of every other solve
     from scipy.linalg.lapack import dgtsv
@@ -577,6 +583,10 @@ def solve_subsonic_elliptic(
     js = _j_schedule(j_schedule)
     if max_newton < 1:
         raise ValueError("max_newton must be at least 1")
+    if start is not None and (
+        getattr(start, "levels", None) is None or start.diagnostics["j_schedule"] != list(js)
+    ):
+        raise ValueError("start must be an elliptic solution on the same j_schedule")
 
     x = graded_grid()
     h = np.diff(x)
@@ -588,7 +598,9 @@ def solve_subsonic_elliptic(
 
     profiles, fields, newton_iters = [], [], []
     eps = np.finfo(float).eps
-    for j in js:
+    for k, j in enumerate(js):
+        if start is not None:
+            u = start.levels[k]  # never written in place: iterates are copies
         # an accepted trial's residual bundle serves the next iterate
         r, um, du, coef = _elliptic_residual(u, h, cell, bx, j, p)
         # iterates must keep rho > j, where the relaxed flux stays elliptic
@@ -680,6 +692,7 @@ def solve_subsonic_elliptic(
             "boundary_residual": 0.0,
             "rho_max": float(rho_star.max()),
         },
+        levels=tuple(profiles),
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 from sonic_flow import (
     DopingProfile,
     ModelParams,
+    NewtonDivergence,
     cli,
     integrator,
     residual_norm,
@@ -385,10 +386,72 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert len(rows) == 16
+        previous = None
         for row in rows:
             assert row[3:5] == ["true", "subsonic"]
             p = ModelParams(tau=2.0, doping=DopingProfile.constant(float(row[2])))
-            assert float(row[10]) == residual_norm(solve_subsonic_elliptic(p), p)[0]
+            cold = solve_subsonic_elliptic(p)
+            if previous is None:  # the first sample starts cold
+                assert float(row[10]) == residual_norm(cold, p)[0]
+                previous = cold
+                continue
+            # every later one continues from the sample before, and stays
+            # within roundoff of a cold solve
+            sol = solve_subsonic_elliptic(p, start=previous)
+            assert float(row[10]) == residual_norm(sol, p)[0]
+            assert abs(float(row[10]) - residual_norm(cold, p)[0]) <= 1e-9
+            assert np.abs(sol.rho - cold.rho).max() <= 1e-10
+            previous = sol
+
+    def test_failed_continuation_is_solved_cold(self, tmp_path, monkeypatch):
+        # only the continued attempt at b = 1.3 fails; its row is the cold
+        # retry's, and the next sample continues from that retry
+        solve = cli.solve_subsonic_elliptic
+        calls = []
+
+        def flaky(p, *args, start=None, **kwargs):
+            b = p.doping.constant_value
+            calls.append((b, start is not None))
+            if b == 1.3 and start is not None:
+                raise NewtonDivergence("continued attempt fails")
+            return solve(p, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_subsonic_elliptic", flaky)
+        cfg = write_config(tmp_path, {
+            "model": model(2.0, 1.5),
+            "solver": {"kind": "subsonic", "method": "elliptic"},
+            "sweep": {"variable": "bConstant", "values": [1.2, 1.3, 1.4]},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [(1.2, False), (1.3, True), (1.3, False), (1.4, True)]
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["true"] * 3
+        p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.3))
+        retry = solve_subsonic_elliptic(p)
+        assert float(rows[1][10]) == residual_norm(retry, p)[0]
+        p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.4))
+        assert float(rows[2][10]) == residual_norm(solve_subsonic_elliptic(p, start=retry), p)[0]
+
+    @pytest.mark.parametrize("sweep", [
+        {"variable": "bConstant", "values": []},
+        {"variable": "tau", "values": [1.0, -1.0, 2.0]},
+    ], ids=["no_values", "negative_tau"])
+    def test_bad_value_is_usage_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         sweep):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sample was solved")
+
+        monkeypatch.setattr(cli, "solve_subsonic_elliptic", unreachable)
+        cfg = write_config(tmp_path, {
+            "model": model(2.0, 1.5),
+            "solver": {"kind": "subsonic", "method": "elliptic"},
+            "sweep": sweep,
+        })
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "sweep.csv").exists()
 
     def test_missing_section_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"model": model(15.0, 1.5)})

@@ -5,8 +5,9 @@ typed failures.
 flux-coefficient evaluations and two residual evaluations per iterate, and
 the tridiagonal system solved through `scipy.linalg.solve_banded`.  A trial
 step is accepted where the RMS of the scaled residual falls by 1 - lam / 4.
+Each level starts from the sine guess, or from a given per-level start.
 The solver evaluates each iterate once and calls LAPACK directly; both must
-give the same bits.
+give the same bits, cold and continued from a neighbour's levels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from sonic_flow import (
     cli,
     residual_norm,
     solve_subsonic_elliptic,
+    solve_subsonic_shooting,
 )
 from sonic_flow import solvers
 from sonic_flow.solution import graded_grid, grid_derivative
@@ -67,8 +69,10 @@ def _rms(z):
     return math.sqrt(z @ z / z.size)
 
 
-def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_newton=60):
-    """(x, rho, e, newton_iterations, extrapolation_gap) of the reference loop."""
+def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_newton=60,
+                        start=None):
+    """(x, rho, e, newton_iterations, extrapolation_gap) of the reference loop;
+    `start`, if given, holds the profile each level starts from."""
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
     x = graded_grid()
@@ -79,7 +83,9 @@ def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_
     u[0] = u[-1] = 1.0
     profiles, fields, newton_iters = [], [], []
     eps = np.finfo(float).eps
-    for j in js:
+    for k, j in enumerate(js):
+        if start is not None:
+            u = np.array(start[k])
         converged = False
         for it in range(max_newton):
             r = _residual(u, h, bx, j, p)
@@ -137,9 +143,10 @@ DOPINGS = {
 }
 
 
-def _assert_matches_reference(p, **kwargs):
-    x, rho, e, iters, gap = _reference_elliptic(p, **kwargs)
-    sol = solve_subsonic_elliptic(p, **kwargs)
+def _assert_matches_reference(p, start=None, **kwargs):
+    levels = None if start is None else start.levels
+    x, rho, e, iters, gap = _reference_elliptic(p, start=levels, **kwargs)
+    sol = solve_subsonic_elliptic(p, start=start, **kwargs)
     assert np.array_equal(sol.x, x)
     assert np.array_equal(sol.rho, rho)
     assert np.array_equal(sol.e, e)
@@ -157,6 +164,49 @@ def test_bit_identical_to_reference(doping, gamma, tau):
 def test_custom_schedule_bit_identical_to_reference():
     p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.3))
     _assert_matches_reference(p, j_schedule=(0.6, 0.95, 0.995, 0.9999))
+
+
+# each doping of DOPINGS, moved as a sweep's next sample would move it
+NEIGHBOURS = {
+    "constant": DopingProfile.constant(1.45),
+    "sine": DopingProfile.sine_perturbed(1.45, 0.2),
+    "piecewise": DopingProfile.piecewise_constant([0.5], [1.45, 1.55]),
+}
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+@pytest.mark.parametrize("doping", list(NEIGHBOURS))
+def test_continued_bit_identical_to_reference(doping, gamma):
+    neighbour = solve_subsonic_elliptic(
+        ModelParams(tau=2.0, doping=NEIGHBOURS[doping], gamma=gamma)
+    )
+    p = ModelParams(tau=2.0, doping=DOPINGS[doping], gamma=gamma)
+    _assert_matches_reference(p, start=neighbour)
+
+
+def test_levels_are_the_converged_profiles():
+    # the last two levels extrapolate to the returned density
+    sol = solve_subsonic_elliptic(ModelParams(tau=2.0, doping=DopingProfile.constant(1.5)))
+    assert len(sol.levels) == len(DEFAULT_J_SCHEDULE)
+    s_prev, s_last = 1.0 - DEFAULT_J_SCHEDULE[-2], 1.0 - DEFAULT_J_SCHEDULE[-1]
+    w = s_last / (s_prev - s_last)
+    rho = np.maximum(sol.levels[-1] + w * (sol.levels[-1] - sol.levels[-2]), 1.0)
+    rho[0] = rho[-1] = 1.0
+    assert np.array_equal(sol.rho, rho)
+
+
+def test_start_on_another_schedule_is_a_value_error():
+    p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.5))
+    other = solve_subsonic_elliptic(p, j_schedule=(0.6, 0.95, 0.995, 0.9999))
+    with pytest.raises(ValueError, match="start"):
+        solve_subsonic_elliptic(p, start=other)
+
+
+def test_start_that_is_not_elliptic_is_a_value_error():
+    p = ModelParams(tau=15.0, doping=DopingProfile.constant(1.5))
+    for start in (solve_subsonic_shooting(p), np.ones(len(graded_grid()))):
+        with pytest.raises(ValueError, match="start"):
+            solve_subsonic_elliptic(p, start=start)
 
 
 @pytest.mark.parametrize("tau,b,kwargs", [
@@ -193,6 +243,40 @@ def test_newton_budget_in_the_hard_corner(monkeypatch, b, tau, iterations, evalu
     sol = solve_subsonic_elliptic(ModelParams(tau=tau, doping=DopingProfile.constant(b)))
     assert sum(sol.diagnostics["newton_iterations"]) <= iterations
     assert len(calls) <= evaluations
+
+
+def _sweep_newton_iterations(tmp_path, monkeypatch, tau, b_start):
+    """Newton iterations of the CLI's 16-sample elliptic sweep in b."""
+    iterations = []
+    solve = cli.solve_subsonic_elliptic
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        iterations.append(sum(sol.diagnostics["newton_iterations"]))
+        return sol
+
+    monkeypatch.setattr(cli, "solve_subsonic_elliptic", counted)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"tau": tau, "doping": {"type": "constant", "value": b_start}},
+        "solver": {"kind": "subsonic", "method": "elliptic"},
+        "sweep": {"variable": "bConstant", "start": b_start, "stop": b_start + 0.5,
+                  "count": 16},
+    }))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(iterations) == 16
+    return sum(iterations)
+
+
+# at most 5% over the continued totals, 241, 238 and 232; every sample
+# restarted from the sine guess takes 352, 349 and 365
+@pytest.mark.parametrize("tau,b_start,iterations", [
+    (2.0, 1.05, 253),
+    (15.0, 1.05, 249),
+    (0.3, 1.5, 243),
+])
+def test_newton_budget_of_a_continued_sweep(tmp_path, monkeypatch, tau, b_start, iterations):
+    assert _sweep_newton_iterations(tmp_path, monkeypatch, tau, b_start) <= iterations
 
 
 @pytest.mark.parametrize("max_newton", [0, -1])
