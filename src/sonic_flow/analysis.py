@@ -411,8 +411,6 @@ def residual_norm(sol: Solution, p: ModelParams) -> tuple[float, float]:
     point additionally get a weak-form check against 32 hat functions, since
     no pointwise statement holds across the crossing.
     """
-    if sol.kind == "sonic":
-        return _strong_residual(sol, p)
     pointwise = _defect_residual(sol, p)
     if pointwise is None:
         pointwise = _strong_residual(sol, p)
@@ -437,16 +435,6 @@ class ExponentFit:
     window_used: tuple[float, float]
     n_points: int
     fit_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "exponent": self.exponent,
-            "confidence_half_width": self.confidence_half_width,
-            "window_used": list(self.window_used),
-            "n_points": self.n_points,
-            "fit_residual": self.fit_residual,
-        }
 
 
 def fit_holder_exponent(sol: Solution, endpoint) -> ExponentFit:
@@ -515,16 +503,6 @@ class TrajectoryLemmaReport:
     origin_gap: float
     slope_at_origin: float
     points_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "n_range": list(self.n_range),
-            "max_margin": self.max_margin,
-            "origin_gap": self.origin_gap,
-            "slope_at_origin": self.slope_at_origin,
-            "points_checked": self.points_checked,
-        }
 
 
 def lemma_tau_threshold(b: float) -> float:

@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .model_core import (
     critical_point_analysis,
     regime,
 )
-from .solution import Solution, TransitionData
+from .solution import SOLUTION_KINDS, Solution, TransitionData
 from .solvers import (
     solve_c1_transonic,
     solve_sonic,
@@ -49,21 +49,14 @@ EXIT_USAGE = 1
 EXIT_REGIME = 2
 EXIT_NUMERICAL = 3
 
-SOLVE_KINDS = (
-    "sonic",
-    "subsonic",
-    "supersonic",
-    "transonic_shock",
-    "c1_transonic",
-)
-
 
 class UsageError(Exception):
     """Bad command line or configuration content."""
 
 
-# what converting a malformed value read from a config or an artifact raises
-_MALFORMED = (TypeError, ValueError, KeyError, IndexError)
+# what converting a malformed value read from a config or an artifact raises;
+# a section that is not a JSON object has no .get
+_MALFORMED = (TypeError, ValueError, KeyError, IndexError, AttributeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise UsageError(f"{context} section must be a JSON object")
     if key not in mapping:
         raise UsageError(f"missing required key {key!r} in {context}")
     return mapping[key]
@@ -113,18 +108,15 @@ def model_from_config(cfg: dict) -> ModelParams:
 
 
 # the IntegratorConfig fields a config file may set, and solution.json echoes
-_INTEGRATOR_KEYS = (
-    "rel_tol", "abs_tol", "max_step",
-    "blow_up_density", "blow_up_field", "max_arc_length",
-)
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig) if f.name != "sample_spacing")
 
 
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
     spec = cfg.get("integrator", {})
-    extra = set(spec) - set(_INTEGRATOR_KEYS)
-    if extra:
-        raise UsageError(f"unknown integrator options: {sorted(extra)}")
     try:
+        extra = set(spec) - set(_INTEGRATOR_KEYS)
+        if extra:
+            raise UsageError(f"unknown integrator options: {sorted(extra)}")
         values = {k: float(v) for k, v in spec.items()}
         if not all(map(math.isfinite, values.values())):  # solution.json echoes them
             raise ValueError("integrator values must be finite")
@@ -155,8 +147,8 @@ _SOLVER_KEYS = {
 def _solve_call(solver: dict, icfg: IntegratorConfig):
     """The solver the section names, with the arguments it gives beyond the model."""
     kind = _require(solver, "kind", "solver")
-    if kind not in SOLVE_KINDS:
-        raise UsageError(f"unknown solver kind {kind!r}; expected one of {SOLVE_KINDS}")
+    if kind not in SOLUTION_KINDS:
+        raise UsageError(f"unknown solver kind {kind!r}; expected one of {SOLUTION_KINDS}")
     method = solver.get("method", "shooting") if kind == "subsonic" else None
     if method not in (None, "shooting", "elliptic"):
         raise UsageError(f"unknown subsonic method {method!r}")
@@ -225,7 +217,7 @@ def solution_json_payload(
     sol: Solution, p: ModelParams, icfg: IntegratorConfig, solver_echo: dict
 ) -> dict:
     residual, location = residual_norm(sol, p)
-    payload = {
+    return {
         "kind": sol.kind,
         "model": {
             "tau": p.tau,
@@ -234,27 +226,14 @@ def solution_json_payload(
         },
         "integrator": {k: getattr(icfg, k) for k in _INTEGRATOR_KEYS},
         "solver": solver_echo,
-        "shock": None,
-        "transition": None,
+        "shock": asdict(sol.shock) if sol.shock else None,
+        "transition": asdict(sol.transition) if sol.transition else None,
         "diagnostics": dict(sol.diagnostics),
         "residual_norm": residual,
         "residual_location": location,
         "boundary": {"rho_left": float(sol.rho[0]), "rho_right": float(sol.rho[-1])},
         "points": int(len(sol.x)),
     }
-    if sol.shock is not None:
-        payload["shock"] = {
-            "x0": sol.shock.x0,
-            "rho_l": sol.shock.rho_l,
-            "rho_r": sol.shock.rho_r,
-            "e_jump": sol.shock.e_jump,
-        }
-    if sol.transition is not None:
-        payload["transition"] = {
-            "x0": sol.transition.x0,
-            "slope": sol.transition.slope,
-        }
-    return payload
 
 
 def reconstruct_solution(out_dir: Path):
@@ -287,7 +266,7 @@ def reconstruct_solution(out_dir: Path):
             doping=DopingProfile.from_dict(m["doping"]),
             gamma=float(m.get("gamma", 1.0)),
         )
-    except (*_MALFORMED, AttributeError) as exc:  # a JSON root not an object has no .get
+    except _MALFORMED as exc:
         raise UsageError(f"malformed solution artifacts in {out_dir}: {exc}") from exc
     return sol, p, meta
 
@@ -323,12 +302,15 @@ def run_classify(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _portrait_launches(p: ModelParams, spec: dict):
-    """Span and launches: a fan around the critical point unless given explicitly."""
+def _portrait_spec(p: ModelParams, spec: dict):
+    """Mode, span and launches: a fan around the critical point unless given explicitly."""
     try:
+        mode = spec.get("mode", "primal")
+        if mode not in ("primal", "transformed"):
+            raise ValueError(f"unknown mode {mode!r}")
         span = float(spec.get("span", 4.0))
         if "launches" in spec:
-            return span, [(float(r), float(e)) for r, e in spec["launches"]]
+            return mode, span, [(float(r), float(e)) for r, e in spec["launches"]]
         a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
         count = int(spec.get("count", 12))
         radius_rho = float(spec.get("radius_rho", 0.4 * a_rho))
@@ -342,7 +324,7 @@ def _portrait_launches(p: ModelParams, spec: dict):
         e0 = a_e + radius_e * math.sin(ang)
         if rho0 > 0.05:
             out.append((rho0, e0))
-    return span, out
+    return mode, span, out
 
 
 def run_portrait(cfg: dict, out_dir: Path) -> int:
@@ -351,9 +333,7 @@ def run_portrait(cfg: dict, out_dir: Path) -> int:
         raise UsageError("portrait requires constant doping")
     # rows at most 1e-2 apart in x, whatever the step cap
     icfg = replace(integrator_from_config(cfg), sample_spacing=1e-2)
-    spec = cfg.get("portrait", {})
-    mode = spec.get("mode", "primal")
-    span, launches = _portrait_launches(p, spec)
+    mode, span, launches = _portrait_spec(p, cfg.get("portrait", {}))
 
     segments = []
     for rho0, e0 in launches:
@@ -384,6 +364,8 @@ SWEEP_VARIABLES = ("rhoL", "x0", "tau", "bConstant")
 def _sweep_values(spec: dict) -> list[float]:
     try:
         if "values" in spec:
+            if not isinstance(spec["values"], list):
+                raise UsageError("sweep values must be a list")
             values = [float(v) for v in spec["values"]]
             if not values:
                 raise UsageError("sweep values must not be empty")
@@ -402,14 +384,17 @@ def _sweep_sample(cfg: dict, variable: str, value: float):
     """(model, solve, args, kwargs) of one sample; UsageError if its config is bad."""
     local = json.loads(json.dumps(cfg))  # deep copy; samples mutate independently
     solver = local.setdefault("solver", {})
-    if variable == "rhoL":
-        solver["rho_l"] = value
-    elif variable == "x0":
-        solver["x0"] = value
-    elif variable == "tau":
-        local["model"]["tau"] = value
-    else:
-        local["model"]["doping"] = {"type": "constant", "value": value}
+    try:
+        if variable == "rhoL":
+            solver["rho_l"] = value
+        elif variable == "x0":
+            solver["x0"] = value
+        elif variable == "tau":
+            local["model"]["tau"] = value
+        else:
+            local["model"]["doping"] = {"type": "constant", "value": value}
+    except _MALFORMED as exc:
+        raise UsageError(f"cannot set sweep variable {variable}: {exc}") from exc
     p = model_from_config(local)
     return (p, *_checked_solve_call(solver, integrator_from_config(local)))
 
@@ -438,11 +423,9 @@ def _sweep_row(sol: Solution, p: ModelParams) -> dict:
         "e_jump": "",
         "slope": "",
     }
-    if sol.shock is not None:
-        row.update(x0=sol.shock.x0, rho_l=sol.shock.rho_l,
-                   rho_r=sol.shock.rho_r, e_jump=sol.shock.e_jump)
-    if sol.transition is not None:
-        row.update(x0=sol.transition.x0, slope=sol.transition.slope)
+    for record in (sol.shock, sol.transition):
+        if record is not None:
+            row.update(asdict(record))
     return row
 
 
@@ -502,7 +485,10 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
     sol, p, meta = reconstruct_solution(out_dir)
     residual, location = residual_norm(sol, p)
     recorded = meta.get("residual_norm")
-    gap = abs(residual - recorded) if recorded is not None else math.inf
+    try:  # a recorded null is no usage error: it has no gap, so it exits 3
+        gap = abs(residual - recorded) if recorded is not None else math.inf
+    except _MALFORMED as exc:
+        raise UsageError(f"malformed residual_norm in {out_dir}: {exc}") from exc
     checks = {
         "residual_recomputed": residual,
         "residual_recorded": recorded,
@@ -518,7 +504,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
         for endpoint in (0, 1):
             try:
                 fit = fit_holder_exponent(sol, endpoint)
-                exponents[str(endpoint)] = fit.to_dict()
+                exponents[str(endpoint)] = asdict(fit)
             except (InsufficientWindow, PreconditionViolation) as exc:
                 exponents[str(endpoint)] = {"skipped": str(exc)}
     checks["holder_fits"] = exponents

@@ -255,9 +255,6 @@ class State:
         if not self.rho > 0:
             raise ValueError("density must be positive")
 
-    def regime(self, tol: float = 1e-9) -> str:
-        return regime(self.rho, tol)
-
 
 @dataclass(frozen=True)
 class ShockData:

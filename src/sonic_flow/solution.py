@@ -117,39 +117,35 @@ class Solution:
         return float(np.abs(self.interp_rho(xq) - other.interp_rho(xq)).max())
 
 
-def graded_grid(
-    h_min: float = 1e-7,
-    ratio: float = 0.9,
-    h_cap: float = 5e-4,
-    min_cells: int = 512,
-) -> np.ndarray:
+_H_MIN = 1e-7
+_RATIO = 0.9
+_H_CAP = 5e-4
+_MIN_CELLS = 512
+
+
+def graded_grid() -> np.ndarray:
     """Nodes on [0, 1], geometrically refined toward both endpoints.
 
-    Cells grow from `h_min` by 1/ratio per step until `h_cap`, then the
-    interior is filled uniformly.  The pure geometric progression saturates
-    long before covering the interval, hence the cap; without it the interior
-    cells would be far too coarse for pointwise residual checks.  The floor
-    stays at 1e-7: finite-volume fluxes divide density differences by the
-    cell width, so much smaller cells would amplify float64 roundoff past
-    any useful residual tolerance.
+    Cells grow from _H_MIN by 1/_RATIO per step until _H_CAP, then the
+    interior is filled uniformly, to at least _MIN_CELLS cells.  The pure
+    geometric progression saturates long before covering the interval, hence
+    the cap; without it the interior cells would be far too coarse for
+    pointwise residual checks.  The floor stays at 1e-7: finite-volume fluxes
+    divide density differences by the cell width, so much smaller cells would
+    amplify float64 roundoff past any useful residual tolerance.
     """
-    if not (0 < ratio < 1 and 0 < h_min < h_cap < 0.5):
-        raise ValueError("inconsistent grading parameters")
     edge = [0.0]
-    h = h_min
-    while h < h_cap:
+    h = _H_MIN
+    while h < _H_CAP:
         edge.append(edge[-1] + h)
-        h /= ratio
+        h /= _RATIO
     zone = edge[-1]
-    if 2.0 * zone >= 0.5:
-        raise ValueError("grading zones overlap; raise h_cap or ratio")
     width = 1.0 - 2.0 * zone
-    n_mid = max(int(np.ceil(width / h_cap)), min_cells - 2 * (len(edge) - 1))
+    n_mid = max(int(np.ceil(width / _H_CAP)), _MIN_CELLS - 2 * (len(edge) - 1))
     mid = np.linspace(zone, 1.0 - zone, n_mid + 1)
     left = np.array(edge)
     right = 1.0 - left[::-1]
-    nodes = np.concatenate([left, mid[1:-1], right])
-    return nodes
+    return np.concatenate([left, mid[1:-1], right])
 
 
 def grid_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:

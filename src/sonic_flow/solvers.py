@@ -53,8 +53,10 @@ from .solution import Solution, TransitionData, graded_grid, grid_derivative
 DEFAULT_J_SCHEDULE = (0.5, 0.9, 0.99, 0.999, 0.9999)
 
 # the relaxed elliptic Newton converges where every residual row is within
-# this many times its cell, plus the roundoff floor of its flux differences
+# this many times its cell, plus the roundoff floor of its flux differences,
+# in at most _MAX_NEWTON iterations per relaxation level
 _NEWTON_TOL = 1e-10
+_MAX_NEWTON = 60
 
 # sentinel residual magnitude for shots that leave the admissible region
 _OVERSHOOT = 10.0
@@ -552,7 +554,6 @@ def _j_schedule(j_schedule) -> tuple[float, ...]:
 def solve_subsonic_elliptic(
     p: ModelParams,
     j_schedule: tuple[float, ...] = DEFAULT_J_SCHEDULE,
-    max_newton: int = 60,
     start: Solution | None = None,
 ) -> Solution:
     """Subsonic solution via the current-relaxed divergence form.
@@ -581,8 +582,6 @@ def solve_subsonic_elliptic(
 
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
-    if max_newton < 1:
-        raise ValueError("max_newton must be at least 1")
     if start is not None and (
         getattr(start, "levels", None) is None or start.diagnostics["j_schedule"] != list(js)
     ):
@@ -605,7 +604,7 @@ def solve_subsonic_elliptic(
         r, um, du, coef = _elliptic_residual(u, h, cell, bx, j, p)
         # iterates must keep rho > j, where the relaxed flux stays elliptic
         floor = max(0.5, j + 1e-8)
-        for it in range(max_newton):
+        for it in range(_MAX_NEWTON):
             # row scale: residuals integrate a density over a cell, plus the
             # roundoff floor of the flux differences D * drho / h
             d_over_h = coef / h

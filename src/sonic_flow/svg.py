@@ -29,11 +29,11 @@ def _fmt(v: float) -> str:
     return format(float(v), ".2f")
 
 
-def _pad_range(lo: float, hi: float, frac: float = 0.06) -> tuple[float, float]:
+def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     if hi <= lo:
         span = abs(lo) if lo else 1.0
         return lo - 0.5 * span - 1e-9, hi + 0.5 * span + 1e-9
-    pad = frac * (hi - lo)
+    pad = 0.06 * (hi - lo)
     return lo - pad, hi + pad
 
 
@@ -67,25 +67,23 @@ class Frame:
     def py(self, y: float) -> float:
         return self.top + (self.y_hi - y) / (self.y_hi - self.y_lo) * self.height
 
-    def polyline(self, xs, ys, stroke: str, stroke_width: float = 1.5,
-                 dash: str | None = None) -> str:
+    def polyline(self, xs, ys, stroke: str, stroke_width: float = 1.5) -> str:
         xs, ys = _decimate(np.asarray(xs, float), np.asarray(ys, float))
         pts = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in zip(xs, ys))
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline fill="none" stroke="{stroke}" '
-            f'stroke-width="{stroke_width:g}"{dash_attr} points="{pts}"/>'
+            f'stroke-width="{stroke_width:g}" points="{pts}"/>'
         )
 
-    def hline(self, y: float, cls: str = "ref") -> str:
+    def hline(self, y: float) -> str:
         return (
-            f'<line class="{cls}" x1="{_fmt(self.left)}" y1="{_fmt(self.py(y))}" '
+            f'<line class="ref" x1="{_fmt(self.left)}" y1="{_fmt(self.py(y))}" '
             f'x2="{_fmt(self.left + self.width)}" y2="{_fmt(self.py(y))}"/>'
         )
 
-    def vline(self, x: float, cls: str = "ref") -> str:
+    def vline(self, x: float) -> str:
         return (
-            f'<line class="{cls}" x1="{_fmt(self.px(x))}" y1="{_fmt(self.top)}" '
+            f'<line class="ref" x1="{_fmt(self.px(x))}" y1="{_fmt(self.top)}" '
             f'x2="{_fmt(self.px(x))}" y2="{_fmt(self.top + self.height)}"/>'
         )
 

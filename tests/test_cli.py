@@ -312,6 +312,12 @@ class TestPortrait:
         assert cli.main(["portrait", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 1
 
+    def test_unknown_mode_is_usage_error_before_any_arc(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("arc integrated"))
+        cfg = write_config(tmp_path, {"model": model(0.5, 1.5), "portrait": {"mode": "polar"}})
+        assert cli.main(["portrait", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: invalid portrait section: unknown mode 'polar'\n"
+
 
 # ---------------------------------------------------------------------------
 # sweep command
@@ -510,12 +516,70 @@ class TestVerify:
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_recorded_null_residual_fails(self, tmp_path):
+        # a recorded null is well formed, but there is nothing to match
+        out = self._solve(tmp_path, {
+            "model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+        })
+        meta = json.loads((out / "solution.json").read_text())
+        meta["residual_norm"] = None
+        (out / "solution.json").write_text(json.dumps(meta, sort_keys=True))
+        assert cli.main(["verify", "--out", str(out)]) == 3
+        assert json.loads((out / "verify.json").read_text())["match"] is False
+
+
+# ---------------------------------------------------------------------------
+# record schemas: the artifacts serialize the fields of ShockData,
+# TransitionData and ExponentFit, so a new field changes them
+
+
+class TestRecordSchemas:
+    def _solve(self, tmp_path, tau, solver):
+        cfg = write_config(tmp_path, {"model": model(tau, 1.5), "solver": solver})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        return out
+
+    def test_shock_record(self, tmp_path):
+        out = self._solve(tmp_path, 50.0, {"kind": "transonic_shock", "rho_l": 0.9})
+        meta = json.loads((out / "solution.json").read_text())
+        assert set(meta["shock"]) == {"x0", "rho_l", "rho_r", "e_jump"}
+        assert meta["transition"] is None
+
+    def test_transition_record(self, tmp_path):
+        out = self._solve(tmp_path, 0.1, {"kind": "c1_transonic", "x0": 0.5})
+        meta = json.loads((out / "solution.json").read_text())
+        assert set(meta["transition"]) == {"x0", "slope"}
+        assert meta["shock"] is None
+
+    def test_holder_fit_records(self, tmp_path):
+        out = self._solve(tmp_path, 15.0, {"kind": "subsonic"})
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        fits = json.loads((out / "verify.json").read_text())["holder_fits"]
+        assert set(fits) == {"0", "1"}
+        for fit in fits.values():
+            assert set(fit) == {"endpoint", "exponent", "confidence_half_width",
+                                "window_used", "n_points", "fit_residual"}
+
+    def test_sweep_header(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": model(1.0, 0.9), "solver": {"kind": "supersonic"},
+            "sweep": {"variable": "tau", "values": [0.2]},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "sweep.csv").read_text().splitlines()[0] == (
+            "index,variable,value,success,kind,x0,rho_l,rho_r,e_jump,slope,"
+            "residual,error,theorem,message"
+        )
+
 
 # ---------------------------------------------------------------------------
 # malformed outside input
 
 
 _CSV = "x,rho,e,regime\n0.0,1.0,0.5,sonic\n1.0,1.0,0.5,sonic\n"
+_CSV3 = "x,rho,e,regime\n0.0,1.0,0.5,sonic\n0.5,1.0,0.5,sonic\n1.0,1.0,0.5,sonic\n"
 _JSON = json.dumps({"kind": "sonic", "model": model(2.0, 1.0)})
 
 
@@ -546,6 +610,12 @@ class TestMalformedInput:
         ("verify", (_CSV + "2.0,1.0\n", _JSON)),
         ("verify", (_CSV, "{not json")),
         ("verify", (_CSV, _JSON.replace('"sonic"', '"warp"'))),
+        ("solve", {"model": {"tau": 15.0, "doping": [1]}, "solver": {"kind": "subsonic"}}),
+        ("portrait", {"model": model(15.0, 1.5), "portrait": [1]}),
+        ("verify", (_CSV3, json.dumps({"kind": "sonic", "model": model(2.0, 1.0),
+                                       "residual_norm": "abc"}))),
+        ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                   "sweep": {"variable": "tau", "values": "123"}}),
     ], ids=[
         "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
@@ -553,6 +623,8 @@ class TestMalformedInput:
         "sweep_value_not_a_number", "portrait_count_not_a_number",
         "portrait_span_not_a_number",
         "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
+        "doping_not_an_object", "portrait_not_an_object", "recorded_residual_not_a_number",
+        "sweep_values_not_a_list",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):
         if command == "verify":
@@ -568,6 +640,25 @@ class TestMalformedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, section", [
+        ("solve", "model"), ("classify", "model"), ("solve", "solver"),
+        ("solve", "integrator"), ("portrait", "portrait"), ("sweep", "sweep"),
+        ("sweep", "model"), ("sweep", "solver"),
+    ])
+    @pytest.mark.parametrize("value", [[1], 1, "x", None])
+    def test_section_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, command,
+                                                      section, value):
+        # a sweep sets its variable in the section under test
+        config = {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                  "integrator": {}, "portrait": {},
+                  "sweep": {"variable": "x0" if section == "solver" else "tau",
+                            "values": [0.5]}}
+        config[section] = value
+        argv = [command, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("solver, solve", [
         ({"kind": "sonic"}, "solve_sonic"),

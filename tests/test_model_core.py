@@ -31,7 +31,7 @@ from sonic_flow import (
     vector_field,
     xi_curve,
 )
-from sonic_flow.model_core import _series, node_slow_manifold
+from sonic_flow.model_core import _series, node_slow_manifold, regime
 
 
 def _params(tau, b, gamma=1.0):
@@ -156,9 +156,9 @@ class TestDopingProfile:
 
 class TestStates:
     def test_regime_tags(self):
-        assert State(0.0, 1.0, 0.0).regime() == "sonic"
-        assert State(0.0, 1.2, 0.0).regime() == "subsonic"
-        assert State(0.0, 0.8, 0.0).regime() == "supersonic"
+        assert regime(1.0) == "sonic"
+        assert regime(1.2) == "subsonic"
+        assert regime(0.8) == "supersonic"
 
     def test_positive_density_required(self):
         with pytest.raises(ValueError):
