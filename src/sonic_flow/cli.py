@@ -79,6 +79,15 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _check_keys(spec: dict, keys, context: str) -> None:
+    """UsageError unless `spec` is a JSON object whose keys are all in `keys`."""
+    if not isinstance(spec, dict):
+        raise UsageError(f"{context} section must be a JSON object")
+    extra = set(spec) - set(keys)
+    if extra:
+        raise UsageError(f"unknown {context} options: {sorted(extra)}")
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -113,10 +122,8 @@ _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig) if f.name != "
 
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
     spec = cfg.get("integrator", {})
+    _check_keys(spec, _INTEGRATOR_KEYS, "integrator")
     try:
-        extra = set(spec) - set(_INTEGRATOR_KEYS)
-        if extra:
-            raise UsageError(f"unknown integrator options: {sorted(extra)}")
         values = {k: float(v) for k, v in spec.items()}
         if not all(map(math.isfinite, values.values())):  # solution.json echoes them
             raise ValueError("integrator values must be finite")
@@ -152,9 +159,7 @@ def _solve_call(solver: dict, icfg: IntegratorConfig):
     method = solver.get("method", "shooting") if kind == "subsonic" else None
     if method not in (None, "shooting", "elliptic"):
         raise UsageError(f"unknown subsonic method {method!r}")
-    extra = set(solver) - _SOLVER_KEYS[method or kind]
-    if extra:
-        raise UsageError(f"unknown solver options: {sorted(extra)}")
+    _check_keys(solver, _SOLVER_KEYS[method or kind], "solver")
     if kind == "sonic":
         return solve_sonic, (), {}
     if method == "shooting":
@@ -245,6 +250,8 @@ def reconstruct_solution(out_dir: Path):
     try:
         meta = json.loads(meta_path.read_text())
         x, rho, e = read_solution_csv(csv_path)
+        if len(x) < 3:  # the residual's finite differences need three
+            raise ValueError(f"{csv_path.name} has {len(x)} rows, fewer than three")
         shock = None
         if meta.get("shock"):
             shock = ShockData(**meta["shock"])
@@ -302,8 +309,12 @@ def run_classify(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
+_PORTRAIT_KEYS = ("mode", "span", "count", "launches")
+
+
 def _portrait_spec(p: ModelParams, spec: dict):
     """Mode, span and launches: a fan around the critical point unless given explicitly."""
+    _check_keys(spec, _PORTRAIT_KEYS, "portrait")
     try:
         mode = spec.get("mode", "primal")
         if mode not in ("primal", "transformed"):
@@ -313,10 +324,9 @@ def _portrait_spec(p: ModelParams, spec: dict):
             return mode, span, [(float(r), float(e)) for r, e in spec["launches"]]
         a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
         count = int(spec.get("count", 12))
-        radius_rho = float(spec.get("radius_rho", 0.4 * a_rho))
-        radius_e = float(spec.get("radius_e", max(0.5 * abs(a_e), 0.05)))
     except _MALFORMED as exc:
         raise UsageError(f"invalid portrait section: {exc}") from exc
+    radius_rho, radius_e = 0.4 * a_rho, max(0.5 * abs(a_e), 0.05)
     out = []
     for k in range(count):
         ang = 2.0 * math.pi * k / count
@@ -359,6 +369,7 @@ def run_portrait(cfg: dict, out_dir: Path) -> int:
 
 
 SWEEP_VARIABLES = ("rhoL", "x0", "tau", "bConstant")
+_SWEEP_KEYS = ("variable", "values", "start", "stop", "count")
 
 
 def _sweep_values(spec: dict) -> list[float]:
@@ -433,6 +444,7 @@ def run_sweep(cfg: dict, out_dir: Path) -> int:
     spec = cfg.get("sweep")
     if not spec:
         raise UsageError("sweep command needs a 'sweep' config section")
+    _check_keys(spec, _SWEEP_KEYS, "sweep")
     variable = _require(spec, "variable", "sweep")
     if variable not in SWEEP_VARIABLES:
         raise UsageError(f"sweep variable must be one of {SWEEP_VARIABLES}")

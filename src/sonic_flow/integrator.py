@@ -421,7 +421,8 @@ def _brentq(f, xa, xb, xtol, rtol):
 
 
 class _Step:
-    """Seventh-order interpolant over one accepted step."""
+    """Seventh-order interpolant over one accepted step with an event root,
+    on which its roots are located."""
 
     __slots__ = ("t_old", "h", "y", "f")
 
@@ -564,43 +565,25 @@ class OdeResult:
     `t`, `ya`, `yb` and `yc` are the step ends, the start included, and
     `rec` holds one `_REC` record per step wider than the run's spacing;
     ``_read_rows(rec, spacing, (t, ya, yb, yc))`` reads the rows between
-    them, where something needs them. `status` is 0 when `t_bound`
-    was reached, 1 when a terminal event stopped the run, and -1 when the
-    step size fell below 10 ulp of t. `roots` holds `(event index, t, a, b,
-    c)` for every event root located before the stop, in traversal order;
-    after a terminal stop its root comes last and `terminal` is its event
-    index, otherwise `terminal` is None. `nfev` counts right-hand-side
-    evaluations, of which `ndense` times 3 went into the dense output of
-    `ndense` steps.
+    them, where something needs them; the records are the run's only
+    interpolants. `status` is 0 when `t_bound` was reached, 1 when a
+    terminal event stopped the run, and -1 when the step size fell below
+    10 ulp of t. `roots` holds `(event index, t, a, b, c)` for every event
+    root located before the stop, in traversal order; after a terminal stop
+    its root comes last and `terminal` is its event index, otherwise
+    `terminal` is None. `nfev` counts right-hand-side evaluations, of which
+    `ndense` times 3 went into the dense output of `ndense` steps.
     """
 
-    __slots__ = (
-        "t", "ya", "yb", "yc", "status", "nfev", "ndense", "roots", "terminal", "steps", "rec",
-    )
+    __slots__ = ("t", "ya", "yb", "yc", "status", "nfev", "ndense", "roots", "terminal", "rec")
 
-    def __init__(self, t, ya, yb, yc, status, nfev, ndense, roots, terminal, steps, rec):
+    def __init__(self, t, ya, yb, yc, status, nfev, ndense, roots, terminal, rec):
         self.t, self.ya, self.yb, self.yc = t, ya, yb, yc
         self.status, self.nfev, self.ndense = status, nfev, ndense
-        self.roots, self.terminal = roots, terminal
-        self.steps, self.rec = steps, rec
-
-    def sol(self, ts):
-        """Interpolated states (a, b, c) at each of ts, read off `steps`.
-
-        A t on a step boundary is read from the earlier step, a t beyond
-        either end of the run from the end step.  Without ``dense_output``
-        only the final step is kept, and none where the step size failed.
-        """
-        steps = self.steps
-        d = math.copysign(1.0, steps[0].h)
-        starts = [d * s.t_old for s in steps]
-        return [steps[max(bisect.bisect_left(starts, d * t) - 1, 0)](t) for t in ts]
+        self.roots, self.terminal, self.rec = roots, terminal, rec
 
 
-def solve_ivp(
-    fun, t0, t_bound, y0, rtol, atol, max_step, events=(),
-    dense_output=False, spacing=math.inf,
-):
+def solve_ivp(fun, t0, t_bound, y0, rtol, atol, max_step, events=(), spacing=math.inf):
     """Integrate a three-component ODE from t0 toward t_bound (Dormand-Prince 8(5,3)).
 
     ``fun(t, a, b, c)`` returns the derivatives of the state ``(a, b, c)``.
@@ -617,11 +600,9 @@ def solve_ivp(
     in `rec` for `_read_rows`, which reads rows off its interpolant between
     them; the run itself reads none.  The interpolant costs three more
     evaluations of ``fun``, so it is built only where something reads it:
-    for a step with an event root, a wide step, every step with
-    `dense_output`, and the final step of a run that reaches t_bound.
-    `nfev` counts these evaluations too, and `ndense` the steps they were
-    made for.  A `_Step` is kept with `dense_output` for every step, else
-    for the final step of a run that is not cut short.
+    for a step with an event root, whose roots are located on it, and for
+    a wide step.  `nfev` counts these evaluations too, and `ndense` the
+    steps they were made for.
 
     Watches with a ``level`` are screened: while the state stays inside the
     open cell between the levels, none can fire, so only the others are
@@ -648,7 +629,6 @@ def solve_ivp(
     span = abs(t_bound - t)
 
     ts, yas, ybs, ycs = [t], [ya], [yb], [yc]
-    steps = [] if dense_output else None
     gs = [ev.g for ev in events]
     start = (t, ya, yb, yc)  # a comprehension reading t or y would make them cells
     g = [gi(*start) for gi in gs]
@@ -667,7 +647,7 @@ def solve_ivp(
     nfev = 1
     ndense = 0
     if span == 0.0:
-        return OdeResult(ts, yas, ybs, ycs, 0, nfev, 0, roots, None, [], rec)
+        return OdeResult(ts, yas, ybs, ycs, 0, nfev, 0, roots, None, rec)
 
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     sa = atol + abs(ya) * rtol
@@ -854,8 +834,7 @@ def solve_ivp(
         if spacing < math.inf:  # _gap((ya_old, yb_old), (ya, yb)), inline
             wide = abs(yb - yb_old) / max(abs(yb_old), abs(yb), 1.0)
             wide = max(abs(ya - ya_old), wide) > spacing
-        kept = hits or status == 0 or steps is not None
-        if kept or wide:  # the stages of the dense output
+        if hits or wide:  # the stages of the dense output
             ndense += 1
             k14a, k14b, k14c = fun(
                 t_old + _C14 * h,
@@ -884,7 +863,7 @@ def solve_ivp(
                 yc_old + (_A16_1 * k1c + _A16_6 * k6c + _A16_7 * k7c + _A16_8 * k8c + _A16_9 * k9c
                           + _A16_13 * k13c + _A16_14 * k14c + _A16_15 * k15c) * h,
             )
-        if kept:
+        if hits:
             step = _Step(t_old, h, (ya_old, yb_old, yc_old), (
                 _dense(h, ya_old, na, k1a, k6a, k7a, k8a, k9a, k10a, k11a, k12a, k13a,
                        k14a, k15a, k16a),
@@ -893,10 +872,6 @@ def solve_ivp(
                 _dense(h, yc_old, nc, k1c, k6c, k7c, k8c, k9c, k10c, k11c, k12c, k13c,
                        k14c, k15c, k16c),
             ))
-            if steps is not None:
-                steps.append(step)
-
-        if hits:
             found = []
             for i in hits:
                 root, _, _, converged = _brentq(
@@ -932,9 +907,7 @@ def solve_ivp(
         ycs.append(yc)
 
     nfev += 3 * ndense
-    if steps is None:  # a run not cut short keeps its final step for `sol`
-        steps = [step] if status >= 0 else []
-    return OdeResult(ts, yas, ybs, ycs, status, nfev, ndense, roots, terminal, steps, rec)
+    return OdeResult(ts, yas, ybs, ycs, status, nfev, ndense, roots, terminal, rec)
 
 
 # ---------------------------------------------------------------------------

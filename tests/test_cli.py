@@ -318,6 +318,18 @@ class TestPortrait:
         assert cli.main(["portrait", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: invalid portrait section: unknown mode 'polar'\n"
 
+    @pytest.mark.parametrize("spec, keys", [
+        ({"mdoe": "transformed"}, "['mdoe']"),
+        ({"radius_rho": 0.1, "radius_e": 0.1}, "['radius_e', 'radius_rho']"),
+    ], ids=["mode_misspelt", "fan_radii"])
+    def test_unknown_key_is_usage_error_before_any_arc(self, tmp_path, capsys, monkeypatch,
+                                                       spec, keys):
+        # the fan's radii are fixed, 0.4 rho* and max(0.5 |E*|, 0.05)
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("arc integrated"))
+        cfg = write_config(tmp_path, {"model": model(0.5, 1.5), "portrait": spec})
+        assert cli.main(["portrait", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: unknown portrait options: {keys}\n"
+
 
 # ---------------------------------------------------------------------------
 # sweep command
@@ -442,7 +454,8 @@ class TestSweep:
     @pytest.mark.parametrize("sweep", [
         {"variable": "bConstant", "values": []},
         {"variable": "tau", "values": [1.0, -1.0, 2.0]},
-    ], ids=["no_values", "negative_tau"])
+        {"variable": "tau", "valeus": [1.0, 2.0], "start": 1.0, "stop": 3.0, "count": 3},
+    ], ids=["no_values", "negative_tau", "values_misspelt"])
     def test_bad_value_is_usage_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                          sweep):
         def unreachable(*args, **kwargs):
@@ -578,8 +591,7 @@ class TestRecordSchemas:
 # malformed outside input
 
 
-_CSV = "x,rho,e,regime\n0.0,1.0,0.5,sonic\n1.0,1.0,0.5,sonic\n"
-_CSV3 = "x,rho,e,regime\n0.0,1.0,0.5,sonic\n0.5,1.0,0.5,sonic\n1.0,1.0,0.5,sonic\n"
+_CSV = "x,rho,e,regime\n0.0,1.0,0.5,sonic\n0.5,1.0,0.5,sonic\n1.0,1.0,0.5,sonic\n"
 _JSON = json.dumps({"kind": "sonic", "model": model(2.0, 1.0)})
 
 
@@ -612,10 +624,11 @@ class TestMalformedInput:
         ("verify", (_CSV, _JSON.replace('"sonic"', '"warp"'))),
         ("solve", {"model": {"tau": 15.0, "doping": [1]}, "solver": {"kind": "subsonic"}}),
         ("portrait", {"model": model(15.0, 1.5), "portrait": [1]}),
-        ("verify", (_CSV3, json.dumps({"kind": "sonic", "model": model(2.0, 1.0),
-                                       "residual_norm": "abc"}))),
+        ("verify", (_CSV, json.dumps({"kind": "sonic", "model": model(2.0, 1.0),
+                                      "residual_norm": "abc"}))),
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "values": "123"}}),
+        ("verify", (_CSV.replace("0.5,1.0,0.5,sonic\n", ""), _JSON)),
     ], ids=[
         "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
@@ -624,7 +637,7 @@ class TestMalformedInput:
         "portrait_span_not_a_number",
         "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
         "doping_not_an_object", "portrait_not_an_object", "recorded_residual_not_a_number",
-        "sweep_values_not_a_list",
+        "sweep_values_not_a_list", "csv_two_rows",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):
         if command == "verify":
@@ -678,4 +691,4 @@ class TestMalformedInput:
         (tmp_path / "solution.csv").write_text(_CSV)
         (tmp_path / "solution.json").write_text(_JSON)
         sol, p, _ = cli.reconstruct_solution(tmp_path)
-        assert sol.kind == "sonic" and len(sol.x) == 2 and p.tau == 2.0
+        assert sol.kind == "sonic" and len(sol.x) == 3 and p.tau == 2.0

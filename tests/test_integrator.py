@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import re
@@ -356,9 +357,9 @@ class TestRhoLegRows:
             assert seg.terminator.kind == "sonic_arrival"
             ((args, kwargs, res),) = kernel_calls
             assert args[2] == (1e4 if side == "subsonic" else -1e4)
-            assert not kwargs.get("dense_output") and len(res.steps) == 1  # the end step only
-            dense = integrator.solve_ivp(*args, dense_output=True)
-            assert len(dense.t) == len(dense.steps) + 1  # the start and every step end
+            assert not res.rec  # no step is wider than the spacing: no interpolant
+            dense, steps = _stepped(*args)
+            assert len(dense.t) == len(steps) + 1  # the start and every step end
             assert res.t == dense.t
             rows = list(zip(res.ya, res.yb))
             # the guard 1e-6 short of the line: a root, where the arc goes on
@@ -406,6 +407,40 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(integrator, "solve_ivp", spy)
     return calls
+
+
+# below every step's extent: every step of a run at this spacing is wide,
+# so the run records the interpolant of every step
+_EVERY_STEP = 1e-300
+
+
+def _steps(res):
+    """The `_Step` of each step that run `res` recorded, rebuilt from its
+    wide-step records, whose t_old, h, y_old, y_new and stage rates are
+    what `_dense` takes."""
+    r = res.rec.tolist()
+    steps = []
+    for k in range(0, len(r), integrator._REC):
+        t_old, h, y0, y1, rates = r[k + 1], r[k + 2], r[k + 3:k + 6], r[k + 6:k + 9], r[k + 9:k + 45]
+        f = tuple(integrator._dense(h, y0[c], y1[c], *rates[c::3]) for c in range(3))
+        steps.append(integrator._Step(t_old, h, tuple(y0), f))
+    return steps
+
+
+def _stepped(*args):
+    """The run ``solve_ivp(*args)`` with every step recorded, and its steps."""
+    res = integrator.solve_ivp(*args, spacing=_EVERY_STEP)
+    steps = _steps(res)
+    assert len(steps) == len(res.t) - 1
+    return res, steps
+
+
+def _read(steps, ts):
+    """The states (a, b, c) at each of ts, read off the last of `steps`
+    that starts before it (the first step, for a t before every start)."""
+    d = math.copysign(1.0, steps[0].h)
+    starts = [d * s.t_old for s in steps]
+    return [steps[max(bisect.bisect_left(starts, d * t) - 1, 0)](t) for t in ts]
 
 
 def _rows(res, spacing):
@@ -579,9 +614,9 @@ class TestKernelMatchesDOP853:
                 1e-9, 1e-11, 1.0, [])
         res = integrator.solve_ivp(*args)
         accepted = len(res.t) - 1
-        assert res.ndense == 1  # the final step's, kept for `sol`
-        assert res.nfev > 2 + 12 * accepted + 3  # some trial steps were rejected
-        assert (res.nfev - 2 - 3) % 12 == 0  # 12 evaluations per trial step
+        assert res.ndense == 0  # no step has an event root or is wide: none is read
+        assert res.nfev > 2 + 12 * accepted  # some trial steps were rejected
+        assert (res.nfev - 2) % 12 == 0  # 12 evaluations per trial step
         _assert_matches_dop853((args, {}, res))
         assert res.ya[-1] == pytest.approx(math.tanh(50.0), abs=1e-8)
 
@@ -755,7 +790,7 @@ def _unleveled(watches):
 def _screened_as_full(fun, t0, t1, y0, watches):
     """The run with the level screen, after asserting it equals the one without."""
     screened, full = (
-        integrator.solve_ivp(fun, t0, t1, y0, 1e-9, 1e-11, 0.1, ws, dense_output=True)
+        integrator.solve_ivp(fun, t0, t1, y0, 1e-9, 1e-11, 0.1, ws, spacing=_EVERY_STEP)
         for ws in (watches, _unleveled(watches))
     )
     for res in (screened, full):
@@ -770,10 +805,10 @@ def _screened_as_full(fun, t0, t1, y0, watches):
     return screened
 
 
-def _step_of(res, t):
-    """Index of the accepted step whose span holds t."""
+def _step_of(steps, t):
+    """Index of the step of `steps` whose span holds t."""
     return next(
-        k for k, s in enumerate(res.steps)
+        k for k, s in enumerate(steps)
         if min(s.t_old, s.t_old + s.h) <= t <= max(s.t_old, s.t_old + s.h)
     )
 
@@ -785,11 +820,8 @@ class TestKernelEvents:
         t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
         first, second = (0.5, 0.5 + 1e-6) if forward else (0.5 + 1e-6, 0.5)
         watches = [_watch(second), _watch(first)]
-        res = integrator.solve_ivp(
-            _unit_drift, t0, t1, (t0, 0.0, 0.0), 1e-9, 1e-11, 1.0, watches,
-            dense_output=True,
-        )
-        assert _step_of(res, first) is _step_of(res, second)
+        res, steps = _stepped(_unit_drift, t0, t1, (t0, 0.0, 0.0), 1e-9, 1e-11, 1.0, watches)
+        assert _step_of(steps, first) is _step_of(steps, second)
         assert res.status == 1 and res.terminal == 1
         assert [i for i, *_ in res.roots] == [1]
         assert res.t[-1] == pytest.approx(first, abs=1e-12)
@@ -814,11 +846,8 @@ class TestKernelEvents:
             _watch(0.6),
             _watch(0.6 + 1e-9, terminal=False),  # past the stop: dropped
         ]
-        res = integrator.solve_ivp(
-            _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, watches,
-            dense_output=True,
-        )
-        assert _step_of(res, 0.6) is _step_of(res, 0.6 + 1e-9)
+        res, steps = _stepped(_unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, watches)
+        assert _step_of(steps, 0.6) is _step_of(steps, 0.6 + 1e-9)
         assert res.status == 1 and res.terminal == 1
         assert [i for i, *_ in res.roots] == [0, 1]
         assert res.roots[0][1] == pytest.approx(0.3, abs=1e-12)
@@ -831,7 +860,7 @@ class TestKernelEvents:
         screened, full = [], []
         res = integrator.solve_ivp(
             _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 0.1,
-            [_level(0, 0.6, calls=screened)], dense_output=True,
+            [_level(0, 0.6, calls=screened)],
         )
         unscreened = integrator.solve_ivp(
             _unit_drift, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 0.1,
@@ -841,8 +870,8 @@ class TestKernelEvents:
         # search; screened, at the start and on the step that leaves the
         # cell only: none of the steps before is evaluated, and the root
         # search reads component 0 off the interpolant, to the same root
-        assert res.status == 1 and len(res.steps) > 3
-        n = len(res.steps)
+        n = len(res.t) - 1  # the accepted steps
+        assert res.status == 1 and n > 3
         assert full[:n] == res.t[:n] and len(full) > n + 1  # step ends, then the search
         assert screened == [full[0], full[n]]
         assert res.roots == unscreened.roots and res.t == unscreened.t
@@ -877,7 +906,8 @@ class TestKernelEvents:
             _level(0, 0.9 if forward else 0.1),
         ]
         res = _screened_as_full(_unit_drift, t0, t1, (t0, 0.0, 0.0), watches)
-        assert _step_of(res, 0.5) is _step_of(res, 0.5 + 1e-6)
+        steps = _steps(res)
+        assert _step_of(steps, 0.5) is _step_of(steps, 0.5 + 1e-6)
         assert [i for i, *_ in res.roots] == ([1, 0, 2] if forward else [0, 1, 2])
 
     def test_level_on_the_second_component(self):
@@ -1010,10 +1040,10 @@ def _recursive_rows(args, spacing):
     """The rows of ``solve_ivp(*args, spacing=spacing)`` read by `_fill` off
     the steps of the same run without a spacing; the count of step ends; the
     start rows of the parts cut again."""
-    plain = integrator.solve_ivp(*args, dense_output=True)
+    plain, steps = _stepped(*args)
     ends = list(zip(plain.t, plain.ya, plain.yb, plain.yc))
     rows, refined = [ends[0]], []
-    for step, (t0, a0, b0, _), end in zip(plain.steps, ends, ends[1:]):
+    for step, (t0, a0, b0, _), end in zip(steps, ends, ends[1:]):
         if _gap((a0, b0), end[1:]) > spacing:
             _fill(step, t0, (a0, b0), end[0], end[1:3], spacing, rows, refined)
         rows.append(end)
@@ -1028,7 +1058,7 @@ class TestKernelSampling:
         t0, t1 = (0.0, 3.0) if forward else (3.0, 0.0)
         res = integrator.solve_ivp(
             _drift_wave, t0, t1, (t0, math.cos(t0), -math.sin(t0)), 1e-9, 1e-11, 1.0,
-            list(watches), dense_output=True, spacing=spacing,
+            list(watches), spacing=spacing,
         )
         return res, _rows(res, spacing)
 
@@ -1036,8 +1066,10 @@ class TestKernelSampling:
     def test_step_ends_stay_rows(self, forward):
         uncapped, _ = self.run(forward)
         sampled, (ts, yas, ybs, ycs) = self.run(forward, self.spacing)
-        assert max(abs(s.h) for s in uncapped.steps) > 4 * self.spacing
-        assert sampled.nfev == uncapped.nfev
+        assert np.abs(np.diff(uncapped.t)).max() > 4 * self.spacing
+        # the same trial steps; the sampled run builds the interpolants of
+        # its wide steps too
+        assert sampled.nfev - 3 * sampled.ndense == uncapped.nfev - 3 * uncapped.ndense
         # the run holds its step ends, the rows hold them too
         ends = (uncapped.t, uncapped.ya, uncapped.yb, uncapped.yc)
         assert (sampled.t, sampled.ya, sampled.yb, sampled.yc) == ends
@@ -1048,10 +1080,11 @@ class TestKernelSampling:
     @pytest.mark.parametrize("forward", [True, False])
     def test_inner_samples_come_from_the_interpolant(self, forward):
         sampled, (ts, yas, ybs, ycs) = self.run(forward, self.spacing)
-        ends = {sampled.steps[0].t_old} | {s.t_old + s.h for s in sampled.steps}
+        ends = set(sampled.t)
         inner = [k for k, t in enumerate(ts) if t not in ends]
-        assert len(inner) > len(sampled.steps)
-        dense = sampled.sol([ts[k] for k in inner])
+        assert len(inner) > len(sampled.t) - 1  # more inner rows than steps
+        # each is read off the recorded wide step whose span holds it
+        dense = _read(_steps(sampled), [ts[k] for k in inner])
         assert [(yas[k], ybs[k], ycs[k]) for k in inner] == dense
 
     @pytest.mark.parametrize("forward", [True, False])
@@ -1157,11 +1190,8 @@ class TestKernelJumps:
 
     def test_without_breaks_a_step_spans_the_jump(self):
         # the kernel knows no jumps: a field that jumps in t is stepped across
-        res = integrator.solve_ivp(
-            _jump_at_half, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, [],
-            dense_output=True,
-        )
-        assert any(s.t_old < 0.5 < s.t_old + s.h for s in res.steps)
+        _, steps = _stepped(_jump_at_half, 0.0, 1.0, (0.0, 0.0, 0.0), 1e-9, 1e-11, 1.0, [])
+        assert any(s.t_old < 0.5 < s.t_old + s.h for s in steps)
 
     def test_x_leg_passes_the_doping_jumps(self, kernel_calls):
         seg = integrate(State(0.0, 1.3, 0.2), "forward", [DomainEnd(0.5)], self.p)

@@ -48,6 +48,7 @@ from sonic_flow.integrator import DomainEnd, IntegratorConfig, TargetDensity, in
 from sonic_flow.model_core import node_slow_manifold
 from sonic_flow.solvers import (
     _landing_x,
+    _polish,
     _shock_shot,
     _shoot,
     _shoot_polish_land,
@@ -720,6 +721,56 @@ class TestShootDriver:
         assert calls == [2.0, 0.1, math.sqrt(0.2), math.sqrt(math.sqrt(0.2) * 2.0), root]
         assert 1.0 <= root <= 1.5 and shots == 5
         assert _slope(memo, root) is None
+
+    def test_split_on_a_bracket_end_is_a_divergence(self):
+        # a sentinel beside a real end one ulp away: the split rounds onto
+        # an end, so the bracket cannot shrink, and the residual jumps there
+        hi = math.nextafter(1.0, 2.0)
+        shot, calls = self.recorded(lambda v: 1.0 if v >= hi else -10.0)
+        with pytest.raises(ShootingDivergence, match="jumps") as err:
+            _shoot(shot, 1.0, hi, None, None, 1e-16)
+        assert calls == [hi, 1.0]
+        assert err.value.diagnostics == {
+            "bracket": [1.0, hi], "residuals": [-10.0, 1.0], "shots": 2,
+        }
+
+    def test_brent_without_convergence_is_a_divergence(self, monkeypatch):
+        # a bracket of real ends that Brent's method may not close in time
+        monkeypatch.setattr(sonic_flow.integrator, "_BRENT_MAXITER", 2)
+        shot, calls = self.recorded(lambda v: math.atan(v - 1.3))
+        with pytest.raises(ShootingDivergence, match="did not converge") as err:
+            _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+        assert len(calls) == 4  # the two ends and one shot per iteration
+        assert err.value.diagnostics == {
+            "bracket": [0.0, 2.0], "residuals": [math.atan(-1.3), math.atan(0.7)], "shots": 4,
+        }
+
+    @staticmethod
+    def polished(residual, v, slope, lands=lambda v: True):
+        """`_polish` of a fine shot with ``residual``, whose data is None
+        where ``lands`` is false; its result and the launch values shot."""
+        calls = []
+
+        def shot_fine(u):
+            calls.append(u)
+            return residual(u), ("data" if lands(u) else None)
+
+        return _polish(shot_fine, v, slope), calls
+
+    def test_polish_secant_steps_after_the_newton_step(self):
+        # a slope twice the true one: the Newton step goes half way, and the
+        # secant through both shots lands
+        got, calls = self.polished(lambda u: u - 1.0, 2.0, 2.0)
+        assert calls == [2.0, 1.5, 1.0] and got == (1.0, 0.0, "data")
+
+    def test_polish_stops_where_the_secant_is_flat(self):
+        got, calls = self.polished(lambda u: 0.5, 2.0, 1.0)
+        assert calls == [2.0, 1.5] and got == (1.5, 0.5, "data")
+
+    def test_polish_keeps_the_last_shot_with_data(self):
+        # the secant step leaves the launch domain: its shot has no data
+        got, calls = self.polished(lambda u: u - 1.0, 2.0, 2.0, lands=lambda u: u > 1.2)
+        assert calls == [2.0, 1.5, 1.0] and got == (1.5, 0.5, "data")
 
     def test_polish_starts_from_the_newton_prediction(self, monkeypatch):
         started = []
