@@ -320,10 +320,14 @@ def _portrait_spec(p: ModelParams, spec: dict):
         if mode not in ("primal", "transformed"):
             raise ValueError(f"unknown mode {mode!r}")
         span = float(spec.get("span", 4.0))
+        if not 0.0 < span < math.inf:  # NaN included
+            raise ValueError(f"span must be positive and finite, not {span!r}")
         if "launches" in spec:
             return mode, span, [(float(r), float(e)) for r, e in spec["launches"]]
         a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
         count = int(spec.get("count", 12))
+        if count < 1:
+            raise ValueError(f"count must be positive, not {count}")
     except _MALFORMED as exc:
         raise UsageError(f"invalid portrait section: {exc}") from exc
     radius_rho, radius_e = 0.4 * a_rho, max(0.5 * abs(a_e), 0.05)
@@ -410,13 +414,28 @@ def _sweep_sample(cfg: dict, variable: str, value: float):
     return (p, *_checked_solve_call(solver, integrator_from_config(local)))
 
 
-def _sweep_solve(p, solve, args, kwargs, previous: Solution | None) -> Solution:
-    """One sample, continued from the previous sample's relaxation levels
-    where it has some (an elliptic solve); a continued solve that fails is
-    re-solved cold."""
-    if previous is not None and previous.levels is not None:
+def _sweep_start(older: Solution | None, previous: Solution | None, values) -> Solution | None:
+    """The start of a continued sample at values[-1]: the secant prediction
+    u1 + w (u1 - u0) of the relaxation levels of the two samples before,
+    where both succeeded, else the previous sample; None where that has no
+    levels (it failed, or is no elliptic solve)."""
+    if previous is None or previous.levels is None:
+        return None
+    if older is None or values[-2] == values[-3]:
+        return previous
+    w = (values[-1] - values[-2]) / (values[-2] - values[-3])
+    return replace(previous, levels=tuple(
+        None if u0 is None or u1 is None else u1 + w * (u1 - u0)
+        for u0, u1 in zip(older.levels, previous.levels)
+    ))
+
+
+def _sweep_solve(p, solve, args, kwargs, start: Solution | None) -> Solution:
+    """One sample, continued from `start` where there is one; a continued
+    solve that fails is re-solved cold."""
+    if start is not None:
         try:
-            return solve(p, *args, start=previous, **kwargs)
+            return solve(p, *args, start=start, **kwargs)
         except SonicFlowError:
             pass
     return solve(p, *args, **kwargs)
@@ -451,12 +470,14 @@ def run_sweep(cfg: dict, out_dir: Path) -> int:
     values = _sweep_values(spec)
     # every sample's config is checked before the first solve
     samples = [_sweep_sample(cfg, variable, v) for v in values]
-    # serial: each elliptic sample starts from the one before, and a failed
+    # serial: each elliptic sample starts from the ones before, and a failed
     # sample leaves the next to start cold
-    rows, previous = [], None
-    for p, solve, args, kwargs in samples:
+    rows, older, previous = [], None, None
+    for k, (p, solve, args, kwargs) in enumerate(samples):
+        start = _sweep_start(older, previous, values[max(k - 2, 0):k + 1])
+        older = previous
         try:
-            previous = _sweep_solve(p, solve, args, kwargs, previous)
+            previous = _sweep_solve(p, solve, args, kwargs, start)
         except SonicFlowError as exc:  # only a RegimeError names a theorem
             previous = None
             rows.append({"success": False, "error": type(exc).__name__,

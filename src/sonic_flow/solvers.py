@@ -574,16 +574,23 @@ def solve_subsonic_elliptic(
 
     Each level starts from the sine guess, or, given `start` (the solution of
     a neighbouring problem on the same schedule), from that solution's
-    converged profile at the same j: natural-parameter continuation.  The
-    returned solution carries its own level profiles in `levels`.
+    converged profile at the same j: natural-parameter continuation.  A
+    continued solve converges only the last three levels, the ones the
+    extrapolation and its gap read; `start` must hold profiles for them.
+    The returned solution carries its converged profiles in `levels`, None
+    for each level skipped, and `newton_iterations` one count per level
+    solved.
     """
     # the one scipy call at run time; imported here, out of every other solve
     from scipy.linalg.lapack import dgtsv
 
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
+    first = 0 if start is None else len(js) - 3
     if start is not None and (
-        getattr(start, "levels", None) is None or start.diagnostics["j_schedule"] != list(js)
+        getattr(start, "levels", None) is None
+        or start.diagnostics["j_schedule"] != list(js)
+        or any(u is None for u in start.levels[first:])
     ):
         raise ValueError("start must be an elliptic solution on the same j_schedule")
 
@@ -595,9 +602,9 @@ def solve_subsonic_elliptic(
     u = 1.0 + 0.5 * np.clip(bx - 1.0, 0.0, None) * np.sin(np.pi * x)
     u[0] = u[-1] = 1.0
 
-    profiles, fields, newton_iters = [], [], []
+    profiles, fields, newton_iters = [None] * first, [], []
     eps = np.finfo(float).eps
-    for k, j in enumerate(js):
+    for k, j in enumerate(js[first:], first):
         if start is not None:
             u = start.levels[k]  # never written in place: iterates are copies
         # an accepted trial's residual bundle serves the next iterate

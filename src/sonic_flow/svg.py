@@ -69,7 +69,10 @@ class Frame:
 
     def polyline(self, xs, ys, stroke: str, stroke_width: float = 1.5) -> str:
         xs, ys = _decimate(np.asarray(xs, float), np.asarray(ys, float))
-        pts = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in zip(xs, ys))
+        # px and py map whole arrays with the operations they apply to one point
+        pts = " ".join(
+            f"{x:.2f},{y:.2f}" for x, y in zip(self.px(xs).tolist(), self.py(ys).tolist())
+        )
         return (
             f'<polyline fill="none" stroke="{stroke}" '
             f'stroke-width="{stroke_width:g}" points="{pts}"/>'

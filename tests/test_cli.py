@@ -318,6 +318,28 @@ class TestPortrait:
         assert cli.main(["portrait", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: invalid portrait section: unknown mode 'polar'\n"
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"count": 0}, "count must be positive, not 0"),
+        ({"count": -3}, "count must be positive, not -3"),
+        ({"span": 0}, "span must be positive and finite, not 0.0"),
+        ({"span": -1}, "span must be positive and finite, not -1.0"),
+        ({"span": math.nan}, "span must be positive and finite, not nan"),
+        ({"span": math.inf}, "span must be positive and finite, not inf"),
+        ({"span": -1, "launches": [[1.2, 0.1]]}, "span must be positive and finite, not -1.0"),
+        ({"count": math.nan}, "cannot convert float NaN to integer"),
+    ], ids=["count_zero", "count_negative", "span_zero", "span_negative", "span_nan",
+            "span_inf", "span_negative_with_launches", "count_nan"])
+    def test_count_or_span_not_positive_is_usage_error_before_any_arc(
+            self, tmp_path, capsys, monkeypatch, spec, message):
+        # "count": 0 once wrote a header-only portrait.csv, and "span": -1
+        # let every arc run to its own stops; both exited 0
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("arc integrated"))
+        cfg = write_config(tmp_path, {"model": model(0.5, 1.5), "portrait": spec})
+        out = tmp_path / "o"
+        assert cli.main(["portrait", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid portrait section: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, keys", [
         ({"mdoe": "transformed"}, "['mdoe']"),
         ({"radius_rho": 0.1, "radius_e": 0.1}, "['radius_e', 'radius_rho']"),
@@ -333,6 +355,25 @@ class TestPortrait:
 
 # ---------------------------------------------------------------------------
 # sweep command
+
+
+def _replay_continued_sweep(rows, params):
+    """Every row of an elliptic sweep, solved again as the sweep solves it:
+    cold, then from the sample before, then from the secant prediction of the
+    two before; each stays within roundoff of a cold solve of its value."""
+    older = previous = None
+    values = [float(row[2]) for row in rows]
+    for k, row in enumerate(rows):
+        assert row[3:5] == ["true", "subsonic"]
+        p = params(values[k])
+        cold = solve_subsonic_elliptic(p)
+        start = cli._sweep_start(older, previous, values[max(k - 2, 0):k + 1])
+        assert (start is None) == (k == 0)
+        sol = cold if start is None else solve_subsonic_elliptic(p, start=start)
+        assert float(row[10]) == residual_norm(sol, p)[0]
+        assert abs(float(row[10]) - residual_norm(cold, p)[0]) <= 1e-9
+        assert np.abs(sol.rho - cold.rho).max() <= 1e-10
+        older, previous = previous, sol
 
 
 class TestSweep:
@@ -404,22 +445,53 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert len(rows) == 16
-        previous = None
-        for row in rows:
-            assert row[3:5] == ["true", "subsonic"]
-            p = ModelParams(tau=2.0, doping=DopingProfile.constant(float(row[2])))
-            cold = solve_subsonic_elliptic(p)
-            if previous is None:  # the first sample starts cold
-                assert float(row[10]) == residual_norm(cold, p)[0]
-                previous = cold
-                continue
-            # every later one continues from the sample before, and stays
-            # within roundoff of a cold solve
-            sol = solve_subsonic_elliptic(p, start=previous)
-            assert float(row[10]) == residual_norm(sol, p)[0]
-            assert abs(float(row[10]) - residual_norm(cold, p)[0]) <= 1e-9
-            assert np.abs(sol.rho - cold.rho).max() <= 1e-10
-            previous = sol
+        _replay_continued_sweep(
+            rows, lambda v: ModelParams(tau=2.0, doping=DopingProfile.constant(v))
+        )
+
+    def test_elliptic_uneven_tau_sweep_follows_the_secant(self, tmp_path):
+        # uneven steps weight the secant prediction by w != 1, on sine doping
+        # at gamma 1.4
+        values = [0.5, 0.6, 0.9, 1.0, 1.6, 4.0, 4.5]
+        doping = {"type": "sine", "base": 1.5, "amplitude": 0.2}
+        cfg = write_config(tmp_path, {
+            "model": {"tau": 1.0, "gamma": 1.4, "doping": doping},
+            "solver": {"kind": "subsonic", "method": "elliptic"},
+            "sweep": {"variable": "tau", "values": values},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [float(r[2]) for r in rows] == values
+        _replay_continued_sweep(rows, lambda v: ModelParams(
+            tau=v, doping=DopingProfile.from_dict(doping), gamma=1.4))
+
+    def test_secant_start(self):
+        # u1 + w (u1 - u0) level by level, w from the sweep values; a level
+        # either sample skipped stays None
+        p = lambda b: ModelParams(tau=2.0, doping=DopingProfile.constant(b))
+        cold = solve_subsonic_elliptic(p(1.2))
+        older = solve_subsonic_elliptic(p(1.3), start=cold)
+        previous = solve_subsonic_elliptic(p(1.35), start=older)
+        start = cli._sweep_start(older, previous, [1.3, 1.35, 1.5])
+        w = (1.5 - 1.35) / (1.35 - 1.3)
+        assert start.levels[:2] == (None, None)
+        for u0, u1, u in zip(older.levels[2:], previous.levels[2:], start.levels[2:]):
+            assert np.array_equal(u, u1 + w * (u1 - u0))
+        assert start.diagnostics == previous.diagnostics
+        assert np.array_equal(start.rho, previous.rho)
+        # after a cold retry, the levels the older sample skipped stay None
+        retry = solve_subsonic_elliptic(p(1.35))
+        assert cli._sweep_start(older, retry, [1.3, 1.35, 1.5]).levels[:2] == (None, None)
+        # one sample before, or two at one value: the previous sample itself
+        assert cli._sweep_start(None, previous, [1.35, 1.5]) is previous
+        assert cli._sweep_start(older, previous, [1.35, 1.35, 1.5]) is previous
+        # after a failure, or a solve without levels: cold
+        assert cli._sweep_start(older, None, [1.3, 1.35, 1.5]) is None
+        shooting = cli.solve_subsonic_shooting(
+            ModelParams(tau=15.0, doping=DopingProfile.constant(1.5))
+        )
+        assert cli._sweep_start(None, shooting, [1.3, 1.5]) is None
 
     def test_failed_continuation_is_solved_cold(self, tmp_path, monkeypatch):
         # only the continued attempt at b = 1.3 fails; its row is the cold
@@ -448,8 +520,11 @@ class TestSweep:
         p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.3))
         retry = solve_subsonic_elliptic(p)
         assert float(rows[1][10]) == residual_norm(retry, p)[0]
+        # the next sample starts from the secant of the first sample and the retry
+        first = solve_subsonic_elliptic(ModelParams(tau=2.0, doping=DopingProfile.constant(1.2)))
+        start = cli._sweep_start(first, retry, [1.2, 1.3, 1.4])
         p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.4))
-        assert float(rows[2][10]) == residual_norm(solve_subsonic_elliptic(p, start=retry), p)[0]
+        assert float(rows[2][10]) == residual_norm(solve_subsonic_elliptic(p, start=start), p)[0]
 
     @pytest.mark.parametrize("sweep", [
         {"variable": "bConstant", "values": []},
