@@ -29,6 +29,7 @@ from .model_core import (
     ModelParams,
     ShockData,
     State,
+    as_number,
     critical_point_analysis,
     regime,
 )
@@ -108,9 +109,9 @@ def model_from_config(cfg: dict) -> ModelParams:
     try:
         doping = DopingProfile.from_dict(doping_spec)
         return ModelParams(
-            tau=float(_require(model, "tau", "model")),
+            tau=as_number(_require(model, "tau", "model")),
             doping=doping,
-            gamma=float(model.get("gamma", 1.0)),
+            gamma=as_number(model.get("gamma", 1.0)),
         )
     except _MALFORMED as exc:
         raise UsageError(f"invalid model section: {exc}") from exc
@@ -124,7 +125,7 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
     spec = cfg.get("integrator", {})
     _check_keys(spec, _INTEGRATOR_KEYS, "integrator")
     try:
-        values = {k: float(v) for k, v in spec.items()}
+        values = {k: as_number(v) for k, v in spec.items()}
         if not all(map(math.isfinite, values.values())):  # solution.json echoes them
             raise ValueError("integrator values must be finite")
         return IntegratorConfig(**values)
@@ -172,9 +173,9 @@ def _solve_call(solver: dict, icfg: IntegratorConfig):
     if kind == "supersonic":
         return solve_supersonic, (), {"cfg": icfg}
     if kind == "transonic_shock":
-        rho_l = float(_require(solver, "rho_l", "solver"))
+        rho_l = as_number(_require(solver, "rho_l", "solver"))
         return solve_transonic_shock, (rho_l,), {"cfg": icfg}
-    rho_x0 = float(_require(solver, "x0", "solver"))
+    rho_x0 = as_number(_require(solver, "x0", "solver"))
     return solve_c1_transonic, (rho_x0,), {"cfg": icfg}
 
 
@@ -269,9 +270,9 @@ def reconstruct_solution(out_dir: Path):
         )
         m = meta["model"]
         p = ModelParams(
-            tau=float(m["tau"]),
+            tau=as_number(m["tau"]),
             doping=DopingProfile.from_dict(m["doping"]),
-            gamma=float(m.get("gamma", 1.0)),
+            gamma=as_number(m.get("gamma", 1.0)),
         )
     except _MALFORMED as exc:
         raise UsageError(f"malformed solution artifacts in {out_dir}: {exc}") from exc
@@ -312,6 +313,14 @@ def run_classify(cfg: dict, out_dir: Path) -> int:
 _PORTRAIT_KEYS = ("mode", "span", "count", "launches")
 
 
+def _count(value) -> int:
+    """A portrait or sweep count: a whole number; ValueError otherwise."""
+    n = as_number(value)
+    if not n.is_integer():  # NaN and infinity included
+        raise ValueError(f"count must be a whole number, not {value!r}")
+    return int(n)
+
+
 def _portrait_spec(p: ModelParams, spec: dict):
     """Mode, span and launches: a fan around the critical point unless given explicitly."""
     _check_keys(spec, _PORTRAIT_KEYS, "portrait")
@@ -319,13 +328,13 @@ def _portrait_spec(p: ModelParams, spec: dict):
         mode = spec.get("mode", "primal")
         if mode not in ("primal", "transformed"):
             raise ValueError(f"unknown mode {mode!r}")
-        span = float(spec.get("span", 4.0))
+        span = as_number(spec.get("span", 4.0))
         if not 0.0 < span < math.inf:  # NaN included
             raise ValueError(f"span must be positive and finite, not {span!r}")
         if "launches" in spec:
-            return mode, span, [(float(r), float(e)) for r, e in spec["launches"]]
+            return mode, span, [(as_number(r), as_number(e)) for r, e in spec["launches"]]
         a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
-        count = int(spec.get("count", 12))
+        count = _count(spec.get("count", 12))
         if count < 1:
             raise ValueError(f"count must be positive, not {count}")
     except _MALFORMED as exc:
@@ -381,13 +390,13 @@ def _sweep_values(spec: dict) -> list[float]:
         if "values" in spec:
             if not isinstance(spec["values"], list):
                 raise UsageError("sweep values must be a list")
-            values = [float(v) for v in spec["values"]]
+            values = [as_number(v) for v in spec["values"]]
             if not values:
                 raise UsageError("sweep values must not be empty")
             return values
-        start = float(_require(spec, "start", "sweep"))
-        stop = float(_require(spec, "stop", "sweep"))
-        count = int(_require(spec, "count", "sweep"))
+        start = as_number(_require(spec, "start", "sweep"))
+        stop = as_number(_require(spec, "stop", "sweep"))
+        count = _count(_require(spec, "count", "sweep"))
     except _MALFORMED as exc:
         raise UsageError(f"invalid sweep section: {exc}") from exc
     if count < 1:
@@ -425,8 +434,7 @@ def _sweep_start(older: Solution | None, previous: Solution | None, values) -> S
         return previous
     w = (values[-1] - values[-2]) / (values[-2] - values[-3])
     return replace(previous, levels=tuple(
-        None if u0 is None or u1 is None else u1 + w * (u1 - u0)
-        for u0, u1 in zip(older.levels, previous.levels)
+        u1 + w * (u1 - u0) for u0, u1 in zip(older.levels, previous.levels)
     ))
 
 
@@ -441,22 +449,15 @@ def _sweep_solve(p, solve, args, kwargs, start: Solution | None) -> Solution:
     return solve(p, *args, **kwargs)
 
 
-def _sweep_row(sol: Solution, p: ModelParams) -> dict:
-    residual, _ = residual_norm(sol, p)
-    row = {
-        "success": True,
-        "kind": sol.kind,
-        "residual": float(residual),
-        "x0": "",
-        "rho_l": "",
-        "rho_r": "",
-        "e_jump": "",
-        "slope": "",
-    }
-    for record in (sol.shock, sol.transition):
-        if record is not None:
-            row.update(asdict(record))
-    return row
+def _sweep_cells(sol: Solution, p: ModelParams) -> str:
+    """The kind, record and residual cells of a solved sample's row."""
+    record = {}
+    for rec in (sol.shock, sol.transition):
+        if rec is not None:
+            record.update(asdict(rec))
+    nums = [record.get(k, "") for k in ("x0", "rho_l", "rho_r", "e_jump", "slope")]
+    nums.append(residual_norm(sol, p)[0])
+    return ",".join([sol.kind] + ["" if v == "" else repr(float(v)) for v in nums])
 
 
 def run_sweep(cfg: dict, out_dir: Path) -> int:
@@ -470,9 +471,13 @@ def run_sweep(cfg: dict, out_dir: Path) -> int:
     values = _sweep_values(spec)
     # every sample's config is checked before the first solve
     samples = [_sweep_sample(cfg, variable, v) for v in values]
+    lines = [
+        "index,variable,value,success,kind,x0,rho_l,rho_r,e_jump,slope,"
+        "residual,error,theorem,message"
+    ]
     # serial: each elliptic sample starts from the ones before, and a failed
     # sample leaves the next to start cold
-    rows, older, previous = [], None, None
+    older = previous = None
     for k, (p, solve, args, kwargs) in enumerate(samples):
         start = _sweep_start(older, previous, values[max(k - 2, 0):k + 1])
         older = previous
@@ -480,38 +485,15 @@ def run_sweep(cfg: dict, out_dir: Path) -> int:
             previous = _sweep_solve(p, solve, args, kwargs, start)
         except SonicFlowError as exc:  # only a RegimeError names a theorem
             previous = None
-            rows.append({"success": False, "error": type(exc).__name__,
-                         "theorem": getattr(exc, "theorem_ref", None) or "",
-                         "message": str(exc)})
+            theorem = getattr(exc, "theorem_ref", None) or ""
+            msg = str(exc).replace(",", ";").replace("\n", " ")
+            cells = f"false,,,,,,,,{type(exc).__name__},{theorem},{msg}"
         else:
-            rows.append(_sweep_row(previous, p))
-
-    header = (
-        "index,variable,value,success,kind,x0,rho_l,rho_r,e_jump,slope,"
-        "residual,error,theorem,message"
-    )
-    lines = [header]
-    for i, (value, row) in enumerate(zip(values, rows)):
-        if row["success"]:
-            lines.append(
-                f"{i},{variable},{value!r},true,{row['kind']},"
-                f"{_csv_num(row['x0'])},{_csv_num(row['rho_l'])},"
-                f"{_csv_num(row['rho_r'])},{_csv_num(row['e_jump'])},"
-                f"{_csv_num(row['slope'])},{row['residual']!r},,,"
-            )
-        else:
-            msg = row["message"].replace(",", ";").replace("\n", " ")
-            lines.append(
-                f"{i},{variable},{value!r},false,,,,,,,,"
-                f"{row['error']},{row['theorem']},{msg}"
-            )
+            cells = f"true,{_sweep_cells(previous, p)},,,"
+        lines.append(f"{k},{variable},{values[k]!r},{cells}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _csv_num(v) -> str:
-    return "" if v == "" else repr(float(v))
 
 
 def run_verify(cfg: dict, out_dir: Path) -> int:
@@ -519,7 +501,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
     residual, location = residual_norm(sol, p)
     recorded = meta.get("residual_norm")
     try:  # a recorded null is no usage error: it has no gap, so it exits 3
-        gap = abs(residual - recorded) if recorded is not None else math.inf
+        gap = abs(residual - as_number(recorded)) if recorded is not None else math.inf
     except _MALFORMED as exc:
         raise UsageError(f"malformed residual_norm in {out_dir}: {exc}") from exc
     checks = {

@@ -20,6 +20,7 @@ which C^1 transitions land.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,8 +43,16 @@ SONIC_DOPING_TOL = 1e-12
 # doping profiles
 
 
+def as_number(value) -> float:
+    """`value` as a float; TypeError unless it is a real number (a bool or a
+    numeric string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 def _finite(values) -> list[float]:
-    values = [float(v) for v in values]
+    values = [as_number(v) for v in values]
     if not all(math.isfinite(v) for v in values):
         raise ValueError("doping parameters must be finite")
     return values

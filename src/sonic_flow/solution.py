@@ -40,9 +40,8 @@ class Solution:
     `x` is strictly increasing except for a single duplicated abscissa at a
     shock, where the two rows carry the pre- and post-jump states.  The
     boundary densities must equal 1 within BOUNDARY_TOL.  `levels` holds an
-    elliptic solve's converged profile at each relaxation current it solved,
-    None at each it skipped, the start of a neighbouring solve; no artifact
-    writer serializes it.
+    elliptic solve's converged profiles at its last two relaxation currents,
+    the start of a neighbouring solve; no artifact writer serializes it.
     """
 
     kind: str
@@ -52,7 +51,7 @@ class Solution:
     shock: ShockData | None = None
     transition: TransitionData | None = None
     diagnostics: dict = field(default_factory=dict)
-    levels: tuple[np.ndarray | None, ...] | None = field(default=None, repr=False, compare=False)
+    levels: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SOLUTION_KINDS:

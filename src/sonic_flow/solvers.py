@@ -40,6 +40,7 @@ from .model_core import (
     ModelParams,
     ShockData,
     State,
+    as_number,
     rh_jump,
     supersonic_min_density_bracket,
     tau0_bound,
@@ -539,12 +540,11 @@ def _elliptic_residual(u, h, cell, bx, j, p):
 
 def _j_schedule(j_schedule) -> tuple[float, ...]:
     """The relaxation currents as floats; ValueError unless they suit the solve."""
-    js = tuple(float(j) for j in j_schedule)
-    if len(js) < 3 or any(not 0.0 < j < 1.0 for j in js) or any(
+    js = tuple(as_number(j) for j in j_schedule)
+    if len(js) < 2 or any(not 0.0 < j < 1.0 for j in js) or any(
         b <= a for a, b in zip(js, js[1:])
     ):
-        # three levels minimum: the extrapolation-gap diagnostic compares two
-        # consecutive Richardson pairs
+        # two levels minimum: the Richardson pair
         raise ValueError("j_schedule must be strictly increasing inside (0, 1)")
     if js[-1] < 1.0 - 1e-4:
         raise ValueError("j_schedule must approach the sonic current: last j >= 0.9999")
@@ -575,22 +575,21 @@ def solve_subsonic_elliptic(
     Each level starts from the sine guess, or, given `start` (the solution of
     a neighbouring problem on the same schedule), from that solution's
     converged profile at the same j: natural-parameter continuation.  A
-    continued solve converges only the last three levels, the ones the
-    extrapolation and its gap read; `start` must hold profiles for them.
-    The returned solution carries its converged profiles in `levels`, None
-    for each level skipped, and `newton_iterations` one count per level
-    solved.
+    continued solve converges only the last two levels, the pair the
+    extrapolation reads.  The returned solution carries that pair of
+    converged profiles in `levels`, and `newton_iterations` one count per
+    level solved.
     """
     # the one scipy call at run time; imported here, out of every other solve
     from scipy.linalg.lapack import dgtsv
 
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
-    first = 0 if start is None else len(js) - 3
+    first = 0 if start is None else len(js) - 2
     if start is not None and (
         getattr(start, "levels", None) is None
+        or len(start.levels) != 2
         or start.diagnostics["j_schedule"] != list(js)
-        or any(u is None for u in start.levels[first:])
     ):
         raise ValueError("start must be an elliptic solution on the same j_schedule")
 
@@ -602,9 +601,9 @@ def solve_subsonic_elliptic(
     u = 1.0 + 0.5 * np.clip(bx - 1.0, 0.0, None) * np.sin(np.pi * x)
     u[0] = u[-1] = 1.0
 
-    profiles, fields, newton_iters = [None] * first, [], []
+    profiles, fields, newton_iters = [], [], []
     eps = np.finfo(float).eps
-    for k, j in enumerate(js[first:], first):
+    for k, j in enumerate(js[first:]):
         if start is not None:
             u = start.levels[k]  # never written in place: iterates are copies
         # an accepted trial's residual bundle serves the next iterate
@@ -680,11 +679,6 @@ def solve_subsonic_elliptic(
     rho_star[0] = rho_star[-1] = 1.0
     rho_star = np.maximum(rho_star, 1.0)
 
-    # extrapolation from the previous pair gauges the remaining j-error
-    w2 = (1.0 - js[-2]) / ((1.0 - js[-3]) - (1.0 - js[-2]))
-    rho_alt = profiles[-2] + w2 * (profiles[-2] - profiles[-3])
-    extrap_gap = float(np.abs(rho_star - rho_alt).max())
-
     return Solution(
         kind="subsonic",
         x=x,
@@ -694,11 +688,10 @@ def solve_subsonic_elliptic(
             "construction": "relaxed_elliptic",
             "j_schedule": list(js),
             "newton_iterations": newton_iters,
-            "extrapolation_gap": extrap_gap,
             "boundary_residual": 0.0,
             "rho_max": float(rho_star.max()),
         },
-        levels=tuple(profiles),
+        levels=tuple(profiles[-2:]),
     )
 
 

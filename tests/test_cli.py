@@ -326,9 +326,10 @@ class TestPortrait:
         ({"span": math.nan}, "span must be positive and finite, not nan"),
         ({"span": math.inf}, "span must be positive and finite, not inf"),
         ({"span": -1, "launches": [[1.2, 0.1]]}, "span must be positive and finite, not -1.0"),
-        ({"count": math.nan}, "cannot convert float NaN to integer"),
+        ({"count": math.nan}, "count must be a whole number, not nan"),
+        ({"count": math.inf}, "count must be a whole number, not inf"),
     ], ids=["count_zero", "count_negative", "span_zero", "span_negative", "span_nan",
-            "span_inf", "span_negative_with_launches", "count_nan"])
+            "span_inf", "span_negative_with_launches", "count_nan", "count_inf"])
     def test_count_or_span_not_positive_is_usage_error_before_any_arc(
             self, tmp_path, capsys, monkeypatch, spec, message):
         # "count": 0 once wrote a header-only portrait.csv, and "span": -1
@@ -467,22 +468,21 @@ class TestSweep:
             tau=v, doping=DopingProfile.from_dict(doping), gamma=1.4))
 
     def test_secant_start(self):
-        # u1 + w (u1 - u0) level by level, w from the sweep values; a level
-        # either sample skipped stays None
+        # u1 + w (u1 - u0) for each level of the pair, w from the sweep values
         p = lambda b: ModelParams(tau=2.0, doping=DopingProfile.constant(b))
         cold = solve_subsonic_elliptic(p(1.2))
         older = solve_subsonic_elliptic(p(1.3), start=cold)
         previous = solve_subsonic_elliptic(p(1.35), start=older)
-        start = cli._sweep_start(older, previous, [1.3, 1.35, 1.5])
         w = (1.5 - 1.35) / (1.35 - 1.3)
-        assert start.levels[:2] == (None, None)
-        for u0, u1, u in zip(older.levels[2:], previous.levels[2:], start.levels[2:]):
-            assert np.array_equal(u, u1 + w * (u1 - u0))
-        assert start.diagnostics == previous.diagnostics
-        assert np.array_equal(start.rho, previous.rho)
-        # after a cold retry, the levels the older sample skipped stay None
+        # after a cold retry too: cold and continued solves carry the same pair
         retry = solve_subsonic_elliptic(p(1.35))
-        assert cli._sweep_start(older, retry, [1.3, 1.35, 1.5]).levels[:2] == (None, None)
+        for sol in (previous, retry):
+            start = cli._sweep_start(older, sol, [1.3, 1.35, 1.5])
+            assert len(start.levels) == 2
+            for u0, u1, u in zip(older.levels, sol.levels, start.levels):
+                assert np.array_equal(u, u1 + w * (u1 - u0))
+            assert start.diagnostics == sol.diagnostics
+            assert np.array_equal(start.rho, sol.rho)
         # one sample before, or two at one value: the previous sample itself
         assert cli._sweep_start(None, previous, [1.35, 1.5]) is previous
         assert cli._sweep_start(older, previous, [1.35, 1.35, 1.5]) is previous
@@ -704,6 +704,26 @@ class TestMalformedInput:
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "values": "123"}}),
         ("verify", (_CSV.replace("0.5,1.0,0.5,sonic\n", ""), _JSON)),
+        # numbers must be JSON numbers: no bool or numeric string is read as one
+        ("solve", {"model": {"tau": True, "doping": {"type": "constant", "value": 1.5}},
+                   "solver": {"kind": "subsonic"}}),
+        ("solve", {"model": {"tau": 2.0, "doping": {"type": "constant", "value": True}},
+                   "solver": {"kind": "sonic"}}),
+        ("solve", {"model": dict(model(15.0, 1.5), gamma=True), "solver": {"kind": "subsonic"}}),
+        ("solve", {"model": model(50.0, 1.5),
+                   "solver": {"kind": "transonic_shock", "rho_l": "0.9"}}),
+        ("solve", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                   "integrator": {"rel_tol": True}}),
+        ("solve", {"model": model(15.0, 1.5),
+                   "solver": {"kind": "subsonic", "method": "elliptic",
+                              "j_schedule": [0.5, "0.9", 0.9999]}}),
+        ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic", "method": "elliptic"},
+                   "sweep": {"variable": "bConstant", "values": [1.5, True]}}),
+        ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic", "method": "elliptic"},
+                   "sweep": {"variable": "bConstant", "start": 1.5, "stop": 1.6, "count": 2.7}}),
+        ("portrait", {"model": model(0.5, 1.5), "portrait": {"count": 2.5}}),
+        ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                   "sweep": {"variable": "tau", "start": 1.0, "stop": 2.0, "count": math.inf}}),
     ], ids=[
         "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
@@ -713,6 +733,9 @@ class TestMalformedInput:
         "csv_cell_not_a_number", "csv_short_row", "json_not_json", "json_unknown_kind",
         "doping_not_an_object", "portrait_not_an_object", "recorded_residual_not_a_number",
         "sweep_values_not_a_list", "csv_two_rows",
+        "tau_true", "doping_value_true", "gamma_true", "rho_l_a_string",
+        "integrator_value_true", "j_schedule_entry_a_string", "sweep_value_true",
+        "sweep_count_not_whole", "portrait_count_not_whole", "sweep_count_infinite",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):
         if command == "verify":

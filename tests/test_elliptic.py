@@ -8,8 +8,9 @@ step is accepted where the RMS of the scaled residual falls by 1 - lam / 4.
 Each level starts from the sine guess, or from a given per-level start.
 The solver evaluates each iterate once and calls LAPACK directly; both must
 give the same bits, cold and continued from a neighbour's levels.  A
-continued solve converges only the last three levels, which alone reach its
-answer, so it must match the reference's answer and its counts for those.
+continued solve converges only the last two levels, the Richardson pair that
+alone reaches its answer, so it must match the reference's answer and its
+counts for those.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def _rms(z):
 
 def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_newton=60,
                         start=None):
-    """(x, rho, e, newton_iterations, extrapolation_gap) of the reference loop;
-    `start`, if given, holds the profile each level starts from."""
+    """(x, rho, e, newton_iterations) of the reference loop; `start`, if
+    given, holds the profile each level starts from."""
     _require_subsonic_regime(p)
     js = _j_schedule(j_schedule)
     x = graded_grid()
@@ -133,9 +134,7 @@ def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_
     e_star = fields[-1] + w * (fields[-1] - fields[-2])
     rho_star[0] = rho_star[-1] = 1.0
     rho_star = np.maximum(rho_star, 1.0)
-    w2 = (1.0 - js[-2]) / ((1.0 - js[-3]) - (1.0 - js[-2]))
-    rho_alt = profiles[-2] + w2 * (profiles[-2] - profiles[-3])
-    return x, rho_star, e_star, newton_iters, float(np.abs(rho_star - rho_alt).max())
+    return x, rho_star, e_star, newton_iters
 
 
 DOPINGS = {
@@ -147,15 +146,19 @@ DOPINGS = {
 
 
 def _assert_matches_reference(p, start=None, **kwargs):
-    levels = None if start is None else start.levels
-    x, rho, e, iters, gap = _reference_elliptic(p, start=levels, **kwargs)
+    levels = None
+    if start is not None:
+        # the reference solves every level; those before the pair, started
+        # from the pair's first profile, do not reach its answer
+        skipped = len(_j_schedule(kwargs.get("j_schedule", DEFAULT_J_SCHEDULE))) - 2
+        levels = start.levels[:1] * skipped + start.levels
+    x, rho, e, iters = _reference_elliptic(p, start=levels, **kwargs)
     sol = solve_subsonic_elliptic(p, start=start, **kwargs)
     assert np.array_equal(sol.x, x)
     assert np.array_equal(sol.rho, rho)
     assert np.array_equal(sol.e, e)
-    solved = len(iters) if start is None else 3  # the levels a continued solve converges
+    solved = len(iters) if start is None else 2  # the levels a continued solve converges
     assert sol.diagnostics["newton_iterations"] == iters[-solved:]
-    assert sol.diagnostics["extrapolation_gap"] == gap
 
 
 @pytest.mark.parametrize("tau", [0.3, 2.0, 15.0, 1e6])
@@ -166,8 +169,14 @@ def test_bit_identical_to_reference(doping, gamma, tau):
 
 
 def test_custom_schedule_bit_identical_to_reference():
+    # four levels, and the Richardson pair alone; cold and continued
     p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.3))
-    _assert_matches_reference(p, j_schedule=(0.6, 0.95, 0.995, 0.9999))
+    for j_schedule in ((0.6, 0.95, 0.995, 0.9999), (0.99, 0.9999)):
+        _assert_matches_reference(p, j_schedule=j_schedule)
+        neighbour = solve_subsonic_elliptic(
+            ModelParams(tau=2.0, doping=DopingProfile.constant(1.25)), j_schedule=j_schedule
+        )
+        _assert_matches_reference(p, start=neighbour, j_schedule=j_schedule)
 
 
 # each doping of DOPINGS, moved as a sweep's next sample would move it
@@ -189,35 +198,33 @@ def test_continued_bit_identical_to_reference(doping, gamma):
 
 
 def test_continued_from_a_continued_neighbour_bit_identical_to_reference():
-    # a continued neighbour carries no profiles for its first two levels; the
-    # reference solves those from any start, and they do not reach its answer
+    # a continued neighbour's pair is as good a start as a cold one's
     cold = solve_subsonic_elliptic(ModelParams(tau=2.0, doping=DopingProfile.constant(1.4)))
     neighbour = solve_subsonic_elliptic(
         ModelParams(tau=2.0, doping=DopingProfile.constant(1.45)), start=cold
     )
-    p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.5))
-    x, rho, e, iters, gap = _reference_elliptic(p, start=cold.levels[:2] + neighbour.levels[2:])
-    sol = solve_subsonic_elliptic(p, start=neighbour)
-    assert np.array_equal(sol.rho, rho) and np.array_equal(sol.e, e)
-    assert sol.diagnostics["newton_iterations"] == iters[2:]
-    assert sol.diagnostics["extrapolation_gap"] == gap
+    _assert_matches_reference(ModelParams(tau=2.0, doping=DopingProfile.constant(1.5)),
+                              start=neighbour)
 
 
 def test_levels_are_the_converged_profiles():
-    # the last two levels extrapolate to the returned density; a continued
-    # solve leaves the first two unsolved and counts the three it solves
+    # the pair extrapolates to the returned density, cold (five counts) and
+    # continued (two); each profile is converged at its j, so a solve
+    # continued from the pair itself takes no Newton step and returns it
     p = ModelParams(tau=2.0, doping=DopingProfile.constant(1.5))
     s_prev, s_last = 1.0 - DEFAULT_J_SCHEDULE[-2], 1.0 - DEFAULT_J_SCHEDULE[-1]
     w = s_last / (s_prev - s_last)
     neighbour = solve_subsonic_elliptic(ModelParams(tau=2.0, doping=DopingProfile.constant(1.45)))
-    for start, skipped in ((None, 0), (neighbour, 2)):
+    for start, solved in ((None, 5), (neighbour, 2)):
         sol = solve_subsonic_elliptic(p, start=start)
-        assert len(sol.levels) == len(DEFAULT_J_SCHEDULE)
-        assert [u is None for u in sol.levels] == [k < skipped for k in range(5)]
-        assert len(sol.diagnostics["newton_iterations"]) == 5 - skipped
+        assert len(sol.levels) == 2
+        assert len(sol.diagnostics["newton_iterations"]) == solved
         rho = np.maximum(sol.levels[-1] + w * (sol.levels[-1] - sol.levels[-2]), 1.0)
         rho[0] = rho[-1] = 1.0
         assert np.array_equal(sol.rho, rho)
+        again = solve_subsonic_elliptic(p, start=sol)
+        assert again.diagnostics["newton_iterations"] == [0, 0]
+        assert all(np.array_equal(u, v) for u, v in zip(again.levels, sol.levels))
 
 
 def test_start_on_another_schedule_is_a_value_error():
@@ -235,13 +242,12 @@ def test_start_that_is_not_elliptic_is_a_value_error():
 
 
 def test_start_without_a_level_it_needs_is_a_value_error():
-    # a continued solve reads the last three levels; the first two may be None
+    # a continued solve reads the pair of levels the extrapolation reads
     p = ModelParams(tau=15.0, doping=DopingProfile.constant(1.5))
-    levels = solve_subsonic_elliptic(p).levels
-    bare = solve_subsonic_elliptic(p, start=solve_subsonic_elliptic(p))
-    assert bare.levels[:2] == (None, None)
-    with pytest.raises(ValueError, match="start"):
-        solve_subsonic_elliptic(p, start=replace(bare, levels=levels[:2] + (None,) + levels[3:]))
+    sol = solve_subsonic_elliptic(p)
+    for levels in (sol.levels[1:], sol.levels[:1] + sol.levels):
+        with pytest.raises(ValueError, match="start"):
+            solve_subsonic_elliptic(p, start=replace(sol, levels=levels))
 
 
 @pytest.mark.parametrize("tau,b,kwargs", [
@@ -282,14 +288,15 @@ def test_newton_budget_in_the_hard_corner(monkeypatch, b, tau, iterations, evalu
     assert len(calls) <= evaluations
 
 
-# at most 5% over the continued totals, 130, 128 and 115 (each sample from
-# the secant prediction of the two before, solving the last three levels);
-# 166, 163 and 157 from the sample before, 241, 238 and 232 solving all five
-# levels from it, and 352, 349 and 365 restarting each from the sine guess
+# at most 5% over the continued totals, 94, 92 and 84 (each sample from the
+# secant prediction of the two before, solving the last two levels); 130,
+# 128 and 115 solving the last three, 166, 163 and 157 solving those from the
+# sample before, 241, 238 and 232 solving all five levels from it, and 352,
+# 349 and 365 restarting each from the sine guess
 @pytest.mark.parametrize("tau,b_start,iterations", [
-    (2.0, 1.05, 136),
-    (15.0, 1.05, 134),
-    (0.3, 1.5, 120),
+    (2.0, 1.05, 98),
+    (15.0, 1.05, 96),
+    (0.3, 1.5, 88),
 ], ids=["2.0-1.05", "15.0-1.05", "0.3-1.5"])  # ids without the budget, which moves
 def test_newton_budget_of_a_continued_sweep(tmp_path, monkeypatch, tau, b_start, iterations):
     # the 16-sample elliptic sweep in b of the CLI
