@@ -42,7 +42,6 @@ from .model_core import (
 from .integrator import (
     DomainEnd,
     Event,
-    EventSpec,
     IntegratorConfig,
     TargetDensity,
     TrajectorySegment,

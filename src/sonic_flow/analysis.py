@@ -20,23 +20,8 @@ from .errors import (
     NotConstantDoping,
     PreconditionViolation,
 )
-from .integrator import TrajectorySegment
 from .model_core import ModelParams, sonic_coefficient, tau0_bound, xi_curve
 from .solution import Solution
-
-__all__ = [
-    "KindVerdict",
-    "RegimeReport",
-    "ExponentFit",
-    "TrajectoryLemmaReport",
-    "classify_regime",
-    "residual_norm",
-    "fit_holder_exponent",
-    "check_trajectory_lemmas",
-    "EXISTS",
-    "NOT_EXISTS",
-    "UNDETERMINED",
-]
 
 EXISTS = "exists"
 NOT_EXISTS = "not_exists"
@@ -319,18 +304,15 @@ def _defect_residual(sol: Solution, p: ModelParams):
     xs, hs = x[:-1][valid], h[valid]
     rho_pred, e_pred = rho[:-1][valid], e[:-1][valid]
 
-    def doping(at):
-        return np.asarray(p.b(at), dtype=float)
-
     # four RK4 substeps keep the probe's own truncation error far below the
     # stored data's accuracy, so the defect measures the data, not the probe;
     # k2 and k3 share the midpoint, and k4's abscissa is the next substep's k1
     sub = 4
     hq = hs / sub
     xc = xs.copy()
-    b_start = doping(xc)
+    b_start = p.doping(xc)
     for _ in range(sub):
-        b_mid, b_end = doping(xc + hq / 2), doping(xc + hq)
+        b_mid, b_end = p.doping(xc + hq / 2), p.doping(xc + hq)
         k1r, k1e = _rhs_arrays(b_start, rho_pred, e_pred, p)
         k2r, k2e = _rhs_arrays(b_mid, rho_pred + hq / 2 * k1r, e_pred + hq / 2 * k1e, p)
         k3r, k3e = _rhs_arrays(b_mid, rho_pred + hq / 2 * k2r, e_pred + hq / 2 * k2e, p)
@@ -381,7 +363,7 @@ def _weak_residual(sol: Solution, p: ModelParams):
     seg = np.searchsorted(knots, left, side="right") - 1
     # rho - b at the interval ends and midpoints, E at the ends
     at = np.concatenate([pts, mid])
-    f = np.interp(at, x, rho) - np.asarray(p.b(at), dtype=float)
+    f = np.interp(at, x, rho) - p.doping(at)
     f_left, f_right, f_mid = f[: len(pts) - 1], f[1 : len(pts)], f[len(pts) :]
     e_pts = np.interp(pts, x, e)
 
@@ -512,12 +494,15 @@ def lemma_tau_threshold(b: float) -> float:
     return 1.0 / (3.0 * math.sqrt(b**3 + b))
 
 
-def check_trajectory_lemmas(p: ModelParams, trajectory: TrajectorySegment) -> TrajectoryLemmaReport:
+def check_trajectory_lemmas(p: ModelParams, trajectory) -> TrajectoryLemmaReport:
     """Check a phase-plane trajectory against the Xi nullcline bounds.
 
-    In the chart n = rho - 1, F = E - 1/(tau rho), positive trajectories
-    (n >= 0) must start at the origin and stay below (3/2) Xi(n); negative
-    ones must end at the origin and stay above (3/2) Xi(n).  For positive
+    `trajectory` is any object whose ``rhos`` and ``es`` hold one branch's
+    densities and fields, ordered along it: an integrator segment, or the
+    rows of a solution on one side of its sonic point.  In the chart
+    n = rho - 1, F = E - 1/(tau rho), positive trajectories (n >= 0) must
+    start at the origin and stay below (3/2) Xi(n); negative ones must end
+    at the origin and stay above (3/2) Xi(n).  For positive
     trajectories the slope dF/dn at the origin is fitted and reported; it
     should be twice the C1 transition slope.
     """

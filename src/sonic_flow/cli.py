@@ -209,8 +209,8 @@ def _json_ready(obj):
     if isinstance(obj, np.ndarray):
         return [_json_ready(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):  # no NaN or Infinity in JSON
         return None
     return obj
 
@@ -332,7 +332,12 @@ def _portrait_spec(p: ModelParams, spec: dict):
         if not 0.0 < span < math.inf:  # NaN included
             raise ValueError(f"span must be positive and finite, not {span!r}")
         if "launches" in spec:
-            return mode, span, [(as_number(r), as_number(e)) for r, e in spec["launches"]]
+            launches = [(as_number(r), as_number(e)) for r, e in spec["launches"]]
+            for r, e in launches:
+                if not (0.0 < r < math.inf and math.isfinite(e)):  # NaN included
+                    raise ValueError(f"a launch needs a positive, finite density and a "
+                                     f"finite field, not {[r, e]!r}")
+            return mode, span, launches
         a_rho, a_e = critical_point_analysis(p).point  # raises only typed errors
         count = _count(spec.get("count", 12))
         if count < 1:

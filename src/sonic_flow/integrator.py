@@ -105,12 +105,8 @@ class IntegratorConfig:
                 raise ValueError(f"{f.name} must be positive")
 
 
-class EventSpec:
-    """Base for stop-event requests passed to integrate()."""
-
-
 @dataclass(frozen=True)
-class TargetDensity(EventSpec):
+class TargetDensity:
     """Stop when rho crosses `value`.
 
     `direction` is the sign of drho/dx at the crossing: +1 fires only on
@@ -128,12 +124,12 @@ class TargetDensity(EventSpec):
 
 
 @dataclass(frozen=True)
-class DomainEnd(EventSpec):
+class DomainEnd:
     x: float
 
 
 @dataclass(frozen=True)
-class CriticalLocus(EventSpec):
+class CriticalLocus:
     """Split the arc once where it crosses rho*E = 1/tau.
 
     The crossing is the arc's density extremum; the arc goes on from there,
@@ -151,39 +147,20 @@ class Event:
 
 
 class TrajectorySegment:
-    """One arc: its rows and the event that ended it.
+    """One arc: the kernel runs that integrated it and the event that ended it.
 
-    `xs` is strictly monotone (increasing for forward runs, decreasing for
-    backward ones); a segment built from rows checks that it is.  The
-    segments `integrate` and `integrate_from_sonic` return hold the step
-    ends and wide-step records of their kernel runs instead, and read their
-    rows once per arc, when first read: the first read of `xs`, `rhos` or
-    `es` reads the rows of every run in one `_read_rows` pass (`_arc_rows`),
-    and raises `IntegrationFailure` where the arc turned back in x.  `last`,
-    the state of the `terminator`, reads no row.
+    The rows are read once per arc, when first read: the first read of `xs`,
+    `rhos` or `es` reads the rows of every run in ``runs`` in one
+    `_read_rows` pass (`_arc_rows`), strictly monotone in x in the direction
+    ``dsign``, and raises `IntegrationFailure` where the arc turned back in
+    x.  `last`, the state of the `terminator`, reads no row.
     """
 
     __slots__ = ("terminator", "_rows", "_runs", "_spacing", "_dsign")
 
-    def __init__(self, xs, rhos, es, terminator: Event):
-        rows = tuple(np.asarray(c, dtype=float) for c in (xs, rhos, es))
-        if not (len(rows[0]) == len(rows[1]) == len(rows[2])):
-            raise ValueError("coordinate arrays must share a length")
-        if len(rows[0]) == 0:
-            raise ValueError("empty trajectory segment")
-        if len(rows[0]) > 1:
-            steps = np.diff(rows[0])
-            if not (np.all(steps > 0) or np.all(steps < 0)):
-                raise ValueError("trajectory abscissae must be strictly monotone")
-        self.terminator, self._rows, self._runs = terminator, rows, None
-
-    @classmethod
-    def _of_runs(cls, runs, spacing, dsign, terminator):
-        """The arc of kernel runs ``runs``, in x direction ``dsign``; rows unread."""
-        seg = cls.__new__(cls)
-        seg.terminator, seg._rows = terminator, None
-        seg._runs, seg._spacing, seg._dsign = runs, spacing, dsign
-        return seg
+    def __init__(self, runs, spacing, dsign, terminator: Event):
+        self.terminator, self._rows = terminator, None
+        self._runs, self._spacing, self._dsign = runs, spacing, dsign
 
     def _read(self):
         if self._rows is None:
@@ -568,10 +545,10 @@ class OdeResult:
     them, where something needs them; the records are the run's only
     interpolants. `status` is 0 when `t_bound` was reached, 1 when a
     terminal event stopped the run, and -1 when the step size fell below
-    10 ulp of t. `roots` holds `(event index, t, a, b, c)` for every event
-    root located before the stop, in traversal order; after a terminal stop
-    its root comes last and `terminal` is its event index, otherwise
-    `terminal` is None. `nfev` counts right-hand-side evaluations, of which
+    10 ulp of t, or the first one came out NaN or zero. `roots` holds
+    `(event index, t, a, b, c)` for every event root located before the
+    stop, in traversal order; after a terminal stop its root comes last and
+    `terminal` is its event index, otherwise `terminal` is None. `nfev` counts right-hand-side evaluations, of which
     `ndense` times 3 went into the dense output of `ndense` steps.
     """
 
@@ -657,6 +634,8 @@ def solve_ivp(fun, t0, t_bound, y0, rtol, atol, max_step, events=(), spacing=mat
     d1 = _rms(fa / sa, fb / sb, fc / sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0.0:  # NaN or zero, where a rate overflows: no step can be sized
+        return OdeResult(ts, yas, ybs, ycs, -1, nfev, 0, roots, None, rec)
     ga, gb, gc = _eval_rhs(
         fun, t + h0 * d, ya + h0 * d * fa, yb + h0 * d * fb, yc + h0 * d * fc
     )
@@ -977,7 +956,7 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
 
     specs = list(stop_events or ())
     for s in specs:
-        if not isinstance(s, EventSpec):
+        if not isinstance(s, (TargetDensity, DomainEnd, CriticalLocus)):
             raise TypeError(f"not an event spec: {s!r}")
     targets = [s for s in specs if isinstance(s, TargetDensity)]
     domains = [s for s in specs if isinstance(s, DomainEnd)]
@@ -1006,7 +985,7 @@ def _run(x, rho, e, direction, stop_events, p, cfg, branch):
             "arc length budget exhausted before any stop event",
             diagnostics={"x": term.state.x, "rho": term.state.rho, "e": term.state.e},
         )
-    return TrajectorySegment._of_runs(runs, _spacing(cfg), dsign, term)
+    return TrajectorySegment(runs, _spacing(cfg), dsign, term)
 
 
 def _spacing(cfg):
@@ -1065,7 +1044,7 @@ def _chain(arcs):
     """
     head = arcs[0]
     runs = [res for arc in arcs for res in arc._runs]
-    return TrajectorySegment._of_runs(runs, head._spacing, head._dsign, arcs[-1].terminator)
+    return TrajectorySegment(runs, head._spacing, head._dsign, arcs[-1].terminator)
 
 
 def integrate(

@@ -230,15 +230,12 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not self.gamma >= 1.0:
-            raise ValueError("gamma must be >= 1")
+        if not 0.0 < self.tau < math.inf:  # NaN included
+            raise ValueError("tau must be positive and finite")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
         if not isinstance(self.doping, DopingProfile):
             raise TypeError("doping must be a DopingProfile")
-
-    def b(self, x):
-        return self.doping(x)
 
     @property
     def inv_tau(self) -> float:
@@ -357,7 +354,7 @@ def vector_field(p: ModelParams):
 class CriticalPointInfo:
     point: tuple[float, float]             # (rho, E) = (b, 1/(tau*b))
     eigenvalues: tuple[complex, complex]
-    kind: str                              # saddle | stable_focus | stable_node | other
+    kind: str                              # saddle | stable_focus | stable_node
 
 
 def critical_point_analysis(p: ModelParams) -> CriticalPointInfo:
@@ -380,17 +377,12 @@ def critical_point_analysis(p: ModelParams) -> CriticalPointInfo:
     if disc >= 0.0:
         root = math.sqrt(disc)
         lam = (0.5 * (trace + root), 0.5 * (trace - root))
-        if det < 0.0:
-            kind = "saddle"
-        elif trace < 0.0:
-            kind = "stable_node"
-        else:
-            kind = "other"
+        kind = "saddle" if det < 0.0 else "stable_node"
         eigs = (complex(lam[0]), complex(lam[1]))
     else:
         root = math.sqrt(-disc)
         eigs = (complex(0.5 * trace, 0.5 * root), complex(0.5 * trace, -0.5 * root))
-        kind = "stable_focus" if trace < 0.0 else "other"
+        kind = "stable_focus"
     return CriticalPointInfo((b, 1.0 / (p.tau * b)), eigs, kind)
 
 

@@ -29,7 +29,7 @@ class TransitionData:
     def __post_init__(self):
         if not 0.0 < self.x0 < 1.0:
             raise ValueError("transition must be interior")
-        if self.slope <= 0.0:
+        if not self.slope > 0.0:  # NaN included
             raise ValueError("transition slope must be positive")
 
 
@@ -61,6 +61,8 @@ class Solution:
         self.e = np.asarray(self.e, dtype=float)
         if not (len(self.x) == len(self.rho) == len(self.e)):
             raise ValueError("solution arrays must share a length")
+        if not np.isfinite([self.x, self.rho, self.e]).all():
+            raise ValueError("solution arrays must be finite")
         if len(self.x) < 2:
             raise ValueError("a solution needs at least two grid points")
 
@@ -106,15 +108,13 @@ class Solution:
             return None
         return int(np.nonzero(np.diff(self.x) == 0.0)[0][0])
 
-    def interp_rho(self, xq) -> np.ndarray:
-        return np.interp(xq, self.x, self.rho)
-
     def sup_distance(self, other: "Solution", samples: int = 4001) -> float:
         """Sup-norm density gap on a common dense grid."""
         lo = max(self.x[0], other.x[0])
         hi = min(self.x[-1], other.x[-1])
         xq = np.linspace(lo, hi, samples)
-        return float(np.abs(self.interp_rho(xq) - other.interp_rho(xq)).max())
+        gap = np.interp(xq, self.x, self.rho) - np.interp(xq, other.x, other.rho)
+        return float(np.abs(gap).max())
 
 
 _H_MIN = 1e-7

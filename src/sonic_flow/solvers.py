@@ -595,7 +595,7 @@ def solve_subsonic_elliptic(
 
     x = graded_grid()
     h = np.diff(x)
-    bx = p.b(x)
+    bx = p.doping(x)
     cell = 0.5 * (h[1:] + h[:-1])
 
     u = 1.0 + 0.5 * np.clip(bx - 1.0, 0.0, None) * np.sin(np.pi * x)

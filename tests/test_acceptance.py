@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import types
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,13 +18,10 @@ import pytest
 
 from sonic_flow import (
     DopingProfile,
-    Event,
     ModelParams,
     NoSolutionInRegime,
     PreconditionViolation,
     RegimeRejection,
-    State,
-    TrajectorySegment,
     c1_transition_slope,
     check_trajectory_lemmas,
     cli,
@@ -188,15 +186,7 @@ class TestCriterion9TrajectoryLemmas:
     def test_positive_branch_bound_and_origin_slope(self, c1_sol, p_smooth):
         with budget(10.0):
             k = int(np.argmin(np.abs(c1_sol.rho - 1.0)[1:-1])) + 1
-            xs = c1_sol.x[k:]
-            rhos = c1_sol.rho[k:]
-            es = c1_sol.e[k:]
-            positive = TrajectorySegment(
-                xs=xs, rhos=rhos, es=es,
-                terminator=Event(
-                    "sonic_arrival", State(xs[-1], rhos[-1], es[-1])
-                ),
-            )
+            positive = types.SimpleNamespace(rhos=c1_sol.rho[k:], es=c1_sol.e[k:])
             report = check_trajectory_lemmas(p_smooth, positive)
             assert report.max_margin <= 0.0
             assert report.slope_at_origin == pytest.approx(0.101020, abs=1e-3)

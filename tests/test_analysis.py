@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from sonic_flow import (
     DopingProfile,
-    Event,
     InsufficientWindow,
     LemmaViolation,
     ModelParams,
+    NotConstantDoping,
     PreconditionViolation,
     Solution,
-    State,
-    TrajectorySegment,
     check_trajectory_lemmas,
     classify_regime,
     fit_holder_exponent,
@@ -51,7 +50,7 @@ def _reference_weak_residual(sol, p):
         pts = np.unique(np.concatenate([[a, mid, c], inner]))
         pts = np.unique(np.concatenate([pts, (pts[:-1] + pts[1:]) / 2]))
         phi = 1.0 - np.abs(pts - mid) / width
-        g = (np.interp(pts, x, rho) - np.asarray(p.b(pts), dtype=float)) * phi
+        g = (np.interp(pts, x, rho) - np.asarray(p.doping(pts), dtype=float)) * phi
         w = abs(flux_term + float(np.trapezoid(g, pts))) / width
         if w > worst:
             worst, where = w, mid
@@ -63,7 +62,7 @@ def _reference_defect_residual(sol, p):
 
     def rhs(x, rho, e):
         d_rho = (rho * e - p.inv_tau) / sonic_coefficient(rho, p.gamma)
-        return d_rho, rho - np.asarray(p.b(x), dtype=float)
+        return d_rho, rho - np.asarray(p.doping(x), dtype=float)
 
     x, rho, e = sol.x, sol.rho, sol.e
     h = np.diff(x)
@@ -307,9 +306,7 @@ def _branches(c1_sol):
     assert abs(c1_sol.rho[k] - 1.0) < 1e-12
 
     def seg(sl):
-        xs, rhos, es = c1_sol.x[sl], c1_sol.rho[sl], c1_sol.e[sl]
-        end = Event("sonic_arrival", State(xs[-1], rhos[-1], es[-1]))
-        return TrajectorySegment(xs=xs, rhos=rhos, es=es, terminator=end)
+        return types.SimpleNamespace(rhos=c1_sol.rho[sl], es=c1_sol.e[sl])
 
     return seg(slice(k, None)), seg(slice(None, k + 1))
 
@@ -350,13 +347,21 @@ class TestTrajectoryLemmas:
         with pytest.raises(PreconditionViolation):
             check_trajectory_lemmas(params(0.1, 0.9), positive)
 
+    @pytest.mark.parametrize("p, rhos, error, message", [
+        (ModelParams(tau=0.1, doping=DopingProfile.sine_perturbed(1.5, 0.1)),
+         [1.0, 1.1, 1.2], NotConstantDoping, "constant doping"),
+        (params(0.1, 1.5), [1.0, 1.0, 1.0], ValueError, "never leaves the sonic line"),
+        (params(0.1, 1.5), [0.9, 1.0, 1.1], ValueError, "mixes n > 0 and n < 0"),
+    ], ids=["doping_not_constant", "on_the_sonic_line", "both_branches"])
+    def test_refuses_what_it_cannot_check(self, p, rhos, error, message):
+        trajectory = types.SimpleNamespace(rhos=np.array(rhos), es=np.full(3, 10.0))
+        with pytest.raises(error, match=message):
+            check_trajectory_lemmas(p, trajectory)
+
     def test_violation_reported_with_point(self, c1_sol, p_smooth):
         positive, _ = _branches(c1_sol)
         es = positive.es + 0.05  # push F above the allowed multiple of Xi
-        bad = TrajectorySegment(
-            xs=positive.xs, rhos=positive.rhos, es=es,
-            terminator=positive.terminator,
-        )
+        bad = types.SimpleNamespace(rhos=positive.rhos, es=es)
         with pytest.raises(LemmaViolation):
             check_trajectory_lemmas(p_smooth, bad)
 

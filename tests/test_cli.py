@@ -303,6 +303,24 @@ class TestPortrait:
         assert len(rows) > 1
         assert max(max(abs(np.diff(xs))) for xs in rows.values()) <= 1e-2 * (1 + 1e-9)
 
+    def test_explicit_launches_run_both_ways(self, tmp_path):
+        # each launch gives two trajectories from x = 0: forward, then backward
+        launches = [[1.2, 0.5], [0.8, 1.0]]
+        cfg = write_config(tmp_path, {"model": model(0.5, 1.5),
+                                      "portrait": {"span": 1.0, "launches": launches}})
+        out = tmp_path / "o"
+        assert cli.main(["portrait", "--config", cfg, "--out", str(out)]) == 0
+        rows = {}
+        for line in (out / "portrait.csv").read_text().splitlines()[1:]:
+            i, *row = line.split(",")
+            rows.setdefault(int(i), []).append([float(v) for v in row])
+        assert sorted(rows) == [0, 1, 2, 3]
+        for i, (rho0, e0) in enumerate(launches):
+            for k, sign in ((2 * i, 1.0), (2 * i + 1, -1.0)):
+                arc = np.array(rows[k])
+                assert list(arc[0]) == [0.0, rho0, e0]
+                assert len(arc) > 1 and np.all(sign * np.diff(arc[:, 0]) > 0)
+
     def test_variable_doping_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": {"tau": 15.0, "doping": {
@@ -569,6 +587,10 @@ class TestSweep:
 # verify command
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestVerify:
     def _solve(self, tmp_path, payload):
         cfg = write_config(tmp_path, payload)
@@ -613,7 +635,8 @@ class TestVerify:
         meta["residual_norm"] = None
         (out / "solution.json").write_text(json.dumps(meta, sort_keys=True))
         assert cli.main(["verify", "--out", str(out)]) == 3
-        assert json.loads((out / "verify.json").read_text())["match"] is False
+        report = json.loads((out / "verify.json").read_text(), parse_constant=_not_json)
+        assert report["match"] is False and report["residual_gap"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +747,16 @@ class TestMalformedInput:
         ("portrait", {"model": model(0.5, 1.5), "portrait": {"count": 2.5}}),
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "start": 1.0, "stop": 2.0, "count": math.inf}}),
+        # a launch the kernel cannot take a step from
+        ("portrait", {"model": model(0.5, 1.5), "portrait": {"launches": [[-0.5, 1.0]]}}),
+        ("portrait", {"model": model(0.5, 1.5), "portrait": {"launches": [[math.nan, 1.0]]}}),
+        ("portrait", {"model": model(0.5, 1.5), "portrait": {"launches": [[1.2, math.inf]]}}),
+        # no number that JSON cannot hold is echoed into an artifact
+        ("classify", {"model": model(math.inf, 1.5)}),
+        ("classify", {"model": dict(model(15.0, 1.5), gamma=math.inf)}),
+        ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
+                   "sweep": {"variable": "tau", "values": [15.0, math.inf]}}),
+        ("verify", (_CSV.replace("0.5,1.0,0.5", "0.5,nan,0.5"), _JSON)),
     ], ids=[
         "rho_l_not_a_number", "x0_null", "j_schedule_not_a_list",
         "j_schedule_not_increasing", "integrator_value_null",
@@ -736,6 +769,9 @@ class TestMalformedInput:
         "tau_true", "doping_value_true", "gamma_true", "rho_l_a_string",
         "integrator_value_true", "j_schedule_entry_a_string", "sweep_value_true",
         "sweep_count_not_whole", "portrait_count_not_whole", "sweep_count_infinite",
+        "portrait_launch_density_negative", "portrait_launch_density_nan",
+        "portrait_launch_field_infinite", "tau_infinite", "gamma_infinite",
+        "sweep_tau_infinite", "csv_density_nan",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):
         if command == "verify":

@@ -81,7 +81,7 @@ def _reference_elliptic(p, j_schedule=DEFAULT_J_SCHEDULE, newton_tol=1e-10, max_
     js = _j_schedule(j_schedule)
     x = graded_grid()
     h = np.diff(x)
-    bx = p.b(x)
+    bx = p.doping(x)
     cell = 0.5 * (h[1:] + h[:-1])
     u = 1.0 + 0.5 * np.clip(bx - 1.0, 0.0, None) * np.sin(np.pi * x)
     u[0] = u[-1] = 1.0

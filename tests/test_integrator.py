@@ -6,6 +6,7 @@ import bisect
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from array import array
@@ -318,6 +319,32 @@ class TestSegmentContracts:
         assert abs(seg.last.rho * seg.last.e - p.inv_tau) <= 1e-6
         assert np.all(np.diff(seg.xs) < 0) and seg.rhos.max() < 1.0001
 
+    @pytest.mark.parametrize("launch", [
+        lambda p: integrate(State(0.0, 1.2, math.inf), "forward", [DomainEnd(1.0)], p),
+        lambda p: integrate_from_sonic(0.0, "subsonic", math.inf, "forward", [DomainEnd(1.0)], p),
+        lambda p: integrate(State(0.0, 1.2, 1e300), "forward", [DomainEnd(1.0)], p),
+    ], ids=["field_infinite", "sonic_field_infinite", "rate_overflowing"])
+    def test_start_without_a_first_step_ends(self, launch, kernel_calls):
+        # an infinite field made the first step size NaN, which no comparison
+        # with the minimum step refuses, and the kernel retried forever; a
+        # rate that overflows made it zero, and the initial-step estimate
+        # divided by it.  The alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("the kernel did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            seg = launch(params(15.0, 1.5))
+        except SonicFlowError:
+            pass
+        else:
+            assert seg.terminator.kind == "step_failure" and len(seg.xs) == 1
+            assert [(res.status, res.nfev) for _, _, res in kernel_calls] == [(-1, 1)]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     @pytest.mark.parametrize("excess,kind", [(1e-6, "sonic_arrival"), (0.98e-6, "step_failure")])
     def test_guard_crossing_is_decided_in_one_run(self, excess, kind, kernel_calls):
         # a subsonic arc started 1.01e-6 from the sonic line, falling toward
@@ -549,11 +576,10 @@ class TestKernelMatchesDOP853:
         assert args[3] == (0.0, 1.0, p.inv_tau + 0.15)  # the sonic launch
         ref = _assert_matches_dop853(kernel_calls[0])
         s, xs, rhos, es = _rows(res, 1e-2)
-        assert len(s) > len(ref.t)
-        seg = integrator.TrajectorySegment(xs, rhos, es, seg.terminator)
-        np.testing.assert_allclose(seg.xs, ref.sol(s)[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(seg.rhos, ref.sol(s)[1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(seg.es, ref.sol(s)[2], rtol=0, atol=1e-12)
+        assert len(s) > len(ref.t) and np.all(np.diff(xs) > 0)
+        np.testing.assert_allclose(xs, ref.sol(s)[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rhos, ref.sol(s)[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(es, ref.sol(s)[2], rtol=0, atol=1e-12)
 
     def test_sonic_launch_at_probe_resolution(self, kernel_calls):
         # at the default spacing the rows are the kernel's step ends

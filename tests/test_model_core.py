@@ -20,6 +20,7 @@ from sonic_flow import (
     EntropyViolation,
     ModelParams,
     NotConstantDoping,
+    ShockData,
     SonicDoping,
     State,
     c1_transition_slope,
@@ -149,6 +150,30 @@ class TestDopingProfile:
         with pytest.raises(ValueError, match="finite"):
             DopingProfile.sine_perturbed(1.5, 0.1, 1e308)
 
+    @pytest.mark.parametrize("breakpoints, values, message", [
+        ([0.5], [1.5], "one more value than breakpoints"),
+        ([0.5], [1.5, 1.6, 1.7], "one more value than breakpoints"),
+        ([0.0], [1.5, 1.6], "strictly inside"),
+        ([1.0], [1.5, 1.6], "strictly inside"),
+        ([0.6, 0.3], [1.5, 1.6, 1.7], "sorted"),
+    ], ids=["count_short", "count_long", "range_at_0", "range_at_1", "order"])
+    def test_piecewise_refuses_bad_breakpoints(self, breakpoints, values, message):
+        DopingProfile.piecewise_constant([0.3, 0.6], [1.5, 1.6, 1.7])
+        with pytest.raises(ValueError, match=message):
+            DopingProfile.piecewise_constant(breakpoints, values)
+
+    @pytest.mark.parametrize("knots, values, message", [
+        ([0.0, 1.0], [1.5], "must match"),
+        ([1.0], [1.5], "length >= 2"),
+        ([0.0, 0.7, 0.3, 1.0], [1.5, 1.6, 1.7, 1.8], "sorted"),
+        ([0.1, 1.0], [1.5, 1.6], "span"),
+        ([0.0, 0.9], [1.5, 1.6], "span"),
+    ], ids=["length_mismatch", "length_one", "order", "span_from_0", "span_to_1"])
+    def test_tabulated_refuses_bad_knots(self, knots, values, message):
+        DopingProfile.tabulated([0.0, 0.3, 1.0], [1.5, 1.6, 1.7])
+        with pytest.raises(ValueError, match=message):
+            DopingProfile.tabulated(knots, values)
+
 
 # ---------------------------------------------------------------------------
 # states
@@ -163,6 +188,28 @@ class TestStates:
     def test_positive_density_required(self):
         with pytest.raises(ValueError):
             State(0.0, -0.1, 0.0)
+
+    @pytest.mark.parametrize("tau, gamma, message", [
+        (0.0, 1.0, "tau"), (math.inf, 1.0, "tau"), (math.nan, 1.0, "tau"),
+        (1.0, 0.9, "gamma"), (1.0, math.inf, "gamma"), (1.0, math.nan, "gamma"),
+    ], ids=["tau_zero", "tau_inf", "tau_nan", "gamma_below_1", "gamma_inf", "gamma_nan"])
+    def test_params_refuse_tau_or_gamma_out_of_range(self, tau, gamma, message):
+        # solution.json and classify.json echo both, and JSON holds no Infinity
+        with pytest.raises(ValueError, match=message):
+            ModelParams(tau=tau, doping=DopingProfile.constant(1.5), gamma=gamma)
+
+    @pytest.mark.parametrize("x0, rho_l, rho_r, error, message", [
+        (0.0, 0.8, 1.25, ValueError, "interior"),
+        (1.0, 0.8, 1.25, ValueError, "interior"),
+        (0.5, 1.25, 0.8, EntropyViolation, "supersonic to subsonic"),
+        (0.5, 0.8, 1.3, ValueError, "reciprocal"),
+        # reciprocal within 1e-12, which leaves a momentum gap of 5e-10 at rho_l 1e-3
+        (0.5, 1e-3, 1e3 * (1.0 + 5e-13), ValueError, "momentum"),
+    ], ids=["x0_at_0", "x0_at_1", "jump_downward", "not_reciprocal", "momentum_not_conserved"])
+    def test_shock_data_refuses_a_broken_jump(self, x0, rho_l, rho_r, error, message):
+        ShockData(x0=0.5, rho_l=0.8, rho_r=1.25, e_jump=0.1)
+        with pytest.raises(error, match=message):
+            ShockData(x0=x0, rho_l=rho_l, rho_r=rho_r, e_jump=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1168,6 +1168,21 @@ class TestRowPasses:
         assert probe.xs[-1] == probe.last.x and len(calls) == 3  # no wide steps
 
 
+@pytest.mark.parametrize("solve", [solve_subsonic_shooting, solve_supersonic],
+                         ids=["subsonic", "supersonic"])
+@pytest.mark.parametrize("doping", [
+    DopingProfile.sine_perturbed(1.5, 0.05),
+    DopingProfile.tabulated([0.0, 0.3, 1.0], [1.2, 1.9, 1.4]),
+], ids=["sine", "tabulated"])
+def test_shooting_certifies_on_variable_doping(doping, solve):
+    # tabulated doping is the one kind the field reads through the profile's
+    # own call, once per stage
+    p = ModelParams(tau=15.0, doping=doping)
+    sol = solve(p)
+    assert residual_norm(sol, p)[0] < 1e-6
+    assert abs(sol.rho[0] - 1.0) <= 1e-6 and abs(sol.rho[-1] - 1.0) <= 1e-6
+
+
 class TestPiecewiseDoping:
     # a jump at 0.5 that the residual probe read as a 6.3e-7 defect there,
     # after 29 probe shots, while steps ran across it
