@@ -491,7 +491,7 @@ def lemma_tau_threshold(b: float) -> float:
     """Damping threshold 1/(3 sqrt(b^3 + b)) under which the comparisons hold."""
     if not b > 1.0:
         raise ValueError("threshold defined for constant doping b > 1")
-    return 1.0 / (3.0 * math.sqrt(b**3 + b))
+    return 1.0 / (3.0 * math.sqrt(b) * math.hypot(b, 1.0))  # sqrt(b^3 + b), overflow-free
 
 
 def check_trajectory_lemmas(p: ModelParams, trajectory) -> TrajectoryLemmaReport:

@@ -993,6 +993,11 @@ def _spacing(cfg):
     return min(cfg.sample_spacing, cfg.max_step) if cfg.sample_spacing < math.inf else math.inf
 
 
+# the most a row read off a step's interpolant may lie behind the rows before
+# it by roundoff: rows hugging a sonic end have been seen 3e-15 behind
+_X_ROUNDOFF = 1e-12
+
+
 def _arc_rows(runs, spacing, dsign):
     """The rows ``(xs, rhos, es)`` of an arc of kernel runs, read in one pass.
 
@@ -1001,9 +1006,11 @@ def _arc_rows(runs, spacing, dsign):
     before it, so that `_read_rows` reads the whole arc at once.  Then the
     abscissae are made strictly monotone in the direction ``dsign``: x
     advances monotonically in s, so it can stall only by roundoff, in the
-    rows hugging a sonic end or the node, where dropping the earlier of two
-    coincident points loses nothing.  An arc that turns back behind the row
-    before has no single-valued profile: `IntegrationFailure`.
+    rows hugging a sonic end or the node, where dropping the earlier of
+    coincident points loses nothing: a row that does not advance replaces
+    the kept rows it does not pass, if it lies at most _X_ROUNDOFF behind
+    them.  An arc that turns back further has no single-valued profile:
+    `IntegrationFailure`.
     """
     cols = ([], [], [], [])
     rec = array("d")
@@ -1027,12 +1034,14 @@ def _arc_rows(runs, spacing, dsign):
             keep_x.append(xk)
             keep_r.append(rk)
             keep_e.append(ek)
-        elif len(keep_x) > 1 and dsign * (xk - keep_x[-2]) <= 0:
-            raise IntegrationFailure(
-                "the arc turned back in x",
-                diagnostics={"x": xk, "rho": rk, "e": ek, "x_reached": keep_x[-1]},
-            )
         else:
+            while len(keep_x) > 1 and dsign * (xk - keep_x[-2]) <= 0:
+                if dsign * (keep_x[-1] - xk) > _X_ROUNDOFF:
+                    raise IntegrationFailure(
+                        "the arc turned back in x",
+                        diagnostics={"x": xk, "rho": rk, "e": ek, "x_reached": keep_x[-1]},
+                    )
+                del keep_x[-1], keep_r[-1], keep_e[-1]
             keep_x[-1], keep_r[-1], keep_e[-1] = xk, rk, ek
     return np.array(keep_x), np.array(keep_r), np.array(keep_e)
 

@@ -230,8 +230,8 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:  # NaN included
-            raise ValueError("tau must be positive and finite")
+        if not (0.0 < self.tau < math.inf and 1.0 / self.tau < math.inf):  # NaN included
+            raise ValueError("tau must be positive and finite, and so must 1/tau")
         if not 1.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 1")
         if not isinstance(self.doping, DopingProfile):
@@ -372,7 +372,7 @@ def critical_point_analysis(p: ModelParams) -> CriticalPointInfo:
     if abs(b - 1.0) <= SONIC_DOPING_TOL:
         raise SonicDoping("critical point merges with the sonic line at b = 1")
     trace = b / (p.tau * (b * b - 1.0))
-    det = -b ** 3 / (b * b - 1.0)
+    det = -(b + b / (b * b - 1.0))  # -b^3 / (b^2 - 1), with no power of b to overflow
     disc = trace * trace - 4.0 * det
     if disc >= 0.0:
         root = math.sqrt(disc)
@@ -530,7 +530,8 @@ def tau0_bound(b: float) -> float:
     """
     if not b > 1.0:
         raise ValueError("tau0 bound is defined for b > 1")
-    terms = [1.0 / (3.0 * math.sqrt(b ** 3 + b)), 1.0 / (3.0 * math.sqrt(b))]
+    # sqrt(b^3 + b) = sqrt(b) hypot(b, 1), which no finite b overflows
+    terms = [1.0 / (3.0 * math.sqrt(b) * math.hypot(b, 1.0)), 1.0 / (3.0 * math.sqrt(b))]
     terms.append(1.0 / (4.0 * math.sqrt(b - 1.0)))
     return min(terms)
 

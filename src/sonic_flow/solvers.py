@@ -62,10 +62,28 @@ _MAX_NEWTON = 60
 # sentinel residual magnitude for shots that leave the admissible region
 _OVERSHOOT = 10.0
 
-# probe stop: every shooting residual is an abscissa miss, and probe arcs
-# land only to about 1e-10 of the fine arc; a probe this close ends the root
-# search, and `_polish` takes the rest at output resolution
+# probe stop: every shooting residual is an abscissa miss; a probe this
+# close ends the root search, and `_polish` takes the rest at output
+# resolution
 _RESIDUAL_FLOOR = 1e-7
+
+# probe tolerance schedule: a probe integrates at _PROBE_FORCING times the
+# square of the best real |residual| its search has shot, at most
+# _PROBE_TOL_MAX (and so before any), and at least _PROBE_TOL_MIN or the
+# caller's rel_tol where tighter.  The residual's relative error then falls
+# with the residual itself: the forcing term of an inexact Newton method that
+# keeps its fast local convergence (Dembo, Eisenstat & Steihaug, SIAM J.
+# Numer. Anal. 19 (1982) 400-408).  The floor makes the probe that ends the
+# search predict the fine landing within the polish's 1e-10 stop.
+_PROBE_FORCING = 1e-3
+_PROBE_TOL_MAX = 1e-5
+_PROBE_TOL_MIN = 1e-10
+
+# a supersonic arc at this rel_tol or finer is split at its density minimum:
+# a kept arc needs the minimum as a row, and the probes that end a search
+# then land as the fine arc they predict; looser probes go through it in one
+# kernel run
+_SPLIT_TOL = 1e-9
 
 # a closed bracket whose two residuals both stay above this straddles a jump
 # of the residual, not a root
@@ -88,18 +106,20 @@ _C1_RESIDUAL_TOL = 1e-6
 def _fine(cfg: IntegratorConfig) -> IntegratorConfig:
     """Output-resolution variant of a config for final reconstructions.
 
-    Shooting probes store only their step ends; the accepted trajectory is
-    re-integrated at tight tolerances (1e-12 relative, 1e-14 absolute) with
-    rows read off each step's interpolant at most 5e-4 apart in x, and in
-    rho relative to max(rho, 1) across the square-root layers, so that the
-    stored arrays support interpolation, and per-interval defect checks,
-    at the accuracy of the solve itself.  The step cap stays the probes'
-    (at the default, none but the error controller): the rows, not the
-    steps, have to be dense.  The rows outnumber the step ends, by about
-    80 times on subsonic, supersonic and shock arcs.  They are read once
-    per kept arc, when first read, in one batched pass over all its kernel
-    runs (`integrator._read_rows`): the fine shots that `_polish` rejects,
-    and the probes, read none.
+    Shooting probes store only their step ends, at the tolerances of the
+    probe schedule (`_probe_cfg`, 1e-5 down to 1e-10); the shot after them
+    is the answer wherever it lands within the polish's 1e-10.  It runs at
+    tight tolerances (1e-12 relative, 1e-14 absolute) with rows read off
+    each step's interpolant at most 5e-4 apart in x, and in rho relative to
+    max(rho, 1) across the square-root layers, so that the stored arrays
+    support interpolation, and per-interval defect checks, at the accuracy
+    of the solve itself.  The step cap stays the caller's (at the default,
+    none but the error controller): the rows, not the steps, have to be
+    dense.  The rows outnumber the step ends, by about 80 times on
+    subsonic, supersonic and shock arcs.  They are read once per kept arc,
+    when first read, in one batched pass over all its kernel runs
+    (`integrator._read_rows`): the fine shots that `_polish` rejects, and
+    the probes, read none.
     """
     return replace(
         cfg,
@@ -137,7 +157,7 @@ def _widened(rule, v, r, u, s):
     return guess if 0.0 < abs(guess - v) < abs(nxt - v) else nxt
 
 
-def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
+def _shoot(shot, lo, hi, widen_lo, widen_hi, memo=None):
     """Root of a shooting residual that rises through zero in the launch parameter.
 
     ``shot(v)`` returns ``(residual, data)``; each launch value is shot once
@@ -151,9 +171,11 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
     end of the bracket is a sentinel (``|residual| >= _OVERSHOOT``), the
     bracket is split at its geometric mean (its midpoint where ``lo <= 0``),
     or short of it where the real end's own secant says so; Brent's method
-    closes it once both ends are real.  The first shot of any phase whose
-    |residual| is at most ``_RESIDUAL_FLOOR`` is the root: the search stops
-    at the probes' resolution.
+    closes it once both ends are real, to the width over which the secant
+    of that first real bracket moves the residual by ``_RESIDUAL_FLOOR``.
+    The first shot of any phase whose |residual| is at most
+    ``_RESIDUAL_FLOOR`` is the root: the search stops at the probes'
+    resolution, and a narrower bracket resolves nothing a probe can.
 
     Where ``_MAX_SENTINELS`` closing shots in a row, the bracket's ends
     included, return a sentinel, no launch value in the bracket lands and
@@ -251,6 +273,10 @@ def _shoot(shot, lo, hi, widen_lo, widen_hi, xtol, memo=None):
                 lo_prev, lo, r_lo = (lo, r_lo), v, r
             else:
                 hi_prev, hi, r_hi = (hi, r_hi), v, r
+        # Brent's method closes the bracket only as far as its secant moves
+        # the residual by the probe stop: inside that, a residual the probes
+        # resolve no better is noise, or a jump
+        xtol = _RESIDUAL_FLOOR * abs((hi - lo) / (r_hi - r_lo))
         root, _, _, converged = _brentq(closing, lo, hi, xtol, 8.9e-16)
         if not converged:
             raise failure(
@@ -319,18 +345,37 @@ def _polish(shot_fine, v, slope):
     return v, residual, data
 
 
-def _shoot_polish_land(shot, cfg, lo, hi, widen_lo, widen_hi, xtol, failure):
+def _probe_cfg(cfg: IntegratorConfig, r_best: float | None) -> IntegratorConfig:
+    """The probe config of a search whose best real |residual| so far is ``r_best``.
+
+    Its rel_tol follows the schedule above; abs_tol keeps the caller's ratio
+    to it, and every other field is the caller's.
+    """
+    tol = _PROBE_TOL_MAX if r_best is None else _PROBE_FORCING * r_best * r_best
+    tol = min(max(tol, min(cfg.rel_tol, _PROBE_TOL_MIN)), _PROBE_TOL_MAX)
+    return replace(cfg, rel_tol=tol, abs_tol=cfg.abs_tol * tol / cfg.rel_tol)
+
+
+def _shoot_polish_land(shot, cfg, lo, hi, widen_lo, widen_hi, failure):
     """Root of ``shot(v, cfg)`` by `_shoot`, polished at output resolution.
 
-    The probes run at ``cfg``; `_polish` then re-shoots at ``_fine(cfg)``
-    from the probes' Newton prediction ``v - r / slope``, ``slope`` their
-    `_slope` (from ``v`` itself where that is None).  A polished shot without
-    data, or one that misses its landing by more than 1e-7, raises
-    `ShootingDivergence` with the message ``failure``.  Returns ``(v,
-    residual, data, shots)``.
+    Each probe runs at ``_probe_cfg(cfg, r_best)``, ``r_best`` the smallest
+    real |residual| its search has shot so far: loose while the search is
+    far from the root, 1e-10 by the probe that ends it.  `_polish` then
+    re-shoots at ``_fine(cfg)`` from the probes' Newton prediction ``v - r /
+    slope``, ``slope`` their `_slope` (from ``v`` itself where that is
+    None); where that first fine shot lands within 1e-10, it is the answer.
+    A polished shot without data, or one that misses its landing by more
+    than 1e-7, raises `ShootingDivergence` with the message ``failure``.
+    Returns ``(v, residual, data, shots)``.
     """
     memo = {}
-    v, shots = _shoot(lambda u: shot(u, cfg), lo, hi, widen_lo, widen_hi, xtol, memo=memo)
+
+    def probe(u):
+        real = [abs(r) for r in memo.values() if abs(r) < _OVERSHOOT]
+        return shot(u, _probe_cfg(cfg, min(real) if real else None))
+
+    v, shots = _shoot(probe, lo, hi, widen_lo, widen_hi, memo=memo)
     slope = _slope(memo, v)
     if slope is not None:
         v -= memo[v] / slope
@@ -395,9 +440,10 @@ def _wall_shot(
     x = 1 backward at E = 1/tau - q: the walls that stay square-root layers
     for every tau.  Longer arcs land farther from their wall, so the
     residual is signed to rise with q.  Without ``node`` the arc lands on the
-    sonic line, a supersonic one split at its density minimum, which is then
-    a row; an arc that sinks into the node (1, 1/tau) first keeps its
-    abscissa there as its landing, sign-correct either way, but no data.
+    sonic line, a supersonic one at ``_SPLIT_TOL`` or finer split at its
+    density minimum, which is then a row; an arc that sinks into the node
+    (1, 1/tau) first keeps its abscissa there as its landing, sign-correct
+    either way, but no data.
 
     With the node's slow manifold ``node`` the arc lands where it joins it.
     At its density extremum n_e (n = rho - 1) the arc's field lies delta_e
@@ -428,7 +474,7 @@ def _wall_shot(
         return TargetDensity(1.0 + ratio * (extremum.rho - 1.0), direction=+1)
 
     stops = [DomainEnd(x_end)]
-    if node is not None or side == "supersonic":
+    if node is not None or (side == "supersonic" and cfg.rel_tol <= _SPLIT_TOL):
         stops.append(CriticalLocus(then=None if node is None else stop))
     seg = integrate_from_sonic(wall, side, p.inv_tau + sign * q, direction, stops, p, cfg)
     arcs = [seg]
@@ -482,7 +528,7 @@ def _shoot_launch_excess(
     return _shoot_polish_land(
         lambda q, c: _wall_shot(side, q, target, p, c, node), cfg, lo, hi,
         lambda q: 0.5 * q if 0.5 * q >= _LAUNCH_FLOOR else None, lambda q: 2.0 * q,
-        xtol=1e-15, failure=f"the {side} shot failed to land at x = {target:g}",
+        failure=f"the {side} shot failed to land at x = {target:g}",
     )
 
 
@@ -865,7 +911,6 @@ def solve_transonic_shock(
         e_hi,
         lambda e0: 0.5 * (e0 + p.inv_tau) if 0.5 * (e0 - p.inv_tau) >= _LAUNCH_FLOOR else None,
         lambda e0: _SHOCK_WIDEN * e0,
-        xtol=1e-13,
         failure="shock shooting failed to land at x = 1",
     )
     sup, sub = parts

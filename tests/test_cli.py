@@ -243,6 +243,23 @@ class TestClassify:
         cli.main(["classify", "--config", cfg, "--out", str(b)])
         assert (a / "classify.json").read_bytes() == (b / "classify.json").read_bytes()
 
+    @pytest.mark.parametrize("b", [1e155, 1e308])
+    def test_huge_doping_classifies_and_fails_typed(self, tmp_path, capsys, b):
+        # tau0(b) and the lemma threshold computed b ** 3, an OverflowError
+        # traceback above b = 5.6e102
+        cfg = write_config(tmp_path, {"model": model(0.1, b)})
+        out = tmp_path / "out"
+        assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads((out / "classify.json").read_text(), parse_constant=_not_json)
+        assert rep["verdicts"]["subsonic"]["verdict"] == "exists"
+        assert rep["verdicts"]["c1_transonic"]["verdict"] == "undetermined"
+        cfg = write_config(tmp_path, {"model": model(0.1, b), "solver": {"kind": "supersonic"}})
+        rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")])
+        assert rc == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["code"] == "BracketFailure"
+        assert "Traceback" not in captured.err
+
 
 # ---------------------------------------------------------------------------
 # portrait command
@@ -753,6 +770,7 @@ class TestMalformedInput:
         ("portrait", {"model": model(0.5, 1.5), "portrait": {"launches": [[1.2, math.inf]]}}),
         # no number that JSON cannot hold is echoed into an artifact
         ("classify", {"model": model(math.inf, 1.5)}),
+        ("classify", {"model": model(5e-324, 1.5)}),
         ("classify", {"model": dict(model(15.0, 1.5), gamma=math.inf)}),
         ("sweep", {"model": model(15.0, 1.5), "solver": {"kind": "subsonic"},
                    "sweep": {"variable": "tau", "values": [15.0, math.inf]}}),
@@ -770,7 +788,7 @@ class TestMalformedInput:
         "integrator_value_true", "j_schedule_entry_a_string", "sweep_value_true",
         "sweep_count_not_whole", "portrait_count_not_whole", "sweep_count_infinite",
         "portrait_launch_density_negative", "portrait_launch_density_nan",
-        "portrait_launch_field_infinite", "tau_infinite", "gamma_infinite",
+        "portrait_launch_field_infinite", "tau_infinite", "tau_inverse_infinite", "gamma_infinite",
         "sweep_tau_infinite", "csv_density_nan",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, command, content):

@@ -707,7 +707,8 @@ class TestTableauIsScipys:
 # the Brent port against scipy.optimize.brentq, a test-only oracle like DOP853
 
 _EPS = sys.float_info.epsilon
-# (xtol, rtol) of the event location and of each shooting bracket
+# (xtol, rtol) of the event location, and fixed xtols over the range of the
+# shooting brackets' own
 _BRENT_TOLS = [(4 * _EPS, 4 * _EPS)] + [(x, 8.9e-16) for x in (1e-13, 1e-14, 1e-15, 1e-16)]
 
 

@@ -25,6 +25,7 @@ from sonic_flow import (
     State,
     c1_transition_slope,
     critical_point_analysis,
+    lemma_tau_threshold,
     rh_jump,
     supersonic_min_density_bracket,
     tau0_bound,
@@ -191,8 +192,10 @@ class TestStates:
 
     @pytest.mark.parametrize("tau, gamma, message", [
         (0.0, 1.0, "tau"), (math.inf, 1.0, "tau"), (math.nan, 1.0, "tau"),
+        (5e-324, 1.0, "1/tau"),
         (1.0, 0.9, "gamma"), (1.0, math.inf, "gamma"), (1.0, math.nan, "gamma"),
-    ], ids=["tau_zero", "tau_inf", "tau_nan", "gamma_below_1", "gamma_inf", "gamma_nan"])
+    ], ids=["tau_zero", "tau_inf", "tau_nan", "tau_inverse_inf", "gamma_below_1", "gamma_inf",
+            "gamma_nan"])
     def test_params_refuse_tau_or_gamma_out_of_range(self, tau, gamma, message):
         # solution.json and classify.json echo both, and JSON holds no Infinity
         with pytest.raises(ValueError, match=message):
@@ -507,6 +510,14 @@ class TestTau0Bound:
     def test_goldens(self):
         assert tau0_bound(1.5) == pytest.approx(0.15097027121927942, rel=1e-12)
         assert tau0_bound(2.0) == pytest.approx(0.10540925533894598, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [1e155, 1e308])
+    def test_no_overflow_for_huge_doping(self, b):
+        # 1/(3 sqrt(b^3 + b)), which b ** 3 overflowed above b = 5.6e102
+        assert tau0_bound(b) == lemma_tau_threshold(b)
+        assert tau0_bound(b) == pytest.approx(1.0 / (3.0 * b * math.sqrt(b)), rel=1e-12, abs=1e-300)
+        info = critical_point_analysis(_params(0.1, b))
+        assert info.kind == "saddle" and info.eigenvalues[0].real > 0.0
 
     def test_limit_b_to_one(self):
         # 1/(3 sqrt 2): the slope term is inactive just above b = 1

@@ -49,6 +49,7 @@ from sonic_flow.model_core import node_slow_manifold
 from sonic_flow.solvers import (
     _landing_x,
     _polish,
+    _probe_cfg,
     _shock_shot,
     _shoot,
     _shoot_polish_land,
@@ -129,6 +130,20 @@ class TestSubsonicShooting:
         with pytest.raises(ShootingDivergence) as err:
             solve_subsonic_shooting(params(0.6, 1.2))
         assert abs(err.value.diagnostics["residual"]) < 1e-9
+
+    def test_rows_stalled_by_roundoff_at_the_landing(self):
+        # at this launch the fine arc's last rows hug x = 0 with x wiggling by
+        # 3e-15, two rows back at a time: they are dropped as stalled, not
+        # read as an arc that turned back
+        b = 2.2496822274799126
+        p = ModelParams(tau=0.29658598970464195,
+                        doping=DopingProfile.sine_perturbed(b, 0.2 * b * (0.7020143140154995 - 0.5)))
+        fine = sonic_flow.solvers._fine(IntegratorConfig())
+        r, seg = _wall_shot("subsonic", 1.044101541378746, 0.0, p, fine)
+        assert seg is not None and abs(r) < 1e-10
+        assert np.all(np.diff(seg.xs) < 0) and seg.xs[-1] == seg.last.x
+        sol = solve_subsonic_shooting(p)
+        assert residual_norm(sol, p)[0] < 1e-6
 
     def test_shot_budget(self, p_main, monkeypatch):
         calls = []
@@ -575,7 +590,7 @@ class TestShootDriver:
         # upper end: the rule's first step (one real residual), then the
         # secant clamped to the rule, then the secant overshot 1.2 times
         shot, calls = self.recorded(lambda v: math.atan(v - 3.3))
-        root, shots = _shoot(shot, 0.5, 1.0, None, lambda v: v + 1.0, 1e-14)
+        root, shots = _shoot(shot, 0.5, 1.0, None, lambda v: v + 1.0)
         assert root == pytest.approx(3.3, abs=1e-7)
         assert shots == len(calls)
         r2, r3 = math.atan(2.0 - 3.3), math.atan(3.0 - 3.3)
@@ -585,7 +600,7 @@ class TestShootDriver:
         # lower end: shot after the upper one, then the secant through both
         # overshot 1.2 times, short of the rule's 2.5
         shot, calls = self.recorded(lambda v: v - 3.3)
-        root, shots = _shoot(shot, 5.0, 6.0, lambda v: 0.5 * v, None, 1e-14)
+        root, shots = _shoot(shot, 5.0, 6.0, lambda v: 0.5 * v, None)
         assert root == pytest.approx(3.3, abs=1e-7)
         r5, r6 = 5.0 - 3.3, 6.0 - 3.3
         assert calls[:3] == [6.0, 5.0, 5.0 - 1.2 * r5 * (5.0 - 6.0) / (r5 - r6)]
@@ -593,17 +608,17 @@ class TestShootDriver:
 
     def test_lower_seed_shot_only_above_the_root(self):
         shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
-        _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0)
         assert calls[:2] == [2.8, 3.8] and 3.5 not in calls
         shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
-        _shoot(shot, 2.8, 3.5, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        _shoot(shot, 2.8, 3.5, lambda v: v - 0.5, lambda v: v + 1.0)
         assert calls[:2] == [3.5, 2.8]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_gives_up_after_60_moves(self, sign):
         shot, calls = self.recorded(lambda v: sign)
         with pytest.raises(BracketFailure) as err:
-            _shoot(shot, 1.0, 2.0, lambda v: 0.5 * v, lambda v: 2.0 * v, 1e-12)
+            _shoot(shot, 1.0, 2.0, lambda v: 0.5 * v, lambda v: 2.0 * v)
         # a positive upper residual: the lower seed, then 60 lower moves; a
         # negative one: 60 upper moves; each move hands the old end across
         assert len(calls) == (62 if sign > 0 else 61)
@@ -615,7 +630,7 @@ class TestShootDriver:
     def test_pinned_end_fails_at_once(self, sign):
         shot, calls = self.recorded(lambda v: sign)
         with pytest.raises(BracketFailure) as err:
-            _shoot(shot, 1.0, 2.0, None, None, 1e-12)
+            _shoot(shot, 1.0, 2.0, None, None)
         assert calls == ([2.0, 1.0] if sign > 0 else [2.0])
         assert err.value.diagnostics == {
             "bracket": [1.0, 2.0],
@@ -631,13 +646,13 @@ class TestShootDriver:
     def test_root_beside_sentinel_region(self):
         # shots below 0.999 leave the admissible region and report a sentinel
         shot, _ = self.recorded(lambda v: v - 1.0 if v >= 0.999 else -10.0)
-        root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14)
+        root, _ = _shoot(shot, 0.1, 2.0, None, None)
         assert root == pytest.approx(1.0, abs=1e-12)
 
     def test_jump_between_sentinels_fails_after_eight_in_a_row(self):
         shot, calls = self.recorded(lambda v: -10.0 if v < 1.3 else 10.0)
         with pytest.raises(BracketFailure, match="no launch value lands") as err:
-            _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+            _shoot(shot, 0.0, 2.0, None, None)
         # the two ends, then six splits: at the midpoint while lo <= 0, at the
         # geometric mean after
         assert len(calls) == 8
@@ -656,7 +671,7 @@ class TestShootDriver:
         # the sentinels, and eight in a row end the search
         shot, calls = self.recorded(lambda v: -10.0 if v < 1.3 else 1.0 + (v - 1.3))
         with pytest.raises(ShootingDivergence, match="jumps") as err:
-            _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+            _shoot(shot, 0.0, 2.0, None, None)
         d = err.value.diagnostics
         assert d["shots"] == len(calls) <= 12
         assert d["residuals"][0] == -10.0 and 1.0 <= d["residuals"][1] < 1.7
@@ -666,22 +681,24 @@ class TestShootDriver:
         # the same jump with a root just above it: the real end's residual
         # halves on the way down, and the search lands
         shot, _ = self.recorded(lambda v: -10.0 if v < 1.3 else 16.0 * (v - 1.30001))
-        root, shots = _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+        root, shots = _shoot(shot, 0.0, 2.0, None, None)
         assert root == pytest.approx(1.30001, abs=1e-12)
 
     @pytest.mark.parametrize("left,right", [(-0.3, 0.5), (-0.5, 0.3)])
     def test_jump_between_real_residuals_is_a_divergence(self, left, right):
         shot, calls = self.recorded(lambda v: left if v < 0.4114 else right)
         with pytest.raises(ShootingDivergence, match="jumps") as err:
-            _shoot(shot, 0.2, 0.3, lambda v: 0.5 * v, lambda v: 2.0 * v, 1e-15)
+            _shoot(shot, 0.2, 0.3, lambda v: 0.5 * v, lambda v: 2.0 * v)
         d = err.value.diagnostics
-        assert d["residuals"] == [left, right] and d["shots"] == len(calls) <= 60
+        assert d["residuals"] == [left, right] and d["shots"] == len(calls) <= 30
         assert d["bracket"][0] < 0.4114 <= d["bracket"][1]
-        assert d["bracket"][1] - d["bracket"][0] <= 1e-14
+        # Brent's method closes its first real bracket, (0.3, 0.6), only
+        # until the bracket's secant moves the residual by the probe stop
+        assert d["bracket"][1] - d["bracket"][0] <= 1e-7 * (0.6 - 0.3) / (right - left)
 
     def test_no_launch_value_is_shot_twice(self):
         shot, calls = self.recorded(lambda v: math.atan(v - 3.0))
-        found = _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0, 1e-14)
+        found = _shoot(shot, 3.5, 2.8, lambda v: v - 0.5, lambda v: v + 1.0)
         assert len(calls) == len(set(calls)) == found[1]
 
     def test_residual_floor_ends_the_closing_phase(self):
@@ -692,7 +709,7 @@ class TestShootDriver:
             # the first shot after the bracket ends lands inside the floor
             return (1e-13 if len(calls) == 3 else math.atan(v - 1.0)), None
 
-        root, shots = _shoot(shot, 0.0, 3.0, None, None, 1e-16)
+        root, shots = _shoot(shot, 0.0, 3.0, None, None)
         assert shots == len(calls) == 3
         assert root == calls[-1]
 
@@ -701,7 +718,7 @@ class TestShootDriver:
         # root and 2 on the secant to the far end 2.0
         shot, calls = self.recorded(lambda v: (v - 1.0) * v if v >= 0.999 else -10.0)
         memo = {}
-        root, _ = _shoot(shot, 0.1, 2.0, None, None, 1e-14, memo=memo)
+        root, _ = _shoot(shot, 0.1, 2.0, None, None, memo=memo)
         nearest = min(
             (v for v in calls if v >= 0.999 and abs((v - 1.0) * v - memo[root]) >= 1e-8),
             key=lambda v: abs(v - root),
@@ -717,7 +734,7 @@ class TestShootDriver:
             lambda v: -10.0 if v < 1.0 else (5e-8 if v <= 1.5 else 10.0)
         )
         memo = {}
-        root, shots = _shoot(shot, 0.1, 2.0, None, None, 1e-14, memo=memo)
+        root, shots = _shoot(shot, 0.1, 2.0, None, None, memo=memo)
         assert calls == [2.0, 0.1, math.sqrt(0.2), math.sqrt(math.sqrt(0.2) * 2.0), root]
         assert 1.0 <= root <= 1.5 and shots == 5
         assert _slope(memo, root) is None
@@ -728,7 +745,7 @@ class TestShootDriver:
         hi = math.nextafter(1.0, 2.0)
         shot, calls = self.recorded(lambda v: 1.0 if v >= hi else -10.0)
         with pytest.raises(ShootingDivergence, match="jumps") as err:
-            _shoot(shot, 1.0, hi, None, None, 1e-16)
+            _shoot(shot, 1.0, hi, None, None)
         assert calls == [hi, 1.0]
         assert err.value.diagnostics == {
             "bracket": [1.0, hi], "residuals": [-10.0, 1.0], "shots": 2,
@@ -739,7 +756,7 @@ class TestShootDriver:
         monkeypatch.setattr(sonic_flow.integrator, "_BRENT_MAXITER", 2)
         shot, calls = self.recorded(lambda v: math.atan(v - 1.3))
         with pytest.raises(ShootingDivergence, match="did not converge") as err:
-            _shoot(shot, 0.0, 2.0, None, None, 1e-16)
+            _shoot(shot, 0.0, 2.0, None, None)
         assert len(calls) == 4  # the two ends and one shot per iteration
         assert err.value.diagnostics == {
             "bracket": [0.0, 2.0], "residuals": [math.atan(-1.3), math.atan(0.7)], "shots": 4,
@@ -786,7 +803,7 @@ class TestShootDriver:
             probes.append(v)
             return math.atan(v - 1.0) + 0.1 * (v - 1.0) ** 2, "data"
 
-        _shoot_polish_land(shot, IntegratorConfig(), 0.5, 3.0, None, None, 1e-16, "no landing")
+        _shoot_polish_land(shot, IntegratorConfig(), 0.5, 3.0, None, None, "no landing")
         memo = {v: math.atan(v - 1.0) + 0.1 * (v - 1.0) ** 2 for v in probes}
         root = probes[-1]
         assert 0.0 < abs(memo[root]) <= 1e-7
@@ -814,26 +831,31 @@ class TestShootDriver:
     @pytest.mark.parametrize(
         "family", ["subsonic", "supersonic", "sine_supersonic", "transonic_shock"]
     )
-    def test_polish_makes_two_fine_shots(self, family, p_main, p_shock, monkeypatch):
+    def test_polish_makes_two_fine_shots(self, family, monkeypatch):
         # inputs whose first fine shot misses by more than the polish accepts
-        # (1e-10); the slope step then lands within 1e-12
+        # (1e-10), although the probes end at 1e-10; the slope step then lands
+        # within 1e-12
         def sine(tau, b, amplitude):
             return ModelParams(tau=tau, doping=DopingProfile.sine_perturbed(b, amplitude))
 
         solve = {
-            "subsonic": lambda: solve_subsonic_shooting(sine(2.0, 1.8, 0.1)),
-            "supersonic": lambda: solve_supersonic(p_main),
-            "sine_supersonic": lambda: solve_supersonic(sine(2.0, 1.3, 0.1)),
-            "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.95),
+            "subsonic": lambda: solve_subsonic_shooting(sine(20.0, 1.5, 0.1)),
+            "supersonic": lambda: solve_supersonic(params(5.0, 1.3)),
+            "sine_supersonic": lambda: solve_supersonic(sine(1.0, 1.25, 0.15)),
+            "transonic_shock": lambda: solve_transonic_shock(params(50.0, 1.4), 0.97),
         }[family]
         sol, residuals = self.fine_residuals(solve, monkeypatch)
         assert len(residuals) == 2 and abs(residuals[0]) > 1e-10
         assert sol.diagnostics["boundary_residual"] == abs(residuals[1]) <= 1e-12
 
-    @pytest.mark.parametrize("family", ["subsonic", "sine_subsonic", "sine_supersonic", "shock"])
+    @pytest.mark.parametrize("family", [
+        "subsonic", "sine_subsonic", "sine_supersonic", "shock", "supersonic", "shock_95",
+    ])
     def test_first_fine_shot_lands(self, family, p_main, p_shock, monkeypatch):
-        # the eighth-order probes predict the root well enough that the first
-        # fine shot lands within the polish's 1e-10: no second shot
+        # the probes that end the search, at 1e-10, predict the root well
+        # enough that the first fine shot lands within the polish's 1e-10: no
+        # second shot.  The supersonic fixture and the shock at rho_l 0.95
+        # took a second one while the probes ended at 1e-9
         solve = {
             "subsonic": lambda: solve_subsonic_shooting(p_main),
             "sine_subsonic": lambda: solve_subsonic_shooting(
@@ -841,6 +863,8 @@ class TestShootDriver:
             ),
             "sine_supersonic": lambda: solve_supersonic(P_SINE_SUPERSONIC),
             "shock": lambda: solve_transonic_shock(p_shock, 0.9),
+            "supersonic": lambda: solve_supersonic(p_main),
+            "shock_95": lambda: solve_transonic_shock(p_shock, 0.95),
         }[family]
         sol, residuals = self.fine_residuals(solve, monkeypatch)
         assert len(residuals) == 1
@@ -851,6 +875,101 @@ class TestShootDriver:
     ])
     def test_shot_budget_per_family(self, fixture, budget, request):
         assert request.getfixturevalue(fixture).diagnostics["shooting_iterations"] <= budget
+
+
+class TestProbeSchedule:
+    def test_tolerance_follows_the_best_residual(self):
+        cfg = IntegratorConfig()
+        assert _probe_cfg(cfg, None).rel_tol == 1e-5  # nothing real shot yet
+        assert _probe_cfg(cfg, 1.0).rel_tol == 1e-5
+        assert _probe_cfg(cfg, 1e-2).rel_tol == pytest.approx(1e-7, rel=1e-12)
+        assert _probe_cfg(cfg, 1e-4).rel_tol == 1e-10
+        assert _probe_cfg(cfg, 0.0).rel_tol == 1e-10
+        # abs_tol keeps its ratio to rel_tol; every other field is the caller's
+        probe = _probe_cfg(IntegratorConfig(max_step=0.01), 1e-2)
+        assert probe.abs_tol == pytest.approx(1e-2 * probe.rel_tol, rel=1e-12)
+        assert probe.max_step == 0.01
+        # a caller's rel_tol tighter than 1e-10 is the floor
+        assert _probe_cfg(IntegratorConfig(rel_tol=1e-11), 0.0).rel_tol == 1e-11
+
+    @pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock", "c1_transonic"])
+    def test_probes_tighten_as_the_residual_falls(self, family, p_main, p_shock, p_smooth,
+                                                  monkeypatch):
+        # every probe integrates at the schedule of the best real residual
+        # shot before it in its search; the probe that ends it, at 1e-10
+        shots = []
+        name = "_shock_shot" if family == "transonic_shock" else "_wall_shot"
+        shoot = getattr(sonic_flow.solvers, name)
+
+        def recorded(*args):
+            r, data = shoot(*args)
+            cfg = args[3] if family == "transonic_shock" else args[4]
+            shots.append((cfg.rel_tol, r))
+            return r, data
+
+        monkeypatch.setattr(sonic_flow.solvers, name, recorded)
+        solve = {
+            "subsonic": lambda: solve_subsonic_shooting(p_main),
+            "supersonic": lambda: solve_supersonic(p_main),
+            "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.9),
+            "c1_transonic": lambda: solve_c1_transonic(p_smooth, 0.5),
+        }[family]
+        solve()
+        searches, best, fine = [], None, True
+        for tol, r in shots:
+            if tol == 1e-12:  # a fine shot ends the search
+                best, fine = None, True
+                continue
+            if fine:
+                searches.append([])
+                fine = False
+            searches[-1].append(tol)
+            assert tol == _probe_cfg(IntegratorConfig(), best).rel_tol
+            if abs(r) < 10.0:
+                best = abs(r) if best is None else min(best, abs(r))
+        assert len(searches) == (2 if family == "c1_transonic" else 1)
+        for tols in searches:
+            assert tols[0] == 1e-5 and tols[-1] == 1e-10
+            assert tols == sorted(tols, reverse=True)
+
+    def test_only_kept_or_tight_supersonic_arcs_are_split(self, supersonic_sol, p_main,
+                                                          monkeypatch):
+        # a supersonic probe looser than 1e-9 runs through its density
+        # minimum in one kernel run; at 1e-9 and finer the arc is split there
+        runs = []
+        kernel = sonic_flow.integrator.solve_ivp
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sonic_flow.integrator, "solve_ivp", counted)
+        q = supersonic_sol.diagnostics["launch_excess"]
+        for rel_tol, split in ((1e-5, False), (1e-8, False), (1e-9, True), (1e-10, True)):
+            runs.clear()
+            r, seg = _wall_shot("supersonic", q, 1.0, p_main,
+                                IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol))
+            assert seg is not None and abs(r) < 1e-4
+            assert len(runs) == (2 if split else 1)
+        # the kept arc has its minimum as a row
+        k = int(np.argmin(supersonic_sol.rho))
+        assert supersonic_sol.diagnostics["rho_min"] == supersonic_sol.rho[k]
+
+
+@pytest.mark.parametrize("family", ["subsonic", "supersonic", "transonic_shock", "c1_transonic"])
+def test_two_solves_give_identical_rows(family, p_main, p_shock, p_smooth):
+    # the schedule is a function of the search's own shots: nothing else
+    # moves a launch or a row
+    solve = {
+        "subsonic": lambda: solve_subsonic_shooting(p_main),
+        "supersonic": lambda: solve_supersonic(p_main),
+        "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.9),
+        "c1_transonic": lambda: solve_c1_transonic(p_smooth, 0.5),
+    }[family]
+    a, b = solve(), solve()
+    for u, v in ((a.x, b.x), (a.rho, b.rho), (a.e, b.e)):
+        assert u.tobytes() == v.tobytes()
+    assert a.diagnostics == b.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +1016,8 @@ def _gaps_ok(x, spacing):
 
 
 _RHS_BUDGETS = {
-    "subsonic": 2330, "supersonic": 2300, "sine_supersonic": 2030,
-    "transonic_shock": 2320, "c1_transonic": 4750,
+    "subsonic": 1680, "supersonic": 1230, "sine_supersonic": 1480,
+    "transonic_shock": 1630, "c1_transonic": 2810,
 }
 
 
@@ -954,18 +1073,21 @@ class TestOutputResolution:
             solve_c1_transonic(p_smooth, 0.5)
         return nfev
 
-    # about 10% over the counts of the eighth-order kernel with one run per
-    # sonic landing: 2115, 2092, 1848, 2105 and 4312 RHS evaluations
+    # about 10% over the counts with probes on the tolerance schedule:
+    # 1530, 1117, 1348, 1481 and 2555 RHS evaluations (1974, 2092, 1848,
+    # 2105 and 4312 with every probe at 1e-9)
     @pytest.mark.parametrize("family", list(_RHS_BUDGETS))
     def test_rhs_evaluation_budget(self, family, p_main, p_shock, p_smooth, monkeypatch):
         nfev = self.kernel_nfev(family, p_main, p_shock, p_smooth, monkeypatch)
         assert sum(nfev) <= _RHS_BUDGETS[family]
 
     # a probe that reaches the sonic line lands on it in the run that crossed
-    # the bulk: no run starts 1e-6 short of the line
+    # the bulk: no run starts 1e-6 short of the line.  A supersonic probe
+    # looser than 1e-9 is not split at its density minimum, and C1 takes one
+    # fine shot per branch
     @pytest.mark.parametrize("family,runs", [
-        ("subsonic", 9), ("supersonic", 14), ("sine_supersonic", 12),
-        ("transonic_shock", 16), ("c1_transonic", 26),
+        ("subsonic", 9), ("supersonic", 8), ("sine_supersonic", 8),
+        ("transonic_shock", 16), ("c1_transonic", 22),
     ])
     def test_kernel_runs_per_solve(self, family, runs, p_main, p_shock, p_smooth, monkeypatch):
         assert len(self.kernel_nfev(family, p_main, p_shock, p_smooth, monkeypatch)) == runs
@@ -1130,17 +1252,16 @@ class TestRowPasses:
     @pytest.mark.parametrize("family,kept,fine", [
         ("subsonic", 1, 2), ("supersonic", 1, 2), ("transonic_shock", 2, 2), ("c1_transonic", 2, 4),
     ])
-    def test_one_pass_per_kept_arc(self, family, kept, fine, p_main, p_shock, p_smooth,
-                                   monkeypatch):
+    def test_one_pass_per_kept_arc(self, family, kept, fine, monkeypatch):
         # inputs whose first fine shot misses, so the polish rejects it: C1's
         # does on both branches
         solve = {
             "subsonic": lambda: solve_subsonic_shooting(
                 ModelParams(tau=2.0, doping=DopingProfile.sine_perturbed(1.8, 0.1))
             ),
-            "supersonic": lambda: solve_supersonic(p_main),
-            "transonic_shock": lambda: solve_transonic_shock(p_shock, 0.95),
-            "c1_transonic": lambda: solve_c1_transonic(p_smooth, 0.5),
+            "supersonic": lambda: solve_supersonic(params(5.0, 1.3)),
+            "transonic_shock": lambda: solve_transonic_shock(params(50.0, 1.4), 0.97),
+            "c1_transonic": lambda: solve_c1_transonic(params(0.1, 1.3), 0.5),
         }[family]
         calls = self.passes(monkeypatch)
         sol, residuals = TestShootDriver.fine_residuals(solve, monkeypatch)
@@ -1236,7 +1357,9 @@ class TestLaunchDomain:
     def test_polish_stays_in_the_launch_domain(self, monkeypatch):
         # its probe residual jumps from about -0.33 to +0.53 across the
         # root, where the polish secant once stepped to a launch excess of
-        # -0.189; the jump now fails the probe search, before any polish
+        # -0.189; the jump now fails the probe search, before any polish.
+        # Brent's method closes the bracket only to the probe stop's
+        # resolution: 29 shots, where closing it to 1e-15 took 51
         def polish(*args):
             raise AssertionError("the polish ran on a jump")
 
@@ -1246,7 +1369,7 @@ class TestLaunchDomain:
             solve_supersonic(p)
         d = err.value.diagnostics
         assert d["residuals"][0] < -1e-6 and d["residuals"][1] > 1e-6
-        assert 0.0 < d["bracket"][1] - d["bracket"][0] <= 1e-14 and d["shots"] <= 60
+        assert 0.0 < d["bracket"][1] - d["bracket"][0] <= 1e-8 and d["shots"] <= 30
 
 
 _FAMILY_TOL = {
